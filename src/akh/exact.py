@@ -227,14 +227,11 @@ class ExactMatrix:
     def row(self, i: int) -> tuple:
         return self.data[i]
 
-    def column(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.data)
-
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._same_shape(other)
         return ExactMatrix(
             [
-                [a + b for a, b in zip(ra, rb)]
+                [(a + b if a else b) if b else a for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.data, other.data)
             ],
             cols=self.cols,
@@ -262,17 +259,17 @@ class ExactMatrix:
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ExactError(f"shape mismatch {self.shape} @ {other.shape}")
-        if other.rows == 0:
-            return ExactMatrix.zeros(self.rows, other.cols)
-        ocols = tuple(zip(*other.data))
+        # row-sparse: row i of the product sums a_ik * (row k of other) over
+        # the nonzero a_ik, touching only the nonzero entries of that row
+        sparse = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
         out = []
         for row in self.data:
-            out.append(
-                [
-                    sum((a * b for a, b in zip(row, col) if a and b), GAUSS_ZERO)
-                    for col in ocols
-                ]
-            )
+            acc = [GAUSS_ZERO] * other.cols
+            for a, terms in zip(row, sparse):
+                if a:
+                    for j, b in terms:
+                        acc[j] = acc[j] + a * b if acc[j] else a * b
+            out.append(acc)
         return ExactMatrix(out, cols=other.cols)
 
     def apply(self, vec: Sequence) -> tuple:
@@ -361,30 +358,35 @@ def rref(mat: ExactMatrix) -> tuple:
     entry as pivot.  Entries live in the field Q(i), so classical normalized
     elimination is exact; no fraction-free bookkeeping is needed.
     """
-    work = [list(row) for row in mat.data]
+    # rows are worked on as {column: nonzero entry}, so an elimination step
+    # touches only the nonzero columns of the pivot row
+    work = [{j: a for j, a in enumerate(row) if a} for row in mat.data]
     nrows, ncols = mat.rows, mat.cols
     pivots = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        pivot_row = None
-        for i in range(r, nrows):
-            if work[i][c]:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, nrows) if c in work[i]), None)
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
         inv = GAUSS_ONE / work[r][c]
-        work[r] = [a * inv for a in work[r]]
-        for i in range(nrows):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        prow = work[r] = {j: a * inv for j, a in work[r].items()}
+        for i, row in enumerate(work):
+            f = row.get(c)
+            if f is None or i == r:
+                continue
+            for j, b in prow.items():
+                a = row.get(j, GAUSS_ZERO) - f * b
+                if a:
+                    row[j] = a
+                else:
+                    del row[j]
         pivots.append(c)
         r += 1
-    return ExactMatrix(work, cols=ncols), tuple(pivots)
+    dense = [[row.get(j, GAUSS_ZERO) for j in range(ncols)] for row in work]
+    return ExactMatrix(dense, cols=ncols), tuple(pivots)
 
 
 def rank(mat: ExactMatrix) -> int:

@@ -73,6 +73,13 @@ def merge_wedge(t1: Mono, t2: Mono):
     return merged, (-1 if inversions % 2 else 1)
 
 
+def sort_with_sign(gens) -> tuple:
+    """(sorted tuple, sign of the permutation that sorts ``gens``)."""
+    gens = tuple(gens)
+    inversions = sum(1 for a, b in itertools.combinations(gens, 2) if a > b)
+    return tuple(sorted(gens)), (-1 if inversions % 2 else 1)
+
+
 class Form:
     """An invariant form, stored per bidegree as a coefficient vector.
 
@@ -165,16 +172,9 @@ class Form:
             for j, c in enumerate(vec):
                 if not c:
                     continue
-                swapped = tuple((g + m) if g < m else (g - m) for g in basis[j])
-                mono = tuple(sorted(swapped))
-                inversions = 0
-                seen = []
-                for g in swapped:
-                    inversions += sum(1 for s in seen if s > g)
-                    seen.append(g)
-                cc = c.conj()
-                if inversions % 2:
-                    cc = -cc
+                swapped = ((g + m) if g < m else (g - m) for g in basis[j])
+                mono, sign = sort_with_sign(swapped)
+                cc = c.conj() if sign > 0 else -c.conj()
                 acc[mono] = acc.get(mono, GAUSS_ZERO) + cc
         return self.algebra.form_from_monomials(acc)
 
@@ -261,18 +261,6 @@ class BlockOperator:
     def zero(cls, algebra: "BigradedAlgebra") -> "BlockOperator":
         return cls(algebra, {})
 
-    @classmethod
-    def from_blocks(cls, algebra, shift, blocks) -> "BlockOperator":
-        return cls(algebra, {tuple(shift): dict(blocks)})
-
-    @classmethod
-    def identity(cls, algebra) -> "BlockOperator":
-        blocks = {
-            pq: ExactMatrix.identity(len(basis))
-            for pq, basis in algebra.blocks.items()
-        }
-        return cls(algebra, {(0, 0): blocks})
-
     @property
     def shifts(self) -> tuple:
         return tuple(sorted(self.terms))
@@ -284,11 +272,6 @@ class BlockOperator:
         return next(iter(self.terms))
 
     @property
-    def degrees(self) -> tuple:
-        """Total degrees r+s present, ascending; empty for the zero operator."""
-        return tuple(sorted({r + s for (r, s) in self.terms}))
-
-    @property
     def parity(self) -> Optional[int]:
         """0 or 1 when every shift has the same total-degree parity, else None.
         The zero operator counts as even."""
@@ -298,9 +281,6 @@ class BlockOperator:
         if len(ps) > 1:
             return None
         return ps.pop()
-
-    def is_pure(self) -> bool:
-        return len(self.terms) <= 1
 
     def block(self, pq: BlockKey, shift: Optional[tuple] = None) -> ExactMatrix:
         """Matrix out of block pq for the given shift (the unique one if pure),
@@ -432,12 +412,17 @@ class BlockOperator:
 
 
 class BigradedAlgebra:
-    """The full bigraded calculus of one model, built eagerly and exactly.
+    """The full bigraded calculus of one model, built exactly.
 
     Attributes of note: blocks (basis monomials per bidegree), gram, the four
     differential components mu_bar / dbar / partial / mu and their sum d, the
     Hodge star, the Lefschetz triple L / lam / weight_h, the parity operator
     weight (i^{p-q} per block), fundamental_form, and integrate().
+
+    __init__ builds and checks all that can fail: the structure report, the
+    coframe, d squared, the fundamental form and the orientation.  What cannot
+    fail once those pass (Gram blocks and their inverses, star, weights,
+    Lefschetz triple) is built on first use.
     """
 
     def __init__(self, model: LieModel):
@@ -479,25 +464,6 @@ class BigradedAlgebra:
                 self.mono_index[mono] = (pq, idx)
 
         self._expansion_cache: Dict[Mono, dict] = {}
-        self.gram: Dict[BlockKey, ExactMatrix] = {}
-        for pq in self.block_order:
-            basis = self.blocks[pq]
-            expa = [self._real_expansion(mono) for mono in basis]
-            rows = []
-            for ea in expa:
-                row = []
-                for eb in expa:
-                    acc = GAUSS_ZERO
-                    for rmono, ca in ea.items():
-                        cb = eb.get(rmono)
-                        if cb is not None:
-                            acc = acc + ca * cb.conj()
-                    row.append(acc)
-                rows.append(row)
-            self.gram[pq] = ExactMatrix(rows)
-        self.gram_conj_inv: Dict[BlockKey, ExactMatrix] = {
-            pq: inverse(g.conj()) for pq, g in self.gram.items()
-        }
 
         self._dgen = self._differential_on_generators()
         self._d_mono_cache: Dict[Mono, dict] = {}
@@ -534,10 +500,94 @@ class BigradedAlgebra:
             {tau: GaussScalar(self.orientation) / self._top_real_coeff}
         )
 
-        self.star = self._build_star()
-        self.weight = self._build_weight(1)
-        self.weight_inv = self._build_weight(-1)
-        self.L, self.lam, self.weight_h = lefschetz_triple(self, self.fundamental_form)
+    # -- built on first use ----------------------------------------------------
+
+    @functools.cached_property
+    def gram(self) -> Dict[BlockKey, ExactMatrix]:
+        """Hermitian Gram matrix of the monomial basis of each block."""
+        gram = {}
+        for pq in self.block_order:
+            expa = [self._real_expansion(mono) for mono in self.blocks[pq]]
+            rows = []
+            for ea in expa:
+                row = []
+                for eb in expa:
+                    acc = GAUSS_ZERO
+                    for rmono, ca in ea.items():
+                        cb = eb.get(rmono)
+                        if cb is not None:
+                            acc = acc + ca * cb.conj()
+                    row.append(acc)
+                rows.append(row)
+            gram[pq] = ExactMatrix(rows)
+        return gram
+
+    @functools.cached_property
+    def gram_conj_inv(self) -> Dict[BlockKey, ExactMatrix]:
+        """Inverse of the conjugate of each (positive definite) Gram block."""
+        return {pq: inverse(g.conj()) for pq, g in self.gram.items()}
+
+    @functools.cached_property
+    def weight(self) -> BlockOperator:
+        return self._build_weight(1)
+
+    @functools.cached_property
+    def weight_inv(self) -> BlockOperator:
+        return self._build_weight(-1)
+
+    @functools.cached_property
+    def star(self) -> BlockOperator:
+        """Solve alpha ^ star(gamma) = <alpha, gamma> vol blockwise.
+
+        For gamma in A^{p,q} the pairing runs over alpha in A^{q,p}; the
+        bilinear extension of the frame metric appears on the right, which is
+        the Hermitian product of alpha against the conjugate of gamma.
+        """
+        m = self.m
+        blocks = {}
+        vol_coeff = GaussScalar(self.orientation) / self._top_real_coeff
+        for (p, q), basis in self.blocks.items():
+            tgt = (m - q, m - p)
+            pair_basis = self.blocks[(q, p)]
+            tgt_basis = self.blocks[tgt]
+            if not basis:
+                continue
+            wedge_rows = []
+            for am in pair_basis:
+                row = []
+                for tm in tgt_basis:
+                    merged = merge_wedge(am, tm)
+                    if merged is None or merged[0] != self._top_mono:
+                        row.append(GAUSS_ZERO)
+                    else:
+                        row.append(GaussScalar(merged[1]))
+                wedge_rows.append(row)
+            W = ExactMatrix(wedge_rows)
+            expa = [self._real_expansion(mono) for mono in pair_basis]
+            expg = [self._real_expansion(mono) for mono in basis]
+            rhs_rows = []
+            for ea in expa:
+                row = []
+                for eg in expg:
+                    acc = GAUSS_ZERO
+                    for rmono, ca in ea.items():
+                        cg = eg.get(rmono)
+                        if cg is not None:
+                            acc = acc + ca * cg
+                    row.append(acc * vol_coeff)
+                rhs_rows.append(row)
+            B = ExactMatrix(rhs_rows)
+            shift = (m - q - p, m - p - q)
+            blocks.setdefault(shift, {})[(p, q)] = inverse(W) @ B
+        return BlockOperator(self, blocks)
+
+    @functools.cached_property
+    def _lefschetz(self) -> tuple:
+        return lefschetz_triple(self, self.fundamental_form)
+
+    L = property(lambda self: self._lefschetz[0], doc="Wedge with the fundamental form.")
+    lam = property(lambda self: self._lefschetz[1], doc="Gram adjoint of L.")
+    weight_h = property(lambda self: self._lefschetz[2], doc="The commutator [L, lam].")
 
     # -- construction helpers ------------------------------------------------
 
@@ -734,58 +784,6 @@ class BigradedAlgebra:
             raise AlgebraError("fundamental form is not real")
         return form
 
-    def _build_star(self) -> BlockOperator:
-        """Solve alpha ^ star(gamma) = <alpha, gamma> vol blockwise.
-
-        For gamma in A^{p,q} the pairing runs over alpha in A^{q,p}; the
-        bilinear extension of the frame metric appears on the right, which is
-        the Hermitian product of alpha against the conjugate of gamma.
-        """
-        m = self.m
-        blocks = {}
-        vol_coeff = GaussScalar(self.orientation) / self._top_real_coeff
-        for (p, q), basis in self.blocks.items():
-            tgt = (m - q, m - p)
-            pair_basis = self.blocks[(q, p)]
-            tgt_basis = self.blocks[tgt]
-            if not basis:
-                continue
-            wedge_rows = []
-            for am in pair_basis:
-                row = []
-                for tm in tgt_basis:
-                    merged = merge_wedge(am, tm)
-                    if merged is None or merged[0] != self._top_mono:
-                        row.append(GAUSS_ZERO)
-                    else:
-                        row.append(GaussScalar(merged[1]))
-                wedge_rows.append(row)
-            W = ExactMatrix(wedge_rows)
-            expa = [self._real_expansion(mono) for mono in pair_basis]
-            expg = [self._real_expansion(mono) for mono in basis]
-            rhs_rows = []
-            for ea in expa:
-                row = []
-                for eg in expg:
-                    acc = GAUSS_ZERO
-                    for rmono, ca in ea.items():
-                        cg = eg.get(rmono)
-                        if cg is not None:
-                            acc = acc + ca * cg
-                    row.append(acc * vol_coeff)
-                rhs_rows.append(row)
-            B = ExactMatrix(rhs_rows)
-            blocks[(p, q)] = inverse(W) @ B
-        return BlockOperator(self, self._star_terms(blocks))
-
-    def _star_terms(self, blocks) -> dict:
-        terms: Dict[tuple, dict] = {}
-        m = self.m
-        for (p, q), mat in blocks.items():
-            shift = (m - q - p, m - p - q)
-            terms.setdefault(shift, {})[(p, q)] = mat
-        return terms
-
     def _build_weight(self, direction: int) -> BlockOperator:
         """Diagonal operator i^{p-q} per block (i^{q-p} for direction=-1)."""
         powers = [GAUSS_ONE, GAUSS_I, GaussScalar(-1), -GAUSS_I]
@@ -906,19 +904,6 @@ def form_from_coordinates(algebra: BigradedAlgebra, pq: BlockKey, vec: Sequence)
     return Form(algebra, {pq: tuple(vec)})
 
 
-def ce_differential(algebra: BigradedAlgebra) -> BlockOperator:
-    """The Chevalley differential, a sum of four pure bidegree components."""
-    return algebra.d
-
-
-def weight_operator(algebra: BigradedAlgebra) -> BlockOperator:
-    return algebra.weight
-
-
-def hodge_star(algebra: BigradedAlgebra) -> BlockOperator:
-    return algebra.star
-
-
 def lefschetz_triple(algebra: BigradedAlgebra, omega: Optional[Form] = None):
     """(L, Lam, H): wedge with omega, its Gram adjoint, their commutator."""
     if omega is None:
@@ -1035,10 +1020,11 @@ def form_to_json(form: Form) -> dict:
     return out
 
 
-def _parse_monomial(algebra: BigradedAlgebra, text: str) -> Mono:
+def _parse_monomial(algebra: BigradedAlgebra, text: str) -> tuple:
+    """(sorted monomial, sign of the permutation that sorts the generators)."""
     text = text.strip()
     if text == "1":
-        return ()
+        return (), 1
     gens = []
     for piece in text.split("^"):
         piece = piece.strip()
@@ -1054,10 +1040,10 @@ def _parse_monomial(algebra: BigradedAlgebra, text: str) -> Mono:
         if not (0 <= idx < algebra.m):
             raise AlgebraError(f"generator index out of range in {piece!r}")
         gens.append(idx + algebra.m if barred else idx)
-    mono = tuple(sorted(gens))
+    mono, sign = sort_with_sign(gens)
     if len(set(mono)) != len(mono):
         raise AlgebraError(f"repeated generator in monomial {text!r}")
-    return mono
+    return mono, sign
 
 
 def form_from_json(algebra: BigradedAlgebra, data: Mapping) -> Form:
@@ -1069,11 +1055,12 @@ def form_from_json(algebra: BigradedAlgebra, data: Mapping) -> Form:
         except ValueError:
             raise AlgebraError(f"bad block key {block_key!r}") from None
         for mono_text, coeff_text in entries.items():
-            mono = _parse_monomial(algebra, mono_text)
+            mono, sign = _parse_monomial(algebra, mono_text)
             pq, _ = algebra.mono_index[mono]
             if pq != (p, q):
                 raise AlgebraError(
                     f"monomial {mono_text!r} is not of bidegree ({p},{q})"
                 )
-            comps[mono] = comps.get(mono, GAUSS_ZERO) + parse_scalar(coeff_text)
+            coeff = parse_scalar(coeff_text)
+            comps[mono] = comps.get(mono, GAUSS_ZERO) + (coeff if sign > 0 else -coeff)
     return algebra.form_from_monomials(comps)

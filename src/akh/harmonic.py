@@ -289,8 +289,7 @@ def ell_diamond(model: LieModel) -> Diamond:
     grid = tuple(tuple(_ell(model, p, q) for q in range(m + 1))
                  for p in range(m + 1))
     bett = betti(model)
-    report = validate(model)
-    if not report.almost_kahler:
+    if not alg.validation.almost_kahler:
         return Diamond(m=m, ell=grid, betti=bett,
                        duality_ok=None, bounds_ok=None, lefschetz_ok=None)
     duality = all(
@@ -688,7 +687,7 @@ def holomorphic_forms(model: LieModel, p: int) -> HolomorphicReport:
     dim2 = len(_holomorphic_vectors(model, 2))
     b1 = betti(model)[1]
     matches = None
-    if p == 1 and validate(model).almost_kahler:
+    if p == 1 and alg.validation.almost_kahler:
         harm = _harmonic_vectors(model, "d", (1, 0))
         matches = (
             len(harm) == len(vecs)
@@ -961,7 +960,6 @@ def obstruction_report(model: LieModel) -> ObstructionReport:
     """Holomorphic-form counts, Laplacian asymmetry, and the degeneracy
     argument in one report."""
     alg = build(model)
-    report = validate(model)
     hol_dims = tuple(len(_holomorphic_vectors(model, p)) for p in range(alg.m + 1))
     b1 = betti(model)[1]
     witness = laplacian_symmetry_witness(model)
@@ -973,4 +971,4 @@ def obstruction_report(model: LieModel) -> ObstructionReport:
         free_rank_hypothesis=hol_dims[1] > (hol_dims[2] if alg.m >= 2 else 0) + 1,
         laplacian_witness=None if isinstance(witness, str) else witness,
         ak_nonexistence=ak_nonexistence_report(model),
-        integrable=report.integrable)
+        integrable=alg.validation.integrable)

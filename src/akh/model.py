@@ -375,6 +375,14 @@ def model_to_json(model: LieModel) -> dict:
     }
 
 
+def _expect(value, kind: type, what: str):
+    """``value`` if it has JSON type ``kind``, else ModelError.  A bool is
+    not an int here, and floats and strings are refused, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ModelError(f"{what} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
 def model_from_json(data) -> LieModel:
     if not isinstance(data, dict):
         raise ModelError("model document must be a JSON object")
@@ -384,23 +392,24 @@ def model_from_json(data) -> LieModel:
         )
     try:
         name = str(data["name"])
-        dim = int(data["dim"])
-        raw_brackets = data["brackets"]
-        raw_j = data["J"]
+        dim = _expect(data["dim"], int, "dim")
+        raw_brackets = _expect(data["brackets"], list, "brackets")
+        raw_j = _expect(data["J"], list, "J")
     except KeyError as exc:
         raise ModelError(f"missing field {exc.args[0]!r}") from None
     brackets = []
     for pos, entry in enumerate(raw_brackets):
+        what = f"bracket entry at index {pos}"
+        _expect(entry, dict, what)
         try:
-            i = int(entry["i"]) - 1
-            j = int(entry["j"]) - 1
-            k = int(entry["k"]) - 1
+            i, j, k = (_expect(entry[key], int, key) - 1 for key in "ijk")
             c = Fraction(str(entry["c"]))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ModelError(f"bad bracket entry at index {pos}: {entry!r}") from exc
+        except (KeyError, ValueError, ZeroDivisionError) as exc:
+            raise ModelError(f"bad {what}: {entry!r}") from exc
         brackets.append((i, j, k, c))
     jrows = []
     for r, row in enumerate(raw_j):
+        _expect(row, list, f"J row {r}")
         parsed = []
         for cidx, x in enumerate(row):
             try:
@@ -428,13 +437,6 @@ def save_model(model: LieModel, path: str) -> None:
 
 # ---------------------------------------------------------------------------
 # bridges into the bigraded algebra (lazy imports avoid a cycle)
-
-
-def fundamental_form(model: LieModel):
-    """The (1,1)-form g(J., .) in the bigraded algebra of the model."""
-    from . import forms
-
-    return forms.build(model).fundamental_form
 
 
 def nijenhuis_scalar(model: LieModel):

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import akh
 from akh.cli import (
     CliInputError,
     RunConfig,
@@ -12,7 +16,7 @@ from akh.cli import (
     thread_cap,
 )
 from akh.harmonic import ell_diamond
-from akh.model import catalog, save_model
+from akh.model import catalog, model_to_json, save_model
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +190,32 @@ def test_missing_field_exits_one_with_field_name(tmp_path, capsys):
     assert main(["validate", "--model", str(path)]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+@pytest.mark.parametrize("change", [
+    {"J": 5},
+    {"brackets": 5},
+    {"J": [["0", "-1", "0", "0"], 7, ["0", "0", "0", "-1"], ["0", "0", "1", "0"]]},
+    {"brackets": ["[X1,X2] = -X3"]},
+    {"brackets": [{"i": 1.7, "j": 2, "k": 3, "c": "-1"}]},
+    {"brackets": [{"i": True, "j": 2, "k": 3, "c": "-1"}]},
+], ids=["J_int", "brackets_int", "J_row_int", "bracket_string",
+        "index_float", "index_bool"])
+def test_malformed_model_shape_exits_one_without_traceback(tmp_path, change):
+    data = model_to_json(catalog("kodaira_thurston"))
+    data.update(change)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(akh.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from akh.cli import main; sys.exit(main())",
+         "validate", "--model", str(path)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_lefschetz_on_nonclosed_model_exits_one(capsys):

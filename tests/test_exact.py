@@ -252,6 +252,107 @@ def test_stack_shape_errors():
 
 
 # ---------------------------------------------------------------------------
+# the sparse-aware kernels against a plain dense reference
+
+
+def dense_matmul(a, b, ncols):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), GAUSS_ZERO)
+             for j in range(ncols)] for i in range(len(a))]
+
+
+def dense_rref(rows, ncols):
+    """Gauss-Jordan on every entry: leftmost pivot column, topmost row."""
+    work = [list(row) for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        below = [i for i in range(r, len(work)) if work[i][c]]
+        if not below:
+            continue
+        work[r], work[below[0]] = work[below[0]], work[r]
+        inv = GAUSS_ONE / work[r][c]
+        work[r] = [a * inv for a in work[r]]
+        for i in range(len(work)):
+            if i != r:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+    return work, tuple(pivots)
+
+
+def dense_kernel(rows, ncols):
+    work, pivots = dense_rref(rows, ncols)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [GAUSS_ZERO] * ncols
+        v[f] = GAUSS_ONE
+        for r, c in enumerate(pivots):
+            v[c] = -work[r][f]
+        basis.append(tuple(v))
+    return basis
+
+
+# mostly zeros, like the bidegree blocks of d
+sparse_entries = st.one_of(st.just(GAUSS_ZERO), st.just(GAUSS_ZERO),
+                           st.just(GAUSS_ZERO), small_entries)
+
+
+@st.composite
+def sparse_matrices(draw, rows=None, cols=None):
+    """Rows and columns from 0 up, so 0xn and nx0 shapes are drawn too."""
+    r = draw(st.integers(0, 5)) if rows is None else rows
+    c = draw(st.integers(0, 5)) if cols is None else cols
+    data = draw(st.lists(st.lists(sparse_entries, min_size=c, max_size=c),
+                         min_size=r, max_size=r))
+    return ExactMatrix(data, cols=c)
+
+
+@st.composite
+def sparse_products(draw):
+    a = draw(sparse_matrices())
+    b = draw(sparse_matrices(rows=a.cols))
+    return a, b, draw(sparse_matrices(rows=a.rows, cols=a.cols))
+
+
+@given(sparse_products())
+@settings(max_examples=60, deadline=None)
+def test_sparse_product_and_sum_match_dense(case):
+    a, b, c = case
+    assert a @ b == ExactMatrix(dense_matmul(a.data, b.data, b.cols), cols=b.cols)
+    assert a + c == ExactMatrix(
+        [[x + y for x, y in zip(ra, rc)] for ra, rc in zip(a.data, c.data)],
+        cols=a.cols)
+
+
+@given(sparse_matrices())
+@settings(max_examples=60, deadline=None)
+def test_sparse_rref_and_kernel_match_dense(m):
+    reduced, pivots = rref(m)
+    work, dense_pivots = dense_rref(m.data, m.cols)
+    assert pivots == dense_pivots
+    assert reduced == ExactMatrix(work, cols=m.cols)
+    assert kernel(m) == dense_kernel(m.data, m.cols)
+
+
+@given(st.integers(0, 4).flatmap(lambda n: sparse_matrices(rows=n, cols=n)),
+       st.integers(-2, 2))
+@settings(max_examples=60, deadline=None)
+def test_sparse_inverse_matches_dense(m, k):
+    n = m.rows
+    eye = ExactMatrix.identity(n)
+    m = m + eye * k  # a diagonal shift makes invertible draws common
+    work, pivots = dense_rref([list(r) + list(e) for r, e in zip(m.data, eye.data)],
+                              2 * n)
+    if pivots[:n] != tuple(range(n)):
+        with pytest.raises(ExactError):
+            inverse(m)
+        return
+    inv = inverse(m)
+    assert inv == ExactMatrix([row[n:] for row in work], cols=n)
+    assert inv @ m == eye
+
+
+# ---------------------------------------------------------------------------
 # parameter polynomials
 
 

@@ -1,12 +1,15 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from akh.exact import GAUSS_ONE, GAUSS_ZERO, GaussScalar, hermitian_signature
 from akh.forms import (
     AlgebraError,
+    BigradedAlgebra,
     Form,
     build,
     d_squared_relations,
@@ -14,7 +17,8 @@ from akh.forms import (
     form_from_json,
     form_to_json,
 )
-from akh.model import CATALOG_NAMES, catalog, validate
+from akh.harmonic import betti
+from akh.model import CATALOG_NAMES, catalog, load_model, validate
 
 
 def gs(re, im=0):
@@ -53,6 +57,40 @@ def test_block_order_by_total_degree():
 def test_build_is_cached():
     model = catalog("torus2")
     assert build(model) is build(model)
+
+
+LAZY_ATTRIBUTES = ("gram", "gram_conj_inv", "star", "weight", "weight_inv",
+                   "_lefschetz")
+
+
+def test_betti_leaves_the_metric_layer_unbuilt():
+    path = Path(__file__).resolve().parents[1] / "bench" / "models" / "kt_x_kt.json"
+    # a name of its own keeps build's cache from returning an algebra that
+    # another test has already used
+    model = dataclasses.replace(load_model(str(path)), name="kt_x_kt_lazy")
+    assert betti(model) == (1, 6, 17, 30, 36, 30, 17, 6, 1)
+    alg = build(model)
+    assert not set(LAZY_ATTRIBUTES) & set(vars(alg))
+    for name in LAZY_ATTRIBUTES + ("L", "lam", "weight_h"):
+        assert getattr(alg, name) is getattr(alg, name), name
+    assert set(LAZY_ATTRIBUTES) <= set(vars(alg))
+
+
+def test_build_checks_eagerly(monkeypatch):
+    # d a1 = a2^a3, d a2 = a1^a3, d a3 = a1^a1~ gives d d a1 = a1^a2^a1~
+    broken_d = [{(1, 2): GAUSS_ONE}, {(0, 2): GAUSS_ONE}, {(0, 3): GAUSS_ONE},
+                {}, {}, {}]
+    with monkeypatch.context() as patch:
+        patch.setattr(BigradedAlgebra, "_differential_on_generators",
+                      lambda self: broken_d)
+        with pytest.raises(AlgebraError, match="d squared"):
+            BigradedAlgebra(catalog("h5_J"))
+    # doubling omega makes omega^m/m! integrate to 2^m, not +-1
+    original = BigradedAlgebra._build_fundamental_form
+    monkeypatch.setattr(BigradedAlgebra, "_build_fundamental_form",
+                        lambda self: original(self).scale(gs(2)))
+    with pytest.raises(AlgebraError, match="expected"):
+        BigradedAlgebra(catalog("kodaira_thurston"))
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +387,29 @@ def test_form_json_round_trip():
     assert back == f
     # keys are "p,q" strings with name/coefficient maps inside
     assert set(data) == {"1,1", "2,0"}
+
+
+def test_form_from_json_keeps_the_wedge_sign():
+    alg = build(catalog("h5_J"))
+    a1, a2, a3 = (alg.generator_form(g) for g in range(3))
+    swapped = form_from_json(alg, {"2,0": {"a2^a1": "1"}})
+    assert swapped == a2.wedge(a1)
+    assert swapped == -form_from_json(alg, {"2,0": {"a1^a2": "1"}})
+    # a 3-cycle is even, a transposition odd
+    assert form_from_json(alg, {"3,0": {"a3^a1^a2": "2"}}) == \
+        a1.wedge(a2).wedge(a3).scale(gs(2))
+    assert form_from_json(alg, {"2,1": {"a1~^a2^a1": "i"}}) == \
+        a1.wedge(a2).wedge(a1.conj()).scale(gs(0, -1))
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_form_json_round_trips_every_monomial(name):
+    alg = build(catalog(name))
+    f = alg.zero_form()
+    for k, pq in enumerate(alg.block_order):
+        for j in range(alg.dim_block(pq)):
+            f = f + alg.basis_form(pq, j).scale(gs(Fraction(k + 1, j + 2), -j))
+    assert form_from_json(alg, form_to_json(f)) == f
 
 
 def test_monomial_names():

@@ -233,6 +233,33 @@ def test_from_json_rejects_missing_fields():
         model_from_json({"format": 1, "name": "x"})
 
 
+def _bracket(**changes):
+    return [dict({"i": 1, "j": 2, "k": 3, "c": "-1"}, **changes)]
+
+
+MALFORMED_SHAPES = {
+    "J_not_a_list": {"J": 5},
+    "brackets_not_a_list": {"brackets": 5},
+    "J_row_not_a_list": {"J": [["0"] * 4, 7, ["0"] * 4, ["0"] * 4]},
+    "J_row_a_string": {"J": [["0"] * 4, "1000", ["0"] * 4, ["0"] * 4]},
+    "bracket_not_an_object": {"brackets": [[1, 2, 3, "-1"]]},
+    "fractional_index": {"brackets": _bracket(i=1.7)},
+    "boolean_index": {"brackets": _bracket(i=True)},
+    "string_index": {"brackets": _bracket(k="3")},
+    "fractional_dim": {"dim": 4.5},
+    "list_dim": {"dim": [4]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SHAPES))
+def test_from_json_rejects_malformed_shapes(case):
+    model = catalog("kodaira_thurston")
+    data = model_to_json(model)
+    assert model_from_json(dict(data, brackets=_bracket())) == model
+    with pytest.raises(ModelError):
+        model_from_json(dict(data, **MALFORMED_SHAPES[case]))
+
+
 def test_from_json_rejects_unknown_format():
     data = model_to_json(catalog("torus2"))
     data["format"] = 99
