@@ -21,7 +21,6 @@ checker in scripts).
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -74,24 +73,6 @@ class RunConfig:
         if (self.catalog is None) == (self.model_path is None):
             raise CliInputError(
                 "exactly one of --catalog and --model is required")
-
-
-def thread_cap() -> int:
-    """Parallelism cap from AKH_THREADS; 1 means sequential.
-
-    The computations here are cheap enough that everything runs
-    sequentially, but the variable is validated and honoured as a cap.
-    """
-    raw = os.environ.get("AKH_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise CliInputError(f"AKH_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise CliInputError(f"AKH_THREADS must be positive, got {value}")
-    return value
 
 
 def _json_text(payload) -> str:
@@ -301,7 +282,6 @@ def _run_command(config: RunConfig, model: LieModel):
 
 def run(config: RunConfig) -> int:
     """Execute one invocation, writing the report to stdout."""
-    thread_cap()
     model = _load_model(config)
     if config.verbosity >= 1:
         print(f"loaded model {model.name} (dim {model.dim})", file=sys.stderr)

@@ -1,10 +1,11 @@
-"""Exact arithmetic over the Gaussian rationals, plus dense linear algebra.
+"""Exact arithmetic over the Gaussian rationals, plus sparse linear algebra.
 
 Everything in this package reduces to linear algebra over Q(i).  Scalars are
-pairs of stdlib Fractions, matrices are dense tuples of tuples, and every
-routine is deterministic: reduced row echelon form always picks the leftmost
-pivot column and the topmost unused row, so kernel bases and solve results are
-canonical for a given input.
+pairs of stdlib Fractions, matrices store each row as a dict from column to
+nonzero entry (the operators here are mostly zeros), and every routine is
+deterministic: reduced row echelon form always picks the leftmost pivot column
+and the topmost unused row, so kernel bases and solve results are canonical
+for a given input.
 
 ParamPoly adds multivariate polynomials over Q(i) in named real parameters.
 They are used to express families of forms (a 2-form with unknown rational
@@ -30,8 +31,9 @@ class GaussScalar:
     __slots__ = ("re", "im")
 
     def __init__(self, re: Union[Fraction, int] = 0, im: Union[Fraction, int] = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        # Fraction arithmetic already returns Fractions; keep those as they are
+        object.__setattr__(self, "re", re if isinstance(re, Fraction) else Fraction(re))
+        object.__setattr__(self, "im", im if isinstance(im, Fraction) else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussScalar is immutable")
@@ -59,10 +61,13 @@ class GaussScalar:
         if isinstance(other, ParamPoly):
             return other.__rmul__(self)
         other = as_gauss(other)
-        return GaussScalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, d = self.re, self.im, other.re, other.im
+        # most entries here are real or imaginary; skip the zero products
+        if not b:
+            return GaussScalar(a * c, a * d if d else d)
+        if not d:
+            return GaussScalar(a * c if a else a, b * c)
+        return GaussScalar(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -98,7 +103,7 @@ class GaussScalar:
         return self.im == 0
 
     def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
+        return bool(self.re or self.im)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (GaussScalar, Fraction, int)):
@@ -186,91 +191,127 @@ def parse_scalar(text: str) -> GaussScalar:
 
 
 class ExactMatrix:
-    """Dense immutable matrix over GaussScalar."""
+    """Immutable sparse matrix over GaussScalar.
 
-    __slots__ = ("rows", "cols", "data")
+    Each row is a dict {column: nonzero entry}; zeros are never stored and
+    there is no dense copy.  ``data`` and ``row`` are dense views built on
+    access, for display and for callers that index every entry.
+    """
+
+    __slots__ = ("rows", "cols", "_rows")
 
     def __init__(self, data: Iterable[Iterable[ScalarLike]], cols: Optional[int] = None):
         """``cols`` pins the width of a matrix with no rows (or no columns),
         where it cannot be inferred; required to keep shapes honest through
-        degenerate blocks."""
-        rows = tuple(tuple(as_gauss(x) for x in row) for row in data)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
+        degenerate blocks.  Zero entries are dropped."""
+        sparse = []
+        width = None
+        for row in data:
+            row = [as_gauss(x) for x in row]
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
                 raise ExactError("ragged matrix rows")
-            if cols is not None and cols != width:
-                raise ExactError(f"stated width {cols} contradicts rows of {width}")
-        else:
+            sparse.append({j: a for j, a in enumerate(row) if a})
+        if width is None:
             width = 0 if cols is None else cols
-        object.__setattr__(self, "data", rows)
+        elif cols is not None and cols != width:
+            raise ExactError(f"stated width {cols} contradicts rows of {width}")
+        self._set(sparse, width)
+
+    def _set(self, rows, cols: int) -> None:
+        rows = tuple(rows)
+        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", width)
+        object.__setattr__(self, "cols", cols)
+
+    @classmethod
+    def _from_rows(cls, rows: Iterable[dict], cols: int) -> "ExactMatrix":
+        """Wrap row dicts {column: nonzero GaussScalar} as they are.  The
+        caller vouches that no entry is zero and every column is below
+        ``cols``, and does not touch the dicts afterwards."""
+        mat = object.__new__(cls)
+        mat._set(rows, cols)
+        return mat
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls([[GAUSS_ZERO] * cols for _ in range(rows)], cols=cols)
+        return cls._from_rows([{} for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls(
-            [[GAUSS_ONE if i == j else GAUSS_ZERO for j in range(n)] for i in range(n)]
-        )
+        return cls._from_rows([{i: GAUSS_ONE} for i in range(n)], n)
 
     def __getitem__(self, key) -> GaussScalar:
         i, j = key
-        return self.data[i][j]
+        if not -self.cols <= j < self.cols:
+            raise IndexError("matrix column index out of range")
+        return self._rows[i].get(j % self.cols, GAUSS_ZERO)
 
     def row(self, i: int) -> tuple:
-        return self.data[i]
+        entries = self._rows[i]
+        return tuple(entries.get(j, GAUSS_ZERO) for j in range(self.cols))
+
+    def row_items(self, i: int):
+        """The (column, entry) pairs of the nonzero entries of row i."""
+        return self._rows[i].items()
+
+    @property
+    def data(self) -> tuple:
+        """Dense tuple-of-tuples view, zeros filled in."""
+        return tuple(self.row(i) for i in range(self.rows))
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._same_shape(other)
-        return ExactMatrix(
-            [
-                [(a + b if a else b) if b else a for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ],
-            cols=self.cols,
-        )
+        out = []
+        for ra, rb in zip(self._rows, other._rows):
+            acc = dict(ra)
+            for j, b in rb.items():
+                a = acc.get(j)
+                s = b if a is None else a + b
+                if s:
+                    acc[j] = s
+                else:
+                    del acc[j]
+            out.append(acc)
+        return ExactMatrix._from_rows(out, self.cols)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._same_shape(other)
-        return ExactMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ],
-            cols=self.cols,
-        )
+        return self + -other
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix([[-a for a in row] for row in self.data], cols=self.cols)
+        return ExactMatrix._from_rows(
+            [{j: -a for j, a in row.items()} for row in self._rows], self.cols
+        )
 
     def __mul__(self, scalar: ScalarLike) -> "ExactMatrix":
         c = as_gauss(scalar)
-        return ExactMatrix([[a * c for a in row] for row in self.data], cols=self.cols)
+        if not c:
+            return ExactMatrix.zeros(self.rows, self.cols)
+        return ExactMatrix._from_rows(
+            [{j: a * c for j, a in row.items()} for row in self._rows], self.cols
+        )
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ExactError(f"shape mismatch {self.shape} @ {other.shape}")
-        # row-sparse: row i of the product sums a_ik * (row k of other) over
-        # the nonzero a_ik, touching only the nonzero entries of that row
-        sparse = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
+        # row i of the product sums a_ik * (row k of other) over the nonzero
+        # a_ik, so only pairs of nonzero entries are multiplied
+        right = other._rows
         out = []
-        for row in self.data:
-            acc = [GAUSS_ZERO] * other.cols
-            for a, terms in zip(row, sparse):
-                if a:
-                    for j, b in terms:
-                        acc[j] = acc[j] + a * b if acc[j] else a * b
-            out.append(acc)
-        return ExactMatrix(out, cols=other.cols)
+        for row in self._rows:
+            acc = {}
+            for k, a in row.items():
+                for j, b in right[k].items():
+                    s = acc.get(j)
+                    acc[j] = a * b if s is None else s + a * b
+            out.append({j: s for j, s in acc.items() if s})
+        return ExactMatrix._from_rows(out, other.cols)
 
     def apply(self, vec: Sequence) -> tuple:
         """Matrix times column vector; the vector entries may be any ring
@@ -278,23 +319,25 @@ class ExactMatrix:
         if len(vec) != self.cols:
             raise ExactError("vector length mismatch")
         out = []
-        for row in self.data:
+        for row in self._rows:
             acc = None
-            for a, v in zip(row, vec):
-                if not a:
-                    continue
-                term = a * v
+            for j, a in row.items():
+                term = a * vec[j]
                 acc = term if acc is None else acc + term
             out.append(acc if acc is not None else GAUSS_ZERO)
         return tuple(out)
 
     def transpose(self) -> "ExactMatrix":
-        if self.rows == 0:
-            return ExactMatrix([[] for _ in range(self.cols)], cols=0)
-        return ExactMatrix(list(zip(*self.data)) if self.cols else [], cols=self.rows)
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self._rows):
+            for j, a in row.items():
+                out[j][i] = a
+        return ExactMatrix._from_rows(out, self.rows)
 
     def conj(self) -> "ExactMatrix":
-        return ExactMatrix([[a.conj() for a in row] for row in self.data], cols=self.cols)
+        return ExactMatrix._from_rows(
+            [{j: a.conj() for j, a in row.items()} for row in self._rows], self.cols
+        )
 
     def conj_transpose(self) -> "ExactMatrix":
         return self.transpose().conj()
@@ -304,15 +347,15 @@ class ExactMatrix:
         return (self.rows, self.cols)
 
     def is_zero(self) -> bool:
-        return all(not a for row in self.data for a in row)
+        return not any(self._rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.shape == other.shape and self.data == other.data
+        return self.shape == other.shape and self._rows == other._rows
 
     def __hash__(self):
-        return hash(self.data)
+        return hash((self.cols, tuple(frozenset(row.items()) for row in self._rows)))
 
     def __repr__(self) -> str:
         body = "; ".join(
@@ -332,10 +375,7 @@ def vstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise ExactError("vstack column mismatch")
-    rows = []
-    for m in mats:
-        rows.extend(m.data)
-    return ExactMatrix(rows, cols=cols)
+    return ExactMatrix._from_rows([row for m in mats for row in m._rows], cols)
 
 
 def hstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
@@ -345,10 +385,16 @@ def hstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise ExactError("hstack row mismatch")
-    return ExactMatrix(
-        [sum((list(m.data[i]) for m in mats), []) for i in range(rows)],
-        cols=sum(m.cols for m in mats),
-    )
+    out = []
+    for i in range(rows):
+        merged = {}
+        offset = 0
+        for m in mats:
+            for j, a in m._rows[i].items():
+                merged[offset + j] = a
+            offset += m.cols
+        out.append(merged)
+    return ExactMatrix._from_rows(out, sum(m.cols for m in mats))
 
 
 def rref(mat: ExactMatrix) -> tuple:
@@ -358,9 +404,9 @@ def rref(mat: ExactMatrix) -> tuple:
     entry as pivot.  Entries live in the field Q(i), so classical normalized
     elimination is exact; no fraction-free bookkeeping is needed.
     """
-    # rows are worked on as {column: nonzero entry}, so an elimination step
-    # touches only the nonzero columns of the pivot row
-    work = [{j: a for j, a in enumerate(row) if a} for row in mat.data]
+    # elimination works on copies of the sparse rows, so a step touches only
+    # the nonzero columns of the pivot row
+    work = [dict(row) for row in mat._rows]
     nrows, ncols = mat.rows, mat.cols
     pivots = []
     r = 0
@@ -385,8 +431,7 @@ def rref(mat: ExactMatrix) -> tuple:
                     del row[j]
         pivots.append(c)
         r += 1
-    dense = [[row.get(j, GAUSS_ZERO) for j in range(ncols)] for row in work]
-    return ExactMatrix(dense, cols=ncols), tuple(pivots)
+    return ExactMatrix._from_rows(work, ncols), tuple(pivots)
 
 
 def rank(mat: ExactMatrix) -> int:
@@ -401,13 +446,16 @@ def kernel(mat: ExactMatrix) -> list:
     """
     R, pivots = rref(mat)
     pivot_set = set(pivots)
-    free = [c for c in range(mat.cols) if c not in pivot_set]
     basis = []
-    for f in free:
+    for f in range(mat.cols):
+        if f in pivot_set:
+            continue
         v = [GAUSS_ZERO] * mat.cols
         v[f] = GAUSS_ONE
-        for r, c in enumerate(pivots):
-            v[c] = -R.data[r][f]
+        for row, c in zip(R._rows, pivots):
+            a = row.get(f)
+            if a is not None:
+                v[c] = -a
         basis.append(tuple(v))
     return basis
 
@@ -424,15 +472,19 @@ def solve(mat: ExactMatrix, rhs: Sequence[ScalarLike]):
     """
     if len(rhs) != mat.rows:
         raise ExactError("rhs length mismatch")
-    aug = ExactMatrix(
-        [list(row) + [as_gauss(b)] for row, b in zip(mat.data, rhs)]
-    )
-    R, pivots = rref(aug)
-    if mat.cols in pivots:
+    n = mat.cols
+    aug = []
+    for row, b in zip(mat._rows, rhs):
+        row, b = dict(row), as_gauss(b)
+        if b:
+            row[n] = b
+        aug.append(row)
+    R, pivots = rref(ExactMatrix._from_rows(aug, n + 1))
+    if n in pivots:
         return None
-    x = [GAUSS_ZERO] * mat.cols
-    for r, c in enumerate(pivots):
-        x[c] = R.data[r][mat.cols]
+    x = [GAUSS_ZERO] * n
+    for row, c in zip(R._rows, pivots):
+        x[c] = row.get(n, GAUSS_ZERO)
     return tuple(x)
 
 
@@ -444,7 +496,9 @@ def inverse(mat: ExactMatrix) -> ExactMatrix:
     R, pivots = rref(aug)
     if len(pivots) < n or pivots[:n] != tuple(range(n)):
         raise ExactError("matrix is singular")
-    return ExactMatrix([row[n:] for row in R.data])
+    return ExactMatrix._from_rows(
+        [{j - n: a for j, a in row.items() if j >= n} for row in R._rows], n
+    )
 
 
 def in_span(basis: Sequence[Sequence[ScalarLike]], vec: Sequence[ScalarLike]) -> bool:
@@ -517,7 +571,7 @@ def symmetric_signature(mat: ExactMatrix) -> tuple:
     """
     if mat.rows != mat.cols:
         raise ExactError("signature of a non-square matrix")
-    if any(not a.is_real() for row in mat.data for a in row):
+    if any(not a.is_real() for i in range(mat.rows) for _, a in mat.row_items(i)):
         raise ExactError("symmetric_signature needs a real matrix")
     if mat != mat.transpose():
         raise ExactError("matrix is not symmetric")

@@ -397,11 +397,8 @@ class BlockOperator:
         for pq in self.algebra.block_order:
             for shift in self.shifts:
                 mat = self.terms[shift].get(pq)
-                if mat is None:
-                    continue
-                for col in range(mat.cols):
-                    if any(mat[row, col] for row in range(mat.rows)):
-                        return pq, col
+                if mat is not None:  # stored blocks are nonzero
+                    return pq, min(j for i in range(mat.rows) for j, _ in mat.row_items(i))
         return None
 
     def __repr__(self) -> str:
@@ -758,12 +755,11 @@ class BigradedAlgebra:
                     continue
                 if not entries:
                     continue
-                rows = len(self.blocks[tgt_pq])
-                mat = [[GAUSS_ZERO] * len(basis) for _ in range(rows)]
+                rows = [{} for _ in self.blocks[tgt_pq]]
                 for j, items in entries.items():
                     for row, coeff in items:
-                        mat[row][j] = mat[row][j] + coeff
-                per_shift[shift][pq] = ExactMatrix(mat)
+                        rows[row][j] = coeff
+                per_shift[shift][pq] = ExactMatrix._from_rows(rows, len(basis))
         return {
             shift: BlockOperator(self, {shift: blocks})
             for shift, blocks in per_shift.items()
@@ -915,20 +911,14 @@ def lefschetz_triple(algebra: BigradedAlgebra, omega: Optional[Form] = None):
         tgt = (pq[0] + 1, pq[1] + 1)
         if tgt not in algebra.blocks:
             continue
-        rows = len(algebra.blocks[tgt])
-        mat = [[GAUSS_ZERO] * len(basis) for _ in range(rows)]
-        nontrivial = False
+        rows = [{} for _ in algebra.blocks[tgt]]
         for j, mono in enumerate(basis):
             image = omega.wedge(algebra.basis_form(pq, j))
-            vec = image.components.get(tgt)
-            if vec is None:
-                continue
-            for row, c in enumerate(vec):
+            for row, c in enumerate(image.components.get(tgt, ())):
                 if c:
-                    mat[row][j] = c
-                    nontrivial = True
-        if nontrivial:
-            blocks[pq] = ExactMatrix(mat)
+                    rows[row][j] = c
+        if any(rows):
+            blocks[pq] = ExactMatrix._from_rows(rows, len(basis))
     L = BlockOperator(algebra, {(1, 1): blocks})
     lam = L.adjoint()
     H = L.compose(lam) - lam.compose(L)

@@ -191,25 +191,18 @@ def _degree_matrix(alg: BigradedAlgebra, op: BlockOperator, k_src: int, k_tgt: i
     for pq in tgts:
         tgt_off[pq] = rows
         rows += len(alg.blocks[pq])
-    if rows == 0 or cols == 0:
-        return ExactMatrix.zeros(rows, cols), src_off
-    grid = [[GAUSS_ZERO] * cols for _ in range(rows)]
-    for pq in srcs:
-        n = len(alg.blocks[pq])
-        if n == 0:
-            continue
-        for shift in op.shifts:
-            tgt = (pq[0] + shift[0], pq[1] + shift[1])
-            if tgt not in tgt_off:
+    grid = [{} for _ in range(rows)]
+    for (r, s), blocks in op.terms.items():
+        for pq, off in src_off.items():
+            mat = blocks.get(pq)
+            tgt = (pq[0] + r, pq[1] + s)
+            if mat is None or tgt not in tgt_off:
                 continue
-            mat = op.block(pq, shift)
-            for r in range(mat.shape[0]):
-                row = grid[tgt_off[tgt] + r]
-                for c in range(n):
-                    v = mat[r, c]
-                    if v:
-                        row[src_off[pq] + c] = v
-    return ExactMatrix(grid), src_off
+            for i in range(mat.rows):
+                row = grid[tgt_off[tgt] + i]
+                for j, v in mat.row_items(i):
+                    row[off + j] = v
+    return ExactMatrix._from_rows(grid, cols), src_off
 
 
 def _form_from_degree_vector(alg: BigradedAlgebra, vec: Sequence, src_off: dict) -> Form:

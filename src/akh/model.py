@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import ExactMatrix, GaussScalar, GAUSS_ZERO, rref
+from .exact import (ExactError, ExactMatrix, GAUSS_ZERO, GaussScalar, format_scalar,
+                    parse_scalar, rref)
 
 
 class ModelError(ValueError):
@@ -55,7 +56,8 @@ class LieModel:
     coframe optionally overrides the normalization of the complex coframe
     used by the bigraded algebra: each row gives the x-coordinates of one
     coframe generator (a +i eigenvector of the dual structure).  Catalog
-    models use it to pin printed normalizations; it is not serialized.
+    models use it to pin printed normalizations; model JSON carries it as
+    an optional "coframe" field.
     """
 
     name: str
@@ -97,15 +99,23 @@ class LieModel:
         """Bilinear extension of the bracket to coordinate vectors."""
         out = [Fraction(0)] * self.dim
         for i, j, k, c in self.brackets:
-            coeff = u[i] * v[j] - u[j] * v[i]
+            # frame vectors are mostly zeros; multiply only nonzero pairs
+            coeff = u[i] * v[j] if u[i] and v[j] else 0
+            if u[j] and v[i]:
+                coeff -= u[j] * v[i]
             if coeff:
                 out[k] += coeff * c
         return tuple(out)
 
     def apply_J(self, v: Sequence[Fraction]) -> tuple:
-        return tuple(
-            sum(self.J[r][c] * v[c] for c in range(self.dim)) for r in range(self.dim)
-        )
+        out = [Fraction(0)] * self.dim
+        for c, x in enumerate(v):
+            if not x:
+                continue
+            for r, row in enumerate(self.J):
+                if row[c]:
+                    out[r] += row[c] * x
+        return tuple(out)
 
     def omega(self, a: int, b: int) -> Fraction:
         """Fundamental 2-form on frame vectors: omega(X_a, X_b) = g(J X_a, X_b)."""
@@ -191,7 +201,7 @@ def _domega_vanishes(model: LieModel) -> bool:
 
     def omega_vec(u: Sequence[Fraction], b: int) -> Fraction:
         # omega(u, X_b) for a coordinate vector u
-        return sum(u[a] * model.omega(a, b) for a in range(n))
+        return sum(x * model.omega(a, b) for a, x in enumerate(u) if x)
 
     for i in range(n):
         for j in range(i + 1, n):
@@ -363,7 +373,7 @@ FORMAT_VERSION = 1
 
 
 def model_to_json(model: LieModel) -> dict:
-    return {
+    data = {
         "format": FORMAT_VERSION,
         "name": model.name,
         "dim": model.dim,
@@ -373,6 +383,9 @@ def model_to_json(model: LieModel) -> dict:
         ],
         "J": [[str(x) for x in row] for row in model.J],
     }
+    if model.coframe is not None:
+        data["coframe"] = [[format_scalar(x) for x in row] for row in model.coframe]
+    return data
 
 
 def _expect(value, kind: type, what: str):
@@ -417,7 +430,28 @@ def model_from_json(data) -> LieModel:
             except (ValueError, ZeroDivisionError) as exc:
                 raise ModelError(f"bad rational in J at row {r}, column {cidx}: {x!r}") from exc
         jrows.append(tuple(parsed))
-    return LieModel(name=name, dim=dim, brackets=tuple(brackets), J=tuple(jrows))
+    return LieModel(name=name, dim=dim, brackets=tuple(brackets), J=tuple(jrows),
+                    coframe=_coframe_from_json(data.get("coframe"), dim))
+
+
+def _coframe_from_json(raw, dim: int) -> Optional[tuple]:
+    """The optional pinned coframe: dim/2 rows of dim Gaussian rational
+    strings."""
+    if raw is None:
+        return None
+    _expect(raw, list, "coframe")
+    if len(raw) != dim // 2:
+        raise ModelError(f"coframe must have {dim // 2} rows, got {len(raw)}")
+    rows = []
+    for r, row in enumerate(raw):
+        _expect(row, list, f"coframe row {r}")
+        if len(row) != dim:
+            raise ModelError(f"coframe row {r} must have {dim} entries, got {len(row)}")
+        try:
+            rows.append(tuple(parse_scalar(_expect(x, str, "coframe entry")) for x in row))
+        except ExactError as exc:
+            raise ModelError(f"bad scalar in coframe row {r}: {exc}") from exc
+    return tuple(rows)
 
 
 def load_model(path: str) -> LieModel:

@@ -13,7 +13,6 @@ from akh.cli import (
     parse_args,
     render_diamond,
     run,
-    thread_cap,
 )
 from akh.harmonic import ell_diamond
 from akh.model import catalog, model_to_json, save_model
@@ -54,27 +53,6 @@ def test_parse_args_rejects_bad_flags():
         parse_args(["diamond"])
     with pytest.raises(CliInputError):
         parse_args(["not_a_command", "--catalog", "torus2"])
-
-
-def test_thread_cap(monkeypatch):
-    monkeypatch.delenv("AKH_THREADS", raising=False)
-    assert thread_cap() == 1
-    monkeypatch.setenv("AKH_THREADS", "4")
-    assert thread_cap() == 4
-    monkeypatch.setenv("AKH_THREADS", "zero")
-    with pytest.raises(CliInputError):
-        thread_cap()
-    monkeypatch.setenv("AKH_THREADS", "0")
-    with pytest.raises(CliInputError):
-        thread_cap()
-
-
-def test_thread_cap_env_accepted_end_to_end(monkeypatch, capsys):
-    monkeypatch.setenv("AKH_THREADS", "2")
-    assert main(["betti", "--catalog", "torus2"]) == 0
-    monkeypatch.setenv("AKH_THREADS", "-3")
-    assert main(["betti", "--catalog", "torus2"]) == 1
-    assert "AKH_THREADS" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -204,18 +182,47 @@ def test_missing_field_exits_one_with_field_name(tmp_path, capsys):
 def test_malformed_model_shape_exits_one_without_traceback(tmp_path, change):
     data = model_to_json(catalog("kodaira_thurston"))
     data.update(change)
+    _assert_cli_refuses(tmp_path, data, "validate")
+
+
+@pytest.mark.parametrize("coframe", [
+    "1 i 0 0 0 0",
+    [["0", "0", "0", "0", "1/2", "-1/2*i"]],
+    [["0", "0", "0", "0", "1/2", "-1/2*q"], ["1", "i", "0", "0", "0", "0"],
+     ["0", "0", "1", "-i", "0", "0"]],
+    # well formed, but the first row is a -i eigenvector
+    [["0", "0", "0", "0", "1/2", "1/2*i"], ["1", "i", "0", "0", "0", "0"],
+     ["0", "0", "1", "-i", "0", "0"]],
+], ids=["string", "one_row", "bad_scalar", "wrong_eigenvalue"])
+def test_malformed_coframe_exits_one_without_traceback(tmp_path, coframe):
+    data = model_to_json(catalog("h5_J"))
+    data["coframe"] = coframe
+    _assert_cli_refuses(tmp_path, data, "betti")
+
+
+def _assert_cli_refuses(tmp_path, data, command):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     src = os.path.dirname(os.path.dirname(os.path.abspath(akh.__file__)))
     proc = subprocess.run(
         [sys.executable, "-c", "import sys; from akh.cli import main; sys.exit(main())",
-         "validate", "--model", str(path)],
+         command, "--model", str(path)],
         capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_saved_pinned_coframe_reports_like_the_catalog(tmp_path, capsys):
+    path = tmp_path / "h5.json"
+    save_model(catalog("h5_J"), str(path))
+    assert main(["identities", "--catalog", "h5_J"]) == 0
+    from_catalog = capsys.readouterr().out
+    assert "witness for weil_star: a2^a3" in from_catalog
+    assert main(["identities", "--model", str(path)]) == 0
+    assert capsys.readouterr().out == from_catalog
 
 
 def test_lefschetz_on_nonclosed_model_exits_one(capsys):

@@ -352,6 +352,92 @@ def test_sparse_inverse_matches_dense(m, k):
     assert inv @ m == eye
 
 
+@st.composite
+def grids(draw, rows=None, cols=None):
+    """A mostly-zero dense grid as plain lists, with its width (0 allowed)."""
+    r = draw(st.integers(0, 5)) if rows is None else rows
+    c = draw(st.integers(0, 5)) if cols is None else cols
+    return draw(st.lists(st.lists(sparse_entries, min_size=c, max_size=c),
+                         min_size=r, max_size=r)), c
+
+
+def sparse_build(grid, cols, order):
+    """The same matrix through the row-dict constructor, each row's dict
+    filled in the drawn column order."""
+    rows = []
+    for dense_row in grid:
+        row = {}
+        for j in order:
+            if j < cols and dense_row[j]:
+                row[j] = dense_row[j]
+        rows.append(row)
+    return ExactMatrix._from_rows(rows, cols)
+
+
+@given(grids(), st.permutations(range(5)))
+@settings(max_examples=60, deadline=None)
+def test_dense_and_sparse_builds_agree(case, order):
+    grid, c = case
+    m = ExactMatrix(grid, cols=c)
+    built = sparse_build(grid, c, order)
+    assert m == built and hash(m) == hash(built)
+    assert m.shape == built.shape == (len(grid), c)
+    assert m.data == tuple(tuple(row) for row in grid)
+    for i, row in enumerate(grid):
+        assert m.row(i) == tuple(row)
+        assert dict(m.row_items(i)) == {j: a for j, a in enumerate(row) if a}
+        for j, a in enumerate(row):
+            assert m[i, j] == a and m[i, j - c] == a
+    assert m.is_zero() == all(not a for row in grid for a in row)
+
+
+@given(grids(), small_entries)
+@settings(max_examples=60, deadline=None)
+def test_sparse_unary_maps_match_dense(case, k):
+    grid, c = case
+    m = ExactMatrix(grid, cols=c)
+    cols = [[row[j] for row in grid] for j in range(c)]
+    assert m.transpose() == ExactMatrix(cols, cols=len(grid))
+    assert m.transpose().shape == (c, len(grid))
+    assert m.conj() == ExactMatrix([[a.conj() for a in row] for row in grid], cols=c)
+    assert m.conj_transpose() == ExactMatrix(
+        [[a.conj() for a in col] for col in cols], cols=len(grid))
+    assert m * k == ExactMatrix([[a * k for a in row] for row in grid], cols=c)
+    assert -m == ExactMatrix([[-a for a in row] for row in grid], cols=c)
+
+
+@given(st.integers(0, 5).flatmap(lambda r: st.integers(0, 5).flatmap(
+    lambda c: st.tuples(grids(r, c), grids(r, c), grids(r, 3), grids(2, c)))),
+    st.lists(small_entries, min_size=5, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_sparse_binary_maps_match_dense(case, vec):
+    (ga, c), (gb, _), (gw, _), (gt, _) = case
+    a, b = ExactMatrix(ga, cols=c), ExactMatrix(gb, cols=c)
+    assert a - b == ExactMatrix(
+        [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(ga, gb)], cols=c)
+    assert a.apply(vec[:c]) == tuple(
+        sum((x * v for x, v in zip(row, vec)), GAUSS_ZERO) for row in ga)
+    assert vstack([a, ExactMatrix(gt, cols=c)]) == ExactMatrix(ga + gt, cols=c)
+    assert hstack([a, ExactMatrix(gw, cols=3)]) == ExactMatrix(
+        [ra + rw for ra, rw in zip(ga, gw)], cols=c + 3)
+
+
+@given(grids(), st.lists(sparse_entries, min_size=5, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_sparse_solve_matches_dense(case, rhs):
+    grid, c = case
+    rhs = rhs[:len(grid)]
+    work, pivots = dense_rref([row + [b] for row, b in zip(grid, rhs)], c + 1)
+    got = solve(ExactMatrix(grid, cols=c), rhs)
+    if c in pivots:
+        assert got is None
+        return
+    want = [GAUSS_ZERO] * c
+    for r, p in enumerate(pivots):
+        want[p] = work[r][c]
+    assert got == tuple(want)
+
+
 # ---------------------------------------------------------------------------
 # parameter polynomials
 

@@ -157,6 +157,57 @@ def test_nijenhuis_vanishes_iff_integrable():
         assert vanishes is validate(model).integrable, name
 
 
+def _rotated_kodaira_thurston() -> LieModel:
+    """Kodaira-Thurston with J conjugated by a rational rotation of the
+    X1, X2 plane, so that J is not a signed permutation."""
+    kt = catalog("kodaira_thurston")
+    c, s = Fraction(3, 5), Fraction(4, 5)
+    rot = [[c, -s, 0, 0], [s, c, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    rj = [[sum(rot[r][k] * kt.J[k][col] for k in range(4)) for col in range(4)]
+          for r in range(4)]
+    J = [[sum(rj[r][k] * rot[col][k] for k in range(4)) for col in range(4)]
+         for r in range(4)]
+    return LieModel(name="kt_rotated", dim=4, brackets=kt.brackets, J=J)
+
+
+def _dense_nijenhuis(model: LieModel) -> list:
+    """N(X_i, X_j) from a dense structure tensor and dense J products."""
+    n = model.dim
+    C = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i, j, k, c in model.brackets:
+        C[i][j][k] += c
+        C[j][i][k] -= c
+
+    def br(u, v):
+        return [sum(u[i] * v[j] * C[i][j][k] for i in range(n) for j in range(n))
+                for k in range(n)]
+
+    def J(v):
+        return [sum(model.J[r][c] * v[c] for c in range(n)) for r in range(n)]
+
+    e = [[Fraction(int(r == i)) for r in range(n)] for i in range(n)]
+    return [[tuple(a - b - c - d for a, b, c, d in zip(
+        br(J(e[i]), J(e[j])), J(br(J(e[i]), e[j])), J(br(e[i], J(e[j]))),
+        br(e[i], e[j]))) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("name", ("kt_rotated",) + CATALOG_NAMES)
+def test_nijenhuis_matches_dense_reference(name):
+    model = _rotated_kodaira_thurston() if name == "kt_rotated" else catalog(name)
+    assert [list(row) for row in nijenhuis(model)] == _dense_nijenhuis(model)
+    for v in ([1, 2, 0, -3, 0, 1], [0, Fraction(1, 3), 5, 0, 0, -2]):
+        v = [Fraction(x) for x in v[:model.dim]] + [Fraction(0)] * (model.dim - len(v))
+        assert list(model.apply_J(v)) == [
+            sum(model.J[r][c] * v[c] for c in range(model.dim)) for r in range(model.dim)]
+
+
+def test_rotated_kodaira_thurston_is_a_general_almost_hermitian_model():
+    model = _rotated_kodaira_thurston()
+    assert any(x not in (-1, 0, 1) for row in model.J for x in row)
+    report = validate(model)
+    assert report.structure_ok and not report.integrable
+
+
 def test_nijenhuis_scalar_fit():
     # the (2,-1)+(-1,2) part of d acts on 1-forms as a fixed multiple of
     # the Nijenhuis tensor; the multiple is 1/4 in this package's conventions
@@ -207,9 +258,8 @@ def test_model_json_round_trip(name):
     assert once.brackets == model.brackets
     assert once.J == model.J
     assert once.name == model.name
-    # the explicit coframe override is presentation data and not serialized
-    if model.coframe is None:
-        assert once == model
+    assert once == model
+    assert ("coframe" in model_to_json(model)) == (model.coframe is not None)
 
 
 def test_model_file_round_trip(tmp_path):
@@ -258,6 +308,25 @@ def test_from_json_rejects_malformed_shapes(case):
     assert model_from_json(dict(data, brackets=_bracket())) == model
     with pytest.raises(ModelError):
         model_from_json(dict(data, **MALFORMED_SHAPES[case]))
+
+
+H5_COFRAME = model_to_json(catalog("h5_J"))["coframe"]
+
+MALFORMED_COFRAMES = {
+    "not_a_list": 5,
+    "too_few_rows": H5_COFRAME[:2],
+    "row_not_a_list": [H5_COFRAME[0], "1 i 0 0 0 0", H5_COFRAME[2]],
+    "short_row": [H5_COFRAME[0], H5_COFRAME[1][:5], H5_COFRAME[2]],
+    "bad_scalar": [H5_COFRAME[0], ["1", "j", "0", "0", "0", "0"], H5_COFRAME[2]],
+    "number_not_string": [H5_COFRAME[0], [1, "i", "0", "0", "0", "0"], H5_COFRAME[2]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_COFRAMES))
+def test_from_json_rejects_malformed_coframe(case):
+    data = model_to_json(catalog("h5_J"))
+    with pytest.raises(ModelError):
+        model_from_json(dict(data, coframe=MALFORMED_COFRAMES[case]))
 
 
 def test_from_json_rejects_unknown_format():

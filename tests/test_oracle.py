@@ -1,0 +1,110 @@
+"""An independent exact oracle: sympy's DomainMatrix ranks against akh.
+
+Dev-only (sympy is in the dev extras); skipped when sympy is missing.  Two
+checks per model, on the catalog and the 8-dimensional bench ladder:
+
+- akh's total-degree matrices of d have the ranks that sympy computes for
+  them over Q(i), and the Betti numbers built from sympy's ranks equal
+  ``betti(model)``;
+- the real Chevalley-Eilenberg complex, built here from the structure
+  constants alone and ranked by sympy over Q, gives the same Betti numbers,
+  so the complex coframe and the bigraded assembly are checked as well.
+"""
+
+import itertools
+from pathlib import Path
+
+import pytest
+
+pytest.importorskip("sympy")
+from sympy import QQ, QQ_I  # noqa: E402
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+
+from akh.exact import rank  # noqa: E402
+from akh.forms import build  # noqa: E402
+from akh.harmonic import _degree_matrix, betti  # noqa: E402
+from akh.model import CATALOG_NAMES, catalog, load_model  # noqa: E402
+
+LADDER = sorted((Path(__file__).resolve().parents[1] / "bench" / "models").glob("*.json"))
+MODELS = [("catalog", name) for name in CATALOG_NAMES] + [("ladder", p) for p in LADDER]
+
+
+def _load(case):
+    kind, what = case
+    return catalog(what) if kind == "catalog" else load_model(str(what))
+
+
+def _qq(x):
+    return QQ(x.numerator, x.denominator)
+
+
+def _betti_from_ranks(dims, ranks):
+    return tuple(dims[k] - ranks[k] - (ranks[k - 1] if k else 0)
+                 for k in range(len(dims)))
+
+
+@pytest.mark.parametrize("case", MODELS, ids=lambda c: Path(str(c[1])).stem)
+def test_degree_matrix_ranks_match_sympy(case):
+    model = _load(case)
+    alg = build(model)
+    dims, ranks = [], []
+    for k in range(model.dim + 1):
+        mat = _degree_matrix(alg, alg.d, k, k + 1)[0]
+        rows = [[QQ_I(_qq(a.re), _qq(a.im)) for a in row] for row in mat.data]
+        oracle = DomainMatrix(rows, mat.shape, QQ_I).rank()
+        assert rank(mat) == oracle, k
+        dims.append(mat.cols)
+        ranks.append(oracle)
+    assert _betti_from_ranks(dims, ranks) == betti(model)
+
+
+def _wedge(a, b):
+    """(sign, sorted monomial) of a ^ b, or None when they share a factor."""
+    if set(a) & set(b):
+        return None
+    inversions = sum(1 for x in a for y in b if x > y)
+    return (-1) ** inversions, tuple(sorted(a + b))
+
+
+def _ce_betti(model):
+    """Betti numbers of the real Chevalley-Eilenberg complex of the frame:
+    d x^k = -sum c x^i ^ x^j over [X_i, X_j] = c X_k, extended by Leibniz."""
+    n = model.dim
+    dgen = [{} for _ in range(n)]
+    for i, j, k, c in model.brackets:
+        dgen[k][(i, j)] = dgen[k].get((i, j), 0) - c
+
+    def d(mono):
+        out = {}
+        if not mono:
+            return out
+        head, rest = mono[:1], mono[1:]
+        for m2, c in dgen[head[0]].items():
+            w = _wedge(m2, rest)
+            if w:
+                out[w[1]] = out.get(w[1], 0) + w[0] * c
+        for m2, c in d(rest).items():
+            w = _wedge(head, m2)
+            if w:
+                out[w[1]] = out.get(w[1], 0) - w[0] * c
+        return out
+
+    bases = [list(itertools.combinations(range(n), k)) for k in range(n + 2)]
+    mats = []
+    for k in range(n + 1):
+        tgt = {mono: r for r, mono in enumerate(bases[k + 1])}
+        rows = {}
+        for col, mono in enumerate(bases[k]):
+            for t, c in d(mono).items():
+                if c:
+                    rows.setdefault(tgt[t], {})[col] = _qq(c)
+        mats.append(DomainMatrix(rows, (len(tgt), len(bases[k])), QQ))
+    for first, second in zip(mats, mats[1:]):
+        assert (second * first).is_zero_matrix
+    return _betti_from_ranks([len(b) for b in bases[:n + 1]], [m.rank() for m in mats])
+
+
+@pytest.mark.parametrize("case", MODELS, ids=lambda c: Path(str(c[1])).stem)
+def test_chevalley_eilenberg_betti_match_sympy(case):
+    model = _load(case)
+    assert _ce_betti(model) == betti(model)
