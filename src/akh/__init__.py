@@ -12,138 +12,91 @@ Most callers want:
     from akh import catalog, build, verify_identities, ell_diamond
 
 and then the report helpers in :mod:`akh.harmonic`.
+
+The names below are loaded on first access (PEP 562), so ``import akh``
+costs almost nothing and ``akh.catalog`` loads only :mod:`akh.exact` and
+:mod:`akh.model`.  Every error class the package defines derives from
+:class:`AkhError`, a ``ValueError``.
 """
 
-from .exact import (
-    ExactError,
-    ExactMatrix,
-    GaussScalar,
-    ParamPoly,
-    hermitian_signature,
-    in_span,
-    kernel,
-    rank,
-    rref,
-    symmetric_signature,
-)
-from .forms import (
-    AlgebraError,
-    BigradedAlgebra,
-    BlockOperator,
-    Form,
-    build,
-    d_squared_relations,
-    form_from_coordinates,
-    form_from_json,
-    form_to_json,
-)
-from .harmonic import (
-    AK_NONEXISTENCE_VERDICT,
-    AkNonexistenceReport,
-    Diamond,
-    HarmonicError,
-    HodgeIndexReport,
-    HodgeRiemannReport,
-    HolomorphicReport,
-    LefschetzReport,
-    ObstructionReport,
-    PrimitiveDecomposition,
-    ak_nonexistence_report,
-    betti,
-    ell_diamond,
-    hard_lefschetz,
-    harmonic_basis,
-    hodge_index,
-    hodge_riemann_check,
-    holomorphic_forms,
-    mu_bar_cohomology,
-    obstruction_report,
-    primitive_decomposition,
-)
-from .model import (
-    CATALOG_NAMES,
-    LieModel,
-    ModelError,
-    StructureReport,
-    catalog,
-    load_model,
-    model_from_json,
-    model_to_json,
-    save_model,
-    validate,
-)
-from .operators import (
-    IdentityLedger,
-    LedgerEntry,
-    adjoint,
-    graded_commutator,
-    laplacian,
-    laplacian_symmetry_witness,
-    ledger_to_text,
-    star_conjugate,
-    verify_identities,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AK_NONEXISTENCE_VERDICT",
-    "AkNonexistenceReport",
-    "AlgebraError",
-    "BigradedAlgebra",
-    "BlockOperator",
-    "CATALOG_NAMES",
-    "Diamond",
-    "ExactError",
-    "ExactMatrix",
-    "Form",
-    "GaussScalar",
-    "HarmonicError",
-    "HodgeIndexReport",
-    "HodgeRiemannReport",
-    "HolomorphicReport",
-    "IdentityLedger",
-    "LedgerEntry",
-    "LefschetzReport",
-    "LieModel",
-    "ModelError",
-    "ObstructionReport",
-    "ParamPoly",
-    "PrimitiveDecomposition",
-    "StructureReport",
-    "adjoint",
-    "ak_nonexistence_report",
-    "betti",
-    "build",
-    "catalog",
-    "d_squared_relations",
-    "ell_diamond",
-    "form_from_coordinates",
-    "form_from_json",
-    "form_to_json",
-    "graded_commutator",
-    "hard_lefschetz",
-    "harmonic_basis",
-    "hermitian_signature",
-    "hodge_index",
-    "hodge_riemann_check",
-    "holomorphic_forms",
-    "in_span",
-    "kernel",
-    "laplacian",
-    "laplacian_symmetry_witness",
-    "ledger_to_text",
-    "load_model",
-    "model_from_json",
-    "model_to_json",
-    "mu_bar_cohomology",
-    "obstruction_report",
-    "primitive_decomposition",
-    "rank",
-    "rref",
-    "save_model",
-    "star_conjugate",
-    "symmetric_signature",
-    "validate",
-    "verify_identities",
-]
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "AkhError": "exact",
+    "ExactError": "exact",
+    "ExactMatrix": "exact",
+    "GaussScalar": "exact",
+    "ParamPoly": "exact",
+    "hermitian_signature": "exact",
+    "in_span": "exact",
+    "kernel": "exact",
+    "rank": "exact",
+    "rref": "exact",
+    "symmetric_signature": "exact",
+    "AlgebraError": "forms",
+    "BigradedAlgebra": "forms",
+    "BlockOperator": "forms",
+    "Form": "forms",
+    "build": "forms",
+    "d_squared_relations": "forms",
+    "form_from_coordinates": "forms",
+    "form_from_json": "forms",
+    "form_to_json": "forms",
+    "AK_NONEXISTENCE_VERDICT": "harmonic",
+    "AkNonexistenceReport": "harmonic",
+    "Diamond": "harmonic",
+    "HarmonicError": "harmonic",
+    "HodgeIndexReport": "harmonic",
+    "HodgeRiemannReport": "harmonic",
+    "HolomorphicReport": "harmonic",
+    "LefschetzReport": "harmonic",
+    "ObstructionReport": "harmonic",
+    "PrimitiveDecomposition": "harmonic",
+    "ak_nonexistence_report": "harmonic",
+    "betti": "harmonic",
+    "ell_diamond": "harmonic",
+    "hard_lefschetz": "harmonic",
+    "harmonic_basis": "harmonic",
+    "hodge_index": "harmonic",
+    "hodge_riemann_check": "harmonic",
+    "holomorphic_forms": "harmonic",
+    "mu_bar_cohomology": "harmonic",
+    "obstruction_report": "harmonic",
+    "primitive_decomposition": "harmonic",
+    "CATALOG_NAMES": "model",
+    "LieModel": "model",
+    "ModelError": "model",
+    "StructureReport": "model",
+    "catalog": "model",
+    "load_model": "model",
+    "model_from_json": "model",
+    "model_to_json": "model",
+    "save_model": "model",
+    "validate": "model",
+    "IdentityLedger": "operators",
+    "LedgerEntry": "operators",
+    "adjoint": "operators",
+    "graded_commutator": "operators",
+    "laplacian": "operators",
+    "laplacian_symmetry_witness": "operators",
+    "ledger_to_text": "operators",
+    "star_conjugate": "operators",
+    "verify_identities": "operators",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    if name in _EXPORTS.values():
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

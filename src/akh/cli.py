@@ -22,11 +22,10 @@ checker in scripts).
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .exact import ExactError
-from .forms import AlgebraError, build
+from .exact import AkhError
+from .forms import build
 from .harmonic import (
     Diamond,
     HarmonicError,
@@ -39,7 +38,6 @@ from .harmonic import (
 from .model import (
     CATALOG_NAMES,
     LieModel,
-    ModelError,
     catalog,
     load_model,
     validate,
@@ -51,21 +49,25 @@ COMMANDS = ("validate", "identities", "diamond", "betti", "lefschetz",
 FORMATS = ("text", "json")
 
 
-class CliInputError(ValueError):
+class CliInputError(AkhError):
     """Bad command line or model input; maps to exit code 1."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved CLI invocation."""
-
+class _RunConfigFields(NamedTuple):
     command: str
     catalog: Optional[str] = None
     model_path: Optional[str] = None
     format: str = "text"
     verbosity: int = 0
 
-    def __post_init__(self):
+
+class RunConfig(_RunConfigFields):
+    """One resolved CLI invocation."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.command not in COMMANDS:
             raise CliInputError(f"unknown command {self.command!r}")
         if self.format not in FORMATS:
@@ -73,6 +75,7 @@ class RunConfig:
         if (self.catalog is None) == (self.model_path is None):
             raise CliInputError(
                 "exactly one of --catalog and --model is required")
+        return self
 
 
 def _json_text(payload) -> str:
@@ -331,8 +334,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = parse_args(argv)
         return run(config)
-    except (CliInputError, ModelError, AlgebraError, HarmonicError,
-            ExactError, OSError) as exc:
+    except (AkhError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,7 +21,11 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 ScalarLike = Union["GaussScalar", Fraction, int]
 
 
-class ExactError(ValueError):
+class AkhError(ValueError):
+    """Base of every error class akh defines (bad input, unusable requests)."""
+
+
+class ExactError(AkhError):
     """Raised for structural misuse: shape mismatches, singular inversion."""
 
 
@@ -40,27 +44,39 @@ class GaussScalar:
 
     # -- ring operations ---------------------------------------------------
 
+    # An operand that is not a scalar (an ExactMatrix, say) gets NotImplemented,
+    # so Python tries its reflected method: k * M works as M * k does.
+
     def __add__(self, other):
-        if isinstance(other, ParamPoly):
-            return other + self
-        other = as_gauss(other)
+        if not isinstance(other, GaussScalar):
+            if isinstance(other, ParamPoly):
+                return other + self
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = GaussScalar(other)
         return GaussScalar(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, ParamPoly):
-            return (-other) + self
-        other = as_gauss(other)
+        if not isinstance(other, GaussScalar):
+            if isinstance(other, ParamPoly):
+                return (-other) + self
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = GaussScalar(other)
         return GaussScalar(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other: ScalarLike) -> "GaussScalar":
         return as_gauss(other).__sub__(self)
 
     def __mul__(self, other):
-        if isinstance(other, ParamPoly):
-            return other.__rmul__(self)
-        other = as_gauss(other)
+        if not isinstance(other, GaussScalar):
+            if isinstance(other, ParamPoly):
+                return other.__rmul__(self)
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = GaussScalar(other)
         a, b, c, d = self.re, self.im, other.re, other.im
         # most entries here are real or imaginary; skip the zero products
         if not b:

@@ -26,6 +26,7 @@ from fractions import Fraction
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .exact import (
+    AkhError,
     ExactError,
     ExactMatrix,
     GAUSS_I,
@@ -50,7 +51,7 @@ MU_SHIFT = (2, -1)
 D_SHIFTS = (MU_BAR_SHIFT, DBAR_SHIFT, PARTIAL_SHIFT, MU_SHIFT)
 
 
-class AlgebraError(ValueError):
+class AlgebraError(AkhError):
     """Internal consistency failure while building the bigraded algebra."""
 
 

@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .exact import (
+    AkhError,
     GAUSS_I,
     GAUSS_ONE,
     GAUSS_ZERO,
@@ -83,7 +83,7 @@ __all__ = [
 ]
 
 
-class HarmonicError(ValueError):
+class HarmonicError(AkhError):
     pass
 
 
@@ -234,8 +234,7 @@ def betti(model: LieModel) -> tuple:
 # -- diamond -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Diamond:
+class Diamond(NamedTuple):
     """Grid of harmonic dimensions with Betti numbers and validity flags.
 
     ``ell[p][q]`` is the dimension of ker of the mixed Laplacian sum on the
@@ -318,8 +317,7 @@ def _omega_powers_harmonic(alg: BigradedAlgebra) -> bool:
 # -- hard Lefschetz ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LefschetzMap:
+class LefschetzMap(NamedTuple):
     p: int
     q: int
     power: int
@@ -336,8 +334,7 @@ class LefschetzMap:
         }
 
 
-@dataclass(frozen=True)
-class LefschetzReport:
+class LefschetzReport(NamedTuple):
     model_name: str
     m: int
     maps: tuple
@@ -421,8 +418,7 @@ def _primitive_vectors(model: LieModel, pq: tuple) -> tuple:
     return tuple(_combine(harm, c) for c in combos)
 
 
-@dataclass(frozen=True)
-class PrimitiveDecomposition:
+class PrimitiveDecomposition(NamedTuple):
     p: int
     q: int
     summand_dims: tuple
@@ -480,8 +476,7 @@ def primitive_decomposition(model: LieModel, p: int, q: int) -> PrimitiveDecompo
 _I_POWERS = (GAUSS_ONE, GAUSS_I, GaussScalar(-1), -GAUSS_I)
 
 
-@dataclass(frozen=True)
-class HodgeRiemannReport:
+class HodgeRiemannReport(NamedTuple):
     p: int
     q: int
     prim_dim: int
@@ -570,8 +565,7 @@ def _real_harmonic_basis(alg: BigradedAlgebra, model: LieModel, degree: int) -> 
     return tuple(basis)
 
 
-@dataclass(frozen=True)
-class HodgeIndexReport:
+class HodgeIndexReport(NamedTuple):
     b2_plus: int
     b2_minus: int
     ell11: int
@@ -631,8 +625,7 @@ def hodge_index(model: LieModel) -> HodgeIndexReport:
 # -- holomorphic forms and cohomology ------------------------------------------
 
 
-@dataclass(frozen=True)
-class HolomorphicReport:
+class HolomorphicReport(NamedTuple):
     """Kernel of dbar on (p,0) plus the 1-form counting flags.
 
     ``symplectic_bound_ok`` records the necessary condition
@@ -711,8 +704,7 @@ def mu_bar_cohomology(model: LieModel, p: int, q: int) -> int:
 AK_NONEXISTENCE_VERDICT = "no invariant almost Kähler structure compatible with J"
 
 
-@dataclass(frozen=True)
-class AkNonexistenceReport:
+class AkNonexistenceReport(NamedTuple):
     """Outcome of the degenerate-family argument against compatible
     structures.
 
@@ -912,8 +904,7 @@ def ak_nonexistence_report(model: LieModel) -> AkNonexistenceReport:
 # -- combined obstruction report -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     """Everything this library can say against a compatible symplectic
     form."""
 

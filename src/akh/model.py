@@ -16,15 +16,14 @@ coordinates of J X_j.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .exact import (ExactError, ExactMatrix, GAUSS_ZERO, GaussScalar, format_scalar,
-                    parse_scalar, rref)
+from .exact import (AkhError, ExactError, ExactMatrix, GAUSS_ZERO, GaussScalar,
+                    format_scalar, parse_scalar, rref)
 
 
-class ModelError(ValueError):
+class ModelError(AkhError):
     """Malformed model data: bad shapes, indices, or rationals."""
 
 
@@ -49,8 +48,15 @@ def _normalize_brackets(raw, dim: int):
     return items
 
 
-@dataclass(frozen=True)
-class LieModel:
+class _LieModelFields(NamedTuple):
+    name: str
+    dim: int
+    brackets: tuple
+    J: tuple
+    coframe: Optional[tuple] = None
+
+
+class LieModel(_LieModelFields):
     """Structure constants plus an almost complex structure on the frame.
 
     coframe optionally overrides the normalization of the complex coframe
@@ -58,25 +64,27 @@ class LieModel:
     coframe generator (a +i eigenvector of the dual structure).  Catalog
     models use it to pin printed normalizations; model JSON carries it as
     an optional "coframe" field.
+
+    Construction checks the shape and normalizes J to Fractions and the
+    brackets to sorted (i, j, k, c) with i < j; ``_replace`` goes through
+    the same checks.
     """
 
-    name: str
-    dim: int
-    brackets: tuple
-    J: tuple
-    coframe: Optional[tuple] = field(default=None, compare=True)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.dim < 2 or self.dim % 2 != 0:
-            raise ModelError(f"dimension must be even and positive, got {self.dim}")
-        if len(self.J) != self.dim or any(len(r) != self.dim for r in self.J):
+    def __new__(cls, *args, **kwargs):
+        raw = _LieModelFields(*args, **kwargs)
+        if raw.dim < 2 or raw.dim % 2 != 0:
+            raise ModelError(f"dimension must be even and positive, got {raw.dim}")
+        if len(raw.J) != raw.dim or any(len(r) != raw.dim for r in raw.J):
             raise ModelError("J must be a dim x dim matrix")
-        object.__setattr__(
-            self, "J", tuple(tuple(Fraction(x) for x in row) for row in self.J)
-        )
-        object.__setattr__(
-            self, "brackets", _normalize_brackets(self.brackets, self.dim)
-        )
+        J = tuple(tuple(Fraction(x) for x in row) for row in raw.J)
+        brackets = _normalize_brackets(raw.brackets, raw.dim)
+        return super().__new__(cls, raw.name, raw.dim, brackets, J, raw.coframe)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def m(self) -> int:
@@ -122,8 +130,7 @@ class LieModel:
         return self.J[b][a]
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     name: str
     dim: int
     jacobi_ok: bool

@@ -20,8 +20,7 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .exact import GAUSS_I, in_span, kernel
 from .forms import (
@@ -95,8 +94,7 @@ def star_conjugate(algebra: BigradedAlgebra, op: BlockOperator) -> BlockOperator
 # -- identity ledger ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(NamedTuple):
     """Outcome of checking one operator identity on one model."""
 
     id: str
@@ -121,8 +119,7 @@ class LedgerEntry:
         return payload
 
 
-@dataclass(frozen=True)
-class IdentityLedger:
+class IdentityLedger(NamedTuple):
     """All identity outcomes for one model, in catalogue order."""
 
     model_name: str

@@ -200,15 +200,20 @@ def test_malformed_coframe_exits_one_without_traceback(tmp_path, coframe):
     _assert_cli_refuses(tmp_path, data, "betti")
 
 
+def _python(code, *args):
+    """Run ``python -c code args`` in a fresh interpreter on this akh."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(akh.__file__)))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src))
+
+
 def _assert_cli_refuses(tmp_path, data, command):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(data), encoding="utf-8")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(akh.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from akh.cli import main; sys.exit(main())",
-         command, "--model", str(path)],
-        capture_output=True, text=True, timeout=60,
-        env=dict(os.environ, PYTHONPATH=src))
+    proc = _python("import sys; from akh.cli import main; sys.exit(main())",
+                   command, "--model", str(path))
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
@@ -290,3 +295,24 @@ def test_run_function_directly(capsys):
     assert run(config) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["betti"] == [1, 6, 15, 20, 15, 6, 1]
+
+
+# ---------------------------------------------------------------------------
+# start-up cost: what a cold process loads
+
+
+def test_cli_import_does_not_load_dataclasses():
+    proc = _python("import json, sys; before = set(sys.modules); import akh.cli; "
+                   "print(json.dumps(sorted(set(sys.modules) - before)))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "akh.cli" in loaded and "dataclasses" not in loaded
+
+
+def test_catalog_through_the_namespace_loads_no_algebra_layer():
+    proc = _python("import json, sys, akh; akh.catalog('torus2'); "
+                   "print(json.dumps([m for m in sys.modules if m.startswith('akh')]))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "akh.model" in loaded
+    assert not {"akh.forms", "akh.harmonic", "akh.operators", "akh.cli"} & set(loaded)

@@ -406,6 +406,20 @@ def test_sparse_unary_maps_match_dense(case, k):
     assert -m == ExactMatrix([[-a for a in row] for row in grid], cols=c)
 
 
+@given(sparse_matrices(), st.one_of(small_entries, st.integers(-3, 3), rationals))
+@settings(max_examples=60, deadline=None)
+def test_scalar_times_matrix_commutes(m, k):
+    # a GaussScalar hands a matrix operand on to ExactMatrix.__rmul__
+    assert k * m == m * k
+
+
+def test_scalar_operators_defer_on_foreign_operands():
+    for op in (lambda k, x: k + x, lambda k, x: k - x, lambda k, x: k * x,
+               lambda k, x: x + k, lambda k, x: x * k):
+        with pytest.raises(TypeError):
+            op(GAUSS_I, "1")
+
+
 @given(st.integers(0, 5).flatmap(lambda r: st.integers(0, 5).flatmap(
     lambda c: st.tuples(grids(r, c), grids(r, c), grids(r, 3), grids(2, c)))),
     st.lists(small_entries, min_size=5, max_size=5))

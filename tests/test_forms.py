@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 from fractions import Fraction
 from math import comb
@@ -67,7 +66,7 @@ def test_betti_leaves_the_metric_layer_unbuilt():
     path = Path(__file__).resolve().parents[1] / "bench" / "models" / "kt_x_kt.json"
     # a name of its own keeps build's cache from returning an algebra that
     # another test has already used
-    model = dataclasses.replace(load_model(str(path)), name="kt_x_kt_lazy")
+    model = load_model(str(path))._replace(name="kt_x_kt_lazy")
     assert betti(model) == (1, 6, 17, 30, 36, 30, 17, 6, 1)
     alg = build(model)
     assert not set(LAZY_ATTRIBUTES) & set(vars(alg))

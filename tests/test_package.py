@@ -1,0 +1,138 @@
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+import akh
+from akh.cli import CliInputError, RunConfig
+from akh.exact import AkhError, ExactError
+from akh.forms import AlgebraError, build
+from akh.harmonic import (
+    HarmonicError,
+    ell_diamond,
+    hard_lefschetz,
+    hodge_index,
+    hodge_riemann_check,
+    holomorphic_forms,
+    obstruction_report,
+    primitive_decomposition,
+)
+from akh.model import (
+    CATALOG_NAMES,
+    LieModel,
+    ModelError,
+    catalog,
+    model_from_json,
+    model_to_json,
+    validate,
+)
+from akh.operators import verify_identities
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+# ---------------------------------------------------------------------------
+# the lazy package namespace
+
+
+def test_every_exported_name_is_its_submodules_object():
+    assert akh.__all__ == sorted(set(akh.__all__))
+    for name in akh.__all__:
+        module = import_module(f"akh.{akh._EXPORTS[name]}")
+        value = getattr(akh, name)
+        assert value is getattr(module, name), name
+        if callable(value):
+            assert value.__module__ == module.__name__, name
+
+
+def test_namespace_dir_star_import_and_unknown_names():
+    assert set(akh.__all__) <= set(dir(akh))
+    with pytest.raises(AttributeError):
+        akh.no_such_name
+    assert not hasattr(akh, "no_such_name")
+    namespace = {}
+    exec("from akh import *", namespace)
+    assert set(akh.__all__) <= set(namespace)
+    assert namespace["build"] is build
+    assert akh.operators is sys.modules["akh.operators"]
+
+
+# ---------------------------------------------------------------------------
+# immutable value records
+
+
+def _records():
+    """One instance of every output record, from small catalog models."""
+    kt, fil = catalog("kodaira_thurston"), catalog("filiform4_J")
+    ledger = verify_identities(fil)
+    lefschetz = hard_lefschetz(kt)
+    obstructions = obstruction_report(fil)
+    assert ledger.failures() and obstructions.laplacian_witness is not None
+    return (validate(kt), ledger, ledger.failures()[0], ell_diamond(kt),
+            lefschetz, lefschetz.maps[0], primitive_decomposition(kt, 1, 1),
+            hodge_riemann_check(kt, 0, 0), hodge_index(kt),
+            holomorphic_forms(fil, 1), obstructions, obstructions.ak_nonexistence,
+            kt, RunConfig(command="betti", catalog="torus2"))
+
+
+def test_records_refuse_assignment_and_compare_by_value():
+    records = _records()
+    assert len({type(r) for r in records}) == len(records)
+    for record in records:
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        copy = type(record)(*record)
+        assert copy is not record
+        assert copy == record and hash(copy) == hash(record)
+
+
+def test_equal_models_share_one_cache_entry():
+    model = catalog("kodaira_thurston")
+    twin = model_from_json(model_to_json(model))
+    assert twin is not model and twin == model and hash(twin) == hash(model)
+    assert build(twin) is build(model)
+    assert model._replace(name="other") != model
+
+
+def test_lie_model_normalizes_and_checks_at_construction():
+    model = LieModel("swapped", 2, [(1, 0, 0, 1), (0, 0, 1, 0)], [[0, -1], [1, 0]])
+    assert model.brackets == ((0, 1, 0, Fraction(-1)),)
+    assert all(type(x) is Fraction for row in model.J for x in row)
+    assert model._replace(J=[[0, 1], [-1, 0]]).J == ((0, 1), (-1, 0))
+    with pytest.raises(ModelError):
+        LieModel("odd", 3, (), ((0,) * 3,) * 3)
+    with pytest.raises(ModelError):
+        LieModel("ragged", 2, (), ((0, -1), (1,)))
+    with pytest.raises(ModelError):
+        model._replace(dim=4)
+    with pytest.raises(CliInputError):
+        RunConfig(command="betti")
+
+
+def test_every_error_is_an_akh_error_and_a_value_error():
+    assert akh.AkhError is AkhError
+    for error in (ExactError, ModelError, AlgebraError, HarmonicError,
+                  CliInputError):
+        assert issubclass(error, AkhError) and issubclass(error, ValueError)
+
+
+# ---------------------------------------------------------------------------
+# the public-API walk-through script
+
+
+def test_worked_examples_script_runs_clean():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "worked_examples.py")],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    for name in CATALOG_NAMES:
+        assert f"\n{name}\n" in proc.stdout
+    assert proc.stdout.splitlines()[-1].startswith("total ")
