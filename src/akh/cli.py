@@ -204,7 +204,7 @@ def _run_command(config: RunConfig, model: LieModel):
         return code, text
 
     if config.command == "identities":
-        structure = validate(model)
+        structure = build(model).validation
         ledger = verify_identities(model)
         code = 2 if (structure.almost_kahler and not ledger.all_hold) else 0
         text = _json_text(ledger.to_json()) if fmt == "json" \
@@ -239,7 +239,7 @@ def _run_command(config: RunConfig, model: LieModel):
         return code, text
 
     # report: everything, one document
-    structure = validate(model)
+    structure = build(model).validation
     ledger = verify_identities(model)
     diamond = ell_diamond(model)
     obstructions = obstruction_report(model)
@@ -250,10 +250,7 @@ def _run_command(config: RunConfig, model: LieModel):
     if structure.almost_kahler and model.dim == 4:
         index = hodge_index(model)
     code = 0
-    if not structure.structure_ok:
-        code = 1
-    elif obstructions.fires or (structure.almost_kahler
-                                and not ledger.all_hold):
+    if obstructions.fires or (structure.almost_kahler and not ledger.all_hold):
         code = 2
     if fmt == "json":
         payload = {

@@ -68,7 +68,7 @@ class GaussScalar:
         return GaussScalar(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other: ScalarLike) -> "GaussScalar":
-        return as_gauss(other).__sub__(self)
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         if not isinstance(other, GaussScalar):
@@ -280,7 +280,21 @@ class ExactMatrix:
         """Dense tuple-of-tuples view, zeros filled in."""
         return tuple(self.row(i) for i in range(self.rows))
 
+    def submatrix(self, rows: range, cols: range, drop_zero_rows: bool = False) -> "ExactMatrix":
+        """The entries in a contiguous range of rows and one of columns, as a
+        matrix of their own; ``drop_zero_rows`` leaves out the rows that have
+        no nonzero entry in ``cols``."""
+        c0, c1 = cols.start, cols.stop
+        out = [{j - c0: a for j, a in row.items() if c0 <= j < c1}
+               for row in self._rows[rows.start:rows.stop]]
+        return ExactMatrix._from_rows([r for r in out if r] if drop_zero_rows else out, len(cols))
+
+    # An operand that is not a matrix gets NotImplemented, so M + 1 raises
+    # TypeError like any unsupported operand.
+
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
         self._same_shape(other)
         out = []
         for ra, rb in zip(self._rows, other._rows):
@@ -296,6 +310,8 @@ class ExactMatrix:
         return ExactMatrix._from_rows(out, self.cols)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
         return self + -other
 
     def __neg__(self) -> "ExactMatrix":
@@ -314,6 +330,8 @@ class ExactMatrix:
     __rmul__ = __mul__
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
         if self.cols != other.rows:
             raise ExactError(f"shape mismatch {self.shape} @ {other.shape}")
         # row i of the product sums a_ik * (row k of other) over the nonzero

@@ -193,7 +193,7 @@ class Form:
             v = other.components.get(pq)
             if v is None:
                 continue
-            G = self.algebra.gram[pq]
+            G = self.algebra.gram.block(pq, (0, 0))
             for j, uj in enumerate(u):
                 if not uj:
                     continue
@@ -225,58 +225,55 @@ class Form:
 
 
 class BlockOperator:
-    """A linear operator on invariant forms, stored blockwise.
+    """A linear operator on invariant forms: one square matrix on the
+    coordinates of all coframe monomials, laid out in the algebra's block
+    order (``algebra.offset``).
 
-    terms maps a bidegree shift (r, s) to a dict of matrices, one per source
-    block (p, q), each sending coordinates on A^{p,q} to A^{p+r,q+s}.  Pure
-    operators have a single shift; sums of shifts (the full differential, the
-    d-Laplacian, the Hodge star) share the interface.
+    Column j of ``matrix`` is the image of the j-th monomial.  Bidegree
+    blocks, shifts and total-degree slices are views of that one matrix:
+    ``block(pq, shift)`` is the part sending A^{p,q} to A^{p+r,q+s}.
+    Pure operators have a single shift; sums of shifts (the full
+    differential, the d-Laplacian, the Hodge star) share the interface.
     """
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra", "matrix")
 
-    def __init__(self, algebra: "BigradedAlgebra", terms: Mapping):
-        clean = {}
-        for shift, blocks in terms.items():
-            r, s = shift
-            kept = {}
-            for pq, mat in blocks.items():
-                tgt = (pq[0] + r, pq[1] + s)
-                if pq not in algebra.blocks or tgt not in algebra.blocks:
-                    if mat.is_zero():
-                        continue
-                    raise AlgebraError(f"operator block {pq}->{tgt} out of range")
-                if mat.shape != (len(algebra.blocks[tgt]), len(algebra.blocks[pq])):
-                    raise AlgebraError(f"bad matrix shape on block {pq} shift {shift}")
-                if not mat.is_zero():
-                    kept[pq] = mat
-            if kept:
-                clean[(r, s)] = kept
+    def __init__(self, algebra: "BigradedAlgebra", matrix: ExactMatrix):
+        if matrix.shape != (algebra.size, algebra.size):
+            raise AlgebraError(f"operator matrix has shape {matrix.shape}, "
+                               f"expected {algebra.size} square")
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "matrix", matrix)
 
     def __setattr__(self, name, value):
         raise AttributeError("BlockOperator is immutable")
 
     @classmethod
     def zero(cls, algebra: "BigradedAlgebra") -> "BlockOperator":
-        return cls(algebra, {})
+        return cls(algebra, ExactMatrix.zeros(algebra.size, algebra.size))
 
     @property
     def shifts(self) -> tuple:
-        return tuple(sorted(self.terms))
+        """The bidegree shifts of the nonzero entries, sorted."""
+        at = self.algebra.block_at
+        found = set()
+        for i in range(self.matrix.rows):
+            p, q = at[i]
+            found.update((p - at[j][0], q - at[j][1]) for j, _ in self.matrix.row_items(i))
+        return tuple(sorted(found))
 
     @property
     def shift(self) -> tuple:
-        if len(self.terms) != 1:
-            raise AlgebraError(f"operator is not pure: shifts {self.shifts}")
-        return next(iter(self.terms))
+        shifts = self.shifts
+        if len(shifts) != 1:
+            raise AlgebraError(f"operator is not pure: shifts {shifts}")
+        return shifts[0]
 
     @property
     def parity(self) -> Optional[int]:
         """0 or 1 when every shift has the same total-degree parity, else None.
         The zero operator counts as even."""
-        ps = {(r + s) % 2 for (r, s) in self.terms}
+        ps = {(r + s) % 2 for (r, s) in self.shifts}
         if not ps:
             return 0
         if len(ps) > 1:
@@ -284,67 +281,43 @@ class BlockOperator:
         return ps.pop()
 
     def block(self, pq: BlockKey, shift: Optional[tuple] = None) -> ExactMatrix:
-        """Matrix out of block pq for the given shift (the unique one if pure),
-        zero-shaped when absent."""
+        """Matrix out of block pq for the given shift (the unique one if pure,
+        (0, 0) for the zero operator); it has no rows when the target block
+        is out of range."""
         if shift is None:
-            shift = self.shift if self.terms else (0, 0)
-        mat = self.terms.get(tuple(shift), {}).get(pq)
-        if mat is not None:
-            return mat
+            shift = self.shift if not self.is_zero() else (0, 0)
+        alg = self.algebra
         tgt = (pq[0] + shift[0], pq[1] + shift[1])
-        rows = len(self.algebra.blocks.get(tgt, ()))
-        return ExactMatrix.zeros(rows, len(self.algebra.blocks[pq]))
+        rows = alg.block_range(tgt) if tgt in alg.blocks else range(0)
+        return self.matrix.submatrix(rows, alg.block_range(pq))
+
+    __getitem__ = block
+
+    def columns(self, pq: BlockKey) -> ExactMatrix:
+        """Every image of A^{p,q}: the columns of block pq, without the rows
+        that are zero there."""
+        return self.matrix.submatrix(range(self.algebra.size),
+                                     self.algebra.block_range(pq), drop_zero_rows=True)
+
+    def degree_slice(self, k_src: int, k_tgt: int) -> ExactMatrix:
+        """Matrix from the total-degree k_src forms to the degree k_tgt ones."""
+        alg = self.algebra
+        return self.matrix.submatrix(alg.degree_range(k_tgt), alg.degree_range(k_src))
 
     def apply(self, form: Form) -> Form:
         if form.algebra is not self.algebra:
             raise AlgebraError("form and operator live on different algebras")
-        out: Dict[BlockKey, list] = {}
-        for (r, s), blocks in self.terms.items():
-            for pq, vec in form.components.items():
-                mat = blocks.get(pq)
-                if mat is None:
-                    continue
-                tgt = (pq[0] + r, pq[1] + s)
-                img = mat.apply(vec)
-                if tgt in out:
-                    out[tgt] = [a + b for a, b in zip(out[tgt], img)]
-                else:
-                    out[tgt] = list(img)
-        return Form(self.algebra, out)
+        return self.algebra.form_from_vector(
+            self.matrix.apply(self.algebra.coordinates(form)))
 
     def compose(self, other: "BlockOperator") -> "BlockOperator":
         """self after other."""
-        if self.algebra is not other.algebra:
-            raise AlgebraError("operators live on different algebras")
-        acc: Dict[tuple, Dict[BlockKey, ExactMatrix]] = {}
-        for (r2, s2), blocks2 in other.terms.items():
-            for pq, m2 in blocks2.items():
-                mid = (pq[0] + r2, pq[1] + s2)
-                for (r1, s1), blocks1 in self.terms.items():
-                    m1 = blocks1.get(mid)
-                    if m1 is None:
-                        continue
-                    shift = (r1 + r2, s1 + s2)
-                    prod = m1 @ m2
-                    dest = acc.setdefault(shift, {})
-                    if pq in dest:
-                        dest[pq] = dest[pq] + prod
-                    else:
-                        dest[pq] = prod
-        return BlockOperator(self.algebra, acc)
+        self._same_algebra(other)
+        return BlockOperator(self.algebra, self.matrix @ other.matrix)
 
     def __add__(self, other: "BlockOperator") -> "BlockOperator":
-        if self.algebra is not other.algebra:
-            raise AlgebraError("operators live on different algebras")
-        acc = {shift: dict(blocks) for shift, blocks in self.terms.items()}
-        for shift, blocks in other.terms.items():
-            dest = acc.setdefault(shift, {})
-            for pq, mat in blocks.items():
-                if pq in dest:
-                    dest[pq] = dest[pq] + mat
-                else:
-                    dest[pq] = mat
-        return BlockOperator(self.algebra, acc)
+        self._same_algebra(other)
+        return BlockOperator(self.algebra, self.matrix + other.matrix)
 
     def __sub__(self, other: "BlockOperator") -> "BlockOperator":
         return self + other.scale(GaussScalar(-1))
@@ -353,74 +326,61 @@ class BlockOperator:
         return self.scale(GaussScalar(-1))
 
     def scale(self, c) -> "BlockOperator":
-        c = c if isinstance(c, GaussScalar) else GaussScalar(c)
-        return BlockOperator(
-            self.algebra,
-            {
-                shift: {pq: mat * c for pq, mat in blocks.items()}
-                for shift, blocks in self.terms.items()
-            },
-        )
+        return BlockOperator(self.algebra, self.matrix * c)
 
     def adjoint(self) -> "BlockOperator":
         """Gram adjoint: <A u, v> = <u, A* v> for the Hermitian block products."""
         alg = self.algebra
-        acc: Dict[tuple, Dict[BlockKey, ExactMatrix]] = {}
-        for (r, s), blocks in self.terms.items():
-            dest = acc.setdefault((-r, -s), {})
-            for pq, mat in blocks.items():
-                tgt = (pq[0] + r, pq[1] + s)
-                adj = (
-                    alg.gram_conj_inv[pq]
-                    @ mat.conj_transpose()
-                    @ alg.gram[tgt].conj()
-                )
-                if tgt in dest:
-                    dest[tgt] = dest[tgt] + adj
-                else:
-                    dest[tgt] = adj
-        return BlockOperator(alg, acc)
+        return BlockOperator(
+            alg,
+            alg.gram_conj_inv.matrix @ self.matrix.conj_transpose() @ alg.gram.matrix.conj())
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return self.matrix.is_zero()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BlockOperator):
             return NotImplemented
-        return self.algebra is other.algebra and self.terms == other.terms
+        return self.algebra is other.algebra and self.matrix == other.matrix
 
     def __hash__(self):
-        return hash(tuple(sorted((s, tuple(sorted(b.items()))) for s, b in self.terms.items())))
+        return hash(self.matrix)
 
     def first_nonzero(self):
         """(block, basis index) of the first basis form with nonzero image,
         scanning blocks in the canonical order; None for the zero operator."""
-        for pq in self.algebra.block_order:
-            for shift in self.shifts:
-                mat = self.terms[shift].get(pq)
-                if mat is not None:  # stored blocks are nonzero
-                    return pq, min(j for i in range(mat.rows) for j, _ in mat.row_items(i))
-        return None
+        j = min((j for i in range(self.matrix.rows) for j, _ in self.matrix.row_items(i)),
+                default=None)
+        if j is None:
+            return None
+        pq = self.algebra.block_at[j]
+        return pq, j - self.algebra.offset[pq]
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if self.is_zero():
             return "BlockOperator(0)"
         shifts = ", ".join(str(s) for s in self.shifts)
         return f"BlockOperator(shifts {shifts})"
+
+    def _same_algebra(self, other: "BlockOperator") -> None:
+        if self.algebra is not other.algebra:
+            raise AlgebraError("operators live on different algebras")
 
 
 class BigradedAlgebra:
     """The full bigraded calculus of one model, built exactly.
 
-    Attributes of note: blocks (basis monomials per bidegree), gram, the four
-    differential components mu_bar / dbar / partial / mu and their sum d, the
-    Hodge star, the Lefschetz triple L / lam / weight_h, the parity operator
-    weight (i^{p-q} per block), fundamental_form, and integrate().
+    Attributes of note: blocks (basis monomials per bidegree), offset and
+    size (the operator layout: every monomial gets one index, block after
+    block in block_order), gram, the four differential components mu_bar /
+    dbar / partial / mu and their sum d, the Hodge star, the Lefschetz triple
+    L / lam / weight_h, the parity operator weight (i^{p-q} per block),
+    fundamental_form, and integrate().
 
     __init__ builds and checks all that can fail: the structure report, the
     coframe, d squared, the fundamental form and the orientation.  What cannot
-    fail once those pass (Gram blocks and their inverses, star, weights,
-    Lefschetz triple) is built on first use.
+    fail once those pass (the Gram matrix and the inverse of its conjugate,
+    star, weights, Lefschetz triple) is built on first use.
     """
 
     def __init__(self, model: LieModel):
@@ -460,6 +420,17 @@ class BigradedAlgebra:
         for pq, basis in self.blocks.items():
             for idx, mono in enumerate(basis):
                 self.mono_index[mono] = (pq, idx)
+        # operators index all monomials at once, block after block in
+        # block_order, so each block and each total degree is a contiguous range
+        self.offset: Dict[BlockKey, int] = {}
+        at = []
+        for pq in self.block_order:
+            self.offset[pq] = len(at)
+            at.extend([pq] * len(self.blocks[pq]))
+        self.size = len(at)
+        self.block_at = tuple(at)
+        self._degree_start = [self.offset[(k, 0) if k <= m else (m, k - m)]
+                              for k in range(2 * m + 1)] + [self.size]
 
         self._expansion_cache: Dict[Mono, dict] = {}
 
@@ -501,9 +472,10 @@ class BigradedAlgebra:
     # -- built on first use ----------------------------------------------------
 
     @functools.cached_property
-    def gram(self) -> Dict[BlockKey, ExactMatrix]:
-        """Hermitian Gram matrix of the monomial basis of each block."""
-        gram = {}
+    def gram(self) -> BlockOperator:
+        """Hermitian Gram matrix of the monomial basis, block-diagonal;
+        ``gram[pq]`` is the block of A^{p,q}."""
+        blocks = []
         for pq in self.block_order:
             expa = [self._real_expansion(mono) for mono in self.blocks[pq]]
             rows = []
@@ -517,13 +489,14 @@ class BigradedAlgebra:
                             acc = acc + ca * cb.conj()
                     row.append(acc)
                 rows.append(row)
-            gram[pq] = ExactMatrix(rows)
-        return gram
+            blocks.append((pq, pq, ExactMatrix(rows, cols=len(expa))))
+        return self._from_blocks(blocks)
 
     @functools.cached_property
-    def gram_conj_inv(self) -> Dict[BlockKey, ExactMatrix]:
-        """Inverse of the conjugate of each (positive definite) Gram block."""
-        return {pq: inverse(g.conj()) for pq, g in self.gram.items()}
+    def gram_conj_inv(self) -> BlockOperator:
+        """Inverse of the conjugate of the (positive definite) Gram matrix."""
+        return self._from_blocks(
+            (pq, pq, inverse(self.gram.block(pq, (0, 0)).conj())) for pq in self.block_order)
 
     @functools.cached_property
     def weight(self) -> BlockOperator:
@@ -542,7 +515,7 @@ class BigradedAlgebra:
         the Hermitian product of alpha against the conjugate of gamma.
         """
         m = self.m
-        blocks = {}
+        blocks = []
         vol_coeff = GaussScalar(self.orientation) / self._top_real_coeff
         for (p, q), basis in self.blocks.items():
             tgt = (m - q, m - p)
@@ -575,9 +548,8 @@ class BigradedAlgebra:
                     row.append(acc * vol_coeff)
                 rhs_rows.append(row)
             B = ExactMatrix(rhs_rows)
-            shift = (m - q - p, m - p - q)
-            blocks.setdefault(shift, {})[(p, q)] = inverse(W) @ B
-        return BlockOperator(self, blocks)
+            blocks.append(((p, q), tgt, inverse(W) @ B))
+        return self._from_blocks(blocks)
 
     @functools.cached_property
     def _lefschetz(self) -> tuple:
@@ -735,35 +707,21 @@ class BigradedAlgebra:
         return out
 
     def _differential_components(self) -> dict:
-        per_shift = {shift: {} for shift in D_SHIFTS}
+        rows = {shift: [{} for _ in range(self.size)] for shift in D_SHIFTS}
         for pq, basis in self.blocks.items():
-            p, q = pq
-            cols = {shift: {} for shift in D_SHIFTS}
+            off = self.offset[pq]
             for j, mono in enumerate(basis):
                 for tgt_mono, coeff in self._d_monomial(mono).items():
                     tgt_pq, row = self.mono_index[tgt_mono]
-                    shift = (tgt_pq[0] - p, tgt_pq[1] - q)
-                    if shift not in per_shift:
+                    shift = (tgt_pq[0] - pq[0], tgt_pq[1] - pq[1])
+                    if shift not in rows:
                         raise AlgebraError(
                             f"differential produced illegal bidegree shift {shift}"
                         )
-                    cols[shift].setdefault(j, []).append((row, coeff))
-            for shift, entries in cols.items():
-                tgt_pq = (p + shift[0], q + shift[1])
-                if tgt_pq not in self.blocks:
-                    if entries:
-                        raise AlgebraError("image block out of range")
-                    continue
-                if not entries:
-                    continue
-                rows = [{} for _ in self.blocks[tgt_pq]]
-                for j, items in entries.items():
-                    for row, coeff in items:
-                        rows[row][j] = coeff
-                per_shift[shift][pq] = ExactMatrix._from_rows(rows, len(basis))
+                    rows[shift][self.offset[tgt_pq] + row][off + j] = coeff
         return {
-            shift: BlockOperator(self, {shift: blocks})
-            for shift, blocks in per_shift.items()
+            shift: BlockOperator(self, ExactMatrix._from_rows(r, self.size))
+            for shift, r in rows.items()
         }
 
     def _build_fundamental_form(self) -> Form:
@@ -784,13 +742,18 @@ class BigradedAlgebra:
     def _build_weight(self, direction: int) -> BlockOperator:
         """Diagonal operator i^{p-q} per block (i^{q-p} for direction=-1)."""
         powers = [GAUSS_ONE, GAUSS_I, GaussScalar(-1), -GAUSS_I]
-        blocks = {}
-        for pq, basis in self.blocks.items():
-            if not basis:
-                continue
-            c = powers[(direction * (pq[0] - pq[1])) % 4]
-            blocks.setdefault((0, 0), {})[pq] = ExactMatrix.identity(len(basis)) * c
-        return BlockOperator(self, blocks)
+        rows = [{i: powers[(direction * (p - q)) % 4]}
+                for i, (p, q) in enumerate(self.block_at)]
+        return BlockOperator(self, ExactMatrix._from_rows(rows, self.size))
+
+    def _from_blocks(self, blocks) -> BlockOperator:
+        """Operator from (source block, target block, matrix) triples."""
+        rows = [{} for _ in range(self.size)]
+        for pq, tgt, mat in blocks:
+            r0, c0 = self.offset[tgt], self.offset[pq]
+            for i in range(mat.rows):
+                rows[r0 + i].update((c0 + j, a) for j, a in mat.row_items(i))
+        return BlockOperator(self, ExactMatrix._from_rows(rows, self.size))
 
     # -- public helpers -------------------------------------------------------
 
@@ -800,6 +763,31 @@ class BigradedAlgebra:
 
     def dim_block(self, pq: BlockKey) -> int:
         return len(self.blocks[pq])
+
+    def block_range(self, pq: BlockKey) -> range:
+        """Indices of the monomials of block pq in the operator layout."""
+        return range(self.offset[pq], self.offset[pq] + len(self.blocks[pq]))
+
+    def degree_range(self, k: int) -> range:
+        """Indices of the monomials of total degree k (none out of range)."""
+        if not 0 <= k <= 2 * self.m:
+            return range(0)
+        return range(self._degree_start[k], self._degree_start[k + 1])
+
+    def coordinates(self, form: Form) -> list:
+        """Coefficients of every monomial of a form, in the operator layout."""
+        out = [GAUSS_ZERO] * self.size
+        for pq, vec in form.components.items():
+            out[self.offset[pq]:self.offset[pq] + len(vec)] = vec
+        return out
+
+    def form_from_vector(self, vec: Sequence, start: int = 0) -> Form:
+        """Form whose coefficients at layout indices start, start+1, ... are vec."""
+        return Form(self, {
+            pq: vec[self.offset[pq] - start:self.offset[pq] - start + len(basis)]
+            for pq, basis in self.blocks.items()
+            if start <= self.offset[pq] and self.offset[pq] + len(basis) <= start + len(vec)
+        })
 
     def zero_form(self) -> Form:
         return Form(self, {})
@@ -907,20 +895,18 @@ def lefschetz_triple(algebra: BigradedAlgebra, omega: Optional[Form] = None):
         omega = algebra.fundamental_form
     if set(omega.components) - {(1, 1)}:
         raise AlgebraError("Lefschetz operator needs a (1,1)-form")
-    blocks: Dict[BlockKey, ExactMatrix] = {}
+    rows = [{} for _ in range(algebra.size)]
     for pq, basis in algebra.blocks.items():
         tgt = (pq[0] + 1, pq[1] + 1)
         if tgt not in algebra.blocks:
             continue
-        rows = [{} for _ in algebra.blocks[tgt]]
-        for j, mono in enumerate(basis):
+        r0, c0 = algebra.offset[tgt], algebra.offset[pq]
+        for j in range(len(basis)):
             image = omega.wedge(algebra.basis_form(pq, j))
             for row, c in enumerate(image.components.get(tgt, ())):
                 if c:
-                    rows[row][j] = c
-        if any(rows):
-            blocks[pq] = ExactMatrix._from_rows(rows, len(basis))
-    L = BlockOperator(algebra, {(1, 1): blocks})
+                    rows[r0 + row][c0 + j] = c
+    L = BlockOperator(algebra, ExactMatrix._from_rows(rows, algebra.size))
     lam = L.adjoint()
     H = L.compose(lam) - lam.compose(L)
     return L, lam, H

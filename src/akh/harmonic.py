@@ -36,7 +36,6 @@ from .exact import (
     GaussScalar,
     ParamPoly,
     hermitian_signature,
-    in_span,
     kernel,
     rank,
     rref,
@@ -47,7 +46,6 @@ from .forms import (
     DBAR_SHIFT,
     MU_BAR_SHIFT,
     BigradedAlgebra,
-    BlockOperator,
     Form,
     build,
     form_from_coordinates,
@@ -121,20 +119,8 @@ def _constraint_operators(model: LieModel, which: str) -> tuple:
 @functools.lru_cache(maxsize=None)
 def _harmonic_vectors(model: LieModel, which: str, pq: tuple) -> tuple:
     """Canonical coordinate basis of the requested harmonic space on pq."""
-    alg = build(model)
-    n = len(alg.blocks[pq])
-    if n == 0:
-        return ()
-    mats = []
-    for op in _constraint_operators(model, which):
-        for shift in op.shifts:
-            mat = op.block(pq, shift)
-            if mat.shape[0]:
-                mats.append(mat)
-    if not mats:
-        eye = ExactMatrix.identity(n)
-        return tuple(eye.row(i) for i in range(n))
-    return tuple(kernel(vstack(mats)))
+    return tuple(kernel(vstack(
+        [op.columns(pq) for op in _constraint_operators(model, which)])))
 
 
 def harmonic_basis(model: LieModel, which: str, p: int, q: int) -> tuple:
@@ -150,12 +136,6 @@ def _ell(model: LieModel, p: int, q: int) -> int:
     return len(_harmonic_vectors(model, "dbar+mu", (p, q)))
 
 
-def _in_span(basis: Sequence, vec: Sequence) -> bool:
-    if not basis:
-        return not any(vec)
-    return in_span(basis, vec)
-
-
 def _combine(vectors: Sequence, coeffs: Sequence) -> tuple:
     out = list(vectors[0])
     for k in range(len(out)):
@@ -169,60 +149,14 @@ def _combine(vectors: Sequence, coeffs: Sequence) -> tuple:
 # -- total-degree complex ------------------------------------------------------
 
 
-def _degree_blocks(alg: BigradedAlgebra, k: int) -> list:
-    return [pq for pq in alg.block_order if pq[0] + pq[1] == k]
-
-
-def _degree_matrix(alg: BigradedAlgebra, op: BlockOperator, k_src: int, k_tgt: int):
-    """Matrix of ``op`` from the total-degree ``k_src`` space to ``k_tgt``.
-
-    Block coordinates are concatenated in canonical block order.  Returns
-    the matrix together with the source block offsets.
-    """
-    srcs = _degree_blocks(alg, k_src)
-    tgts = _degree_blocks(alg, k_tgt)
-    src_off = {}
-    cols = 0
-    for pq in srcs:
-        src_off[pq] = cols
-        cols += len(alg.blocks[pq])
-    tgt_off = {}
-    rows = 0
-    for pq in tgts:
-        tgt_off[pq] = rows
-        rows += len(alg.blocks[pq])
-    grid = [{} for _ in range(rows)]
-    for (r, s), blocks in op.terms.items():
-        for pq, off in src_off.items():
-            mat = blocks.get(pq)
-            tgt = (pq[0] + r, pq[1] + s)
-            if mat is None or tgt not in tgt_off:
-                continue
-            for i in range(mat.rows):
-                row = grid[tgt_off[tgt] + i]
-                for j, v in mat.row_items(i):
-                    row[off + j] = v
-    return ExactMatrix._from_rows(grid, cols), src_off
-
-
-def _form_from_degree_vector(alg: BigradedAlgebra, vec: Sequence, src_off: dict) -> Form:
-    comps = {}
-    for pq, off in src_off.items():
-        n = len(alg.blocks[pq])
-        if n:
-            comps[pq] = tuple(vec[off:off + n])
-    return Form(alg, comps)
-
-
 @functools.lru_cache(maxsize=None)
 def betti(model: LieModel) -> tuple:
     """Invariant Betti numbers b^0..b^{2m} (real cohomology for nilpotent
     models)."""
     alg = build(model)
     top = 2 * alg.m
-    dims = [sum(len(alg.blocks[pq]) for pq in _degree_blocks(alg, k))
-            for k in range(top + 1)]
-    ranks = [rank(_degree_matrix(alg, alg.d, k, k + 1)[0]) for k in range(top + 1)]
+    dims = [len(alg.degree_range(k)) for k in range(top + 1)]
+    ranks = [rank(alg.d.degree_slice(k, k + 1)) for k in range(top + 1)]
     out = []
     for k in range(top + 1):
         closed = dims[k] - ranks[k]
@@ -387,8 +321,11 @@ def hard_lefschetz(model: LieModel) -> LefschetzReport:
             src = _harmonic_vectors(model, "d", (p, q))
             tgt = _harmonic_vectors(model, "d", (p + power, q + power))
             images = [_lefschetz_power(alg, (p, q), v, power) for v in src]
-            rk = rank(ExactMatrix(images)) if images else 0
-            contained = all(_in_span(tgt, w) for w in images)
+            n_tgt = alg.dim_block((p + power, q + power))
+            rk = rank(ExactMatrix(images, cols=n_tgt))
+            # tgt is a basis, so the images lie in its span iff adding them
+            # leaves the rank at len(tgt)
+            contained = rank(ExactMatrix(tgt + tuple(images), cols=n_tgt)) == len(tgt)
             iso = contained and rk == len(src) == len(tgt)
             all_iso = all_iso and iso
             maps.append(LefschetzMap(
@@ -540,13 +477,13 @@ def hodge_riemann_check(model: LieModel, p: int, q: int) -> HodgeRiemannReport:
 
 def _real_harmonic_basis(alg: BigradedAlgebra, model: LieModel, degree: int) -> tuple:
     """Real forms spanning the d-harmonic total-degree space."""
-    d_out, src_off = _degree_matrix(alg, alg.d, degree, degree + 1)
-    adj_out, _ = _degree_matrix(alg, alg.d.adjoint(), degree, degree - 1)
+    d_out = alg.d.degree_slice(degree, degree + 1)
+    adj_out = alg.d.adjoint().degree_slice(degree, degree - 1)
     vecs = kernel(vstack([d_out, adj_out]))
     rmonos = list(itertools.combinations(range(model.dim), degree))
     rows = []
     for vec in vecs:
-        form = _form_from_degree_vector(alg, vec, src_off)
+        form = alg.form_from_vector(vec, alg.degree_range(degree).start)
         coords = alg.real_coordinates(form, degree)
         rows.append(tuple(GaussScalar(c.re) for c in coords))
         rows.append(tuple(GaussScalar(c.im) for c in coords))
@@ -675,10 +612,8 @@ def holomorphic_forms(model: LieModel, p: int) -> HolomorphicReport:
     matches = None
     if p == 1 and alg.validation.almost_kahler:
         harm = _harmonic_vectors(model, "d", (1, 0))
-        matches = (
-            len(harm) == len(vecs)
-            and all(_in_span(list(vecs), h) for h in harm)
-            and all(_in_span(list(harm), v) for v in vecs))
+        # kernel bases are canonical, so equal subspaces have equal bases
+        matches = harm == vecs
     return HolomorphicReport(
         p=p, dim=len(vecs), basis=basis,
         matches_harmonic=matches,
@@ -754,8 +689,7 @@ def _closed_real_11_forms(alg: BigradedAlgebra) -> tuple:
         cf = alg.basis_form(block, j).conj()
         conj_mat.append(cf.components.get(block, (GAUSS_ZERO,) * n))
     conj_cols = ExactMatrix(conj_mat).transpose()
-    d_out = vstack([alg.d.block(block, shift) for shift in alg.d.shifts]) \
-        if alg.d.shifts else ExactMatrix.zeros(0, n)
+    d_out = alg.d.columns(block)
     rows = []
     # Unknown z = x + iy; conjugation-fixed means C conj(z) = z, closedness
     # means D z = 0; both split into rational conditions on (x, y).

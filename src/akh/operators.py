@@ -282,6 +282,8 @@ def laplacian_symmetry_witness(model: LieModel):
         mat_b = side_b.block(pq, (0, 0))
         ker_a = kernel(mat_a)
         ker_b = kernel(mat_b)
+        if ker_a == ker_b:  # canonical bases: the same subspace
+            continue
         for vec in ker_a:
             if not in_span(ker_b, vec):
                 return form_from_coordinates(alg, pq, vec)

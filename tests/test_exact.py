@@ -391,6 +391,22 @@ def test_dense_and_sparse_builds_agree(case, order):
     assert m.is_zero() == all(not a for row in grid for a in row)
 
 
+@given(grids(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_submatrix_matches_dense_slice(case, data):
+    grid, c = case
+    m = ExactMatrix(grid, cols=c)
+    r0 = data.draw(st.integers(0, len(grid)))
+    r1 = data.draw(st.integers(r0, len(grid)))
+    c0 = data.draw(st.integers(0, c))
+    c1 = data.draw(st.integers(c0, c))
+    piece = [row[c0:c1] for row in grid[r0:r1]]
+    assert m.submatrix(range(r0, r1), range(c0, c1)) == ExactMatrix(piece, cols=c1 - c0)
+    kept = [row[c0:c1] for row in grid if any(row[c0:c1])]
+    assert (m.submatrix(range(len(grid)), range(c0, c1), drop_zero_rows=True)
+            == ExactMatrix(kept, cols=c1 - c0))
+
+
 @given(grids(), small_entries)
 @settings(max_examples=60, deadline=None)
 def test_sparse_unary_maps_match_dense(case, k):
@@ -418,6 +434,15 @@ def test_scalar_operators_defer_on_foreign_operands():
                lambda k, x: x + k, lambda k, x: x * k):
         with pytest.raises(TypeError):
             op(GAUSS_I, "1")
+
+
+def test_matrix_operators_defer_on_foreign_operands():
+    m = ExactMatrix([[1, 2], [3, 4]])
+    for op in (lambda x: m + x, lambda x: m - x, lambda x: m @ x,
+               lambda x: x + m, lambda x: x - m, lambda x: x @ m):
+        for x in (1, Fraction(1, 2), GAUSS_I):
+            with pytest.raises(TypeError):
+                op(x)
 
 
 @given(st.integers(0, 5).flatmap(lambda r: st.integers(0, 5).flatmap(

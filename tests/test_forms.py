@@ -5,10 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from akh.exact import GAUSS_ONE, GAUSS_ZERO, GaussScalar, hermitian_signature
+from akh.exact import GAUSS_ONE, GAUSS_ZERO, ExactMatrix, GaussScalar, hermitian_signature
 from akh.forms import (
     AlgebraError,
     BigradedAlgebra,
+    BlockOperator,
     Form,
     build,
     d_squared_relations,
@@ -149,6 +150,75 @@ def test_d_splits_into_four_shifts(name):
     for pq in alg.block_order:
         for shift in ((-1, 2), (0, 1), (1, 0), (2, -1)):
             assert alg.d.block(pq, shift) == recombined.block(pq, shift)
+
+
+# ---------------------------------------------------------------------------
+# the operator layout: blocks, shifts and degree slices are views of one matrix
+
+KT_X_KT = Path(__file__).resolve().parents[1] / "bench" / "models" / "kt_x_kt.json"
+
+
+def _view_operators(alg):
+    return {"d": alg.d, "mu_bar": alg.mu_bar, "dbar": alg.dbar,
+            "partial": alg.partial, "mu": alg.mu, "L": alg.L, "lam": alg.lam,
+            "star": alg.star, "weight": alg.weight, "weight_inv": alg.weight_inv,
+            "dbar*": alg.dbar.adjoint()}
+
+
+@pytest.mark.parametrize("source", CATALOG_NAMES + ("kt_x_kt",))
+def test_block_views_agree_with_apply(source):
+    model = load_model(str(KT_X_KT)) if source == "kt_x_kt" else catalog(source)
+    alg = build(model)
+    for name, op in _view_operators(alg).items():
+        shifts = op.shifts
+        for pq in alg.block_order:
+            views = {}
+            for r, s in shifts:
+                tgt = (pq[0] + r, pq[1] + s)
+                if tgt in alg.blocks:
+                    views[tgt] = op.block(pq, (r, s))
+                    # the same entries sit in the total-degree slice
+                    k, k_tgt = sum(pq), sum(tgt)
+                    rows = alg.block_range(tgt)
+                    cols = alg.block_range(pq)
+                    start, col_start = alg.degree_range(k_tgt).start, alg.degree_range(k).start
+                    piece = op.degree_slice(k, k_tgt).submatrix(
+                        range(rows.start - start, rows.stop - start),
+                        range(cols.start - col_start, cols.stop - col_start))
+                    assert piece == views[tgt], (name, pq, (r, s))
+            for j in range(alg.dim_block(pq)):
+                expected = Form(alg, {tgt: [mat[i, j] for i in range(mat.rows)]
+                                      for tgt, mat in views.items()})
+                assert op.apply(alg.basis_form(pq, j)) == expected, (name, pq, j)
+
+
+def test_block_zero_shapes():
+    alg = build(catalog("h5_J"))
+    m = alg.m
+    # a target block out of range gives a matrix with no rows
+    assert alg.mu.block((m, 0), (2, -1)).shape == (0, alg.dim_block((m, 0)))
+    assert alg.dbar.block((1, m), (0, 1)).shape == (0, alg.dim_block((1, m)))
+    # an absent shift gives a zero matrix of the target's shape
+    absent = alg.dbar.block((1, 0), (1, 0))
+    assert absent.shape == (alg.dim_block((2, 0)), alg.dim_block((1, 0)))
+    assert absent.is_zero()
+    zero = BlockOperator.zero(alg)
+    assert zero.shifts == () and zero.parity == 0
+    assert zero.block((1, 1)) == ExactMatrix.zeros(alg.dim_block((1, 1)), alg.dim_block((1, 1)))
+
+
+def test_first_nonzero_is_the_first_basis_form_with_a_nonzero_image():
+    alg = build(catalog("kodaira_thurston"))
+    src = alg.block_range((1, 0))
+    grid = [[0] * alg.size for _ in range(alg.size)]
+    grid[alg.block_range((1, 1))[0]][src[1]] = 1  # a2 under shift (0, 1)
+    grid[alg.block_range((2, 0))[0]][src[0]] = 1  # a1 under shift (1, 0)
+    op = BlockOperator(alg, ExactMatrix(grid))
+    assert op.shifts == ((0, 1), (1, 0))
+    assert op.parity == 1
+    assert op.first_nonzero() == ((1, 0), 0)
+    assert not op.apply(alg.basis_form((1, 0), 0)).is_zero()
+    assert op.block((1, 0), (0, 1))[0, 1] == GAUSS_ONE
 
 
 def test_component_shifts():

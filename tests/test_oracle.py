@@ -22,7 +22,7 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from akh.exact import rank  # noqa: E402
 from akh.forms import build  # noqa: E402
-from akh.harmonic import _degree_matrix, betti  # noqa: E402
+from akh.harmonic import betti  # noqa: E402
 from akh.model import CATALOG_NAMES, catalog, load_model  # noqa: E402
 
 LADDER = sorted((Path(__file__).resolve().parents[1] / "bench" / "models").glob("*.json"))
@@ -49,7 +49,7 @@ def test_degree_matrix_ranks_match_sympy(case):
     alg = build(model)
     dims, ranks = [], []
     for k in range(model.dim + 1):
-        mat = _degree_matrix(alg, alg.d, k, k + 1)[0]
+        mat = alg.d.degree_slice(k, k + 1)
         rows = [[QQ_I(_qq(a.re), _qq(a.im)) for a in row] for row in mat.data]
         oracle = DomainMatrix(rows, mat.shape, QQ_I).rank()
         assert rank(mat) == oracle, k
