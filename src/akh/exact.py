@@ -88,6 +88,8 @@ class GaussScalar:
     __rmul__ = __mul__
 
     def __truediv__(self, other: ScalarLike) -> "GaussScalar":
+        if not isinstance(other, (GaussScalar, int, Fraction)):
+            return NotImplemented
         other = as_gauss(other)
         n = other.norm_sq()
         if n == 0:
@@ -98,7 +100,9 @@ class GaussScalar:
         )
 
     def __rtruediv__(self, other: ScalarLike) -> "GaussScalar":
-        return as_gauss(other).__truediv__(self)
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return GaussScalar(other).__truediv__(self)
 
     def __neg__(self) -> "GaussScalar":
         return GaussScalar(-self.re, -self.im)

@@ -11,17 +11,21 @@ Sign conventions, fixed once here and verified by the d-squared report:
   * d on 1-forms is alpha -> -alpha([.,.]),
   * d extends as a degree one derivation, d(a^b) = da^b + (-1)^|a| a^db.
 
-The frame x_1..x_2m is orthonormal.  Monomials in the complex coframe are
-generally not orthonormal, so every block carries an exact Hermitian Gram
-matrix.  The volume form is the +-x_1^...^x_2m that makes the m-th wedge
-power of the fundamental form positive, so integration sees the orientation
-induced by the almost complex structure.
+The frame x_1..x_2m is orthonormal, and the coframe generators are made
+Hermitian-orthogonal once (exact Gram-Schmidt over Q(i), rows left
+unnormalized so no square roots appear).  The metric is then one positive
+rational |a_S|^2 per monomial, and the Gram matrix, the Hodge star, the
+metric adjoints and Lambda all have closed forms.  The volume form is the
++-x_1^...^x_2m that makes the m-th wedge power of the fundamental form
+positive, so integration sees the orientation induced by the almost
+complex structure.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
@@ -188,19 +192,16 @@ class Form:
     def inner(self, other: "Form") -> GaussScalar:
         """Hermitian inner product, conjugate linear in the second slot."""
         self._same_algebra(other)
+        w = self.algebra.norm_sq
         total = GAUSS_ZERO
         for pq, u in self.components.items():
             v = other.components.get(pq)
             if v is None:
                 continue
-            G = self.algebra.gram.block(pq, (0, 0))
-            for j, uj in enumerate(u):
-                if not uj:
-                    continue
-                for k, vk in enumerate(v):
-                    if not vk:
-                        continue
-                    total = total + uj * G[j, k] * vk.conj()
+            off = self.algebra.offset[pq]
+            for j, (uj, vj) in enumerate(zip(u, v)):
+                if uj and vj:
+                    total = total + uj * w[off + j] * vj.conj()
         return total
 
     def integrate(self) -> GaussScalar:
@@ -329,11 +330,15 @@ class BlockOperator:
         return BlockOperator(self.algebra, self.matrix * c)
 
     def adjoint(self) -> "BlockOperator":
-        """Gram adjoint: <A u, v> = <u, A* v> for the Hermitian block products."""
-        alg = self.algebra
-        return BlockOperator(
-            alg,
-            alg.gram_conj_inv.matrix @ self.matrix.conj_transpose() @ alg.gram.matrix.conj())
+        """Metric adjoint, <A u, v> = <u, A* v>.  The Gram matrix is the
+        diagonal D = diag(norm_sq), so A* = D^-1 A^H D, entry by entry
+        A*[i, j] = conj(A[j, i]) w_j / w_i."""
+        w = self.algebra.norm_sq
+        rows = [{} for _ in range(self.algebra.size)]
+        for j in range(self.matrix.rows):
+            for i, a in self.matrix.row_items(j):
+                rows[i][j] = a.conj() * (w[j] / w[i])
+        return BlockOperator(self.algebra, ExactMatrix._from_rows(rows, self.algebra.size))
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
@@ -367,20 +372,26 @@ class BlockOperator:
             raise AlgebraError("operators live on different algebras")
 
 
+def _hermitian(u: Sequence[GaussScalar], v: Sequence[GaussScalar]) -> GaussScalar:
+    """Hermitian product sum u_k conj(v_k) of two coframe rows."""
+    return sum((x * y.conj() for x, y in zip(u, v) if x and y), GAUSS_ZERO)
+
+
 class BigradedAlgebra:
     """The full bigraded calculus of one model, built exactly.
 
     Attributes of note: blocks (basis monomials per bidegree), offset and
     size (the operator layout: every monomial gets one index, block after
-    block in block_order), gram, the four differential components mu_bar /
-    dbar / partial / mu and their sum d, the Hodge star, the Lefschetz triple
-    L / lam / weight_h, the parity operator weight (i^{p-q} per block),
-    fundamental_form, and integrate().
+    block in block_order), the orthogonal coframe, norm_sq (the metric:
+    |a_S|^2 per monomial in layout order) and its diagonal view gram, the
+    four differential components mu_bar / dbar / partial / mu and their sum
+    d, the Hodge star, the Lefschetz triple L / lam / weight_h, the parity
+    operator weight (i^{p-q} per block), fundamental_form, and integrate().
 
     __init__ builds and checks all that can fail: the structure report, the
     coframe, d squared, the fundamental form and the orientation.  What cannot
-    fail once those pass (the Gram matrix and the inverse of its conjugate,
-    star, weights, Lefschetz triple) is built on first use.
+    fail once those pass (norm_sq, gram, star, weights, Lefschetz triple) is
+    built on first use.
     """
 
     def __init__(self, model: LieModel):
@@ -472,31 +483,20 @@ class BigradedAlgebra:
     # -- built on first use ----------------------------------------------------
 
     @functools.cached_property
-    def gram(self) -> BlockOperator:
-        """Hermitian Gram matrix of the monomial basis, block-diagonal;
-        ``gram[pq]`` is the block of A^{p,q}."""
-        blocks = []
-        for pq in self.block_order:
-            expa = [self._real_expansion(mono) for mono in self.blocks[pq]]
-            rows = []
-            for ea in expa:
-                row = []
-                for eb in expa:
-                    acc = GAUSS_ZERO
-                    for rmono, ca in ea.items():
-                        cb = eb.get(rmono)
-                        if cb is not None:
-                            acc = acc + ca * cb.conj()
-                    row.append(acc)
-                rows.append(row)
-            blocks.append((pq, pq, ExactMatrix(rows, cols=len(expa))))
-        return self._from_blocks(blocks)
+    def norm_sq(self) -> tuple:
+        """|a_S|^2 for every monomial a_S, in layout order.  The generators
+        are orthogonal, so this is the product of |a_g|^2 over the
+        generators of S (a conjugate generator has the norm of its own)."""
+        gen = [sum(x.norm_sq() for x in row) for row in self.coframe] * 2
+        return tuple(math.prod((gen[g] for g in mono), start=Fraction(1))
+                     for pq in self.block_order for mono in self.blocks[pq])
 
     @functools.cached_property
-    def gram_conj_inv(self) -> BlockOperator:
-        """Inverse of the conjugate of the (positive definite) Gram matrix."""
-        return self._from_blocks(
-            (pq, pq, inverse(self.gram.block(pq, (0, 0)).conj())) for pq in self.block_order)
+    def gram(self) -> BlockOperator:
+        """Hermitian Gram matrix of the monomial basis: the diagonal of
+        norm_sq.  ``gram[pq]`` is the block of A^{p,q}."""
+        return BlockOperator(self, ExactMatrix._from_rows(
+            [{i: GaussScalar(w)} for i, w in enumerate(self.norm_sq)], self.size))
 
     @functools.cached_property
     def weight(self) -> BlockOperator:
@@ -508,48 +508,25 @@ class BigradedAlgebra:
 
     @functools.cached_property
     def star(self) -> BlockOperator:
-        """Solve alpha ^ star(gamma) = <alpha, gamma> vol blockwise.
+        """The Hodge star, alpha ^ star(gamma) = g(alpha, gamma) vol, with g
+        the bilinear extension of the frame metric.
 
-        For gamma in A^{p,q} the pairing runs over alpha in A^{q,p}; the
-        bilinear extension of the frame metric appears on the right, which is
-        the Hermitian product of alpha against the conjugate of gamma.
+        g(alpha, a_S) is the Hermitian product of alpha with conj(a_S) =
+        sign * a_Sbar, so it pairs a_S only with alpha = a_Sbar, with value
+        sign * |a_S|^2.  Hence star(a_S) = sign * sign(Sbar ^ C) * |a_S|^2 *
+        vol_coeff * a_C for the complement C of Sbar.
         """
-        m = self.m
-        blocks = []
+        m, top, w = self.m, self._top_mono, self.norm_sq
         vol_coeff = GaussScalar(self.orientation) / self._top_real_coeff
-        for (p, q), basis in self.blocks.items():
-            tgt = (m - q, m - p)
-            pair_basis = self.blocks[(q, p)]
-            tgt_basis = self.blocks[tgt]
-            if not basis:
-                continue
-            wedge_rows = []
-            for am in pair_basis:
-                row = []
-                for tm in tgt_basis:
-                    merged = merge_wedge(am, tm)
-                    if merged is None or merged[0] != self._top_mono:
-                        row.append(GAUSS_ZERO)
-                    else:
-                        row.append(GaussScalar(merged[1]))
-                wedge_rows.append(row)
-            W = ExactMatrix(wedge_rows)
-            expa = [self._real_expansion(mono) for mono in pair_basis]
-            expg = [self._real_expansion(mono) for mono in basis]
-            rhs_rows = []
-            for ea in expa:
-                row = []
-                for eg in expg:
-                    acc = GAUSS_ZERO
-                    for rmono, ca in ea.items():
-                        cg = eg.get(rmono)
-                        if cg is not None:
-                            acc = acc + ca * cg
-                    row.append(acc * vol_coeff)
-                rhs_rows.append(row)
-            B = ExactMatrix(rhs_rows)
-            blocks.append(((p, q), tgt, inverse(W) @ B))
-        return self._from_blocks(blocks)
+        rows = [{} for _ in range(self.size)]
+        for pq in self.block_order:
+            for j, mono in enumerate(self.blocks[pq], self.offset[pq]):
+                swapped, sign = sort_with_sign((g + m) if g < m else (g - m) for g in mono)
+                comp = tuple(g for g in top if g not in swapped)
+                sign *= merge_wedge(swapped, comp)[1]
+                tgt, idx = self.mono_index[comp]
+                rows[self.offset[tgt] + idx][j] = vol_coeff * (sign * w[j])
+        return BlockOperator(self, ExactMatrix._from_rows(rows, self.size))
 
     @functools.cached_property
     def _lefschetz(self) -> tuple:
@@ -562,6 +539,9 @@ class BigradedAlgebra:
     # -- construction helpers ------------------------------------------------
 
     def _resolve_coframe(self) -> tuple:
+        """The coframe: m Hermitian-orthogonal +i eigenvectors of the dual
+        structure.  J is orthogonal, so two such rows have zero bilinear
+        product and a row is orthogonal to every conjugate row as well."""
         model = self.model
         n = model.dim
         K = ExactMatrix(model.J).transpose()  # dual action on coframe coordinates
@@ -573,6 +553,11 @@ class BigradedAlgebra:
                 image = K.apply(row)
                 if tuple(image) != tuple(GAUSS_I * x for x in row):
                     raise ModelError("coframe row is not a +i eigenvector")
+            # a pinned coframe fixes printed normalizations, so it is checked
+            # rather than orthogonalized
+            for (r, a), (s, b) in itertools.combinations(enumerate(rows, 1), 2):
+                if _hermitian(a, b):
+                    raise ModelError(f"coframe rows {r} and {s} are not orthogonal")
             return rows
         shifted = K - ExactMatrix.identity(n) * GAUSS_I
         eigen = kernel(shifted)
@@ -582,9 +567,17 @@ class BigradedAlgebra:
         # then halve: for block-diagonal J this is the coframe dual to X - iJX
         reduced, pivots = rref(ExactMatrix(eigen))
         half = GaussScalar(Fraction(1, 2))
-        return tuple(
-            tuple(half * x for x in reduced.row(r)) for r in range(len(pivots))
-        )
+        rows = []
+        for r in range(len(pivots)):
+            row = tuple(half * x for x in reduced.row(r))
+            # Gram-Schmidt without normalizing; an orthogonal row stays as it is
+            for prev in rows:
+                c = _hermitian(row, prev)
+                if c:
+                    c = c / _hermitian(prev, prev)
+                    row = tuple(x - c * y for x, y in zip(row, prev))
+            rows.append(row)
+        return tuple(rows)
 
     def _real_expansion(self, mono: Mono) -> dict:
         """Expansion of a coframe monomial over real frame monomials."""
@@ -746,15 +739,6 @@ class BigradedAlgebra:
                 for i, (p, q) in enumerate(self.block_at)]
         return BlockOperator(self, ExactMatrix._from_rows(rows, self.size))
 
-    def _from_blocks(self, blocks) -> BlockOperator:
-        """Operator from (source block, target block, matrix) triples."""
-        rows = [{} for _ in range(self.size)]
-        for pq, tgt, mat in blocks:
-            r0, c0 = self.offset[tgt], self.offset[pq]
-            for i in range(mat.rows):
-                rows[r0 + i].update((c0 + j, a) for j, a in mat.row_items(i))
-        return BlockOperator(self, ExactMatrix._from_rows(rows, self.size))
-
     # -- public helpers -------------------------------------------------------
 
     @staticmethod
@@ -895,17 +879,17 @@ def lefschetz_triple(algebra: BigradedAlgebra, omega: Optional[Form] = None):
         omega = algebra.fundamental_form
     if set(omega.components) - {(1, 1)}:
         raise AlgebraError("Lefschetz operator needs a (1,1)-form")
+    coeffs = omega.components.get((1, 1), ())
+    terms = [(mono, c) for mono, c in zip(algebra.blocks[(1, 1)], coeffs) if c]
     rows = [{} for _ in range(algebra.size)]
-    for pq, basis in algebra.blocks.items():
-        tgt = (pq[0] + 1, pq[1] + 1)
-        if tgt not in algebra.blocks:
-            continue
-        r0, c0 = algebra.offset[tgt], algebra.offset[pq]
-        for j in range(len(basis)):
-            image = omega.wedge(algebra.basis_form(pq, j))
-            for row, c in enumerate(image.components.get(tgt, ())):
-                if c:
-                    rows[r0 + row][c0 + j] = c
+    for pq in algebra.block_order:
+        for j, mono in enumerate(algebra.blocks[pq], algebra.offset[pq]):
+            # each term of omega sends a_S to its own monomial, so nothing cancels
+            for om, c in terms:
+                merged = merge_wedge(om, mono)
+                if merged is not None:
+                    tgt, idx = algebra.mono_index[merged[0]]
+                    rows[algebra.offset[tgt] + idx][j] = c if merged[1] > 0 else -c
     L = BlockOperator(algebra, ExactMatrix._from_rows(rows, algebra.size))
     lam = L.adjoint()
     H = L.compose(lam) - lam.compose(L)

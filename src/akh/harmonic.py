@@ -769,16 +769,14 @@ def ak_nonexistence_report(model: LieModel) -> AkNonexistenceReport:
         # T1: parameters whose wedges are all dbar-exact.  Membership in the
         # image is cut out by the kernel of the transpose.
         dbar20 = alg.dbar.block((2, 0), DBAR_SHIFT)
-        cokernel_rows = kernel(dbar20.transpose())
+        cokernel = ExactMatrix(kernel(dbar20.transpose()), cols=n21)
+        # row y of products[s] pairs cokernel row y with every wedge by alpha_s
+        products = [cokernel @ ExactMatrix([wedges[i, s] for i in range(dim_w)]).transpose()
+                    for s in range(len(a_forms))]
         t1_rows = []
-        for y in cokernel_rows:
-            for s in range(len(a_forms)):
-                coeffs = []
-                for i in range(dim_w):
-                    acc = GAUSS_ZERO
-                    for ell_idx in range(n21):
-                        acc = acc + y[ell_idx] * wedges[i, s][ell_idx]
-                    coeffs.append(acc)
+        for y in range(cokernel.rows):
+            for prod in products:
+                coeffs = prod.row(y)
                 t1_rows.append([GaussScalar(c.re) for c in coeffs])
                 t1_rows.append([GaussScalar(c.im) for c in coeffs])
         t1_basis = kernel(ExactMatrix(t1_rows)) if t1_rows else full_basis

@@ -61,9 +61,11 @@ class LieModel(_LieModelFields):
 
     coframe optionally overrides the normalization of the complex coframe
     used by the bigraded algebra: each row gives the x-coordinates of one
-    coframe generator (a +i eigenvector of the dual structure).  Catalog
-    models use it to pin printed normalizations; model JSON carries it as
-    an optional "coframe" field.
+    coframe generator (a +i eigenvector of the dual structure), and the
+    rows must be mutually orthogonal for the Hermitian product, since the
+    metric is taken to be diagonal on coframe monomials.  Catalog models
+    use it to pin printed normalizations; model JSON carries it as an
+    optional "coframe" field.
 
     Construction checks the shape and normalizes J to Fractions and the
     brackets to sorted (i, j, k, c) with i < j; ``_replace`` goes through

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from .exact import GAUSS_I, in_span, kernel
+from .exact import GAUSS_I, kernel
 from .forms import (
     AlgebraError,
     BigradedAlgebra,
@@ -284,11 +284,12 @@ def laplacian_symmetry_witness(model: LieModel):
         ker_b = kernel(mat_b)
         if ker_a == ker_b:  # canonical bases: the same subspace
             continue
+        # a vector lies in ker_b exactly when mat_b kills it
         for vec in ker_a:
-            if not in_span(ker_b, vec):
+            if any(mat_b.apply(vec)):
                 return form_from_coordinates(alg, pq, vec)
         for vec in ker_b:
-            if not in_span(ker_a, vec):
+            if any(mat_a.apply(vec)):
                 return form_from_coordinates(alg, pq, vec)
     return "symmetric"
 

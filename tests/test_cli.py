@@ -193,7 +193,10 @@ def test_malformed_model_shape_exits_one_without_traceback(tmp_path, change):
     # well formed, but the first row is a -i eigenvector
     [["0", "0", "0", "0", "1/2", "1/2*i"], ["1", "i", "0", "0", "0", "0"],
      ["0", "0", "1", "-i", "0", "0"]],
-], ids=["string", "one_row", "bad_scalar", "wrong_eigenvalue"])
+    # +i eigenvectors, but row 2 is the old row 2 plus row 3
+    [["0", "0", "0", "0", "1/2", "-1/2*i"], ["1", "i", "1", "-i", "0", "0"],
+     ["0", "0", "1", "-i", "0", "0"]],
+], ids=["string", "one_row", "bad_scalar", "wrong_eigenvalue", "not_orthogonal"])
 def test_malformed_coframe_exits_one_without_traceback(tmp_path, coframe):
     data = model_to_json(catalog("h5_J"))
     data["coframe"] = coframe

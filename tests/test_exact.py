@@ -439,7 +439,7 @@ def test_scalar_operators_defer_on_foreign_operands():
 def test_matrix_operators_defer_on_foreign_operands():
     m = ExactMatrix([[1, 2], [3, 4]])
     for op in (lambda x: m + x, lambda x: m - x, lambda x: m @ x,
-               lambda x: x + m, lambda x: x - m, lambda x: x @ m):
+               lambda x: x + m, lambda x: x - m, lambda x: x @ m, lambda x: x / m):
         for x in (1, Fraction(1, 2), GAUSS_I):
             with pytest.raises(TypeError):
                 op(x)

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from akh.exact import GAUSS_ONE, GAUSS_ZERO, ExactMatrix, GaussScalar, hermitian_signature
+from akh.exact import (GAUSS_ONE, GAUSS_ZERO, ExactMatrix, GaussScalar, hermitian_signature,
+                       inverse, rref)
 from akh.forms import (
     AlgebraError,
     BigradedAlgebra,
@@ -16,9 +17,11 @@ from akh.forms import (
     form_from_coordinates,
     form_from_json,
     form_to_json,
+    merge_wedge,
 )
-from akh.harmonic import betti
-from akh.model import CATALOG_NAMES, catalog, load_model, validate
+from akh.harmonic import betti, ell_diamond, obstruction_report
+from akh.model import CATALOG_NAMES, LieModel, catalog, load_model, validate
+from akh.operators import verify_identities
 
 
 def gs(re, im=0):
@@ -59,7 +62,7 @@ def test_build_is_cached():
     assert build(model) is build(model)
 
 
-LAZY_ATTRIBUTES = ("gram", "gram_conj_inv", "star", "weight", "weight_inv",
+LAZY_ATTRIBUTES = ("norm_sq", "gram", "star", "weight", "weight_inv",
                    "_lefschetz")
 
 
@@ -386,12 +389,13 @@ def test_sl2_relations(name):
 
 
 def test_L_is_wedge_with_omega():
-    alg = build(catalog("kodaira_thurston"))
-    omega = alg.fundamental_form
-    for pq in alg.block_order:
-        for i in range(alg.dim_block(pq)):
-            f = alg.basis_form(pq, i)
-            assert alg.L.apply(f) == f.wedge(omega)
+    for name in CATALOG_NAMES:
+        alg = build(catalog(name))
+        omega = alg.fundamental_form
+        for pq in alg.block_order:
+            for i in range(alg.dim_block(pq)):
+                f = alg.basis_form(pq, i)
+                assert alg.L.apply(f) == f.wedge(omega), name
 
 
 def test_weight_operator_powers_of_i():
@@ -487,3 +491,143 @@ def test_monomial_names():
     assert alg.format_form(alg.generator_form(0).conj()) == "a1~"
     f = alg.generator_form(0).wedge(alg.generator_form(1).conj())
     assert alg.format_form(f) == "a1^a2~"
+
+
+# ---------------------------------------------------------------------------
+# the orthogonal coframe: closed forms against the constructions they
+# replaced, and frame changes that need Gram-Schmidt
+
+LADDER = Path(__file__).resolve().parents[1] / "bench" / "models"
+
+
+def _cayley(n, entries):
+    """The rational rotation (I - A)(I + A)^-1 of the skew matrix A whose
+    entries above the diagonal are ``entries`` {(i, j): a}."""
+    A = [[0] * n for _ in range(n)]
+    for (i, j), a in entries.items():
+        A[i][j], A[j][i] = Fraction(a), -Fraction(a)
+    I, A = ExactMatrix.identity(n), ExactMatrix(A)
+    R = (I - A) @ inverse(I + A)
+    return [[R[i, j].re for j in range(n)] for i in range(n)]
+
+
+def _frame_change(model, R):
+    """The same almost Hermitian Lie algebra written in the orthonormal frame
+    Y_a = sum_b R[b][a] X_b: J becomes R^T J R, the brackets follow, and the
+    coframe is derived afresh."""
+    n = model.dim
+    rng = range(n)
+    J = [[sum(R[i][a] * model.J[i][j] * R[j][b] for i in rng for j in rng) for b in rng]
+         for a in rng]
+    brackets = []
+    for i, j, k, c in model.brackets:
+        for a, b in itertools.combinations(rng, 2):
+            f = R[i][a] * R[j][b] - R[j][a] * R[i][b]
+            if f:
+                brackets.extend((a, b, d, c * f * R[k][d]) for d in rng if R[k][d])
+    return LieModel(name=model.name + "_rotated", dim=n, brackets=brackets, J=J)
+
+
+ROTATIONS = {
+    "kodaira_thurston": {(0, 1): Fraction(1, 2), (1, 2): Fraction(1, 3), (0, 3): 2},
+    "filiform4_Jprime": {(0, 2): Fraction(1, 2), (1, 3): Fraction(-1, 3), (2, 3): 1},
+    "h5_J": {(0, 1): Fraction(1, 2), (2, 4): Fraction(1, 3), (1, 5): 1, (3, 4): Fraction(-1, 2)},
+}
+
+
+def _rotated(name):
+    model = catalog(name)
+    return _frame_change(model, _cayley(model.dim, ROTATIONS[name]))
+
+
+def _gram_schmidt_ran(alg):
+    """Whether the coframe differs from the halved RREF of the +i
+    eigenvectors, i.e. orthogonalization changed some row."""
+    reduced, _ = rref(ExactMatrix(alg.coframe))
+    return ExactMatrix(alg.coframe) != reduced * half()
+
+
+def _assemble(alg, blocks):
+    """Operator from (source block, target block, matrix) triples."""
+    rows = [{} for _ in range(alg.size)]
+    for pq, tgt, mat in blocks:
+        r0, c0 = alg.offset[tgt], alg.offset[pq]
+        for i in range(mat.rows):
+            rows[r0 + i].update((c0 + j, a) for j, a in mat.row_items(i))
+    return BlockOperator(alg, ExactMatrix._from_rows(rows, alg.size))
+
+
+def _oracle_metric(alg):
+    """Gram matrix, star and the adjoint map built the old way: Gram entries
+    from products of real-monomial expansions, star by solving
+    W star = B per block, adjoints as conj(G)^-1 A^H conj(G)."""
+    top, vol_coeff = alg._top_mono, gs(alg.orientation) / alg._top_real_coeff
+    gram, gram_conj_inv, star = [], [], []
+    for pq in alg.block_order:
+        expansions = [alg._real_expansion(mono) for mono in alg.blocks[pq]]
+
+        def pairing(exp_a, exp_b, conj):
+            return sum((c * (exp_b[r].conj() if conj else exp_b[r])
+                        for r, c in exp_a.items() if r in exp_b), GAUSS_ZERO)
+
+        G = ExactMatrix([[pairing(ea, eb, True) for eb in expansions] for ea in expansions])
+        gram.append((pq, pq, G))
+        gram_conj_inv.append((pq, pq, inverse(G.conj())))
+        dual = (alg.m - pq[1], alg.m - pq[0])
+        pair_basis = alg.blocks[(pq[1], pq[0])]
+        W = ExactMatrix([[gs(merged[1]) if (merged := merge_wedge(a, t)) and merged[0] == top
+                          else GAUSS_ZERO for t in alg.blocks[dual]] for a in pair_basis])
+        B = ExactMatrix([[pairing(alg._real_expansion(a), eg, False) * vol_coeff
+                          for eg in expansions] for a in pair_basis])
+        star.append((pq, dual, inverse(W) @ B))
+    gram, gram_conj_inv, star = (_assemble(alg, b) for b in (gram, gram_conj_inv, star))
+
+    def adjoint(op):
+        return gram_conj_inv.matrix @ op.matrix.conj_transpose() @ gram.matrix.conj()
+
+    return gram, star, adjoint
+
+
+@pytest.mark.parametrize("source", CATALOG_NAMES + ("kt_x_kt", "h5_J_x_T2", "torus8",
+                                                    "h5_J_rotated"))
+def test_closed_form_metric_matches_the_solved_one(source):
+    if source == "h5_J_rotated":
+        model = _rotated("h5_J")
+    elif source in CATALOG_NAMES:
+        model = catalog(source)
+    else:
+        model = load_model(str(LADDER / f"{source}.json"))
+    alg = build(model)
+    gram, star, adjoint = _oracle_metric(alg)
+    assert alg.gram == gram
+    assert alg.star == star
+    assert alg.lam.matrix == adjoint(alg.L)
+    assert alg.dbar.adjoint().matrix == adjoint(alg.dbar)
+    assert alg.d.adjoint().matrix == adjoint(alg.d)
+    u = alg.form_from_vector([gs(j % 5 - 2, j % 3) for j in range(alg.size)])
+    v = alg.form_from_vector([gs(j % 4, 1 - j % 7) for j in range(alg.size)])
+    assert u.inner(v) == sum(
+        (a * gram.matrix[i, j] * b.conj() for i, a in enumerate(alg.coordinates(u))
+         for j, b in enumerate(alg.coordinates(v)) if a and b and gram.matrix[i, j]),
+        GAUSS_ZERO)
+    if source == "h5_J_rotated":
+        assert _gram_schmidt_ran(alg)
+
+
+@pytest.mark.parametrize("name", sorted(ROTATIONS))
+def test_frame_change_keeps_every_invariant(name):
+    # a rational rotation of the orthonormal frame is an isometric
+    # isomorphism, so nothing computed may change; the derived coframe of the
+    # rotated model is not orthogonal until Gram-Schmidt has run
+    model, rotated = catalog(name), _rotated(name)
+    assert _gram_schmidt_ran(build(rotated))
+    assert betti(rotated) == betti(model)
+    assert ell_diamond(rotated) == ell_diamond(model)
+    ledger = [(e.id, e.holds) for e in verify_identities(model).entries]
+    assert [(e.id, e.holds) for e in verify_identities(rotated).entries] == ledger
+    report, rotated_report = obstruction_report(model), obstruction_report(rotated)
+    assert rotated_report.fires == report.fires
+    assert rotated_report.hol_dims == report.hol_dims
+    assert (rotated_report.laplacian_witness is None) == (report.laplacian_witness is None)
+    assert rotated_report.ak_nonexistence == report.ak_nonexistence._replace(
+        model_name=rotated.name)
