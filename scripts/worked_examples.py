@@ -26,7 +26,7 @@ from akh.harmonic import (
     obstruction_report,
     primitive_decomposition,
 )
-from akh.model import CATALOG_NAMES, catalog, validate
+from akh.model import CATALOG_NAMES, catalog
 from akh.operators import ledger_to_text, verify_identities
 
 
@@ -41,7 +41,7 @@ def show_model(name):
     banner(name)
     model = catalog(name)
     alg = build(model)
-    report = validate(model)
+    report = alg.validation
     print(f"dim {model.dim}, integrable: {report.integrable}, "
           f"closed fundamental form: {report.almost_kahler}")
 

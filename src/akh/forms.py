@@ -53,6 +53,7 @@ DBAR_SHIFT = (0, 1)
 PARTIAL_SHIFT = (1, 0)
 MU_SHIFT = (2, -1)
 D_SHIFTS = (MU_BAR_SHIFT, DBAR_SHIFT, PARTIAL_SHIFT, MU_SHIFT)
+I_POWERS = (GAUSS_ONE, GAUSS_I, GaussScalar(-1), -GAUSS_I)
 
 
 class AlgebraError(AkhError):
@@ -148,25 +149,21 @@ class Form:
         self._same_algebra(other)
         acc: Dict[Mono, object] = {}
         blocks = self.algebra.blocks
+        right = [(mono, c) for pq, vec in other.components.items()
+                 for mono, c in zip(blocks[pq], vec) if c]
         for pq1, v1 in self.components.items():
-            basis1 = blocks[pq1]
-            for j1, c1 in enumerate(v1):
+            for m1, c1 in zip(blocks[pq1], v1):
                 if not c1:
                     continue
-                m1 = basis1[j1]
-                for pq2, v2 in other.components.items():
-                    basis2 = blocks[pq2]
-                    for j2, c2 in enumerate(v2):
-                        if not c2:
-                            continue
-                        merged = merge_wedge(m1, basis2[j2])
-                        if merged is None:
-                            continue
-                        mono, sign = merged
-                        term = c1 * c2
-                        if sign < 0:
-                            term = -term
-                        acc[mono] = acc.get(mono, GAUSS_ZERO) + term
+                for m2, c2 in right:
+                    merged = merge_wedge(m1, m2)
+                    if merged is None:
+                        continue
+                    mono, sign = merged
+                    term = c1 * c2
+                    if sign < 0:
+                        term = -term
+                    acc[mono] = acc.get(mono, GAUSS_ZERO) + term
         return self.algebra.form_from_monomials(acc)
 
     def conj(self) -> "Form":
@@ -391,7 +388,8 @@ class BigradedAlgebra:
     __init__ builds and checks all that can fail: the structure report, the
     coframe, d squared, the fundamental form and the orientation.  What cannot
     fail once those pass (norm_sq, gram, star, weights, Lefschetz triple) is
-    built on first use.
+    built on first use, and results derived by other modules are kept in
+    memo (see memoized).
     """
 
     def __init__(self, model: LieModel):
@@ -444,6 +442,7 @@ class BigradedAlgebra:
                               for k in range(2 * m + 1)] + [self.size]
 
         self._expansion_cache: Dict[Mono, dict] = {}
+        self.memo: Dict[tuple, object] = {}
 
         self._dgen = self._differential_on_generators()
         self._d_mono_cache: Dict[Mono, dict] = {}
@@ -500,11 +499,11 @@ class BigradedAlgebra:
 
     @functools.cached_property
     def weight(self) -> BlockOperator:
-        return self._build_weight(1)
+        return self._diagonal(lambda p, q: I_POWERS[(p - q) % 4])
 
     @functools.cached_property
     def weight_inv(self) -> BlockOperator:
-        return self._build_weight(-1)
+        return self._diagonal(lambda p, q: I_POWERS[(q - p) % 4])
 
     @functools.cached_property
     def star(self) -> BlockOperator:
@@ -529,12 +528,30 @@ class BigradedAlgebra:
         return BlockOperator(self, ExactMatrix._from_rows(rows, self.size))
 
     @functools.cached_property
-    def _lefschetz(self) -> tuple:
-        return lefschetz_triple(self, self.fundamental_form)
+    def L(self) -> BlockOperator:
+        """Wedge with the fundamental form, assembled from its monomials."""
+        terms = [(mono, c) for mono, c in zip(self.blocks[(1, 1)],
+                                              self.fundamental_form.components[(1, 1)]) if c]
+        rows = [{} for _ in range(self.size)]
+        for pq in self.block_order:
+            for j, mono in enumerate(self.blocks[pq], self.offset[pq]):
+                # each term of omega sends a_S to its own monomial, so nothing cancels
+                for om, c in terms:
+                    merged = merge_wedge(om, mono)
+                    if merged is not None:
+                        tgt, idx = self.mono_index[merged[0]]
+                        rows[self.offset[tgt] + idx][j] = c if merged[1] > 0 else -c
+        return BlockOperator(self, ExactMatrix._from_rows(rows, self.size))
 
-    L = property(lambda self: self._lefschetz[0], doc="Wedge with the fundamental form.")
-    lam = property(lambda self: self._lefschetz[1], doc="Gram adjoint of L.")
-    weight_h = property(lambda self: self._lefschetz[2], doc="The commutator [L, lam].")
+    @functools.cached_property
+    def lam(self) -> BlockOperator:
+        """Gram adjoint of L."""
+        return self.L.adjoint()
+
+    @functools.cached_property
+    def weight_h(self) -> BlockOperator:
+        """The counting operator [L, lam]: p+q-m on the (p,q) block."""
+        return self._diagonal(lambda p, q: GaussScalar(p + q - self.m))
 
     # -- construction helpers ------------------------------------------------
 
@@ -732,11 +749,9 @@ class BigradedAlgebra:
             raise AlgebraError("fundamental form is not real")
         return form
 
-    def _build_weight(self, direction: int) -> BlockOperator:
-        """Diagonal operator i^{p-q} per block (i^{q-p} for direction=-1)."""
-        powers = [GAUSS_ONE, GAUSS_I, GaussScalar(-1), -GAUSS_I]
-        rows = [{i: powers[(direction * (p - q)) % 4]}
-                for i, (p, q) in enumerate(self.block_at)]
+    def _diagonal(self, value) -> BlockOperator:
+        """Diagonal operator acting on the (p,q) block by the scalar value(p, q)."""
+        rows = [{i: c} if (c := value(p, q)) else {} for i, (p, q) in enumerate(self.block_at)]
         return BlockOperator(self, ExactMatrix._from_rows(rows, self.size))
 
     # -- public helpers -------------------------------------------------------
@@ -864,36 +879,27 @@ class BigradedAlgebra:
 
 @functools.lru_cache(maxsize=None)
 def build(model: LieModel) -> BigradedAlgebra:
-    """Construct (and cache) the bigraded calculus of a validated model."""
+    """Construct (and cache) the bigraded calculus of a validated model.
+    This is the only module-level cache: every other derived result lives
+    in ``alg.memo``, so ``build.cache_clear()`` frees all of a model's work."""
     return BigradedAlgebra(model)
+
+
+def memoized(fn):
+    """Cache ``fn(alg, *args)`` in ``alg.memo``; the arguments must be
+    hashable and the result is shared by every caller."""
+    @functools.wraps(fn)
+    def cached(alg: BigradedAlgebra, *args):
+        key = (fn, args)
+        if key not in alg.memo:
+            alg.memo[key] = fn(alg, *args)
+        return alg.memo[key]
+    return cached
 
 
 def form_from_coordinates(algebra: BigradedAlgebra, pq: BlockKey, vec: Sequence) -> Form:
     """Form with coordinate vector ``vec`` on block ``pq``."""
     return Form(algebra, {pq: tuple(vec)})
-
-
-def lefschetz_triple(algebra: BigradedAlgebra, omega: Optional[Form] = None):
-    """(L, Lam, H): wedge with omega, its Gram adjoint, their commutator."""
-    if omega is None:
-        omega = algebra.fundamental_form
-    if set(omega.components) - {(1, 1)}:
-        raise AlgebraError("Lefschetz operator needs a (1,1)-form")
-    coeffs = omega.components.get((1, 1), ())
-    terms = [(mono, c) for mono, c in zip(algebra.blocks[(1, 1)], coeffs) if c]
-    rows = [{} for _ in range(algebra.size)]
-    for pq in algebra.block_order:
-        for j, mono in enumerate(algebra.blocks[pq], algebra.offset[pq]):
-            # each term of omega sends a_S to its own monomial, so nothing cancels
-            for om, c in terms:
-                merged = merge_wedge(om, mono)
-                if merged is not None:
-                    tgt, idx = algebra.mono_index[merged[0]]
-                    rows[algebra.offset[tgt] + idx][j] = c if merged[1] > 0 else -c
-    L = BlockOperator(algebra, ExactMatrix._from_rows(rows, algebra.size))
-    lam = L.adjoint()
-    H = L.compose(lam) - lam.compose(L)
-    return L, lam, H
 
 
 _D2_RELATIONS = (

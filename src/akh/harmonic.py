@@ -23,13 +23,11 @@ differences are the interesting data and feed the obstruction reports.
 
 from __future__ import annotations
 
-import functools
 import itertools
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .exact import (
     AkhError,
-    GAUSS_I,
     GAUSS_ONE,
     GAUSS_ZERO,
     ExactMatrix,
@@ -44,15 +42,17 @@ from .exact import (
 )
 from .forms import (
     DBAR_SHIFT,
+    I_POWERS,
     MU_BAR_SHIFT,
     BigradedAlgebra,
     Form,
     build,
     form_from_coordinates,
     form_to_json,
+    memoized,
 )
-from .model import LieModel, validate
-from .operators import laplacian, laplacian_symmetry_witness
+from .model import LieModel
+from .operators import _harmonic_vectors, laplacian_symmetry_witness
 
 __all__ = [
     "HarmonicError",
@@ -93,67 +93,33 @@ def _check_block(alg: BigradedAlgebra, p: int, q: int) -> None:
         raise HarmonicError(f"bidegree ({p},{q}) out of range for m={alg.m}")
 
 
-@functools.lru_cache(maxsize=None)
-def _constraint_operators(model: LieModel, which: str) -> tuple:
-    alg = build(model)
-    if which == "d":
-        comps = (alg.mu_bar, alg.dbar, alg.partial, alg.mu)
-        return comps + tuple(op.adjoint() for op in comps)
-    if which == "dbar+mu":
-        return (laplacian(alg.dbar) + laplacian(alg.mu),)
-    if which == "partial+mu_bar":
-        return (laplacian(alg.partial) + laplacian(alg.mu_bar),)
-    singles = {
-        "mu_bar": alg.mu_bar,
-        "dbar": alg.dbar,
-        "partial": alg.partial,
-        "mu": alg.mu,
-    }
-    if which not in singles:
-        raise HarmonicError(
-            f"unknown harmonic space {which!r}; choose one of {WHICH_CHOICES}")
-    op = singles[which]
-    return (op, op.adjoint())
-
-
-@functools.lru_cache(maxsize=None)
-def _harmonic_vectors(model: LieModel, which: str, pq: tuple) -> tuple:
-    """Canonical coordinate basis of the requested harmonic space on pq."""
-    return tuple(kernel(vstack(
-        [op.columns(pq) for op in _constraint_operators(model, which)])))
-
-
 def harmonic_basis(model: LieModel, which: str, p: int, q: int) -> tuple:
     """Deterministic basis of the chosen harmonic space as Forms."""
+    if which not in WHICH_CHOICES:
+        raise HarmonicError(
+            f"unknown harmonic space {which!r}; choose one of {WHICH_CHOICES}")
     alg = build(model)
     _check_block(alg, p, q)
     return tuple(
         form_from_coordinates(alg, (p, q), vec)
-        for vec in _harmonic_vectors(model, which, (p, q)))
+        for vec in _harmonic_vectors(alg, which, (p, q)))
 
 
-def _ell(model: LieModel, p: int, q: int) -> int:
-    return len(_harmonic_vectors(model, "dbar+mu", (p, q)))
-
-
-def _combine(vectors: Sequence, coeffs: Sequence) -> tuple:
-    out = list(vectors[0])
-    for k in range(len(out)):
-        out[k] = coeffs[0] * out[k]
-    for c, v in zip(coeffs[1:], vectors[1:]):
-        for k in range(len(out)):
-            out[k] = out[k] + c * v[k]
-    return tuple(out)
+def _ell(alg: BigradedAlgebra, p: int, q: int) -> int:
+    return len(_harmonic_vectors(alg, "dbar+mu", (p, q)))
 
 
 # -- total-degree complex ------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
 def betti(model: LieModel) -> tuple:
     """Invariant Betti numbers b^0..b^{2m} (real cohomology for nilpotent
     models)."""
-    alg = build(model)
+    return _betti(build(model))
+
+
+@memoized
+def _betti(alg: BigradedAlgebra) -> tuple:
     top = 2 * alg.m
     dims = [len(alg.degree_range(k)) for k in range(top + 1)]
     ranks = [rank(alg.d.degree_slice(k, k + 1)) for k in range(top + 1)]
@@ -212,9 +178,9 @@ def ell_diamond(model: LieModel) -> Diamond:
     models only."""
     alg = build(model)
     m = alg.m
-    grid = tuple(tuple(_ell(model, p, q) for q in range(m + 1))
+    grid = tuple(tuple(_ell(alg, p, q) for q in range(m + 1))
                  for p in range(m + 1))
-    bett = betti(model)
+    bett = _betti(alg)
     if not alg.validation.almost_kahler:
         return Diamond(m=m, ell=grid, betti=bett,
                        duality_ok=None, bounds_ok=None, lefschetz_ok=None)
@@ -307,10 +273,9 @@ def hard_lefschetz(model: LieModel) -> LefschetzReport:
     Lefschetz operator; each map is flagged iso when it is injective onto a
     target of the same dimension.
     """
-    report = validate(model)
-    if not report.almost_kahler:
-        raise HarmonicError("hard Lefschetz requires an almost Kahler model")
     alg = build(model)
+    if not alg.validation.almost_kahler:
+        raise HarmonicError("hard Lefschetz requires an almost Kahler model")
     m = alg.m
     maps = []
     all_iso = True
@@ -318,8 +283,8 @@ def hard_lefschetz(model: LieModel) -> LefschetzReport:
         power = m - k
         for p in range(k + 1):
             q = k - p
-            src = _harmonic_vectors(model, "d", (p, q))
-            tgt = _harmonic_vectors(model, "d", (p + power, q + power))
+            src = _harmonic_vectors(alg, "d", (p, q))
+            tgt = _harmonic_vectors(alg, "d", (p + power, q + power))
             images = [_lefschetz_power(alg, (p, q), v, power) for v in src]
             n_tgt = alg.dim_block((p + power, q + power))
             rk = rank(ExactMatrix(images, cols=n_tgt))
@@ -332,7 +297,7 @@ def hard_lefschetz(model: LieModel) -> LefschetzReport:
                 p=p, q=q, power=power,
                 source_dim=len(src), target_dim=len(tgt), rank=rk, iso=iso))
     monotone = all(
-        _ell(model, p, q) <= _ell(model, p + 1, q + 1)
+        _ell(alg, p, q) <= _ell(alg, p + 1, q + 1)
         for p in range(m) for q in range(m) if p + q + 2 <= m)
     return LefschetzReport(model_name=model.name, m=m, maps=tuple(maps),
                            monotone_ok=monotone, all_iso=all_iso)
@@ -341,18 +306,18 @@ def hard_lefschetz(model: LieModel) -> LefschetzReport:
 # -- primitive decomposition and the positivity pairing -------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _primitive_vectors(model: LieModel, pq: tuple) -> tuple:
+@memoized
+def _primitive_vectors(alg: BigradedAlgebra, pq: tuple) -> tuple:
     """d-harmonic vectors on pq additionally killed by the contraction
     operator."""
-    alg = build(model)
-    harm = _harmonic_vectors(model, "d", pq)
+    harm = _harmonic_vectors(alg, "d", pq)
     if not harm:
         return ()
     lam_mat = alg.lam.block(pq, (-1, -1))
     images = [lam_mat.apply(v) for v in harm]
     combos = kernel(ExactMatrix(images).transpose())
-    return tuple(_combine(harm, c) for c in combos)
+    basis = ExactMatrix(harm).transpose()
+    return tuple(basis.apply(c) for c in combos)
 
 
 class PrimitiveDecomposition(NamedTuple):
@@ -381,16 +346,15 @@ def primitive_decomposition(model: LieModel, p: int, q: int) -> PrimitiveDecompo
     must add up to ell(p,q) and distinct summands must be orthogonal for
     the inner product; both facts are recorded as flags.
     """
-    report = validate(model)
-    if not report.almost_kahler:
-        raise HarmonicError("primitive decomposition requires an almost Kahler model")
     alg = build(model)
+    if not alg.validation.almost_kahler:
+        raise HarmonicError("primitive decomposition requires an almost Kahler model")
     _check_block(alg, p, q)
     dims = []
     images = []
     for j in range(min(p, q) + 1):
         base = (p - j, q - j)
-        prim = _primitive_vectors(model, base)
+        prim = _primitive_vectors(alg, base)
         vecs = [_lefschetz_power(alg, base, v, j) for v in prim]
         dims.append(rank(ExactMatrix(vecs)) if vecs else 0)
         images.append(vecs)
@@ -404,13 +368,10 @@ def primitive_decomposition(model: LieModel, p: int, q: int) -> PrimitiveDecompo
                     fv = form_from_coordinates(alg, (p, q), v)
                     if fu.inner(fv):
                         orthogonal = False
-    ell = _ell(model, p, q)
+    ell = _ell(alg, p, q)
     return PrimitiveDecomposition(
         p=p, q=q, summand_dims=tuple(dims), ell=ell,
         sum_ok=total == ell, orthogonal_ok=orthogonal)
-
-
-_I_POWERS = (GAUSS_ONE, GAUSS_I, GaussScalar(-1), -GAUSS_I)
 
 
 class HodgeRiemannReport(NamedTuple):
@@ -438,14 +399,13 @@ def hodge_riemann_check(model: LieModel, p: int, q: int) -> HodgeRiemannReport:
     alternating degree sign, after which the form must be positive
     definite on almost Kahler models.
     """
-    report = validate(model)
-    if not report.almost_kahler:
-        raise HarmonicError("the positivity pairing requires an almost Kahler model")
     alg = build(model)
+    if not alg.validation.almost_kahler:
+        raise HarmonicError("the positivity pairing requires an almost Kahler model")
     _check_block(alg, p, q)
     if p + q > alg.m:
         raise HarmonicError("the positivity pairing needs p+q <= m")
-    prim = _primitive_vectors(model, (p, q))
+    prim = _primitive_vectors(alg, (p, q))
     n = len(prim)
     if n == 0:
         return HodgeRiemannReport(p=p, q=q, prim_dim=0,
@@ -456,7 +416,7 @@ def hodge_riemann_check(model: LieModel, p: int, q: int) -> HodgeRiemannReport:
     for _ in range(alg.m - p - q):
         wpow = wpow.wedge(alg.fundamental_form)
     forms = [form_from_coordinates(alg, (p, q), v) for v in prim]
-    factor = _I_POWERS[(p - q) % 4]
+    factor = I_POWERS[(p - q) % 4]
     raw = [[factor * forms[j].wedge(forms[k].conj()).wedge(wpow).integrate()
             for k in range(n)] for j in range(n)]
     unsigned = ExactMatrix(raw)
@@ -535,12 +495,12 @@ def hodge_index(model: LieModel) -> HodgeIndexReport:
     """
     if model.dim != 4:
         raise HarmonicError("the intersection form needs a 4-dimensional model")
-    report = validate(model)
+    alg = build(model)
+    report = alg.validation
     if not report.almost_kahler:
         raise HarmonicError("the intersection form needs an almost Kahler model")
-    alg = build(model)
     reps = _real_harmonic_basis(alg, model, 2)
-    b2 = betti(model)[2]
+    b2 = _betti(alg)[2]
     if len(reps) != b2:
         raise HarmonicError(
             f"harmonic 2-forms span dimension {len(reps)}, expected b2={b2}")
@@ -549,8 +509,8 @@ def hodge_index(model: LieModel) -> HodgeIndexReport:
     plus, minus, zero = symmetric_signature(ExactMatrix(entries))
     if zero:
         raise HarmonicError("intersection form is degenerate")
-    ell11 = _ell(model, 1, 1)
-    ell20 = _ell(model, 2, 0)
+    ell11 = _ell(alg, 1, 1)
+    ell20 = _ell(alg, 2, 0)
     return HodgeIndexReport(
         b2_plus=plus, b2_minus=minus, ell11=ell11,
         relation_ok=(ell11 == minus + 1 and plus >= 1),
@@ -592,8 +552,8 @@ class HolomorphicReport(NamedTuple):
         }
 
 
-def _holomorphic_vectors(model: LieModel, p: int) -> tuple:
-    alg = build(model)
+@memoized
+def _holomorphic_vectors(alg: BigradedAlgebra, p: int) -> tuple:
     if p > alg.m:
         return ()
     return tuple(kernel(alg.dbar.block((p, 0), DBAR_SHIFT)))
@@ -604,14 +564,14 @@ def holomorphic_forms(model: LieModel, p: int) -> HolomorphicReport:
     alg = build(model)
     if not 0 <= p <= alg.m:
         raise HarmonicError(f"p out of range 0..{alg.m}")
-    vecs = _holomorphic_vectors(model, p)
+    vecs = _holomorphic_vectors(alg, p)
     basis = tuple(form_from_coordinates(alg, (p, 0), v) for v in vecs)
-    dim1 = len(_holomorphic_vectors(model, 1))
-    dim2 = len(_holomorphic_vectors(model, 2))
-    b1 = betti(model)[1]
+    dim1 = len(_holomorphic_vectors(alg, 1))
+    dim2 = len(_holomorphic_vectors(alg, 2))
+    b1 = _betti(alg)[1]
     matches = None
     if p == 1 and alg.validation.almost_kahler:
-        harm = _harmonic_vectors(model, "d", (1, 0))
+        harm = _harmonic_vectors(alg, "d", (1, 0))
         # kernel bases are canonical, so equal subspaces have equal bases
         matches = harm == vecs
     return HolomorphicReport(
@@ -733,11 +693,16 @@ def ak_nonexistence_report(model: LieModel) -> AkNonexistenceReport:
     anything short of that reports "inconclusive" or, without holomorphic
     1-forms, "vacuous".
     """
-    alg = build(model)
+    return _ak_nonexistence(build(model))
+
+
+@memoized
+def _ak_nonexistence(alg: BigradedAlgebra) -> AkNonexistenceReport:
+    model = alg.model
     m = alg.m
     omega_vecs = _closed_real_11_forms(alg)
     dim_w = len(omega_vecs)
-    hol = _holomorphic_vectors(model, 1)
+    hol = _holomorphic_vectors(alg, 1)
     if not hol:
         return AkNonexistenceReport(
             model_name=model.name, verdict="vacuous",
@@ -876,8 +841,8 @@ def obstruction_report(model: LieModel) -> ObstructionReport:
     """Holomorphic-form counts, Laplacian asymmetry, and the degeneracy
     argument in one report."""
     alg = build(model)
-    hol_dims = tuple(len(_holomorphic_vectors(model, p)) for p in range(alg.m + 1))
-    b1 = betti(model)[1]
+    hol_dims = tuple(len(_holomorphic_vectors(alg, p)) for p in range(alg.m + 1))
+    b1 = _betti(alg)[1]
     witness = laplacian_symmetry_witness(model)
     return ObstructionReport(
         model_name=model.name,
@@ -886,5 +851,5 @@ def obstruction_report(model: LieModel) -> ObstructionReport:
         symplectic_bound_ok=2 * hol_dims[1] <= b1,
         free_rank_hypothesis=hol_dims[1] > (hol_dims[2] if alg.m >= 2 else 0) + 1,
         laplacian_witness=None if isinstance(witness, str) else witness,
-        ak_nonexistence=ak_nonexistence_report(model),
+        ak_nonexistence=_ak_nonexistence(alg),
         integrable=alg.validation.integrable)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from .exact import GAUSS_I, kernel
+from .exact import GAUSS_I, kernel, vstack
 from .forms import (
     AlgebraError,
     BigradedAlgebra,
@@ -31,6 +31,7 @@ from .forms import (
     build,
     form_from_coordinates,
     form_to_json,
+    memoized,
 )
 from .model import LieModel
 
@@ -77,6 +78,35 @@ def laplacian(op: BlockOperator) -> BlockOperator:
     """``op op* + op* op``; degree zero whenever ``op`` has a pure shift."""
     star = op.adjoint()
     return op.compose(star) + star.compose(op)
+
+
+@memoized
+def _component_laplacians(alg: BigradedAlgebra) -> tuple:
+    """The Laplacians of mu_bar, dbar, partial and mu, in that order."""
+    return tuple(laplacian(op) for op in (alg.mu_bar, alg.dbar, alg.partial, alg.mu))
+
+
+@memoized
+def _constraint_operators(alg: BigradedAlgebra, which: str) -> tuple:
+    """Operators whose joint kernel is the harmonic space ``which`` (one of
+    ``akh.harmonic.WHICH_CHOICES``, which the caller has checked)."""
+    comps = (alg.mu_bar, alg.dbar, alg.partial, alg.mu)
+    if which == "d":
+        return comps + tuple(op.adjoint() for op in comps)
+    lap_mubar, lap_dbar, lap_partial, lap_mu = _component_laplacians(alg)
+    if which == "dbar+mu":
+        return (lap_dbar + lap_mu,)
+    if which == "partial+mu_bar":
+        return (lap_partial + lap_mubar,)
+    op = comps[("mu_bar", "dbar", "partial", "mu").index(which)]
+    return (op, op.adjoint())
+
+
+@memoized
+def _harmonic_vectors(alg: BigradedAlgebra, which: str, pq: tuple) -> tuple:
+    """Canonical coordinate basis of the harmonic space ``which`` on pq."""
+    return tuple(kernel(vstack(
+        [op.columns(pq) for op in _constraint_operators(alg, which)])))
 
 
 def star_conjugate(algebra: BigradedAlgebra, op: BlockOperator) -> BlockOperator:
@@ -181,18 +211,12 @@ def verify_identities(model: LieModel) -> IdentityLedger:
     L, lam, d = alg.L, alg.lam, alg.d
     i = GAUSS_I
 
-    mubar_s = mubar.adjoint()
-    dbar_s = dbar.adjoint()
-    partial_s = partial.adjoint()
-    mu_s = mu.adjoint()
+    mubar_s, dbar_s, partial_s, mu_s = _constraint_operators(alg, "d")[4:]
 
     zero = BlockOperator.zero(alg)
     gc = graded_commutator
 
-    lap_mubar = laplacian(mubar)
-    lap_dbar = laplacian(dbar)
-    lap_partial = laplacian(partial)
-    lap_mu = laplacian(mu)
+    lap_mubar, lap_dbar, lap_partial, lap_mu = _component_laplacians(alg)
 
     checks = [
         # Lefschetz operators commute with the non-Dolbeault components...
@@ -272,18 +296,14 @@ def laplacian_symmetry_witness(model: LieModel):
     with this complex structure closes the fundamental form.
     """
     alg = build(model)
-    side_a = laplacian(alg.dbar) + laplacian(alg.mu)
-    side_b = laplacian(alg.partial) + laplacian(alg.mu_bar)
+    side_a, = _constraint_operators(alg, "dbar+mu")
+    side_b, = _constraint_operators(alg, "partial+mu_bar")
     for pq in alg.block_order:
-        n = len(alg.blocks[pq])
-        if n == 0:
-            continue
-        mat_a = side_a.block(pq, (0, 0))
-        mat_b = side_b.block(pq, (0, 0))
-        ker_a = kernel(mat_a)
-        ker_b = kernel(mat_b)
+        ker_a = _harmonic_vectors(alg, "dbar+mu", pq)
+        ker_b = _harmonic_vectors(alg, "partial+mu_bar", pq)
         if ker_a == ker_b:  # canonical bases: the same subspace
             continue
+        mat_a, mat_b = side_a.block(pq, (0, 0)), side_b.block(pq, (0, 0))
         # a vector lies in ker_b exactly when mat_b kills it
         for vec in ker_a:
             if any(mat_b.apply(vec)):

@@ -1,5 +1,8 @@
+import gc
 import itertools
 import json
+import weakref
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import akh.harmonic as harmonic
+import akh.operators as operators
 from akh.exact import ExactMatrix, GaussScalar, in_span, symmetric_signature
 from akh.forms import build
 from akh.harmonic import (
@@ -542,6 +546,42 @@ def test_obstruction_json():
     assert data["fires"] is True
     assert data["symplectic_bound_ok"] is False
     json.dumps(data)
+
+
+# ---------------------------------------------------------------------------
+# the per-algebra memo
+
+
+def test_build_cache_clear_frees_every_report():
+    # a name of its own gives an algebra that no other test holds
+    model = catalog("kodaira_thurston")._replace(name="kt_freed")
+    ref = weakref.ref(build(model))
+    ell_diamond(model)
+    obstruction_report(model)
+    build.cache_clear()
+    gc.collect()
+    assert ref() is None
+
+
+def test_reports_reuse_kernels_and_laplacians(monkeypatch):
+    model = catalog("kodaira_thurston")._replace(name="kt_memo")
+    first = obstruction_report(model)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for module in (harmonic, operators):
+        monkeypatch.setattr(module, "kernel", counted("kernel", module.kernel))
+    monkeypatch.setattr(operators, "laplacian",
+                        counted("laplacian", operators.laplacian))
+    assert obstruction_report(model) == first
+    assert calls == Counter()
+    ell_diamond(model)
+    assert calls["laplacian"] == 0
 
 
 # ---------------------------------------------------------------------------
