@@ -76,6 +76,8 @@ class GaussScalar:
                 return other.__rmul__(self)
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
+            if other == 1 or other == -1:  # a unit is a sign, no Fraction arithmetic
+                return self if other == 1 else -self
             other = GaussScalar(other)
         a, b, c, d = self.re, self.im, other.re, other.im
         # most entries here are real or imaginary; skip the zero products

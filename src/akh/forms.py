@@ -31,14 +31,12 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .exact import (
     AkhError,
-    ExactError,
     ExactMatrix,
     GAUSS_I,
     GAUSS_ONE,
     GAUSS_ZERO,
     GaussScalar,
     format_scalar,
-    inverse,
     kernel,
     parse_scalar,
     rref,
@@ -77,6 +75,24 @@ def merge_wedge(t1: Mono, t2: Mono):
         inversions += sum(1 for x in t1 if x > y)
     merged = tuple(sorted(t1 + t2))
     return merged, (-1 if inversions % 2 else 1)
+
+
+def wedge_sum(*pairs) -> dict:
+    """The sum of left ^ right over the (left, right) pairs of
+    {monomial: coefficient} dicts, zero sums dropped.  This is the one place
+    wedge products of monomials are accumulated."""
+    out: Dict[Mono, object] = {}
+    for left, right in pairs:
+        for m1, c1 in left.items():
+            for m2, c2 in right.items():
+                merged = merge_wedge(m1, m2)
+                if merged is None:
+                    continue
+                mono, sign = merged
+                term = c1 * c2 if sign > 0 else -(c1 * c2)
+                prev = out.get(mono)
+                out[mono] = term if prev is None else prev + term
+    return {mono: c for mono, c in out.items() if c}
 
 
 def sort_with_sign(gens) -> tuple:
@@ -145,39 +161,23 @@ class Form:
             {pq: tuple(c * x for x in vec) for pq, vec in self.components.items()},
         )
 
+    def monomials(self) -> dict:
+        """The nonzero coefficients as {monomial: coefficient}."""
+        blocks = self.algebra.blocks
+        return {mono: c for pq, vec in self.components.items()
+                for mono, c in zip(blocks[pq], vec) if c}
+
     def wedge(self, other: "Form") -> "Form":
         self._same_algebra(other)
-        acc: Dict[Mono, object] = {}
-        blocks = self.algebra.blocks
-        right = [(mono, c) for pq, vec in other.components.items()
-                 for mono, c in zip(blocks[pq], vec) if c]
-        for pq1, v1 in self.components.items():
-            for m1, c1 in zip(blocks[pq1], v1):
-                if not c1:
-                    continue
-                for m2, c2 in right:
-                    merged = merge_wedge(m1, m2)
-                    if merged is None:
-                        continue
-                    mono, sign = merged
-                    term = c1 * c2
-                    if sign < 0:
-                        term = -term
-                    acc[mono] = acc.get(mono, GAUSS_ZERO) + term
-        return self.algebra.form_from_monomials(acc)
+        return self.algebra.form_from_monomials(wedge_sum((self.monomials(), other.monomials())))
 
     def conj(self) -> "Form":
         m = self.algebra.m
         acc: Dict[Mono, object] = {}
-        for pq, vec in self.components.items():
-            basis = self.algebra.blocks[pq]
-            for j, c in enumerate(vec):
-                if not c:
-                    continue
-                swapped = ((g + m) if g < m else (g - m) for g in basis[j])
-                mono, sign = sort_with_sign(swapped)
-                cc = c.conj() if sign > 0 else -c.conj()
-                acc[mono] = acc.get(mono, GAUSS_ZERO) + cc
+        # conjugation permutes the monomials, so nothing accumulates
+        for mono, c in self.monomials().items():
+            swapped, sign = sort_with_sign((g + m) if g < m else (g - m) for g in mono)
+            acc[swapped] = c.conj() if sign > 0 else -c.conj()
         return self.algebra.form_from_monomials(acc)
 
     def d(self) -> "Form":
@@ -408,10 +408,13 @@ class BigradedAlgebra:
         self.coframe = self._resolve_coframe()
         conj_rows = tuple(tuple(x.conj() for x in row) for row in self.coframe)
         self.T = ExactMatrix(list(self.coframe) + list(conj_rows))
-        try:
-            self.T_inv = inverse(self.T)
-        except ExactError as exc:
-            raise ModelError("coframe rows and conjugates are dependent") from exc
+        # the rows of T are Hermitian-orthogonal, so T T^H is the diagonal of
+        # their norms |t_g|^2 and T_inv[k][g] = conj(T[g][k]) / |t_g|^2
+        self._gen_norm = [sum((x.norm_sq() for x in row), Fraction(0)) for row in self.coframe] * 2
+        if not all(self._gen_norm):
+            raise ModelError("coframe rows and conjugates are dependent")
+        self.T_inv = self.T.conj_transpose() @ ExactMatrix._from_rows(
+            [{g: GaussScalar(1 / w)} for g, w in enumerate(self._gen_norm)], n)
 
         m = self.m
         self.blocks: Dict[BlockKey, tuple] = {}
@@ -438,10 +441,12 @@ class BigradedAlgebra:
             at.extend([pq] * len(self.blocks[pq]))
         self.size = len(at)
         self.block_at = tuple(at)
+        self.layout = tuple(mono for pq in self.block_order for mono in self.blocks[pq])
+        self.position = {mono: i for i, mono in enumerate(self.layout)}
         self._degree_start = [self.offset[(k, 0) if k <= m else (m, k - m)]
                               for k in range(2 * m + 1)] + [self.size]
 
-        self._expansion_cache: Dict[Mono, dict] = {}
+        self._expansion_cache: Dict[tuple, dict] = {}
         self.memo: Dict[tuple, object] = {}
 
         self._dgen = self._differential_on_generators()
@@ -468,7 +473,7 @@ class BigradedAlgebra:
         top = top.scale(GaussScalar(Fraction(1, fact)))
         tau = tuple(range(2 * m))
         self._top_mono = tau
-        self._top_real_coeff = self._real_expansion(tau)[tuple(range(n))]
+        self._top_real_coeff = self._expand("T", tau)[tuple(range(n))]
         coeff = top.coefficient(tau) * self._top_real_coeff
         if not coeff.is_real() or abs(coeff.re) != 1:
             raise AlgebraError(
@@ -486,9 +491,8 @@ class BigradedAlgebra:
         """|a_S|^2 for every monomial a_S, in layout order.  The generators
         are orthogonal, so this is the product of |a_g|^2 over the
         generators of S (a conjugate generator has the norm of its own)."""
-        gen = [sum(x.norm_sq() for x in row) for row in self.coframe] * 2
-        return tuple(math.prod((gen[g] for g in mono), start=Fraction(1))
-                     for pq in self.block_order for mono in self.blocks[pq])
+        return tuple(math.prod((self._gen_norm[g] for g in mono), start=Fraction(1))
+                     for mono in self.layout)
 
     @functools.cached_property
     def gram(self) -> BlockOperator:
@@ -518,29 +522,21 @@ class BigradedAlgebra:
         m, top, w = self.m, self._top_mono, self.norm_sq
         vol_coeff = GaussScalar(self.orientation) / self._top_real_coeff
         rows = [{} for _ in range(self.size)]
-        for pq in self.block_order:
-            for j, mono in enumerate(self.blocks[pq], self.offset[pq]):
-                swapped, sign = sort_with_sign((g + m) if g < m else (g - m) for g in mono)
-                comp = tuple(g for g in top if g not in swapped)
-                sign *= merge_wedge(swapped, comp)[1]
-                tgt, idx = self.mono_index[comp]
-                rows[self.offset[tgt] + idx][j] = vol_coeff * (sign * w[j])
+        for j, mono in enumerate(self.layout):
+            swapped, sign = sort_with_sign((g + m) if g < m else (g - m) for g in mono)
+            comp = tuple(g for g in top if g not in swapped)
+            sign *= merge_wedge(swapped, comp)[1]
+            rows[self.position[comp]][j] = vol_coeff * (sign * w[j])
         return BlockOperator(self, ExactMatrix._from_rows(rows, self.size))
 
     @functools.cached_property
     def L(self) -> BlockOperator:
-        """Wedge with the fundamental form, assembled from its monomials."""
-        terms = [(mono, c) for mono, c in zip(self.blocks[(1, 1)],
-                                              self.fundamental_form.components[(1, 1)]) if c]
+        """Wedge with the fundamental form, one column per monomial."""
+        omega = self.fundamental_form.monomials()
         rows = [{} for _ in range(self.size)]
-        for pq in self.block_order:
-            for j, mono in enumerate(self.blocks[pq], self.offset[pq]):
-                # each term of omega sends a_S to its own monomial, so nothing cancels
-                for om, c in terms:
-                    merged = merge_wedge(om, mono)
-                    if merged is not None:
-                        tgt, idx = self.mono_index[merged[0]]
-                        rows[self.offset[tgt] + idx][j] = c if merged[1] > 0 else -c
+        for j, mono in enumerate(self.layout):
+            for tgt, c in wedge_sum((omega, {mono: 1})).items():
+                rows[self.position[tgt]][j] = c
         return BlockOperator(self, ExactMatrix._from_rows(rows, self.size))
 
     @functools.cached_property
@@ -596,38 +592,24 @@ class BigradedAlgebra:
             rows.append(row)
         return tuple(rows)
 
+    def _expand(self, rows: str, mono: Mono) -> dict:
+        """The wedge of the generators in mono, generator g being row g of
+        the matrix named by rows: "T" expands a coframe monomial over real
+        frame monomials, "T_inv" a real frame monomial over the coframe."""
+        key = (rows, mono)
+        out = self._expansion_cache.get(key)
+        if out is None:
+            if not mono:
+                out = {(): GAUSS_ONE}
+            else:
+                head = {(k,): c for k, c in getattr(self, rows).row_items(mono[0])}
+                out = wedge_sum((head, self._expand(rows, mono[1:])))
+            self._expansion_cache[key] = out
+        return out
+
     def _real_expansion(self, mono: Mono) -> dict:
         """Expansion of a coframe monomial over real frame monomials."""
-        mono = tuple(mono)
-        cached = self._expansion_cache.get(mono)
-        if cached is not None:
-            return cached
-        if not mono:
-            out = {(): GAUSS_ONE}
-        elif len(mono) == 1:
-            out = {
-                (k,): c
-                for k, c in enumerate(self.T.row(mono[0]))
-                if c
-            }
-        else:
-            head = self._real_expansion(mono[:1])
-            tail = self._real_expansion(mono[1:])
-            out = {}
-            for r1, c1 in head.items():
-                for r2, c2 in tail.items():
-                    merged = merge_wedge(r1, r2)
-                    if merged is None:
-                        continue
-                    rm, sign = merged
-                    term = c1 * c2
-                    if sign < 0:
-                        term = -term
-                    prev = out.get(rm)
-                    out[rm] = term if prev is None else prev + term
-            out = {rm: c for rm, c in out.items() if c}
-        self._expansion_cache[mono] = out
-        return out
+        return self._expand("T", tuple(mono))
 
     def _differential_on_generators(self) -> list:
         """d of each coframe generator as a dict over 2-monomials."""
@@ -650,85 +632,29 @@ class BigradedAlgebra:
 
     def _complexify_real(self, real_comps: Mapping[Mono, GaussScalar]) -> dict:
         """Rewrite a dict over real frame monomials in coframe monomials."""
-        acc: Dict[Mono, GaussScalar] = {}
-
-        def gen_expansion(k: int) -> dict:
-            return {
-                (s,): c for s, c in enumerate(self.T_inv.row(k)) if c
-            }
-
-        def expand(rmono: Mono) -> dict:
-            if not rmono:
-                return {(): GAUSS_ONE}
-            head = gen_expansion(rmono[0])
-            tail = expand(rmono[1:])
-            out: Dict[Mono, GaussScalar] = {}
-            for m1, c1 in head.items():
-                for m2, c2 in tail.items():
-                    merged = merge_wedge(m1, m2)
-                    if merged is None:
-                        continue
-                    mono, sign = merged
-                    term = c1 * c2
-                    if sign < 0:
-                        term = -term
-                    prev = out.get(mono)
-                    out[mono] = term if prev is None else prev + term
-            return out
-
-        for rmono, coeff in real_comps.items():
-            if not coeff:
-                continue
-            for mono, c in expand(tuple(rmono)).items():
-                term = coeff * c
-                prev = acc.get(mono)
-                acc[mono] = term if prev is None else prev + term
-        return {mono: c for mono, c in acc.items() if c}
+        return wedge_sum(*(({(): c}, self._expand("T_inv", tuple(rmono)))
+                           for rmono, c in real_comps.items()))
 
     def _d_monomial(self, mono: Mono) -> dict:
-        cached = self._d_mono_cache.get(mono)
-        if cached is not None:
-            return cached
-        if not mono:
-            out: Dict[Mono, GaussScalar] = {}
-        elif len(mono) == 1:
-            out = dict(self._dgen[mono[0]])
-        else:
-            head, rest = mono[:1], mono[1:]
-            out = {}
-            for m2, c in self._dgen[head[0]].items():
-                merged = merge_wedge(m2, rest)
-                if merged is None:
-                    continue
-                tgt, sign = merged
-                term = c if sign > 0 else -c
-                prev = out.get(tgt)
-                out[tgt] = term if prev is None else prev + term
-            for m2, c in self._d_monomial(rest).items():
-                merged = merge_wedge(head, m2)
-                if merged is None:
-                    continue
-                tgt, sign = merged
-                term = -c if sign > 0 else c
-                prev = out.get(tgt)
-                out[tgt] = term if prev is None else prev + term
-            out = {t: c for t, c in out.items() if c}
-        self._d_mono_cache[mono] = out
+        """d of a coframe monomial by Leibniz: d(g ^ rest) = dg ^ rest - g ^ d(rest)."""
+        out = self._d_mono_cache.get(mono)
+        if out is None:
+            out = {} if not mono else wedge_sum(
+                (self._dgen[mono[0]], {mono[1:]: 1}),
+                ({mono[:1]: -1}, self._d_monomial(mono[1:])))
+            self._d_mono_cache[mono] = out
         return out
 
     def _differential_components(self) -> dict:
         rows = {shift: [{} for _ in range(self.size)] for shift in D_SHIFTS}
-        for pq, basis in self.blocks.items():
-            off = self.offset[pq]
-            for j, mono in enumerate(basis):
-                for tgt_mono, coeff in self._d_monomial(mono).items():
-                    tgt_pq, row = self.mono_index[tgt_mono]
-                    shift = (tgt_pq[0] - pq[0], tgt_pq[1] - pq[1])
-                    if shift not in rows:
-                        raise AlgebraError(
-                            f"differential produced illegal bidegree shift {shift}"
-                        )
-                    rows[shift][self.offset[tgt_pq] + row][off + j] = coeff
+        at = self.block_at
+        for j, mono in enumerate(self.layout):
+            for tgt, coeff in self._d_monomial(mono).items():
+                i = self.position[tgt]
+                shift = (at[i][0] - at[j][0], at[i][1] - at[j][1])
+                if shift not in rows:
+                    raise AlgebraError(f"differential produced illegal bidegree shift {shift}")
+                rows[shift][i][j] = coeff
         return {
             shift: BlockOperator(self, ExactMatrix._from_rows(r, self.size))
             for shift, r in rows.items()
@@ -828,14 +754,11 @@ class BigradedAlgebra:
         basis = list(itertools.combinations(range(2 * self.m), degree))
         index = {mono: i for i, mono in enumerate(basis)}
         out = [GAUSS_ZERO] * len(basis)
-        for pq, vec in form.components.items():
-            if pq[0] + pq[1] != degree:
-                raise AlgebraError("form is not of the requested pure degree")
-            for j, c in enumerate(vec):
-                if not c:
-                    continue
-                for rmono, rc in self._real_expansion(self.blocks[pq][j]).items():
-                    out[index[rmono]] = out[index[rmono]] + c * rc
+        if any(p + q != degree for p, q in form.components):
+            raise AlgebraError("form is not of the requested pure degree")
+        for mono, c in form.monomials().items():
+            for rmono, rc in self._real_expansion(mono).items():
+                out[index[rmono]] = out[index[rmono]] + c * rc
         return tuple(out)
 
     def integrate(self, form: Form) -> GaussScalar:

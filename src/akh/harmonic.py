@@ -28,12 +28,14 @@ from typing import NamedTuple, Optional
 
 from .exact import (
     AkhError,
+    GAUSS_I,
     GAUSS_ONE,
     GAUSS_ZERO,
     ExactMatrix,
     GaussScalar,
     ParamPoly,
     hermitian_signature,
+    hstack,
     kernel,
     rank,
     rref,
@@ -52,7 +54,7 @@ from .forms import (
     memoized,
 )
 from .model import LieModel
-from .operators import _harmonic_vectors, laplacian_symmetry_witness
+from .operators import _adjoint, _harmonic_vectors, laplacian_symmetry_witness
 
 __all__ = [
     "HarmonicError",
@@ -192,7 +194,7 @@ def ell_diamond(model: LieModel) -> Diamond:
         for k in range(2 * m + 1))
     center_ok = all(grid[k][k] >= 1 for k in range(m + 1))
     powers_ok = _omega_powers_harmonic(alg)
-    lef = hard_lefschetz(model)
+    lef = _hard_lefschetz(alg)
     return Diamond(
         m=m, ell=grid, betti=bett,
         duality_ok=duality,
@@ -203,7 +205,7 @@ def ell_diamond(model: LieModel) -> Diamond:
 
 def _omega_powers_harmonic(alg: BigradedAlgebra) -> bool:
     """Each power of the fundamental form killed by d and its adjoint."""
-    d_adj = alg.d.adjoint()
+    d_adj = _adjoint(alg, "d")
     power = alg.basis_form((0, 0), 0)
     for _ in range(alg.m + 1):
         if not alg.d.apply(power).is_zero():
@@ -276,6 +278,11 @@ def hard_lefschetz(model: LieModel) -> LefschetzReport:
     alg = build(model)
     if not alg.validation.almost_kahler:
         raise HarmonicError("hard Lefschetz requires an almost Kahler model")
+    return _hard_lefschetz(alg)
+
+
+@memoized
+def _hard_lefschetz(alg: BigradedAlgebra) -> LefschetzReport:
     m = alg.m
     maps = []
     all_iso = True
@@ -299,7 +306,7 @@ def hard_lefschetz(model: LieModel) -> LefschetzReport:
     monotone = all(
         _ell(alg, p, q) <= _ell(alg, p + 1, q + 1)
         for p in range(m) for q in range(m) if p + q + 2 <= m)
-    return LefschetzReport(model_name=model.name, m=m, maps=tuple(maps),
+    return LefschetzReport(model_name=alg.model.name, m=m, maps=tuple(maps),
                            monotone_ok=monotone, all_iso=all_iso)
 
 
@@ -438,28 +445,17 @@ def hodge_riemann_check(model: LieModel, p: int, q: int) -> HodgeRiemannReport:
 def _real_harmonic_basis(alg: BigradedAlgebra, model: LieModel, degree: int) -> tuple:
     """Real forms spanning the d-harmonic total-degree space."""
     d_out = alg.d.degree_slice(degree, degree + 1)
-    adj_out = alg.d.adjoint().degree_slice(degree, degree - 1)
+    adj_out = _adjoint(alg, "d").degree_slice(degree, degree - 1)
     vecs = kernel(vstack([d_out, adj_out]))
     rmonos = list(itertools.combinations(range(model.dim), degree))
-    rows = []
-    for vec in vecs:
-        form = alg.form_from_vector(vec, alg.degree_range(degree).start)
-        coords = alg.real_coordinates(form, degree)
-        rows.append(tuple(GaussScalar(c.re) for c in coords))
-        rows.append(tuple(GaussScalar(c.im) for c in coords))
-    if not rows:
-        return ()
-    reduced, pivots = rref(ExactMatrix(rows))
+    start = alg.degree_range(degree).start
+    coords = [alg.real_coordinates(alg.form_from_vector(vec, start), degree) for vec in vecs]
+    reduced, pivots = rref(_real_rows(ExactMatrix(coords, cols=len(rmonos))))
     if len(pivots) != len(vecs):
         raise HarmonicError("harmonic space is not conjugation-stable")
-    basis = []
-    for r in range(len(pivots)):
-        comps = {}
-        for mono, c in zip(rmonos, reduced.row(r)):
-            if c:
-                comps[mono] = c
-        basis.append(alg.form_from_real(comps, degree))
-    return tuple(basis)
+    return tuple(
+        alg.form_from_real({mono: c for mono, c in zip(rmonos, reduced.row(r)) if c}, degree)
+        for r in range(len(pivots)))
 
 
 class HodgeIndexReport(NamedTuple):
@@ -638,51 +634,33 @@ class AkNonexistenceReport(NamedTuple):
         }
 
 
+def _real_rows(mat: ExactMatrix) -> ExactMatrix:
+    """The real and the imaginary part of every row of mat: for real x,
+    mat x = 0 exactly when these rows kill x."""
+    rows = []
+    for i in range(mat.rows):
+        items = mat.row_items(i)
+        rows.append({j: GaussScalar(a.re) for j, a in items if a.re})
+        rows.append({j: GaussScalar(a.im) for j, a in items if a.im})
+    return ExactMatrix._from_rows(rows, mat.cols)
+
+
 def _closed_real_11_forms(alg: BigradedAlgebra) -> tuple:
     """Real basis of d-closed conjugation-fixed (1,1)-forms."""
     block = (1, 1)
     n = len(alg.blocks[block])
-    if n == 0:
-        return ()
-    conj_mat = []
-    for j in range(n):
-        cf = alg.basis_form(block, j).conj()
-        conj_mat.append(cf.components.get(block, (GAUSS_ZERO,) * n))
-    conj_cols = ExactMatrix(conj_mat).transpose()
-    d_out = alg.d.columns(block)
-    rows = []
-    # Unknown z = x + iy; conjugation-fixed means C conj(z) = z, closedness
-    # means D z = 0; both split into rational conditions on (x, y).
-    for i in range(n):
-        re_row = [GAUSS_ZERO] * (2 * n)
-        im_row = [GAUSS_ZERO] * (2 * n)
-        for j in range(n):
-            c = conj_cols[i, j]
-            re_row[j] = re_row[j] + GaussScalar(c.re)
-            re_row[n + j] = re_row[n + j] + GaussScalar(c.im)
-            im_row[j] = im_row[j] + GaussScalar(c.im)
-            im_row[n + j] = im_row[n + j] - GaussScalar(c.re)
-        re_row[i] = re_row[i] - GAUSS_ONE
-        im_row[n + i] = im_row[n + i] - GAUSS_ONE
-        rows.append(re_row)
-        rows.append(im_row)
-    for r in range(d_out.shape[0]):
-        re_row = [GAUSS_ZERO] * (2 * n)
-        im_row = [GAUSS_ZERO] * (2 * n)
-        for j in range(n):
-            c = d_out[r, j]
-            re_row[j] = GaussScalar(c.re)
-            re_row[n + j] = -GaussScalar(c.im)
-            im_row[j] = GaussScalar(c.im)
-            im_row[n + j] = GaussScalar(c.re)
-        rows.append(re_row)
-        rows.append(im_row)
-    solutions = kernel(ExactMatrix(rows))
-    out = []
-    for sol in solutions:
-        vec = tuple(GaussScalar(sol[j].re, sol[n + j].re) for j in range(n))
-        out.append(vec)
-    return tuple(out)
+    # column j of C is the conjugate of the j-th basis form
+    C = ExactMatrix([alg.basis_form(block, j).conj().components[block]
+                     for j in range(n)]).transpose()
+    D = alg.d.columns(block)
+    one = ExactMatrix.identity(n)
+    # Unknown z = x + iy; conjugation-fixed means C conj(z) = z, that is
+    # (C - 1) x - i (C + 1) y = 0, and closedness means D x + i D y = 0.
+    solutions = kernel(_real_rows(vstack([
+        hstack([C - one, (C + one) * -GAUSS_I]),
+        hstack([D, D * GAUSS_I])])))
+    return tuple(tuple(GaussScalar(sol[j].re, sol[n + j].re) for j in range(n))
+                 for sol in solutions)
 
 
 def ak_nonexistence_report(model: LieModel) -> AkNonexistenceReport:
@@ -714,53 +692,30 @@ def _ak_nonexistence(alg: BigradedAlgebra) -> AkNonexistenceReport:
             detail="no d-closed real (1,1)-forms at all",
             closed_real_11_dim=0, holomorphic_1_dim=len(hol),
             t1_is_full=True, t2_dim=0, top_power_vanishes=True)
-    # Coordinates in (2,1) of every candidate wedged with every holomorphic
-    # 1-form; the candidates are w_i, the 1-forms alpha_s.  For m = 1 the
-    # (2,1) block is empty, every wedge vanishes, and both cuts are trivial.
+    # W[s] has in column i the (2,1) coordinates of w_i ^ alpha_s, for the
+    # candidates w_i and the holomorphic 1-forms alpha_s.  For m = 1 the (2,1)
+    # block is empty, every wedge vanishes, and both cuts are trivial.
     block21 = (2, 1)
     w_forms = [form_from_coordinates(alg, (1, 1), v) for v in omega_vecs]
-    a_forms = [form_from_coordinates(alg, (1, 0), v) for v in hol]
     n21 = len(alg.blocks.get(block21, ()))
-    full_basis = [ExactMatrix.identity(dim_w).row(i) for i in range(dim_w)]
-    if n21 == 0:
-        t1_basis = full_basis
-        t2_basis = full_basis
-    else:
-        wedges = {}
-        for i, w in enumerate(w_forms):
-            for s, a in enumerate(a_forms):
-                prod = w.wedge(a)
-                wedges[i, s] = prod.components.get(block21, (GAUSS_ZERO,) * n21)
-        # T1: parameters whose wedges are all dbar-exact.  Membership in the
-        # image is cut out by the kernel of the transpose.
-        dbar20 = alg.dbar.block((2, 0), DBAR_SHIFT)
-        cokernel = ExactMatrix(kernel(dbar20.transpose()), cols=n21)
-        # row y of products[s] pairs cokernel row y with every wedge by alpha_s
-        products = [cokernel @ ExactMatrix([wedges[i, s] for i in range(dim_w)]).transpose()
-                    for s in range(len(a_forms))]
-        t1_rows = []
-        for y in range(cokernel.rows):
-            for prod in products:
-                coeffs = prod.row(y)
-                t1_rows.append([GaussScalar(c.re) for c in coeffs])
-                t1_rows.append([GaussScalar(c.im) for c in coeffs])
-        t1_basis = kernel(ExactMatrix(t1_rows)) if t1_rows else full_basis
-        if len(t1_basis) < dim_w:
-            return AkNonexistenceReport(
-                model_name=model.name, verdict="inconclusive",
-                detail=("wedging with holomorphic 1-forms is not always "
-                        f"dbar-exact; only a {len(t1_basis)}-dimensional "
-                        "subfamily qualifies"),
-                closed_real_11_dim=dim_w, holomorphic_1_dim=len(hol),
-                t1_is_full=False)
-        # T2: candidates killing every wedge outright.
-        t2_rows = []
-        for s in range(len(a_forms)):
-            for ell_idx in range(n21):
-                coeffs = [wedges[i, s][ell_idx] for i in range(dim_w)]
-                t2_rows.append([GaussScalar(c.re) for c in coeffs])
-                t2_rows.append([GaussScalar(c.im) for c in coeffs])
-        t2_basis = kernel(ExactMatrix(t2_rows)) if t2_rows else full_basis
+    W = [ExactMatrix([w.wedge(form_from_coordinates(alg, (1, 0), a))
+                      .components.get(block21, (GAUSS_ZERO,) * n21) for w in w_forms],
+                     cols=n21).transpose() for a in hol]
+    # T1: parameters whose wedges are all dbar-exact.  Membership in the
+    # image is cut out by the kernel of the transpose.
+    image = alg.dbar.block((2, 0), DBAR_SHIFT) if m > 1 else ExactMatrix.zeros(0, 0)
+    cokernel = ExactMatrix(kernel(image.transpose()), cols=n21)
+    t1_basis = kernel(_real_rows(vstack([cokernel @ w for w in W])))
+    if len(t1_basis) < dim_w:
+        return AkNonexistenceReport(
+            model_name=model.name, verdict="inconclusive",
+            detail=("wedging with holomorphic 1-forms is not always "
+                    f"dbar-exact; only a {len(t1_basis)}-dimensional "
+                    "subfamily qualifies"),
+            closed_real_11_dim=dim_w, holomorphic_1_dim=len(hol),
+            t1_is_full=False)
+    # T2: candidates killing every wedge outright.
+    t2_basis = kernel(_real_rows(vstack(W)))
     t2_dim = len(t2_basis)
     # Top power of the whole surviving family, with one fresh real
     # parameter per T2 basis vector.

@@ -76,30 +76,41 @@ def anticommutator(a: BlockOperator, b: BlockOperator) -> BlockOperator:
 
 def laplacian(op: BlockOperator) -> BlockOperator:
     """``op op* + op* op``; degree zero whenever ``op`` has a pure shift."""
-    star = op.adjoint()
+    return _laplacian(op, op.adjoint())
+
+
+def _laplacian(op: BlockOperator, star: BlockOperator) -> BlockOperator:
     return op.compose(star) + star.compose(op)
+
+
+_COMPONENTS = ("mu_bar", "dbar", "partial", "mu")
+
+
+@memoized
+def _adjoint(alg: BigradedAlgebra, name: str) -> BlockOperator:
+    """The adjoint of the operator ``getattr(alg, name)``, built once."""
+    return getattr(alg, name).adjoint()
 
 
 @memoized
 def _component_laplacians(alg: BigradedAlgebra) -> tuple:
     """The Laplacians of mu_bar, dbar, partial and mu, in that order."""
-    return tuple(laplacian(op) for op in (alg.mu_bar, alg.dbar, alg.partial, alg.mu))
+    return tuple(_laplacian(getattr(alg, name), _adjoint(alg, name)) for name in _COMPONENTS)
 
 
 @memoized
 def _constraint_operators(alg: BigradedAlgebra, which: str) -> tuple:
     """Operators whose joint kernel is the harmonic space ``which`` (one of
     ``akh.harmonic.WHICH_CHOICES``, which the caller has checked)."""
-    comps = (alg.mu_bar, alg.dbar, alg.partial, alg.mu)
     if which == "d":
-        return comps + tuple(op.adjoint() for op in comps)
+        return (tuple(getattr(alg, name) for name in _COMPONENTS)
+                + tuple(_adjoint(alg, name) for name in _COMPONENTS))
     lap_mubar, lap_dbar, lap_partial, lap_mu = _component_laplacians(alg)
     if which == "dbar+mu":
         return (lap_dbar + lap_mu,)
     if which == "partial+mu_bar":
         return (lap_partial + lap_mubar,)
-    op = comps[("mu_bar", "dbar", "partial", "mu").index(which)]
-    return (op, op.adjoint())
+    return (getattr(alg, which), _adjoint(alg, which))
 
 
 @memoized
@@ -257,7 +268,7 @@ def verify_identities(model: LieModel) -> IdentityLedger:
         ("lap_d_expand",
          "lap(d) = 2(lap(dbar) + lap(mu) + [mubar, partial*] + [mu, dbar*]"
          " + [partial, dbar*] + [dbar, partial*])",
-         (laplacian(d),
+         (_laplacian(d, _adjoint(alg, "d")),
           (lap_dbar + lap_mu + gc(mubar, partial_s) + gc(mu, dbar_s)
            + gc(partial, dbar_s) + gc(dbar, partial_s)).scale(2))),
         # Commutator chains tying the Lefschetz operators to the Laplacians.
@@ -292,8 +303,9 @@ def laplacian_symmetry_witness(model: LieModel):
     lap(mubar))`` block by block and returns a pure-bidegree form lying
     in one kernel but not the other, or the string ``"symmetric"`` when
     the kernels agree everywhere (as they must on an almost Kahler
-    model).  A witness certifies that no invariant metric compatible
-    with this complex structure closes the fundamental form.
+    model).  A witness shows that (J, g) as given, with the metric of the
+    orthonormal frame, is not almost Kahler; it says nothing about other
+    invariant metrics compatible with J.
     """
     alg = build(model)
     side_a, = _constraint_operators(alg, "dbar+mu")

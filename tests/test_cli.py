@@ -196,7 +196,11 @@ def test_malformed_model_shape_exits_one_without_traceback(tmp_path, change):
     # +i eigenvectors, but row 2 is the old row 2 plus row 3
     [["0", "0", "0", "0", "1/2", "-1/2*i"], ["1", "i", "1", "-i", "0", "0"],
      ["0", "0", "1", "-i", "0", "0"]],
-], ids=["string", "one_row", "bad_scalar", "wrong_eigenvalue", "not_orthogonal"])
+    # orthogonal +i eigenvectors, but row 2 is zero
+    [["0", "0", "0", "0", "1/2", "-1/2*i"], ["0", "0", "0", "0", "0", "0"],
+     ["0", "0", "1", "-i", "0", "0"]],
+], ids=["string", "one_row", "bad_scalar", "wrong_eigenvalue", "not_orthogonal",
+        "zero_row"])
 def test_malformed_coframe_exits_one_without_traceback(tmp_path, coframe):
     data = model_to_json(catalog("h5_J"))
     data["coframe"] = coframe

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from akh.exact import (GAUSS_ONE, GAUSS_ZERO, ExactMatrix, GaussScalar, hermitian_signature,
-                       inverse, rref)
+from akh.exact import (GAUSS_I, GAUSS_ONE, GAUSS_ZERO, ExactMatrix, GaussScalar, ParamPoly,
+                       hermitian_signature, inverse, rref)
 from akh.forms import (
     AlgebraError,
     BigradedAlgebra,
@@ -18,6 +18,7 @@ from akh.forms import (
     form_from_json,
     form_to_json,
     merge_wedge,
+    sort_with_sign,
 )
 from akh.harmonic import betti, ell_diamond, obstruction_report
 from akh.model import CATALOG_NAMES, LieModel, catalog, load_model, validate
@@ -437,9 +438,13 @@ def test_wedge_anticommutes_on_odd_forms():
     assert f.wedge(f).is_zero()
 
 
-def test_real_coordinates_round_trip():
-    alg = build(catalog("kodaira_thurston"))
-    n = 4
+@pytest.mark.parametrize("name", CATALOG_NAMES + ("h5_J_rotated",))
+def test_real_coordinates_round_trip(name):
+    # real -> coframe goes through T_inv, coframe -> real through T; the
+    # rotated h5_J has an orthogonalized coframe, the catalog h5_J a pinned one
+    model = _rotated("h5_J") if name == "h5_J_rotated" else catalog(name)
+    alg = build(model)
+    n = model.dim
     for degree in range(n + 1):
         monos = list(itertools.combinations(range(n), degree))
         for k, mono in enumerate(monos):
@@ -449,6 +454,30 @@ def test_real_coordinates_round_trip():
             assert len(coords) == len(monos)
             assert all(c == (GAUSS_ONE if i == k else GAUSS_ZERO)
                        for i, c in enumerate(coords))
+
+
+def test_wedge_is_associative_with_the_shuffle_sign():
+    # a^b and (a^b)^c == a^(b^c) carry the sign that sorts the concatenated
+    # generators, over basis forms of degree <= 2, with a polynomial factor
+    alg = build(catalog("h5_J"))
+    t = ParamPoly.variable(("t",), "t") + GAUSS_I
+    basis = [(mono, alg.basis_form(*alg.mono_index[mono]))
+             for mono in alg.layout if len(mono) <= 2]
+
+    def shuffled(*monos):
+        mono, sign = sort_with_sign(sum(monos, ()))
+        if len(set(mono)) < len(mono):
+            return alg.zero_form()
+        return alg.form_from_monomials({mono: GaussScalar(sign)})
+
+    for (ma, a), (mb, b) in itertools.product(basis, repeat=2):
+        assert a.wedge(b) == shuffled(ma, mb)
+    for (ma, a), (mb, b), (mc, c) in itertools.product(basis, repeat=3):
+        expected = shuffled(ma, mb, mc)
+        assert a.wedge(b).wedge(c) == a.wedge(b.wedge(c)) == expected
+        if not expected.is_zero():
+            at = a.scale(t)
+            assert at.wedge(b).wedge(c) == at.wedge(b.wedge(c)) == expected.scale(t)
 
 
 def test_form_json_round_trip():
@@ -604,6 +633,7 @@ def test_closed_form_metric_matches_the_solved_one(source):
     assert alg.lam.matrix == adjoint(alg.L)
     assert alg.dbar.adjoint().matrix == adjoint(alg.dbar)
     assert alg.d.adjoint().matrix == adjoint(alg.d)
+    assert alg.T_inv == inverse(alg.T)
     u = alg.form_from_vector([gs(j % 5 - 2, j % 3) for j in range(alg.size)])
     v = alg.form_from_vector([gs(j % 4, 1 - j % 7) for j in range(alg.size)])
     assert u.inner(v) == sum(

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 import akh.harmonic as harmonic
 import akh.operators as operators
 from akh.exact import ExactMatrix, GaussScalar, in_span, symmetric_signature
-from akh.forms import build
+from akh.cli import main
+from akh.forms import BlockOperator, build
 from akh.harmonic import (
     AK_NONEXISTENCE_VERDICT,
     WHICH_CHOICES,
@@ -576,12 +577,39 @@ def test_reports_reuse_kernels_and_laplacians(monkeypatch):
 
     for module in (harmonic, operators):
         monkeypatch.setattr(module, "kernel", counted("kernel", module.kernel))
-    monkeypatch.setattr(operators, "laplacian",
-                        counted("laplacian", operators.laplacian))
+    monkeypatch.setattr(operators, "_laplacian",
+                        counted("laplacian", operators._laplacian))
     assert obstruction_report(model) == first
     assert calls == Counter()
     ell_diamond(model)
     assert calls["laplacian"] == 0
+
+
+def test_report_builds_each_adjoint_once(monkeypatch, capsys):
+    # the adjoints of d, its four components, L and mu_bar + mu (the ledger's
+    # lap_mu_split); a cleared build cache makes the report start cold
+    build.cache_clear()
+    calls = []
+    adjoint = BlockOperator.adjoint
+
+    def counted(op):
+        calls.append(op)
+        return adjoint(op)
+
+    monkeypatch.setattr(BlockOperator, "adjoint", counted)
+    assert main(["report", "--catalog", "kodaira_thurston", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 7
+
+
+def test_hard_lefschetz_runs_once_per_algebra(monkeypatch):
+    model = catalog("kodaira_thurston")._replace(name="kt_lefschetz")
+    ell_diamond(model)  # runs hard Lefschetz for its lefschetz_ok flag
+    ranks = []
+    monkeypatch.setattr(harmonic, "rank", lambda mat: ranks.append(mat))
+    report = hard_lefschetz(model)
+    assert ranks == []
+    assert report.model_name == "kt_lefschetz" and report.all_iso
 
 
 # ---------------------------------------------------------------------------
