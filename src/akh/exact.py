@@ -1,11 +1,12 @@
 """Exact arithmetic over the Gaussian rationals, plus sparse linear algebra.
 
-Everything in this package reduces to linear algebra over Q(i).  Scalars are
-pairs of stdlib Fractions, matrices store each row as a dict from column to
-nonzero entry (the operators here are mostly zeros), and every routine is
-deterministic: reduced row echelon form always picks the leftmost pivot column
-and the topmost unused row, so kernel bases and solve results are canonical
-for a given input.
+Everything in this package reduces to linear algebra over Q(i).  A scalar is
+one normalized integer triple (a, b, d) meaning (a + b*i)/d, so its arithmetic
+is a few int products and one gcd, with no Fraction objects; matrices store
+each row as a dict from column to nonzero entry (the operators here are mostly
+zeros), and every routine is deterministic: reduced row echelon form always
+picks the leftmost pivot column and the topmost unused row, so kernel bases
+and solve results are canonical for a given input.
 
 ParamPoly adds multivariate polynomials over Q(i) in named real parameters.
 They are used to express families of forms (a 2-form with unknown rational
@@ -16,6 +17,7 @@ parameter value by checking that all coefficients vanish.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 ScalarLike = Union["GaussScalar", Fraction, int]
@@ -30,62 +32,60 @@ class ExactError(AkhError):
 
 
 class GaussScalar:
-    """A Gaussian rational re + im*i with exact Fraction parts."""
+    """A Gaussian rational (a + b*i)/d held as three ints, with d > 0 and
+    gcd(a, b, d) = 1, so that equal scalars have equal triples.  The value
+    is fixed: ``re`` and ``im`` are read-only Fraction views of the parts."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: Union[Fraction, int] = 0, im: Union[Fraction, int] = 0):
-        # Fraction arithmetic already returns Fractions; keep those as they are
-        object.__setattr__(self, "re", re if isinstance(re, Fraction) else Fraction(re))
-        object.__setattr__(self, "im", im if isinstance(im, Fraction) else Fraction(im))
+        if type(re) is int and type(im) is int:
+            d = 1
+        else:
+            re, im = Fraction(re), Fraction(im)
+            # over the lcm of two reduced denominators the triple is reduced
+            d = lcm(re.denominator, im.denominator)
+            re, im = re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)
+        self._a, self._b, self._d = re, im, d
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussScalar is immutable")
+    re = property(lambda self: Fraction(self._a, self._d), doc="Real part.")
+    im = property(lambda self: Fraction(self._b, self._d), doc="Imaginary part.")
 
     # -- ring operations ---------------------------------------------------
 
-    # An operand that is not a scalar (an ExactMatrix, say) gets NotImplemented,
-    # so Python tries its reflected method: k * M works as M * k does.
+    # An operand that is not a scalar (an ExactMatrix or a ParamPoly) gets
+    # NotImplemented, so Python tries its reflected method: k * M works as
+    # M * k does.
 
     def __add__(self, other):
-        if not isinstance(other, GaussScalar):
-            if isinstance(other, ParamPoly):
-                return other + self
+        if type(other) is not GaussScalar:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = GaussScalar(other)
-        return GaussScalar(self.re + other.re, self.im + other.im)
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if d == f:
+            return _make(a + c, b + e, d)
+        return _make(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, GaussScalar):
-            if isinstance(other, ParamPoly):
-                return (-other) + self
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = GaussScalar(other)
-        return GaussScalar(self.re - other.re, self.im - other.im)
+        if not isinstance(other, (GaussScalar, int, Fraction)):
+            return NotImplemented
+        return self.__add__(-other)
 
     def __rsub__(self, other: ScalarLike) -> "GaussScalar":
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        if not isinstance(other, GaussScalar):
-            if isinstance(other, ParamPoly):
-                return other.__rmul__(self)
+        if type(other) is not GaussScalar:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            if other == 1 or other == -1:  # a unit is a sign, no Fraction arithmetic
-                return self if other == 1 else -self
             other = GaussScalar(other)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        # most entries here are real or imaginary; skip the zero products
-        if not b:
-            return GaussScalar(a * c, a * d if d else d)
-        if not d:
-            return GaussScalar(a * c if a else a, b * c)
-        return GaussScalar(a * c - b * d, a * d + b * c)
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        return _make(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
@@ -93,13 +93,13 @@ class GaussScalar:
         if not isinstance(other, (GaussScalar, int, Fraction)):
             return NotImplemented
         other = as_gauss(other)
-        n = other.norm_sq()
+        # (a + bi)/d over (c + ei)/f is (a + bi)(c - ei) f / (d (c^2 + e^2))
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        n = c * c + e * e
         if n == 0:
             raise ZeroDivisionError("division by zero GaussScalar")
-        return GaussScalar(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        return _make((a * c + b * e) * f, (b * c - a * e) * f, d * n)
 
     def __rtruediv__(self, other: ScalarLike) -> "GaussScalar":
         if not isinstance(other, (int, Fraction)):
@@ -107,7 +107,7 @@ class GaussScalar:
         return GaussScalar(other).__truediv__(self)
 
     def __neg__(self) -> "GaussScalar":
-        return GaussScalar(-self.re, -self.im)
+        return _raw(-self._a, -self._b, self._d)
 
     def __pos__(self) -> "GaussScalar":
         return self
@@ -115,22 +115,23 @@ class GaussScalar:
     # -- structure ---------------------------------------------------------
 
     def conj(self) -> "GaussScalar":
-        return GaussScalar(self.re, -self.im)
+        return _raw(self._a, -self._b, self._d)
 
     def norm_sq(self) -> Fraction:
         """|z|^2 as an exact nonnegative rational."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return self._b == 0
 
     def __bool__(self) -> bool:
-        return bool(self.re or self.im)
+        return bool(self._a or self._b)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (GaussScalar, Fraction, int)):
-            other = as_gauss(other)
-            return self.re == other.re and self.im == other.im
+        if isinstance(other, GaussScalar):
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, (Fraction, int)):
+            return not self._b and self._a == other.numerator and self._d == other.denominator
         return NotImplemented
 
     def __hash__(self):
@@ -141,6 +142,21 @@ class GaussScalar:
 
     def __repr__(self) -> str:
         return f"GaussScalar({format_scalar(self)!r})"
+
+
+def _raw(a: int, b: int, d: int) -> GaussScalar:
+    """(a + b*i)/d from a triple that is already normalized."""
+    z = object.__new__(GaussScalar)
+    z._a, z._b, z._d = a, b, d
+    return z
+
+
+def _make(a: int, b: int, d: int) -> GaussScalar:
+    """(a + b*i)/d in lowest terms, for any d > 0."""
+    g = gcd(a, b, d)
+    if g == 1:
+        return _raw(a, b, d)
+    return _raw(a // g, b // g, d // g)
 
 
 GAUSS_ZERO = GaussScalar(0)
@@ -175,37 +191,18 @@ def parse_scalar(text: str) -> GaussScalar:
     s = text.strip().replace(" ", "")
     if not s:
         raise ExactError("empty scalar string")
-    if not s.endswith("i"):
-        try:
-            return GaussScalar(Fraction(s))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ExactError(f"bad rational {text!r}") from exc
-    body = s[:-1]
-    if body.endswith("*"):
-        body = body[:-1]
-    # split off a real part if a sign occurs past position 0
-    split = max(body.rfind("+"), body.rfind("-"))
-    if split > 0:
-        re_part, im_part = body[:split], body[split:]
-    else:
-        re_part, im_part = "", body
-    if im_part in ("", "+"):
-        im = Fraction(1)
-    elif im_part == "-":
-        im = Fraction(-1)
-    else:
-        try:
-            im = Fraction(im_part)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ExactError(f"bad scalar {text!r}") from exc
-    if re_part:
-        try:
-            re = Fraction(re_part)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ExactError(f"bad scalar {text!r}") from exc
-    else:
-        re = Fraction(0)
-    return GaussScalar(re, im)
+    re_part, im_part = s, "0"
+    if s.endswith("i"):
+        body = s[:-1].removesuffix("*")
+        # split off a real part if a sign occurs past position 0
+        split = max(body.rfind("+"), body.rfind("-"))
+        re_part, im_part = (body[:split], body[split:]) if split > 0 else ("0", body)
+        im_part = {"": "1", "+": "1", "-": "-1"}.get(im_part, im_part)
+    try:
+        return GaussScalar(Fraction(re_part), Fraction(im_part))
+    except (ValueError, ZeroDivisionError) as exc:
+        kind = "scalar" if s.endswith("i") else "rational"
+        raise ExactError(f"bad {kind} {text!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -355,15 +352,18 @@ class ExactMatrix:
 
     def apply(self, vec: Sequence) -> tuple:
         """Matrix times column vector; the vector entries may be any ring
-        elements that multiply with GaussScalar (ParamPoly included)."""
+        elements that multiply with GaussScalar (ParamPoly included).  Zero
+        vector entries are skipped, so an entry with no nonzero term is
+        GAUSS_ZERO."""
         if len(vec) != self.cols:
             raise ExactError("vector length mismatch")
         out = []
         for row in self._rows:
             acc = None
             for j, a in row.items():
-                term = a * vec[j]
-                acc = term if acc is None else acc + term
+                x = vec[j]
+                if x:
+                    acc = a * x if acc is None else acc + a * x
             out.append(acc if acc is not None else GAUSS_ZERO)
         return tuple(out)
 

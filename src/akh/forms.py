@@ -234,7 +234,7 @@ class BlockOperator:
     differential, the d-Laplacian, the Hodge star) share the interface.
     """
 
-    __slots__ = ("algebra", "matrix")
+    __slots__ = ("algebra", "matrix", "_shifts")
 
     def __init__(self, algebra: "BigradedAlgebra", matrix: ExactMatrix):
         if matrix.shape != (algebra.size, algebra.size):
@@ -252,13 +252,19 @@ class BlockOperator:
 
     @property
     def shifts(self) -> tuple:
-        """The bidegree shifts of the nonzero entries, sorted."""
+        """The bidegree shifts of the nonzero entries, sorted; found by one
+        scan of the matrix on first use."""
+        try:
+            return self._shifts
+        except AttributeError:
+            pass
         at = self.algebra.block_at
         found = set()
         for i in range(self.matrix.rows):
             p, q = at[i]
             found.update((p - at[j][0], q - at[j][1]) for j, _ in self.matrix.row_items(i))
-        return tuple(sorted(found))
+        object.__setattr__(self, "_shifts", tuple(sorted(found)))
+        return self._shifts
 
     @property
     def shift(self) -> tuple:

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
-from .exact import (AkhError, ExactError, ExactMatrix, GAUSS_ZERO, GaussScalar,
+from .exact import (AkhError, ExactError, ExactMatrix, GAUSS_ONE, GAUSS_ZERO, GaussScalar,
                     format_scalar, parse_scalar, rref)
 
 
@@ -94,38 +95,14 @@ class LieModel(_LieModelFields):
 
     def bracket(self, i: int, j: int) -> tuple:
         """[X_i, X_j] as a frame coordinate vector of Fractions."""
-        out = [Fraction(0)] * self.dim
-        if i == j:
-            return tuple(out)
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        for bi, bj, bk, c in self.brackets:
-            if bi == i and bj == j:
-                out[bk] += sign * c
-        return tuple(out)
+        return _dense(_bracket_table(self).get((i, j), {}), self.dim)
 
     def bracket_vectors(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple:
         """Bilinear extension of the bracket to coordinate vectors."""
-        out = [Fraction(0)] * self.dim
-        for i, j, k, c in self.brackets:
-            # frame vectors are mostly zeros; multiply only nonzero pairs
-            coeff = u[i] * v[j] if u[i] and v[j] else 0
-            if u[j] and v[i]:
-                coeff -= u[j] * v[i]
-            if coeff:
-                out[k] += coeff * c
-        return tuple(out)
+        return _dense(_bracket(_bracket_table(self), _sparse(u), _sparse(v)), self.dim)
 
     def apply_J(self, v: Sequence[Fraction]) -> tuple:
-        out = [Fraction(0)] * self.dim
-        for c, x in enumerate(v):
-            if not x:
-                continue
-            for r, row in enumerate(self.J):
-                if row[c]:
-                    out[r] += row[c] * x
-        return tuple(out)
+        return _dense(_apply(_j_columns(ExactMatrix(self.J)), _sparse(v)), self.dim)
 
     def omega(self, a: int, b: int) -> Fraction:
         """Fundamental 2-form on frame vectors: omega(X_a, X_b) = g(J X_a, X_b)."""
@@ -164,111 +141,126 @@ class StructureReport(NamedTuple):
         }
 
 
-def _jacobi_check(model: LieModel):
-    n = model.dim
-    basis = [
-        tuple(Fraction(1 if r == i else 0) for r in range(n)) for i in range(n)
-    ]
+# The structure checks run on sparse data built once per model: the bracket
+# table {(i, j): {k: c}} over both orders of every nonzero bracket, the
+# columns of J, and vectors, each a dict {index: entry} of nonzero
+# GaussScalars.
+
+
+def _bracket_table(model: LieModel) -> dict:
+    table = {}
+    for i, j, k, c in model.brackets:
+        c = GaussScalar(c)
+        table.setdefault((i, j), {})[k] = c
+        table.setdefault((j, i), {})[k] = -c
+    return table
+
+
+def _j_columns(jm: ExactMatrix) -> list:
+    jt = jm.transpose()
+    return [dict(jt.row_items(c)) for c in range(jt.rows)]
+
+
+def _sparse(v: Sequence) -> dict:
+    return {k: GaussScalar(x) for k, x in enumerate(v) if x}
+
+
+def _dense(v: dict, n: int) -> tuple:
+    return tuple(v[k].re if k in v else Fraction(0) for k in range(n))
+
+
+def _combine(terms) -> dict:
+    """The sum of x * vec over (x, vec) pairs, zeros dropped."""
+    out = {}
+    for x, vec in terms:
+        for k, c in vec.items():
+            out[k] = out.get(k, GAUSS_ZERO) + x * c
+    return {k: c for k, c in out.items() if c}
+
+
+def _bracket(table: dict, u: dict, v: dict) -> dict:
+    return _combine((x * y, table[i, j]) for i, x in u.items() for j, y in v.items()
+                    if (i, j) in table)
+
+
+def _apply(jcols: list, v: dict) -> dict:
+    return _combine((x, jcols[c]) for c, x in v.items())
+
+
+def _cyclic_triples(n: int):
+    """The three cyclic rotations of each i < j < k, in lexicographic order."""
+    return (((i, j, k), (j, k, i), (k, i, j)) for i, j, k in combinations(range(n), 3))
+
+
+def _jacobi_check(table: dict, n: int):
+    """(True, None), or (False, the first triple whose Jacobiator is nonzero)."""
+    for rotations in _cyclic_triples(n):
+        # [[X_a, X_b], X_c] is the sum of x [X_l, X_c] over [X_a, X_b]_l = x
+        if _combine((x, table[l, c]) for a, b, c in rotations
+                    for l, x in table.get((a, b), {}).items() if (l, c) in table):
+            return False, rotations[0]
+    return True, None
+
+
+def _nijenhuis_pairs(table: dict, jcols: list):
+    """((i, j), N(X_i, X_j)) for every i < j, each value a sparse vector, with
+    N(X,Y) = [JX,JY] - J([JX,Y] + [X,JY]) - [X,Y]."""
+    n = len(jcols)
     for i in range(n):
         for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                total = [Fraction(0)] * n
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = model.bracket(a, b)
-                    term = model.bracket_vectors(inner, basis[c])
-                    total = [t + x for t, x in zip(total, term)]
-                if any(total):
-                    return False, (i, j, k)
-    return True, None
+            jx, jy, x, y = jcols[i], jcols[j], {i: GAUSS_ONE}, {j: GAUSS_ONE}
+            inner = _combine(((1, _bracket(table, jx, y)), (1, _bracket(table, x, jy))))
+            yield (i, j), _combine(((1, _bracket(table, jx, jy)), (-1, _apply(jcols, inner)),
+                                    (-1, table.get((i, j), {}))))
 
 
 def nijenhuis(model: LieModel) -> tuple:
     """N[i][j] = frame coordinates of N(X_i, X_j) with
     N(X,Y) = [JX,JY] - J[JX,Y] - J[X,JY] - [X,Y]."""
     n = model.dim
-    basis = [
-        tuple(Fraction(1 if r == i else 0) for r in range(n)) for i in range(n)
-    ]
-    jx = [model.apply_J(b) for b in basis]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            t1 = model.bracket_vectors(jx[i], jx[j])
-            t2 = model.apply_J(model.bracket_vectors(jx[i], basis[j]))
-            t3 = model.apply_J(model.bracket_vectors(basis[i], jx[j]))
-            t4 = model.bracket(i, j)
-            row.append(
-                tuple(a - b - c - d for a, b, c, d in zip(t1, t2, t3, t4))
-            )
-        out.append(tuple(row))
-    return tuple(out)
+    out = [[(Fraction(0),) * n] * n for _ in range(n)]
+    for (i, j), vec in _nijenhuis_pairs(_bracket_table(model), _j_columns(ExactMatrix(model.J))):
+        out[i][j] = _dense(vec, n)
+        out[j][i] = tuple(-x for x in out[i][j])
+    return tuple(tuple(row) for row in out)
 
 
-def _domega_vanishes(model: LieModel) -> bool:
-    n = model.dim
-
-    def omega_vec(u: Sequence[Fraction], b: int) -> Fraction:
-        # omega(u, X_b) for a coordinate vector u
-        return sum(x * model.omega(a, b) for a, x in enumerate(u) if x)
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                val = (
-                    -omega_vec(model.bracket(i, j), k)
-                    + omega_vec(model.bracket(i, k), j)
-                    - omega_vec(model.bracket(j, k), i)
-                )
-                if val != 0:
-                    return False
-    return True
+def _domega_vanishes(table: dict, jm: ExactMatrix) -> bool:
+    """d omega = 0: on every triple the cyclic sum of omega([X_a, X_b], X_c),
+    that is of [X_a, X_b]_l J[c][l] over l, vanishes."""
+    return not any(sum((x * jm[c, l] for a, b, c in rotations
+                        for l, x in table.get((a, b), {}).items()), GAUSS_ZERO)
+                   for rotations in _cyclic_triples(jm.rows))
 
 
-def _is_nilpotent(model: LieModel) -> bool:
+def _is_nilpotent(table: dict, n: int) -> bool:
     """Lower central series test.  The series is nested, so the span dimension
     must drop at every step until it hits zero; stabilizing at a nonzero
     dimension means the algebra is not nilpotent."""
-    n = model.dim
-    basis = [
-        tuple(Fraction(1 if r == i else 0) for r in range(n)) for i in range(n)
-    ]
+    basis = [{i: GAUSS_ONE} for i in range(n)]
     current = basis
     while True:
-        generated = []
-        for b in basis:
-            for v in current:
-                w = model.bracket_vectors(b, v)
-                if any(w):
-                    generated.append(w)
+        generated = [w for b in basis for v in current if (w := _bracket(table, b, v))]
         if not generated:
             return True
-        reduced, pivots = rref(ExactMatrix(generated))
-        nxt = [
-            tuple(x.re for x in reduced.row(r)) for r in range(len(pivots))
-        ]
-        if len(nxt) >= len(current):
+        reduced, pivots = rref(ExactMatrix._from_rows(generated, n))
+        if len(pivots) >= len(current):
             return False
-        current = nxt
+        current = [dict(reduced.row_items(r)) for r in range(len(pivots))]
 
 
 def validate(model: LieModel) -> StructureReport:
     """Exact structural checks; every flag is decided over the rationals."""
-    jm = ExactMatrix(model.J)
     n = model.dim
-    acs_ok = (jm @ jm) == (ExactMatrix.identity(n) * Fraction(-1))
+    table, jm = _bracket_table(model), ExactMatrix(model.J)
+    acs_ok = (jm @ jm) == (ExactMatrix.identity(n) * -1)
     compatible_ok = (jm.transpose() @ jm) == ExactMatrix.identity(n)
-    jacobi_ok, witness = _jacobi_check(model)
-    nij = nijenhuis(model)
-    integrable = all(
-        not any(nij[i][j])
-        for i in range(n)
-        for j in range(n)
-    )
+    jacobi_ok, witness = _jacobi_check(table, n)
+    integrable = not any(vec for _, vec in _nijenhuis_pairs(table, _j_columns(jm)))
     almost_kahler = bool(
-        acs_ok and compatible_ok and jacobi_ok and _domega_vanishes(model)
+        acs_ok and compatible_ok and jacobi_ok and _domega_vanishes(table, jm)
     )
-    nilpotent = jacobi_ok and _is_nilpotent(model)
+    nilpotent = jacobi_ok and _is_nilpotent(table, n)
     return StructureReport(
         name=model.name,
         dim=model.dim,

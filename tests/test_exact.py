@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -72,6 +73,59 @@ def test_scalar_ring_axioms(a, b, c):
 @settings(max_examples=60, deadline=None)
 def test_scalar_string_round_trip(z):
     assert parse_scalar(format_scalar(z)) == z
+
+
+# Reference arithmetic on (re, im) pairs of Fractions, the representation
+# GaussScalar had before it held one integer triple.
+
+def _pair(x):
+    return (x.re, x.im) if isinstance(x, GaussScalar) else (Fraction(x), Fraction(0))
+
+
+def _pair_div(x, y):
+    (a, b), (c, d) = x, y
+    n = c * c + d * d
+    return ((a * c + b * d) / n, (b * c - a * d) / n)
+
+
+def _assert_scalar(z, pair):
+    """z is a normalized GaussScalar with the given parts."""
+    assert type(z) is GaussScalar
+    assert z._d > 0 and gcd(z._a, z._b, z._d) == 1
+    assert (z.re, z.im) == pair
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+
+
+mixed_scalars = st.one_of(scalars, st.builds(GaussScalar, st.integers(-9, 9), st.integers(-9, 9)))
+operands = st.one_of(mixed_scalars, st.integers(-9, 9), rationals)
+
+
+@given(mixed_scalars, operands)
+@settings(max_examples=200, deadline=None)
+def test_scalar_operations_match_fraction_pairs(z, w):
+    (a, b), (c, d) = zp, wp = _pair(z), _pair(w)
+    for got, pair in ((z + w, (a + c, b + d)), (w + z, (a + c, b + d)),
+                      (z - w, (a - c, b - d)), (w - z, (c - a, d - b)),
+                      (z * w, (a * c - b * d, a * d + b * c)),
+                      (w * z, (a * c - b * d, a * d + b * c)),
+                      (-z, (-a, -b)), (+z, zp), (z.conj(), (a, -b))):
+        _assert_scalar(got, pair)
+    if wp == (0, 0):
+        with pytest.raises(ZeroDivisionError):
+            z / w
+    else:
+        _assert_scalar(z / w, _pair_div(zp, wp))
+    if zp != (0, 0):
+        _assert_scalar(w / z, _pair_div(wp, zp))
+    assert z.norm_sq() == a * a + b * b and type(z.norm_sq()) is Fraction
+    assert z.is_real() is (b == 0) and bool(z) is (zp != (0, 0))
+    assert (z == w) is (zp == wp) and (w == z) is (zp == wp)
+    assert (z != w) is (zp != wp)
+    assert (z == a) is (b == 0)
+    assert not a or z != Fraction(a.numerator, a.denominator + 1)
+    assert hash(z) == hash(zp)
+    assert hash(GaussScalar(*zp)) == hash(z)
+    _assert_scalar(parse_scalar(format_scalar(z)), zp)
 
 
 def test_scalar_parse_forms():
@@ -456,6 +510,9 @@ def test_sparse_binary_maps_match_dense(case, vec):
         [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(ga, gb)], cols=c)
     assert a.apply(vec[:c]) == tuple(
         sum((x * v for x, v in zip(row, vec)), GAUSS_ZERO) for row in ga)
+    polys = [ParamPoly.variable(("t",), "t") * v for v in vec[:c]]
+    assert a.apply(polys) == tuple(
+        sum((x * p for x, p in zip(row, polys)), GAUSS_ZERO) for row in ga)
     assert vstack([a, ExactMatrix(gt, cols=c)]) == ExactMatrix(ga + gt, cols=c)
     assert hstack([a, ExactMatrix(gw, cols=3)]) == ExactMatrix(
         [ra + rw for ra, rw in zip(ga, gw)], cols=c + 3)

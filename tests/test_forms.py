@@ -194,6 +194,7 @@ def test_block_views_agree_with_apply(source):
                 expected = Form(alg, {tgt: [mat[i, j] for i in range(mat.rows)]
                                       for tgt, mat in views.items()})
                 assert op.apply(alg.basis_form(pq, j)) == expected, (name, pq, j)
+        assert op.shifts is shifts, name  # scanned once per operator
 
 
 def test_block_zero_shapes():

@@ -1,12 +1,16 @@
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from akh.forms import build
 from akh.model import (
     CATALOG_NAMES,
     LieModel,
     ModelError,
+    _j_from_pairs,
     catalog,
     load_model,
     model_from_json,
@@ -18,6 +22,8 @@ from akh.model import (
 )
 
 AK_MODELS = ("torus2", "torus4", "torus6", "kodaira_thurston", "filiform4_Jprime")
+LADDER = {p.stem: p for p in
+          (Path(__file__).resolve().parents[1] / "bench" / "models").glob("*.json")}
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +176,9 @@ def _rotated_kodaira_thurston() -> LieModel:
     return LieModel(name="kt_rotated", dim=4, brackets=kt.brackets, J=J)
 
 
-def _dense_nijenhuis(model: LieModel) -> list:
-    """N(X_i, X_j) from a dense structure tensor and dense J products."""
+def _dense_calculus(model: LieModel):
+    """(bracket, J, frame basis) on dense Fraction coordinate lists, from a
+    dense structure tensor."""
     n = model.dim
     C = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     for i, j, k, c in model.brackets:
@@ -179,26 +186,135 @@ def _dense_nijenhuis(model: LieModel) -> list:
         C[j][i][k] -= c
 
     def br(u, v):
-        return [sum(u[i] * v[j] * C[i][j][k] for i in range(n) for j in range(n))
-                for k in range(n)]
+        pairs = [(u[i] * v[j], C[i][j]) for i in range(n) if u[i] for j in range(n) if v[j]]
+        return [sum((x * c[k] for x, c in pairs), Fraction(0)) for k in range(n)]
 
     def J(v):
         return [sum(model.J[r][c] * v[c] for c in range(n)) for r in range(n)]
 
-    e = [[Fraction(int(r == i)) for r in range(n)] for i in range(n)]
+    return br, J, [[Fraction(int(r == i)) for r in range(n)] for i in range(n)]
+
+
+def _dense_nijenhuis(model: LieModel) -> list:
+    """N(X_i, X_j) from a dense structure tensor and dense J products."""
+    n = model.dim
+    br, J, e = _dense_calculus(model)
     return [[tuple(a - b - c - d for a, b, c, d in zip(
         br(J(e[i]), J(e[j])), J(br(J(e[i]), e[j])), J(br(e[i], J(e[j]))),
         br(e[i], e[j]))) for j in range(n)] for i in range(n)]
 
 
-@pytest.mark.parametrize("name", ("kt_rotated",) + CATALOG_NAMES)
+def _row_basis(rows: list) -> list:
+    """A basis of the span of Fraction rows, by Gaussian elimination."""
+    basis = []
+    for row in rows:
+        row = list(row)
+        for b in basis:
+            lead = next(k for k, x in enumerate(b) if x)
+            if row[lead]:
+                f = row[lead] / b[lead]
+                row = [x - f * y for x, y in zip(row, b)]
+        if any(row):
+            basis.append(row)
+    return basis
+
+
+def _dense_validate(model: LieModel) -> dict:
+    """Every validate flag and the Jacobi witness, from the definitions on
+    dense coordinates."""
+    n = model.dim
+    br, J, e = _dense_calculus(model)
+    minus_id = [[-x for x in row] for row in e]
+    acs_ok = [J(J(e[c])) for c in range(n)] == minus_id
+    compatible_ok = [[sum(model.J[r][a] * model.J[r][b] for r in range(n)) for b in range(n)]
+                     for a in range(n)] == e
+    witness = next((t for t in combinations(range(n), 3) if any(
+        sum(col) for col in zip(*(br(br(e[a], e[b]), e[c]) for a, b, c in (
+            t, (t[1], t[2], t[0]), (t[2], t[0], t[1])))))), None)
+
+    def omega(u, v):
+        return sum(model.J[b][a] * u[a] * v[b] for a in range(n) for b in range(n))
+
+    domega_zero = all(
+        -omega(br(e[i], e[j]), e[k]) + omega(br(e[i], e[k]), e[j])
+        - omega(br(e[j], e[k]), e[i]) == 0 for i, j, k in combinations(range(n), 3))
+    # with Jacobi, g^1 = g contains g^2 = [g, g^1] contains ...; the
+    # series reaches 0 within n steps exactly when g is nilpotent
+    current, nilpotent = e, False
+    for _ in range(n):
+        current = _row_basis([br(x, v) for x in e for v in current])
+        if not current:
+            nilpotent = True
+            break
+    return {
+        "jacobi_ok": witness is None, "jacobi_witness": witness,
+        "acs_ok": acs_ok, "compatible_ok": compatible_ok,
+        "integrable": not any(any(v) for row in _dense_nijenhuis(model) for v in row),
+        "almost_kahler": acs_ok and compatible_ok and witness is None and domega_zero,
+        "nilpotent": witness is None and nilpotent,
+    }
+
+
+def _named_model(name: str) -> LieModel:
+    if name == "kt_rotated":
+        return _rotated_kodaira_thurston()
+    return load_model(str(LADDER[name])) if name in LADDER else catalog(name)
+
+
+@pytest.mark.parametrize("name", ("kt_rotated",) + CATALOG_NAMES + tuple(sorted(LADDER)))
 def test_nijenhuis_matches_dense_reference(name):
-    model = _rotated_kodaira_thurston() if name == "kt_rotated" else catalog(name)
+    model = _named_model(name)
     assert [list(row) for row in nijenhuis(model)] == _dense_nijenhuis(model)
     for v in ([1, 2, 0, -3, 0, 1], [0, Fraction(1, 3), 5, 0, 0, -2]):
         v = [Fraction(x) for x in v[:model.dim]] + [Fraction(0)] * (model.dim - len(v))
         assert list(model.apply_J(v)) == [
             sum(model.J[r][c] * v[c] for c in range(model.dim)) for r in range(model.dim)]
+
+
+@st.composite
+def random_models(draw):
+    """Models of dimension 4 or 6 with one of three kinds of bracket: random
+    structure constants (Jacobi mostly fails), 2-step nilpotent ones with
+    every bracket in the centre, and R acting on an abelian ideal by a
+    random matrix (Jacobi holds, nilpotent exactly when that matrix is)."""
+    n = draw(st.sampled_from((4, 6)))
+    coeff = st.integers(-2, 2)
+    kind = draw(st.sampled_from(("random", "two_step", "semidirect")))
+    if kind == "random":
+        brackets = draw(st.lists(st.tuples(
+            st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, n - 1), coeff)
+            .filter(lambda b: b[0] != b[1]), max_size=5))
+    elif kind == "two_step":
+        centre = n // 2
+        brackets = draw(st.lists(st.tuples(
+            st.integers(0, centre - 1), st.integers(0, centre - 1), st.integers(centre, n - 1),
+            coeff).filter(lambda b: b[0] != b[1]), max_size=5))
+    else:
+        brackets = [(0, j, k, draw(coeff)) for j in range(1, n) for k in range(1, n)]
+    # J: an orthogonal structure from a signed pairing of the frame, maybe
+    # turned by a rational rotation, or a small integer matrix
+    if draw(st.booleans()):
+        frame = draw(st.permutations(range(1, n + 1)))
+        J = _j_from_pairs(n, [frame[2 * k:2 * k + 2] for k in range(n // 2)])
+        if draw(st.booleans()):
+            c, s = Fraction(3, 5), Fraction(4, 5)
+            rot = [[Fraction(int(r == k)) for k in range(n)] for r in range(n)]
+            rot[0][0], rot[0][1], rot[1][0], rot[1][1] = c, -s, s, c
+            rj = [[sum(rot[r][k] * J[k][col] for k in range(n)) for col in range(n)]
+                  for r in range(n)]
+            J = [[sum(rj[r][k] * rot[col][k] for k in range(n)) for col in range(n)]
+                 for r in range(n)]
+    else:
+        J = draw(st.lists(st.lists(st.integers(-1, 1), min_size=n, max_size=n),
+                          min_size=n, max_size=n))
+    return LieModel(name="drawn", dim=n, brackets=brackets, J=J)
+
+
+@given(random_models())
+@settings(max_examples=80, deadline=None)
+def test_validate_matches_dense_reference(model):
+    report, expected = validate(model), _dense_validate(model)
+    assert {key: getattr(report, key) for key in expected} == expected
 
 
 def test_rotated_kodaira_thurston_is_a_general_almost_hermitian_model():

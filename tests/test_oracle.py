@@ -1,11 +1,13 @@
 """An independent exact oracle: sympy's DomainMatrix ranks against akh.
 
-Dev-only (sympy is in the dev extras); skipped when sympy is missing.  Two
+Dev-only (sympy is in the dev extras); skipped when sympy is missing.  Three
 checks per model, on the catalog and the 8-dimensional bench ladder:
 
 - akh's total-degree matrices of d have the ranks that sympy computes for
   them over Q(i), and the Betti numbers built from sympy's ranks equal
   ``betti(model)``;
+- each of the four components mu_bar, dbar, partial and mu of d has, on
+  every bidegree block, the rank that sympy computes over Q(i);
 - the real Chevalley-Eilenberg complex, built here from the structure
   constants alone and ranked by sympy over Q, gives the same Betti numbers,
   so the complex coframe and the bigraded assembly are checked as well.
@@ -21,7 +23,7 @@ from sympy import QQ, QQ_I  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from akh.exact import rank  # noqa: E402
-from akh.forms import build  # noqa: E402
+from akh.forms import DBAR_SHIFT, MU_BAR_SHIFT, MU_SHIFT, PARTIAL_SHIFT, build  # noqa: E402
 from akh.harmonic import betti  # noqa: E402
 from akh.model import CATALOG_NAMES, catalog, load_model  # noqa: E402
 
@@ -38,6 +40,14 @@ def _qq(x):
     return QQ(x.numerator, x.denominator)
 
 
+def _sympy_rank(mat):
+    """Rank over Q(i) of an akh ExactMatrix, computed by sympy."""
+    if not mat.rows or not mat.cols:
+        return 0
+    rows = [[QQ_I(_qq(a.re), _qq(a.im)) for a in row] for row in mat.data]
+    return DomainMatrix(rows, mat.shape, QQ_I).rank()
+
+
 def _betti_from_ranks(dims, ranks):
     return tuple(dims[k] - ranks[k] - (ranks[k - 1] if k else 0)
                  for k in range(len(dims)))
@@ -50,12 +60,21 @@ def test_degree_matrix_ranks_match_sympy(case):
     dims, ranks = [], []
     for k in range(model.dim + 1):
         mat = alg.d.degree_slice(k, k + 1)
-        rows = [[QQ_I(_qq(a.re), _qq(a.im)) for a in row] for row in mat.data]
-        oracle = DomainMatrix(rows, mat.shape, QQ_I).rank()
+        oracle = _sympy_rank(mat)
         assert rank(mat) == oracle, k
         dims.append(mat.cols)
         ranks.append(oracle)
     assert _betti_from_ranks(dims, ranks) == betti(model)
+
+
+@pytest.mark.parametrize("case", MODELS, ids=lambda c: Path(str(c[1])).stem)
+def test_component_block_ranks_match_sympy(case):
+    alg = build(_load(case))
+    for name, shift in (("mu_bar", MU_BAR_SHIFT), ("dbar", DBAR_SHIFT),
+                        ("partial", PARTIAL_SHIFT), ("mu", MU_SHIFT)):
+        for pq in alg.block_order:
+            mat = getattr(alg, name).block(pq, shift)
+            assert rank(mat) == _sympy_rank(mat), (name, pq)
 
 
 def _wedge(a, b):
