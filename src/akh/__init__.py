@@ -31,7 +31,6 @@ _EXPORTS = {
     "GaussScalar": "exact",
     "ParamPoly": "exact",
     "hermitian_signature": "exact",
-    "in_span": "exact",
     "kernel": "exact",
     "rank": "exact",
     "rref": "exact",
@@ -40,6 +39,7 @@ _EXPORTS = {
     "BigradedAlgebra": "forms",
     "BlockOperator": "forms",
     "Form": "forms",
+    "betti": "forms",
     "build": "forms",
     "d_squared_relations": "forms",
     "form_from_coordinates": "forms",
@@ -56,7 +56,6 @@ _EXPORTS = {
     "ObstructionReport": "harmonic",
     "PrimitiveDecomposition": "harmonic",
     "ak_nonexistence_report": "harmonic",
-    "betti": "harmonic",
     "ell_diamond": "harmonic",
     "hard_lefschetz": "harmonic",
     "harmonic_basis": "harmonic",

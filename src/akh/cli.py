@@ -17,24 +17,24 @@ Exit codes: 0 success; 1 malformed input or an unusable request; 2 a
 mathematical obstruction fired, or an identity failed on a model whose
 structure flags claim it is almost Kahler (so the tool works as a
 checker in scripts).
+
+Each command loads only the layers it runs: ``validate`` needs
+:mod:`akh.exact` and :mod:`akh.model`, ``betti`` adds :mod:`akh.forms`,
+``identities`` adds :mod:`akh.operators`, and the other commands load
+:mod:`akh.harmonic` as well.  ``forms``, ``operators`` and ``harmonic`` are
+bound here as lazy modules: they sit in ``sys.modules`` from the start, and
+the first attribute read from one executes it.
 """
 
+from __future__ import annotations
+
 import argparse
+import importlib.util
 import json
 import sys
 from typing import NamedTuple, Optional, Sequence
 
 from .exact import AkhError
-from .forms import build
-from .harmonic import (
-    Diamond,
-    HarmonicError,
-    betti,
-    ell_diamond,
-    hard_lefschetz,
-    hodge_index,
-    obstruction_report,
-)
 from .model import (
     CATALOG_NAMES,
     LieModel,
@@ -42,7 +42,26 @@ from .model import (
     load_model,
     validate,
 )
-from .operators import ledger_to_text, verify_identities
+
+
+def _lazy(name: str):
+    """The submodule ``akh.<name>``, registered now and executed on its first
+    attribute access (the LazyLoader recipe of the importlib docs); a module
+    already in ``sys.modules`` is returned as it is."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+forms = _lazy("forms")
+operators = _lazy("operators")
+harmonic = _lazy("harmonic")
 
 COMMANDS = ("validate", "identities", "diamond", "betti", "lefschetz",
             "obstructions", "report")
@@ -88,7 +107,7 @@ def _flag(value) -> str:
     return "true" if value else "false"
 
 
-def render_diamond(diamond: Diamond, format: str = "text") -> str:
+def render_diamond(diamond: harmonic.Diamond, format: str = "text") -> str:
     """Staggered centered triangle in text; dense grid in json."""
     if format == "json":
         return _json_text(diamond.to_json())
@@ -123,15 +142,15 @@ def _validate_text(report) -> str:
 
 
 def _identities_text(model: LieModel, ledger) -> str:
-    alg = build(model)
-    lines = [ledger_to_text(ledger)]
+    alg = forms.build(model)
+    lines = [operators.ledger_to_text(ledger)]
     for entry in ledger.failures():
         lines.append(f"  witness for {entry.id}: "
                      f"{alg.format_form(entry.witness)}")
     return "\n".join(lines)
 
 
-def _diamond_text(model: LieModel, diamond: Diamond) -> str:
+def _diamond_text(model: LieModel, diamond: harmonic.Diamond) -> str:
     lines = [f"model: {model.name} (invariant harmonic dimensions)"]
     lines.append(render_diamond(diamond, "text"))
     lines.append("betti: " + " ".join(str(b) for b in diamond.betti))
@@ -142,12 +161,12 @@ def _diamond_text(model: LieModel, diamond: Diamond) -> str:
 
 
 def _betti_payload(model: LieModel) -> dict:
-    return {"model": model.name, "betti": list(betti(model))}
+    return {"model": model.name, "betti": list(forms.betti(model))}
 
 
 def _betti_text(model: LieModel) -> str:
     return (f"model: {model.name}\n"
-            "betti: " + " ".join(str(b) for b in betti(model)))
+            "betti: " + " ".join(str(b) for b in forms.betti(model)))
 
 
 def _lefschetz_text(report) -> str:
@@ -165,7 +184,7 @@ def _lefschetz_text(report) -> str:
 
 
 def _obstructions_text(model: LieModel, report) -> str:
-    alg = build(model)
+    alg = forms.build(model)
     hol1 = report.hol_dims[1]
     dims = " ".join(str(d) for d in report.hol_dims)
     lines = [f"model: {report.model_name} (invariant obstruction report)"]
@@ -204,15 +223,15 @@ def _run_command(config: RunConfig, model: LieModel):
         return code, text
 
     if config.command == "identities":
-        structure = build(model).validation
-        ledger = verify_identities(model)
+        structure = forms.build(model).validation
+        ledger = operators.verify_identities(model)
         code = 2 if (structure.almost_kahler and not ledger.all_hold) else 0
         text = _json_text(ledger.to_json()) if fmt == "json" \
             else _identities_text(model, ledger)
         return code, text
 
     if config.command == "diamond":
-        diamond = ell_diamond(model)
+        diamond = harmonic.ell_diamond(model)
         text = render_diamond(diamond, "json") if fmt == "json" \
             else _diamond_text(model, diamond)
         return 0, text
@@ -224,31 +243,31 @@ def _run_command(config: RunConfig, model: LieModel):
 
     if config.command == "lefschetz":
         try:
-            report = hard_lefschetz(model)
-        except HarmonicError as exc:
+            report = harmonic.hard_lefschetz(model)
+        except harmonic.HarmonicError as exc:
             raise CliInputError(str(exc)) from exc
         text = _json_text(report.to_json()) if fmt == "json" \
             else _lefschetz_text(report)
         return 0, text
 
     if config.command == "obstructions":
-        report = obstruction_report(model)
+        report = harmonic.obstruction_report(model)
         code = 2 if report.fires else 0
         text = _json_text(report.to_json()) if fmt == "json" \
             else _obstructions_text(model, report)
         return code, text
 
     # report: everything, one document
-    structure = build(model).validation
-    ledger = verify_identities(model)
-    diamond = ell_diamond(model)
-    obstructions = obstruction_report(model)
+    structure = forms.build(model).validation
+    ledger = operators.verify_identities(model)
+    diamond = harmonic.ell_diamond(model)
+    obstructions = harmonic.obstruction_report(model)
     lefschetz = None
     if structure.almost_kahler:
-        lefschetz = hard_lefschetz(model)
+        lefschetz = harmonic.hard_lefschetz(model)
     index = None
     if structure.almost_kahler and model.dim == 4:
-        index = hodge_index(model)
+        index = harmonic.hodge_index(model)
     code = 0
     if obstructions.fires or (structure.almost_kahler and not ledger.all_hold):
         code = 2

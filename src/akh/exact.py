@@ -6,7 +6,7 @@ is a few int products and one gcd, with no Fraction objects; matrices store
 each row as a dict from column to nonzero entry (the operators here are mostly
 zeros), and every routine is deterministic: reduced row echelon form always
 picks the leftmost pivot column and the topmost unused row, so kernel bases
-and solve results are canonical for a given input.
+are canonical for a given input.
 
 ParamPoly adds multivariate polynomials over Q(i) in named real parameters.
 They are used to express families of forms (a 2-form with unknown rational
@@ -498,56 +498,6 @@ def kernel(mat: ExactMatrix) -> list:
                 v[c] = -a
         basis.append(tuple(v))
     return basis
-
-
-def kernel_intersection(mats: Sequence[ExactMatrix]) -> list:
-    """Basis of the intersection of the kernels (kernel of the stack)."""
-    return kernel(vstack(mats))
-
-
-def solve(mat: ExactMatrix, rhs: Sequence[ScalarLike]):
-    """One solution of mat @ x = rhs, or None when inconsistent.
-
-    Free variables are set to zero, so the returned solution is canonical.
-    """
-    if len(rhs) != mat.rows:
-        raise ExactError("rhs length mismatch")
-    n = mat.cols
-    aug = []
-    for row, b in zip(mat._rows, rhs):
-        row, b = dict(row), as_gauss(b)
-        if b:
-            row[n] = b
-        aug.append(row)
-    R, pivots = rref(ExactMatrix._from_rows(aug, n + 1))
-    if n in pivots:
-        return None
-    x = [GAUSS_ZERO] * n
-    for row, c in zip(R._rows, pivots):
-        x[c] = row.get(n, GAUSS_ZERO)
-    return tuple(x)
-
-
-def inverse(mat: ExactMatrix) -> ExactMatrix:
-    if mat.rows != mat.cols:
-        raise ExactError("inverse of a non-square matrix")
-    n = mat.rows
-    aug = hstack([mat, ExactMatrix.identity(n)])
-    R, pivots = rref(aug)
-    if len(pivots) < n or pivots[:n] != tuple(range(n)):
-        raise ExactError("matrix is singular")
-    return ExactMatrix._from_rows(
-        [{j - n: a for j, a in row.items() if j >= n} for row in R._rows], n
-    )
-
-
-def in_span(basis: Sequence[Sequence[ScalarLike]], vec: Sequence[ScalarLike]) -> bool:
-    """Whether vec lies in the span of the given vectors."""
-    basis = list(basis)
-    if not basis:
-        return all(not as_gauss(v) for v in vec)
-    cols = ExactMatrix(basis).transpose()
-    return solve(cols, list(vec)) is not None
 
 
 def _diagonalize_congruence(mat: ExactMatrix, hermitian: bool) -> list:

@@ -19,6 +19,10 @@ metric adjoints and Lambda all have closed forms.  The volume form is the
 +-x_1^...^x_2m that makes the m-th wedge power of the fundamental form
 positive, so integration sees the orientation induced by the almost
 complex structure.
+
+The invariant Betti numbers live here too (``betti``): they need only the
+total-degree slices of d and their ranks, so ``akh betti`` loads no layer
+above this one.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .exact import (
     format_scalar,
     kernel,
     parse_scalar,
+    rank,
     rref,
 )
 from .model import LieModel, ModelError, validate
@@ -824,6 +829,25 @@ def memoized(fn):
             alg.memo[key] = fn(alg, *args)
         return alg.memo[key]
     return cached
+
+
+def betti(model: LieModel) -> tuple:
+    """Invariant Betti numbers b^0..b^{2m} (real cohomology for nilpotent
+    models)."""
+    return _betti(build(model))
+
+
+@memoized
+def _betti(alg: BigradedAlgebra) -> tuple:
+    top = 2 * alg.m
+    dims = [len(alg.degree_range(k)) for k in range(top + 1)]
+    ranks = [rank(alg.d.degree_slice(k, k + 1)) for k in range(top + 1)]
+    out = []
+    for k in range(top + 1):
+        closed = dims[k] - ranks[k]
+        exact = ranks[k - 1] if k > 0 else 0
+        out.append(closed - exact)
+    return tuple(out)
 
 
 def form_from_coordinates(algebra: BigradedAlgebra, pq: BlockKey, vec: Sequence) -> Form:

@@ -19,6 +19,10 @@ The diamond dimension ``ell[p][q]`` is dim ker on the (p,q) block for
 ``"dbar+mu"``.  On almost Kahler models all flavours of ``"d"``,
 ``"dbar+mu"`` and ``"partial+mu_bar"`` agree; on other models their
 differences are the interesting data and feed the obstruction reports.
+
+The Betti numbers come from :mod:`akh.forms`, next to d; ``betti`` is
+re-exported here, and the diamond, the Hodge index and the obstruction
+report read the memoized ``_betti``.
 """
 
 from __future__ import annotations
@@ -48,6 +52,8 @@ from .forms import (
     MU_BAR_SHIFT,
     BigradedAlgebra,
     Form,
+    _betti,
+    betti,
     build,
     form_from_coordinates,
     form_to_json,
@@ -109,28 +115,6 @@ def harmonic_basis(model: LieModel, which: str, p: int, q: int) -> tuple:
 
 def _ell(alg: BigradedAlgebra, p: int, q: int) -> int:
     return len(_harmonic_vectors(alg, "dbar+mu", (p, q)))
-
-
-# -- total-degree complex ------------------------------------------------------
-
-
-def betti(model: LieModel) -> tuple:
-    """Invariant Betti numbers b^0..b^{2m} (real cohomology for nilpotent
-    models)."""
-    return _betti(build(model))
-
-
-@memoized
-def _betti(alg: BigradedAlgebra) -> tuple:
-    top = 2 * alg.m
-    dims = [len(alg.degree_range(k)) for k in range(top + 1)]
-    ranks = [rank(alg.d.degree_slice(k, k + 1)) for k in range(top + 1)]
-    out = []
-    for k in range(top + 1):
-        closed = dims[k] - ranks[k]
-        exact = ranks[k - 1] if k > 0 else 0
-        out.append(closed - exact)
-    return tuple(out)
 
 
 # -- diamond -------------------------------------------------------------------
@@ -267,6 +251,10 @@ def _lefschetz_power(alg: BigradedAlgebra, pq: tuple, vec, power: int):
     return out
 
 
+def _sparse_row(vec) -> dict:
+    return {j: a for j, a in enumerate(vec) if a}
+
+
 def hard_lefschetz(model: LieModel) -> LefschetzReport:
     """Wedge powers of the fundamental form on harmonic spaces.
 
@@ -292,12 +280,14 @@ def _hard_lefschetz(alg: BigradedAlgebra) -> LefschetzReport:
             q = k - p
             src = _harmonic_vectors(alg, "d", (p, q))
             tgt = _harmonic_vectors(alg, "d", (p + power, q + power))
-            images = [_lefschetz_power(alg, (p, q), v, power) for v in src]
+            images = [_sparse_row(_lefschetz_power(alg, (p, q), v, power))
+                      for v in src]
             n_tgt = alg.dim_block((p + power, q + power))
-            rk = rank(ExactMatrix(images, cols=n_tgt))
+            rk = rank(ExactMatrix._from_rows(images, n_tgt))
             # tgt is a basis, so the images lie in its span iff adding them
             # leaves the rank at len(tgt)
-            contained = rank(ExactMatrix(tgt + tuple(images), cols=n_tgt)) == len(tgt)
+            stacked = [_sparse_row(v) for v in tgt] + images
+            contained = rank(ExactMatrix._from_rows(stacked, n_tgt)) == len(tgt)
             iso = contained and rk == len(src) == len(tgt)
             all_iso = all_iso and iso
             maps.append(LefschetzMap(

@@ -468,57 +468,3 @@ def save_model(model: LieModel, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(model_to_json(model), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-# ---------------------------------------------------------------------------
-# bridges into the bigraded algebra (lazy imports avoid a cycle)
-
-
-def nijenhuis_scalar(model: LieModel):
-    """Fit (mu + mubar) = scalar * N on 1-forms; None when both sides vanish
-    or no single scalar works.  The value depends on the evaluation
-    conventions of this package and is reported rather than asserted."""
-    from . import forms
-
-    algebra = forms.build(model)
-    nij = nijenhuis(model)
-    n = model.dim
-    mixed = algebra.mu + algebra.mu_bar
-    scalar = None
-    for k in range(n):
-        # N* pullback on the k-th real coframe element, determinant convention
-        comps = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                c = nij[i][j][k]
-                if c:
-                    comps[(i, j)] = GaussScalar(c)
-        rhs = algebra.form_from_real(comps, degree=2)
-        lhs = mixed.apply(algebra.form_from_real({(k,): GaussScalar(1)}, degree=1))
-        if rhs.is_zero() and lhs.is_zero():
-            continue
-        if rhs.is_zero() or lhs.is_zero():
-            return None
-        ratio = None
-        for (pq, vec) in rhs.components.items():
-            lvec = lhs.components.get(pq)
-            if lvec is None:
-                return None
-            for a, b in zip(vec, lvec):
-                if a or b:
-                    if not a:
-                        return None
-                    r = b / a
-                    if ratio is None:
-                        ratio = r
-                    elif ratio != r:
-                        return None
-        if ratio is None:
-            continue
-        if scalar is None:
-            scalar = ratio
-        elif scalar != ratio:
-            return None
-        if not (rhs.scale(scalar) - lhs).is_zero():
-            return None
-    return scalar

@@ -38,7 +38,6 @@ from .model import LieModel
 __all__ = [
     "adjoint",
     "graded_commutator",
-    "anticommutator",
     "laplacian",
     "star_conjugate",
     "LedgerEntry",
@@ -68,10 +67,6 @@ def graded_commutator(a: BlockOperator, b: BlockOperator) -> BlockOperator:
     if pa == 1 and pb == 1:
         return ab + ba
     return ab - ba
-
-
-def anticommutator(a: BlockOperator, b: BlockOperator) -> BlockOperator:
-    return a.compose(b) + b.compose(a)
 
 
 def laplacian(op: BlockOperator) -> BlockOperator:

@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 from akh.cli import main as cli_main
-from akh.exact import GaussScalar, in_span
+from akh.exact import GaussScalar
 from akh.forms import build, d_squared_relations
 from akh.harmonic import (
     AK_NONEXISTENCE_VERDICT,
@@ -28,6 +28,7 @@ from akh.harmonic import (
 )
 from akh.model import CATALOG_NAMES, catalog, validate
 from akh.operators import adjoint, laplacian, verify_identities
+from linalg_reference import in_span
 
 AK_MODELS = ("torus2", "torus4", "torus6", "kodaira_thurston",
              "filiform4_Jprime")

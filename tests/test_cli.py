@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -323,3 +324,49 @@ def test_catalog_through_the_namespace_loads_no_algebra_layer():
     loaded = json.loads(proc.stdout)
     assert "akh.model" in loaded
     assert not {"akh.forms", "akh.harmonic", "akh.operators", "akh.cli"} & set(loaded)
+
+
+_BASE_LAYERS = {"akh", "akh.cli", "akh.exact", "akh.model"}
+_ALL_LAYERS = _BASE_LAYERS | {"akh.forms", "akh.operators", "akh.harmonic"}
+_LAYERS_RUN = {
+    "validate": _BASE_LAYERS,
+    "betti": _BASE_LAYERS | {"akh.forms"},
+    "identities": _BASE_LAYERS | {"akh.forms", "akh.operators"},
+    "diamond": _ALL_LAYERS,
+    "lefschetz": _ALL_LAYERS,
+    "obstructions": _ALL_LAYERS,
+    "report": _ALL_LAYERS,
+}
+
+
+@pytest.mark.parametrize("command", sorted(_LAYERS_RUN))
+def test_each_command_executes_only_the_layers_it_runs(command):
+    # a lazily bound module that has not run yet is not a plain ModuleType
+    proc = _python(
+        "import contextlib, io, json, sys, types, akh.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = akh.cli.main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(n for n, m in sys.modules.items()\n"
+        "    if n.split('.')[0] == 'akh' and type(m) is types.ModuleType)]))",
+        command, "--catalog", "torus2", "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    code, executed = json.loads(proc.stdout)
+    assert code == 0
+    assert set(executed) == _LAYERS_RUN[command]
+
+
+def test_bench_hooks_find_every_layer_of_the_lazy_cli(tmp_path):
+    # bench/akh_hooks.py wraps functions through sys.modules after
+    # `import akh.cli`; the lazily bound layers must still be reachable
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "trace.json"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(akh.__file__)))
+    proc = subprocess.run(
+        [sys.executable, str(root / "bench" / "traced_akh.py"),
+         "betti", "--catalog", "torus2", "--format", "json"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src, AKH_BENCH_TRACE_OUT=str(out)))
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads(out.read_text(encoding="utf-8"))
+    assert trace["missing"] == []
+    assert {"forms.build", "harmonic.betti"} <= {span[0] for span in trace["spans"]}

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import akh.harmonic as harmonic
 import akh.operators as operators
-from akh.exact import ExactMatrix, GaussScalar, in_span, symmetric_signature
+from akh.exact import ExactMatrix, GaussScalar, symmetric_signature
 from akh.cli import main
 from akh.forms import BlockOperator, build
 from akh.harmonic import (
@@ -31,6 +31,7 @@ from akh.harmonic import (
     primitive_decomposition,
 )
 from akh.model import CATALOG_NAMES, catalog, validate
+from linalg_reference import in_span
 
 AK_MODELS = ("torus2", "torus4", "torus6", "kodaira_thurston",
              "filiform4_Jprime")

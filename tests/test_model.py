@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from akh.exact import GaussScalar
 from akh.forms import build
 from akh.model import (
     CATALOG_NAMES,
@@ -16,7 +17,6 @@ from akh.model import (
     model_from_json,
     model_to_json,
     nijenhuis,
-    nijenhuis_scalar,
     save_model,
     validate,
 )
@@ -322,6 +322,50 @@ def test_rotated_kodaira_thurston_is_a_general_almost_hermitian_model():
     assert any(x not in (-1, 0, 1) for row in model.J for x in row)
     report = validate(model)
     assert report.structure_ok and not report.integrable
+
+
+def nijenhuis_scalar(model: LieModel):
+    """Fit (mu + mubar) = scalar * N on 1-forms; None when both sides vanish
+    or no single scalar works.  The value depends on the evaluation
+    conventions of this package."""
+    algebra = build(model)
+    nij = nijenhuis(model)
+    n = model.dim
+    mixed = algebra.mu + algebra.mu_bar
+    scalar = None
+    for k in range(n):
+        # N* pullback on the k-th real coframe element, determinant convention
+        comps = {(i, j): GaussScalar(nij[i][j][k])
+                 for i, j in combinations(range(n), 2) if nij[i][j][k]}
+        rhs = algebra.form_from_real(comps, degree=2)
+        lhs = mixed.apply(algebra.form_from_real({(k,): GaussScalar(1)}, degree=1))
+        if rhs.is_zero() and lhs.is_zero():
+            continue
+        if rhs.is_zero() or lhs.is_zero():
+            return None
+        ratio = None
+        for (pq, vec) in rhs.components.items():
+            lvec = lhs.components.get(pq)
+            if lvec is None:
+                return None
+            for a, b in zip(vec, lvec):
+                if a or b:
+                    if not a:
+                        return None
+                    r = b / a
+                    if ratio is None:
+                        ratio = r
+                    elif ratio != r:
+                        return None
+        if ratio is None:
+            continue
+        if scalar is None:
+            scalar = ratio
+        elif scalar != ratio:
+            return None
+        if not (rhs.scale(scalar) - lhs).is_zero():
+            return None
+    return scalar
 
 
 def test_nijenhuis_scalar_fit():

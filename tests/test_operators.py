@@ -9,7 +9,6 @@ from akh.forms import AlgebraError, build
 from akh.model import catalog, validate
 from akh.operators import (
     adjoint,
-    anticommutator,
     graded_commutator,
     laplacian,
     laplacian_symmetry_witness,
@@ -125,8 +124,8 @@ def test_graded_jacobi_identity():
 
 def test_anticommutator_matches_odd_graded_commutator():
     alg = build(catalog("h5_J"))
-    assert anticommutator(alg.dbar, alg.partial) == \
-        graded_commutator(alg.dbar, alg.partial)
+    anticommutator = alg.dbar.compose(alg.partial) + alg.partial.compose(alg.dbar)
+    assert anticommutator == graded_commutator(alg.dbar, alg.partial)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,11 @@ checks per model, on the catalog and the 8-dimensional bench ladder:
 - the real Chevalley-Eilenberg complex, built here from the structure
   constants alone and ranked by sympy over Q, gives the same Betti numbers,
   so the complex coframe and the bigraded assembly are checked as well.
+
+On the catalog models, the d-harmonic dimension of every bidegree block is
+also checked: the nullity over Q(i) of d stacked on its adjoint
+G^-1 d^H G, both assembled by sympy from ``alg.d`` and the diagonal metric
+``alg.norm_sq`` alone, against the size of akh's harmonic basis.
 """
 
 import itertools
@@ -26,6 +31,7 @@ from akh.exact import rank  # noqa: E402
 from akh.forms import DBAR_SHIFT, MU_BAR_SHIFT, MU_SHIFT, PARTIAL_SHIFT, build  # noqa: E402
 from akh.harmonic import betti  # noqa: E402
 from akh.model import CATALOG_NAMES, catalog, load_model  # noqa: E402
+from akh.operators import _harmonic_vectors  # noqa: E402
 
 LADDER = sorted((Path(__file__).resolve().parents[1] / "bench" / "models").glob("*.json"))
 MODELS = [("catalog", name) for name in CATALOG_NAMES] + [("ladder", p) for p in LADDER]
@@ -40,11 +46,15 @@ def _qq(x):
     return QQ(x.numerator, x.denominator)
 
 
+def _qi(a):
+    return QQ_I(_qq(a.re), _qq(a.im))
+
+
 def _sympy_rank(mat):
     """Rank over Q(i) of an akh ExactMatrix, computed by sympy."""
     if not mat.rows or not mat.cols:
         return 0
-    rows = [[QQ_I(_qq(a.re), _qq(a.im)) for a in row] for row in mat.data]
+    rows = [[_qi(a) for a in row] for row in mat.data]
     return DomainMatrix(rows, mat.shape, QQ_I).rank()
 
 
@@ -127,3 +137,26 @@ def _ce_betti(model):
 def test_chevalley_eilenberg_betti_match_sympy(case):
     model = _load(case)
     assert _ce_betti(model) == betti(model)
+
+
+def _sympy_harmonic_dims(alg):
+    """{pq: nullity over Q(i) of [d; G^-1 d^H G] on the columns of block pq},
+    G = diag(norm_sq): the dimension of the d-harmonic forms of each block."""
+    n = alg.size
+    entries = {i: {j: _qi(a) for j, a in alg.d.matrix.row_items(i)} for i in range(n)}
+    # sympy's sparse rref refuses a stored row with no entries
+    d = DomainMatrix({i: row for i, row in entries.items() if row}, (n, n), QQ_I)
+    g = DomainMatrix.diag([QQ_I(_qq(w), 0) for w in alg.norm_sq], QQ_I, (n, n))
+    g_inv = DomainMatrix.diag([QQ_I(1 / _qq(w), 0) for w in alg.norm_sq], QQ_I, (n, n))
+    d_h = d.transpose().applyfunc(lambda z: QQ_I(z.x, -z.y), QQ_I)
+    stack = d.vstack(g_inv * d_h * g)
+    return {pq: len(alg.block_range(pq))
+            - stack.extract(range(2 * n), alg.block_range(pq)).rank()
+            for pq in alg.block_order}
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_harmonic_block_dimensions_match_sympy(name):
+    alg = build(catalog(name))
+    dims = {pq: len(_harmonic_vectors(alg, "d", pq)) for pq in alg.block_order}
+    assert dims == _sympy_harmonic_dims(alg)
