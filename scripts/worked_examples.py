@@ -15,7 +15,6 @@ Run from the repository root:
 import sys
 import time
 
-from akh.cli import render_diamond
 from akh.forms import build
 from akh.harmonic import (
     ak_nonexistence_report,
@@ -27,7 +26,7 @@ from akh.harmonic import (
     primitive_decomposition,
 )
 from akh.model import CATALOG_NAMES, catalog
-from akh.operators import ledger_to_text, verify_identities
+from akh.operators import verify_identities
 
 
 def banner(text):
@@ -56,13 +55,10 @@ def show_model(name):
     if ledger.all_hold:
         print(f"identity ledger: all {len(ledger.entries)} identities hold")
     else:
-        print(ledger_to_text(ledger))
+        print(ledger.to_text())
 
     print()
-    diamond = ell_diamond(model)
-    print("harmonic diamond (invariant):")
-    print(render_diamond(diamond, "text"))
-    print("betti:", " ".join(str(b) for b in diamond.betti))
+    print(ell_diamond(model).to_text())
 
     if report.almost_kahler:
         lefschetz = hard_lefschetz(model)

@@ -81,7 +81,6 @@ _EXPORTS = {
     "graded_commutator": "operators",
     "laplacian": "operators",
     "laplacian_symmetry_witness": "operators",
-    "ledger_to_text": "operators",
     "star_conjugate": "operators",
     "verify_identities": "operators",
 }

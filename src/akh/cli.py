@@ -10,6 +10,11 @@ lefschetz     hard Lefschetz maps on harmonic spaces
 obstructions  obstructions to a compatible symplectic structure
 report        all of the above in one document
 
+Every command computes one report and prints its ``to_text()`` or, with
+``--format json``, its ``to_json()``.  ``report`` is the other commands
+composed: one ordered list of (key, report) sections renders both formats,
+and its exit code is the largest of the sections' codes.
+
 Exactly one model source is required: ``--catalog NAME`` for a built-in
 model or ``--model PATH`` for a model JSON file.
 
@@ -38,6 +43,7 @@ from .exact import AkhError
 from .model import (
     CATALOG_NAMES,
     LieModel,
+    StructureReport,
     catalog,
     load_model,
     validate,
@@ -63,8 +69,6 @@ forms = _lazy("forms")
 operators = _lazy("operators")
 harmonic = _lazy("harmonic")
 
-COMMANDS = ("validate", "identities", "diamond", "betti", "lefschetz",
-            "obstructions", "report")
 FORMATS = ("text", "json")
 
 
@@ -97,206 +101,111 @@ class RunConfig(_RunConfigFields):
         return self
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False)
-
-
-def _flag(value) -> str:
-    if value is None:
-        return "n/a"
-    return "true" if value else "false"
-
-
-def render_diamond(diamond: harmonic.Diamond, format: str = "text") -> str:
-    """Staggered centered triangle in text; dense grid in json."""
-    if format == "json":
-        return _json_text(diamond.to_json())
-    rows = diamond.rows()
-    cell = max(len(str(v)) for row in rows for v in row)
-    widest = max(len(row) for row in rows)
-    lines = []
-    for row in rows:
-        pad = " " * (((cell + 1) * (widest - len(row))) // 2)
-        lines.append(pad + " ".join(str(v).rjust(cell) for v in row))
-    return "\n".join(lines)
-
-
 def _load_model(config: RunConfig) -> LieModel:
     if config.catalog is not None:
         return catalog(config.catalog)
     return load_model(config.model_path)
 
 
-# -- per-command payloads and text renderings ------------------------------------
+# -- the reports the commands print ------------------------------------------------
 
 
-def _validate_text(report) -> str:
-    lines = [f"model: {report.name} (dim {report.dim})"]
-    for key in ("jacobi_ok", "acs_ok", "compatible_ok", "integrable",
-                "almost_kahler", "nilpotent"):
-        lines.append(f"{key}: {_flag(getattr(report, key))}")
-    lines.append(f"structure_ok: {_flag(report.structure_ok)}")
-    if report.jacobi_witness is not None:
-        lines.append(f"jacobi fails on generators {report.jacobi_witness}")
-    return "\n".join(lines)
+class _BettiReport(NamedTuple):
+    model_name: str
+    betti: tuple
+
+    def to_json(self) -> dict:
+        return {"model": self.model_name, "betti": list(self.betti)}
+
+    def to_text(self) -> str:
+        return (f"model: {self.model_name}\n"
+                "betti: " + " ".join(str(b) for b in self.betti))
 
 
-def _identities_text(model: LieModel, ledger) -> str:
-    alg = forms.build(model)
-    lines = [operators.ledger_to_text(ledger)]
-    for entry in ledger.failures():
-        lines.append(f"  witness for {entry.id}: "
-                     f"{alg.format_form(entry.witness)}")
-    return "\n".join(lines)
+class _FullReport(NamedTuple):
+    """The reports of the other commands as ordered (key, report) sections;
+    a section whose report is None reads null in JSON and is left out of
+    the text."""
+
+    model_name: str
+    betti: tuple
+    sections: tuple
+
+    def to_json(self) -> dict:
+        payload = {"model": self.model_name, "betti": list(self.betti)}
+        for key, report in self.sections:
+            payload[key] = None if report is None else report.to_json()
+        return payload
+
+    def to_text(self) -> str:
+        rule = "\n" + "-" * 60 + "\n"
+        return rule.join(report.to_text() for _, report in self.sections
+                         if report is not None)
 
 
-def _diamond_text(model: LieModel, diamond: harmonic.Diamond) -> str:
-    lines = [f"model: {model.name} (invariant harmonic dimensions)"]
-    lines.append(render_diamond(diamond, "text"))
-    lines.append("betti: " + " ".join(str(b) for b in diamond.betti))
-    lines.append(f"duality_ok: {_flag(diamond.duality_ok)}  "
-                 f"bounds_ok: {_flag(diamond.bounds_ok)}  "
-                 f"lefschetz_ok: {_flag(diamond.lefschetz_ok)}")
-    return "\n".join(lines)
+# -- commands: each returns (exit_code, report) ------------------------------------
 
 
-def _betti_payload(model: LieModel) -> dict:
-    return {"model": model.name, "betti": list(forms.betti(model))}
+def _structure(report: StructureReport):
+    return (0 if report.structure_ok else 1), report
 
 
-def _betti_text(model: LieModel) -> str:
-    return (f"model: {model.name}\n"
-            "betti: " + " ".join(str(b) for b in forms.betti(model)))
+def _identities(model: LieModel):
+    structure = forms.build(model).validation
+    ledger = operators.verify_identities(model)
+    return (2 if structure.almost_kahler and not ledger.all_hold else 0), ledger
 
 
-def _lefschetz_text(report) -> str:
-    lines = [f"model: {report.model_name} (hard Lefschetz on harmonics)"]
-    for entry in report.maps:
-        target = (entry.p + entry.power, entry.q + entry.power)
-        lines.append(
-            f"L^{entry.power}: ({entry.p},{entry.q}) -> "
-            f"({target[0]},{target[1]})  rank {entry.rank} "
-            f"({entry.source_dim} -> {entry.target_dim})  "
-            f"iso: {_flag(entry.iso)}")
-    lines.append(f"all_iso: {_flag(report.all_iso)}  "
-                 f"monotone_ok: {_flag(report.monotone_ok)}")
-    return "\n".join(lines)
+def _lefschetz(model: LieModel):
+    try:
+        return 0, harmonic.hard_lefschetz(model)
+    except harmonic.HarmonicError as exc:
+        raise CliInputError(str(exc)) from exc
 
 
-def _obstructions_text(model: LieModel, report) -> str:
-    alg = forms.build(model)
-    hol1 = report.hol_dims[1]
-    dims = " ".join(str(d) for d in report.hol_dims)
-    lines = [f"model: {report.model_name} (invariant obstruction report)"]
-    lines.append(f"holomorphic form dims (p = 0..m): {dims}")
-    relation = "<=" if report.symplectic_bound_ok else ">"
-    verdictw = "ok" if report.symplectic_bound_ok else "violated"
-    lines.append(
-        f"symplectic bound: 2*{hol1} = {2 * hol1} {relation} "
-        f"b1 = {report.b1} ({verdictw})")
-    lines.append(
-        f"free_rank_hypothesis: {_flag(report.free_rank_hypothesis)}")
-    if report.laplacian_witness is None:
-        lines.append("laplacian symmetry: symmetric")
-    else:
-        lines.append("laplacian symmetry witness: "
-                     f"{alg.format_form(report.laplacian_witness)}")
-    ak = report.ak_nonexistence
-    lines.append(f"almost Kahler nonexistence: {ak.verdict}")
-    lines.append(f"  {ak.detail}")
-    lines.append(f"integrable: {_flag(report.integrable)}")
-    lines.append(f"obstruction fires: {_flag(report.fires)}")
-    return "\n".join(lines)
+def _obstructions(model: LieModel):
+    report = harmonic.obstruction_report(model)
+    return (2 if report.fires else 0), report
 
 
-# -- command dispatch -------------------------------------------------------------
+def _report(model: LieModel):
+    structure = forms.build(model).validation
+    closed = structure.almost_kahler
+    diamond = harmonic.ell_diamond(model)
+    absent = (0, None)
+    scored = (
+        ("structure", _structure(structure)),
+        ("identities", _identities(model)),
+        ("diamond", (0, diamond)),
+        ("lefschetz", _lefschetz(model) if closed else absent),
+        ("hodge_index", (0, harmonic.hodge_index(model))
+         if closed and model.dim == 4 else absent),
+        ("obstructions", _obstructions(model)),
+    )
+    sections = tuple((key, report) for key, (_, report) in scored)
+    return (max(code for _, (code, _) in scored),
+            _FullReport(model.name, diamond.betti, sections))
+
+
+_COMMANDS = {
+    "validate": lambda model: _structure(validate(model)),
+    "identities": _identities,
+    "diamond": lambda model: (0, harmonic.ell_diamond(model)),
+    "betti": lambda model: (0, _BettiReport(model.name, forms.betti(model))),
+    "lefschetz": _lefschetz,
+    "obstructions": _obstructions,
+    "report": _report,
+}
+COMMANDS = tuple(_COMMANDS)
 
 
 def _run_command(config: RunConfig, model: LieModel):
     """Return (exit_code, output_text) for one subcommand."""
-    fmt = config.format
-    if config.command == "validate":
-        report = validate(model)
-        code = 0 if report.structure_ok else 1
-        text = _json_text(report.to_json()) if fmt == "json" \
-            else _validate_text(report)
-        return code, text
-
-    if config.command == "identities":
-        structure = forms.build(model).validation
-        ledger = operators.verify_identities(model)
-        code = 2 if (structure.almost_kahler and not ledger.all_hold) else 0
-        text = _json_text(ledger.to_json()) if fmt == "json" \
-            else _identities_text(model, ledger)
-        return code, text
-
-    if config.command == "diamond":
-        diamond = harmonic.ell_diamond(model)
-        text = render_diamond(diamond, "json") if fmt == "json" \
-            else _diamond_text(model, diamond)
-        return 0, text
-
-    if config.command == "betti":
-        text = _json_text(_betti_payload(model)) if fmt == "json" \
-            else _betti_text(model)
-        return 0, text
-
-    if config.command == "lefschetz":
-        try:
-            report = harmonic.hard_lefschetz(model)
-        except harmonic.HarmonicError as exc:
-            raise CliInputError(str(exc)) from exc
-        text = _json_text(report.to_json()) if fmt == "json" \
-            else _lefschetz_text(report)
-        return 0, text
-
-    if config.command == "obstructions":
-        report = harmonic.obstruction_report(model)
-        code = 2 if report.fires else 0
-        text = _json_text(report.to_json()) if fmt == "json" \
-            else _obstructions_text(model, report)
-        return code, text
-
-    # report: everything, one document
-    structure = forms.build(model).validation
-    ledger = operators.verify_identities(model)
-    diamond = harmonic.ell_diamond(model)
-    obstructions = harmonic.obstruction_report(model)
-    lefschetz = None
-    if structure.almost_kahler:
-        lefschetz = harmonic.hard_lefschetz(model)
-    index = None
-    if structure.almost_kahler and model.dim == 4:
-        index = harmonic.hodge_index(model)
-    code = 0
-    if obstructions.fires or (structure.almost_kahler and not ledger.all_hold):
-        code = 2
-    if fmt == "json":
-        payload = {
-            "model": model.name,
-            "structure": structure.to_json(),
-            "identities": ledger.to_json(),
-            "diamond": diamond.to_json(),
-            "betti": list(diamond.betti),
-            "lefschetz": None if lefschetz is None else lefschetz.to_json(),
-            "hodge_index": None if index is None else index.to_json(),
-            "obstructions": obstructions.to_json(),
-        }
-        return code, _json_text(payload)
-    sections = [
-        _validate_text(structure),
-        _identities_text(model, ledger),
-        _diamond_text(model, diamond),
-    ]
-    if lefschetz is not None:
-        sections.append(_lefschetz_text(lefschetz))
-    if index is not None:
-        sections.append(
-            f"hodge index: b2+ = {index.b2_plus}, b2- = {index.b2_minus}, "
-            f"ell(1,1) = {index.ell11}, relation_ok: {_flag(index.relation_ok)}")
-    sections.append(_obstructions_text(model, obstructions))
-    rule = "-" * 60
-    return code, ("\n" + rule + "\n").join(sections)
+    code, report = _COMMANDS[config.command](model)
+    if config.format == "json":
+        return code, json.dumps(report.to_json(), sort_keys=True, indent=2,
+                                ensure_ascii=False)
+    return code, report.to_text()
 
 
 def run(config: RunConfig) -> int:

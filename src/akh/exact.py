@@ -186,6 +186,13 @@ def format_scalar(z: GaussScalar) -> str:
     return f"{z.re}{sign}{imag}"
 
 
+def format_flag(value: Optional[bool]) -> str:
+    """A report flag as text: 'true', 'false', or 'n/a' for None."""
+    if value is None:
+        return "n/a"
+    return "true" if value else "false"
+
+
 def parse_scalar(text: str) -> GaussScalar:
     """Inverse of format_scalar; also accepts '3i' without the '*'."""
     s = text.strip().replace(" ", "")

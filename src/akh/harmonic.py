@@ -23,6 +23,11 @@ differences are the interesting data and feed the obstruction reports.
 The Betti numbers come from :mod:`akh.forms`, next to d; ``betti`` is
 re-exported here, and the diamond, the Hodge index and the obstruction
 report read the memoized ``_betti``.
+
+The reports the CLI prints (:class:`Diamond`, :class:`LefschetzReport`,
+:class:`HodgeIndexReport` and :class:`ObstructionReport`) render
+themselves: ``to_json()`` is their JSON payload and ``to_text()`` their
+text, witness forms printed through ``form.algebra.format_form``.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .exact import (
     ExactMatrix,
     GaussScalar,
     ParamPoly,
+    format_flag,
     hermitian_signature,
     hstack,
     kernel,
@@ -128,6 +134,7 @@ class Diamond(NamedTuple):
     where the dualities they express are not asserted.
     """
 
+    model_name: str
     m: int
     ell: tuple
     betti: tuple
@@ -158,6 +165,22 @@ class Diamond(NamedTuple):
             },
         }
 
+    def to_text(self) -> str:
+        """The rows as a staggered centered triangle between a header line
+        and the Betti numbers and flags."""
+        rows = self.rows()
+        cell = max(len(str(v)) for row in rows for v in row)
+        widest = max(len(row) for row in rows)
+        lines = [f"model: {self.model_name} (invariant harmonic dimensions)"]
+        for row in rows:
+            pad = " " * (((cell + 1) * (widest - len(row))) // 2)
+            lines.append(pad + " ".join(str(v).rjust(cell) for v in row))
+        lines.append("betti: " + " ".join(str(b) for b in self.betti))
+        lines.append(f"duality_ok: {format_flag(self.duality_ok)}  "
+                     f"bounds_ok: {format_flag(self.bounds_ok)}  "
+                     f"lefschetz_ok: {format_flag(self.lefschetz_ok)}")
+        return "\n".join(lines)
+
 
 def ell_diamond(model: LieModel) -> Diamond:
     """Full diamond with Betti numbers; flags evaluated on almost Kahler
@@ -168,7 +191,7 @@ def ell_diamond(model: LieModel) -> Diamond:
                  for p in range(m + 1))
     bett = _betti(alg)
     if not alg.validation.almost_kahler:
-        return Diamond(m=m, ell=grid, betti=bett,
+        return Diamond(model_name=model.name, m=m, ell=grid, betti=bett,
                        duality_ok=None, bounds_ok=None, lefschetz_ok=None)
     duality = all(
         grid[p][q] == grid[q][p] == grid[m - p][m - q]
@@ -180,7 +203,7 @@ def ell_diamond(model: LieModel) -> Diamond:
     powers_ok = _omega_powers_harmonic(alg)
     lef = _hard_lefschetz(alg)
     return Diamond(
-        m=m, ell=grid, betti=bett,
+        model_name=model.name, m=m, ell=grid, betti=bett,
         duality_ok=duality,
         bounds_ok=sums_ok and center_ok and powers_ok,
         lefschetz_ok=lef.all_iso and lef.monotone_ok,
@@ -241,13 +264,26 @@ class LefschetzReport(NamedTuple):
             "all_iso": self.all_iso,
         }
 
+    def to_text(self) -> str:
+        lines = [f"model: {self.model_name} (hard Lefschetz on harmonics)"]
+        for entry in self.maps:
+            lines.append(
+                f"L^{entry.power}: ({entry.p},{entry.q}) -> "
+                f"({entry.p + entry.power},{entry.q + entry.power})  "
+                f"rank {entry.rank} ({entry.source_dim} -> {entry.target_dim})  "
+                f"iso: {format_flag(entry.iso)}")
+        lines.append(f"all_iso: {format_flag(self.all_iso)}  "
+                     f"monotone_ok: {format_flag(self.monotone_ok)}")
+        return "\n".join(lines)
 
-def _lefschetz_power(alg: BigradedAlgebra, pq: tuple, vec, power: int):
-    cur = pq
-    out = vec
-    for _ in range(power):
-        out = alg.L.block(cur, (1, 1)).apply(out)
-        cur = (cur[0] + 1, cur[1] + 1)
+
+def _lefschetz_power(alg: BigradedAlgebra, pq: tuple, vecs, power: int) -> list:
+    """The images under L^power of the coordinate vectors vecs on pq; each
+    block of L is cut once for all of them."""
+    out = list(vecs)
+    for step in range(power if out else 0):
+        block = alg.L.block((pq[0] + step, pq[1] + step), (1, 1))
+        out = [block.apply(v) for v in out]
     return out
 
 
@@ -280,8 +316,7 @@ def _hard_lefschetz(alg: BigradedAlgebra) -> LefschetzReport:
             q = k - p
             src = _harmonic_vectors(alg, "d", (p, q))
             tgt = _harmonic_vectors(alg, "d", (p + power, q + power))
-            images = [_sparse_row(_lefschetz_power(alg, (p, q), v, power))
-                      for v in src]
+            images = [_sparse_row(v) for v in _lefschetz_power(alg, (p, q), src, power)]
             n_tgt = alg.dim_block((p + power, q + power))
             rk = rank(ExactMatrix._from_rows(images, n_tgt))
             # tgt is a basis, so the images lie in its span iff adding them
@@ -352,7 +387,7 @@ def primitive_decomposition(model: LieModel, p: int, q: int) -> PrimitiveDecompo
     for j in range(min(p, q) + 1):
         base = (p - j, q - j)
         prim = _primitive_vectors(alg, base)
-        vecs = [_lefschetz_power(alg, base, v, j) for v in prim]
+        vecs = _lefschetz_power(alg, base, prim, j)
         dims.append(rank(ExactMatrix(vecs)) if vecs else 0)
         images.append(vecs)
     total = sum(dims)
@@ -469,6 +504,10 @@ class HodgeIndexReport(NamedTuple):
             "integrable": self.integrable,
             "nonintegrable_20_vanishes": self.nonintegrable_20_vanishes,
         }
+
+    def to_text(self) -> str:
+        return (f"hodge index: b2+ = {self.b2_plus}, b2- = {self.b2_minus}, "
+                f"ell(1,1) = {self.ell11}, relation_ok: {format_flag(self.relation_ok)}")
 
 
 def hodge_index(model: LieModel) -> HodgeIndexReport:
@@ -780,6 +819,24 @@ class ObstructionReport(NamedTuple):
             "integrable": self.integrable,
             "fires": self.fires,
         }
+
+    def to_text(self) -> str:
+        hol1 = self.hol_dims[1]
+        ok = self.symplectic_bound_ok
+        witness = self.laplacian_witness
+        return "\n".join([
+            f"model: {self.model_name} (invariant obstruction report)",
+            "holomorphic form dims (p = 0..m): " + " ".join(map(str, self.hol_dims)),
+            f"symplectic bound: 2*{hol1} = {2 * hol1} {'<=' if ok else '>'} "
+            f"b1 = {self.b1} ({'ok' if ok else 'violated'})",
+            f"free_rank_hypothesis: {format_flag(self.free_rank_hypothesis)}",
+            "laplacian symmetry: symmetric" if witness is None
+            else f"laplacian symmetry witness: {witness.algebra.format_form(witness)}",
+            f"almost Kahler nonexistence: {self.ak_nonexistence.verdict}",
+            f"  {self.ak_nonexistence.detail}",
+            f"integrable: {format_flag(self.integrable)}",
+            f"obstruction fires: {format_flag(self.fires)}",
+        ])
 
 
 def obstruction_report(model: LieModel) -> ObstructionReport:

@@ -21,7 +21,7 @@ from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
 from .exact import (AkhError, ExactError, ExactMatrix, GAUSS_ONE, GAUSS_ZERO, GaussScalar,
-                    format_scalar, parse_scalar, rref)
+                    format_flag, format_scalar, parse_scalar, rref)
 
 
 class ModelError(AkhError):
@@ -139,6 +139,15 @@ class StructureReport(NamedTuple):
             "jacobi_witness": (
                 None if self.jacobi_witness is None else list(self.jacobi_witness)),
         }
+
+    def to_text(self) -> str:
+        lines = [f"model: {self.name} (dim {self.dim})"]
+        for key in ("jacobi_ok", "acs_ok", "compatible_ok", "integrable",
+                    "almost_kahler", "nilpotent", "structure_ok"):
+            lines.append(f"{key}: {format_flag(getattr(self, key))}")
+        if self.jacobi_witness is not None:
+            lines.append(f"jacobi fails on generators {self.jacobi_witness}")
+        return "\n".join(lines)
 
 
 # The structure checks run on sparse data built once per model: the bracket

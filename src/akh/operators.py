@@ -7,7 +7,8 @@ commutation identities that hold for an invariant almost Kahler structure
 and reports, for each one, either "holds" or the first basis form on which
 it breaks.  On models that are not almost Kahler the failing entries are
 the interesting output: they certify which parts of the Kahler package
-survive and which do not.
+survive and which do not.  :meth:`IdentityLedger.to_text` renders the
+ledger as ``akh identities`` prints it, a witness form for every failure.
 
 Conventions:
 
@@ -181,6 +182,24 @@ class IdentityLedger(NamedTuple):
             "entries": [entry.to_json() for entry in self.entries],
         }
 
+    def to_text(self) -> str:
+        """One line per entry, a verdict line, then a witness line for every
+        failing entry."""
+        lines = [f"identity ledger for {self.model_name}"]
+        for entry in self.entries:
+            mark = "ok  " if entry.holds else "FAIL"
+            line = f"  [{mark}] {entry.id}: {entry.statement}"
+            if not entry.holds:
+                line += f"  (first failure at block {entry.first_failing_block})"
+            lines.append(line)
+        failures = self.failures()
+        lines.append("all identities hold" if not failures
+                     else f"{len(failures)} of {len(self.entries)} identities fail")
+        for entry in failures:
+            lines.append(f"  witness for {entry.id}: "
+                         f"{entry.witness.algebra.format_form(entry.witness)}")
+        return "\n".join(lines)
+
 
 def _check_equal(algebra: BigradedAlgebra, entry_id: str, statement: str,
                  ops: Sequence[BlockOperator]) -> LedgerEntry:
@@ -319,18 +338,3 @@ def laplacian_symmetry_witness(model: LieModel):
             if any(mat_a.apply(vec)):
                 return form_from_coordinates(alg, pq, vec)
     return "symmetric"
-
-
-def ledger_to_text(ledger: IdentityLedger) -> str:
-    """Plain text rendering, one line per entry."""
-    lines = [f"identity ledger for {ledger.model_name}"]
-    for entry in ledger.entries:
-        mark = "ok  " if entry.holds else "FAIL"
-        line = f"  [{mark}] {entry.id}: {entry.statement}"
-        if not entry.holds:
-            line += f"  (first failure at block {entry.first_failing_block})"
-        lines.append(line)
-    lines.append(
-        "all identities hold" if ledger.all_hold
-        else f"{len(ledger.failures())} of {len(ledger.entries)} identities fail")
-    return "\n".join(lines)

@@ -12,7 +12,6 @@ from akh.cli import (
     RunConfig,
     main,
     parse_args,
-    render_diamond,
     run,
 )
 from akh.harmonic import ell_diamond
@@ -60,27 +59,29 @@ def test_parse_args_rejects_bad_flags():
 # diamond rendering
 
 
-def test_render_diamond_triangle():
+def test_diamond_text_triangle():
     dia = ell_diamond(catalog("kodaira_thurston"))
-    text = render_diamond(dia, "text")
-    assert text.splitlines() == [
+    assert dia.to_text().splitlines() == [
+        "model: kodaira_thurston (invariant harmonic dimensions)",
         "  1",
         " 1 1",
         "0 3 0",
         " 1 1",
         "  1",
+        "betti: 1 3 4 3 1",
+        "duality_ok: true  bounds_ok: true  lefschetz_ok: true",
     ]
 
 
-def test_render_diamond_torus4_middle_row():
+def test_diamond_text_torus4_middle_row():
     dia = ell_diamond(catalog("torus4"))
-    lines = render_diamond(dia, "text").splitlines()
-    assert lines[2].strip() == "1 4 1"
+    lines = dia.to_text().splitlines()
+    assert lines[3].strip() == "1 4 1"
 
 
-def test_render_diamond_json_grid():
+def test_diamond_json_grid():
     dia = ell_diamond(catalog("filiform4_Jprime"))
-    data = json.loads(render_diamond(dia, "json"))
+    data = dia.to_json()
     assert data["rows"][2] == [0, 2, 0]
     assert data["flags"]["lefschetz_ok"] is True
 
@@ -355,18 +356,31 @@ def test_each_command_executes_only_the_layers_it_runs(command):
     assert set(executed) == _LAYERS_RUN[command]
 
 
-def test_bench_hooks_find_every_layer_of_the_lazy_cli(tmp_path):
-    # bench/akh_hooks.py wraps functions through sys.modules after
-    # `import akh.cli`; the lazily bound layers must still be reachable
+def _traced_run(tmp_path, *argv) -> dict:
+    """The trace bench/traced_akh.py writes for one ``akh`` request."""
     root = Path(__file__).resolve().parents[1]
     out = tmp_path / "trace.json"
     src = os.path.dirname(os.path.dirname(os.path.abspath(akh.__file__)))
     proc = subprocess.run(
-        [sys.executable, str(root / "bench" / "traced_akh.py"),
-         "betti", "--catalog", "torus2", "--format", "json"],
-        capture_output=True, text=True, timeout=60,
+        [sys.executable, str(root / "bench" / "traced_akh.py"), *argv],
+        capture_output=True, text=True, timeout=60, cwd=root,
         env=dict(os.environ, PYTHONPATH=src, AKH_BENCH_TRACE_OUT=str(out)))
     assert proc.returncode == 0, proc.stderr
-    trace = json.loads(out.read_text(encoding="utf-8"))
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
+def test_bench_hooks_find_every_layer_of_the_lazy_cli(tmp_path):
+    # bench/akh_hooks.py wraps functions through sys.modules after
+    # `import akh.cli`; the lazily bound layers must still be reachable
+    trace = _traced_run(tmp_path, "betti", "--catalog", "torus2", "--format", "json")
     assert trace["missing"] == []
     assert {"forms.build", "harmonic.betti"} <= {span[0] for span in trace["spans"]}
+    # a traced ladder request must feed the bases of the benchmark's ratios
+    # forms.build_cache_hit_ratio and exact.matmul_useful_ratio, which
+    # bench/run.py prints as null when they are 0 over a pass
+    trace = _traced_run(tmp_path, "betti", "--model", "bench/models/kt_x_kt.json",
+                        "--format", "json")
+    assert trace["missing"] == []
+    assert trace["build_cache"] is not None
+    assert trace["build_cache"]["hits"] + trace["build_cache"]["misses"] >= 1
+    assert trace["counters"]["matmul_calls"] >= 1

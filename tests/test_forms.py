@@ -654,7 +654,7 @@ def test_frame_change_keeps_every_invariant(name):
     model, rotated = catalog(name), _rotated(name)
     assert _gram_schmidt_ran(build(rotated))
     assert betti(rotated) == betti(model)
-    assert ell_diamond(rotated) == ell_diamond(model)
+    assert ell_diamond(rotated) == ell_diamond(model)._replace(model_name=rotated.name)
     ledger = [(e.id, e.holds) for e in verify_identities(model).entries]
     assert [(e.id, e.holds) for e in verify_identities(rotated).entries] == ledger
     report, rotated_report = obstruction_report(model), obstruction_report(rotated)

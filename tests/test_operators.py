@@ -12,7 +12,6 @@ from akh.operators import (
     graded_commutator,
     laplacian,
     laplacian_symmetry_witness,
-    ledger_to_text,
     star_conjugate,
     verify_identities,
 )
@@ -230,7 +229,7 @@ def test_ledger_entry_lookup_and_text():
     assert entry.holds
     with pytest.raises(KeyError):
         ledger.entry("no_such_identity")
-    text = ledger_to_text(ledger)
+    text = ledger.to_text()
     assert "all identities hold" in text
     assert "weil_star" in text
 

@@ -139,19 +139,25 @@ def test_chevalley_eilenberg_betti_match_sympy(case):
     assert _ce_betti(model) == betti(model)
 
 
-def _sympy_harmonic_dims(alg):
-    """{pq: nullity over Q(i) of [d; G^-1 d^H G] on the columns of block pq},
-    G = diag(norm_sq): the dimension of the d-harmonic forms of each block."""
+def _sympy_harmonic_dims(alg, names=("d",)):
+    """{pq: nullity over Q(i) of [A; ...; G^-1 A^H G; ...] on the columns of
+    block pq}, A running over the operators ``getattr(alg, name)`` for the
+    names given and G = diag(norm_sq): the dimension of their joint harmonic
+    space on each block."""
     n = alg.size
-    entries = {i: {j: _qi(a) for j, a in alg.d.matrix.row_items(i)} for i in range(n)}
-    # sympy's sparse rref refuses a stored row with no entries
-    d = DomainMatrix({i: row for i, row in entries.items() if row}, (n, n), QQ_I)
     g = DomainMatrix.diag([QQ_I(_qq(w), 0) for w in alg.norm_sq], QQ_I, (n, n))
     g_inv = DomainMatrix.diag([QQ_I(1 / _qq(w), 0) for w in alg.norm_sq], QQ_I, (n, n))
-    d_h = d.transpose().applyfunc(lambda z: QQ_I(z.x, -z.y), QQ_I)
-    stack = d.vstack(g_inv * d_h * g)
+    ops = []
+    for name in names:
+        matrix = getattr(alg, name).matrix
+        entries = {i: {j: _qi(a) for j, a in matrix.row_items(i)} for i in range(n)}
+        # sympy's sparse rref refuses a stored row with no entries
+        ops.append(DomainMatrix({i: row for i, row in entries.items() if row}, (n, n), QQ_I))
+    adjoints = [g_inv * op.transpose().applyfunc(lambda z: QQ_I(z.x, -z.y), QQ_I) * g
+                for op in ops]
+    stack = DomainMatrix.vstack(*ops, *adjoints)
     return {pq: len(alg.block_range(pq))
-            - stack.extract(range(2 * n), alg.block_range(pq)).rank()
+            - stack.extract(range(stack.shape[0]), alg.block_range(pq)).rank()
             for pq in alg.block_order}
 
 
@@ -160,3 +166,14 @@ def test_harmonic_block_dimensions_match_sympy(name):
     alg = build(catalog(name))
     dims = {pq: len(_harmonic_vectors(alg, "d", pq)) for pq in alg.block_order}
     assert dims == _sympy_harmonic_dims(alg)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_mixed_harmonic_block_dimensions_match_sympy(name):
+    # ker(lap(A) + lap(B)) is the joint kernel of A, B and their adjoints;
+    # "dbar+mu" gives the diamond's ell(p, q)
+    alg = build(catalog(name))
+    for which, names in (("dbar+mu", ("dbar", "mu")),
+                         ("partial+mu_bar", ("partial", "mu_bar"))):
+        dims = {pq: len(_harmonic_vectors(alg, which, pq)) for pq in alg.block_order}
+        assert dims == _sympy_harmonic_dims(alg, names), which
