@@ -290,14 +290,12 @@ class ExactMatrix:
         """Dense tuple-of-tuples view, zeros filled in."""
         return tuple(self.row(i) for i in range(self.rows))
 
-    def submatrix(self, rows: range, cols: range, drop_zero_rows: bool = False) -> "ExactMatrix":
+    def submatrix(self, rows: range, cols: range) -> "ExactMatrix":
         """The entries in a contiguous range of rows and one of columns, as a
-        matrix of their own; ``drop_zero_rows`` leaves out the rows that have
-        no nonzero entry in ``cols``."""
+        matrix of their own."""
         c0, c1 = cols.start, cols.stop
-        out = [{j - c0: a for j, a in row.items() if c0 <= j < c1}
-               for row in self._rows[rows.start:rows.stop]]
-        return ExactMatrix._from_rows([r for r in out if r] if drop_zero_rows else out, len(cols))
+        return ExactMatrix._from_rows([{j - c0: a for j, a in row.items() if c0 <= j < c1}
+                                       for row in self._rows[rows.start:rows.stop]], len(cols))
 
     # An operand that is not a matrix gets NotImplemented, so M + 1 raises
     # TypeError like any unsupported operand.

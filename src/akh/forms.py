@@ -45,6 +45,7 @@ from .exact import (
     parse_scalar,
     rank,
     rref,
+    vstack,
 )
 from .model import LieModel, ModelError, validate
 
@@ -303,10 +304,10 @@ class BlockOperator:
     __getitem__ = block
 
     def columns(self, pq: BlockKey) -> ExactMatrix:
-        """Every image of A^{p,q}: the columns of block pq, without the rows
-        that are zero there."""
-        return self.matrix.submatrix(range(self.algebra.size),
-                                     self.algebra.block_range(pq), drop_zero_rows=True)
+        """Every image of A^{p,q}: the blocks out of pq for each shift,
+        stacked; a matrix with no rows for the zero operator."""
+        return vstack([ExactMatrix.zeros(0, self.algebra.dim_block(pq))]
+                      + [self.block(pq, shift) for shift in self.shifts])
 
     def degree_slice(self, k_src: int, k_tgt: int) -> ExactMatrix:
         """Matrix from the total-degree k_src forms to the degree k_tgt ones."""
@@ -385,6 +386,18 @@ def _hermitian(u: Sequence[GaussScalar], v: Sequence[GaussScalar]) -> GaussScala
     return sum((x * y.conj() for x, y in zip(u, v) if x and y), GAUSS_ZERO)
 
 
+def memoized(fn):
+    """Cache ``fn(alg, *args)`` in ``alg.memo``; the arguments must be
+    hashable and the result is shared by every caller."""
+    @functools.wraps(fn)
+    def cached(alg: BigradedAlgebra, *args):
+        key = (fn, args)
+        if key not in alg.memo:
+            alg.memo[key] = fn(alg, *args)
+        return alg.memo[key]
+    return cached
+
+
 class BigradedAlgebra:
     """The full bigraded calculus of one model, built exactly.
 
@@ -399,7 +412,8 @@ class BigradedAlgebra:
     __init__ builds and checks all that can fail: the structure report, the
     coframe, d squared, the fundamental form and the orientation.  What cannot
     fail once those pass (norm_sq, gram, star, weights, Lefschetz triple) is
-    built on first use, and results derived by other modules are kept in
+    built on first use.  Every cached result, the monomial expansions and
+    d of each monomial as well as what other modules derive, is kept in
     memo (see memoized).
     """
 
@@ -457,11 +471,9 @@ class BigradedAlgebra:
         self._degree_start = [self.offset[(k, 0) if k <= m else (m, k - m)]
                               for k in range(2 * m + 1)] + [self.size]
 
-        self._expansion_cache: Dict[tuple, dict] = {}
         self.memo: Dict[tuple, object] = {}
 
         self._dgen = self._differential_on_generators()
-        self._d_mono_cache: Dict[Mono, dict] = {}
         comps = self._differential_components()
         self.mu_bar = comps[MU_BAR_SHIFT]
         self.dbar = comps[DBAR_SHIFT]
@@ -603,20 +615,15 @@ class BigradedAlgebra:
             rows.append(row)
         return tuple(rows)
 
+    @memoized
     def _expand(self, rows: str, mono: Mono) -> dict:
         """The wedge of the generators in mono, generator g being row g of
         the matrix named by rows: "T" expands a coframe monomial over real
         frame monomials, "T_inv" a real frame monomial over the coframe."""
-        key = (rows, mono)
-        out = self._expansion_cache.get(key)
-        if out is None:
-            if not mono:
-                out = {(): GAUSS_ONE}
-            else:
-                head = {(k,): c for k, c in getattr(self, rows).row_items(mono[0])}
-                out = wedge_sum((head, self._expand(rows, mono[1:])))
-            self._expansion_cache[key] = out
-        return out
+        if not mono:
+            return {(): GAUSS_ONE}
+        head = {(k,): c for k, c in getattr(self, rows).row_items(mono[0])}
+        return wedge_sum((head, self._expand(rows, mono[1:])))
 
     def _real_expansion(self, mono: Mono) -> dict:
         """Expansion of a coframe monomial over real frame monomials."""
@@ -646,15 +653,12 @@ class BigradedAlgebra:
         return wedge_sum(*(({(): c}, self._expand("T_inv", tuple(rmono)))
                            for rmono, c in real_comps.items()))
 
+    @memoized
     def _d_monomial(self, mono: Mono) -> dict:
         """d of a coframe monomial by Leibniz: d(g ^ rest) = dg ^ rest - g ^ d(rest)."""
-        out = self._d_mono_cache.get(mono)
-        if out is None:
-            out = {} if not mono else wedge_sum(
-                (self._dgen[mono[0]], {mono[1:]: 1}),
-                ({mono[:1]: -1}, self._d_monomial(mono[1:])))
-            self._d_mono_cache[mono] = out
-        return out
+        return {} if not mono else wedge_sum(
+            (self._dgen[mono[0]], {mono[1:]: 1}),
+            ({mono[:1]: -1}, self._d_monomial(mono[1:])))
 
     def _differential_components(self) -> dict:
         rows = {shift: [{} for _ in range(self.size)] for shift in D_SHIFTS}
@@ -817,18 +821,6 @@ def build(model: LieModel) -> BigradedAlgebra:
     This is the only module-level cache: every other derived result lives
     in ``alg.memo``, so ``build.cache_clear()`` frees all of a model's work."""
     return BigradedAlgebra(model)
-
-
-def memoized(fn):
-    """Cache ``fn(alg, *args)`` in ``alg.memo``; the arguments must be
-    hashable and the result is shared by every caller."""
-    @functools.wraps(fn)
-    def cached(alg: BigradedAlgebra, *args):
-        key = (fn, args)
-        if key not in alg.memo:
-            alg.memo[key] = fn(alg, *args)
-        return alg.memo[key]
-    return cached
 
 
 def betti(model: LieModel) -> tuple:

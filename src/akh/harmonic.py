@@ -6,14 +6,16 @@ Gaussian rationals on the finite-dimensional bidegree blocks.  Reports say
 "invariant" rather than claiming manifold-level statements; for nilpotent
 models the Betti numbers do agree with the underlying nilmanifold.
 
-Harmonic spaces come in several flavours selected by a ``which`` string:
+Harmonic spaces come in several flavours selected by a ``which`` string,
+each the joint kernel of the components it names and their adjoints:
 
-* ``"d"``: joint kernel of all four bidegree components of d and of their
-  adjoints (eight operators);
-* one of ``"mu_bar"``, ``"dbar"``, ``"partial"``, ``"mu"``: kernel of that
-  component and its adjoint;
-* ``"dbar+mu"`` or ``"partial+mu_bar"``: kernel of the sum of the two
-  component Laplacians.
+* ``"d"``: all four bidegree components of d (eight operators);
+* one of ``"mu_bar"``, ``"dbar"``, ``"partial"``, ``"mu"``: that component;
+* ``"dbar+mu"`` or ``"partial+mu_bar"``: the two components named.  This
+  is the kernel of the sum of their Laplacians: the metric is positive
+  definite, so <lap(D) x, x> = |D x|^2 + |D* x|^2, and such a sum kills x
+  exactly when every component and every adjoint in it does.  No
+  Laplacian is built for it.
 
 The diamond dimension ``ell[p][q]`` is dim ker on the (p,q) block for
 ``"dbar+mu"``.  On almost Kahler models all flavours of ``"d"``,
@@ -66,7 +68,8 @@ from .forms import (
     memoized,
 )
 from .model import LieModel
-from .operators import _adjoint, _harmonic_vectors, laplacian_symmetry_witness
+from .operators import (_adjoint, _constraint_matrix, _harmonic_vectors,
+                        laplacian_symmetry_witness)
 
 __all__ = [
     "HarmonicError",
@@ -342,14 +345,7 @@ def _hard_lefschetz(alg: BigradedAlgebra) -> LefschetzReport:
 def _primitive_vectors(alg: BigradedAlgebra, pq: tuple) -> tuple:
     """d-harmonic vectors on pq additionally killed by the contraction
     operator."""
-    harm = _harmonic_vectors(alg, "d", pq)
-    if not harm:
-        return ()
-    lam_mat = alg.lam.block(pq, (-1, -1))
-    images = [lam_mat.apply(v) for v in harm]
-    combos = kernel(ExactMatrix(images).transpose())
-    basis = ExactMatrix(harm).transpose()
-    return tuple(basis.apply(c) for c in combos)
+    return tuple(kernel(vstack([_constraint_matrix(alg, "d", pq), alg.lam.columns(pq)])))
 
 
 class PrimitiveDecomposition(NamedTuple):

@@ -16,14 +16,16 @@ Conventions:
   the parity of the total degree shift;
 * adjoints are taken with respect to the inner product induced by the
   orthonormal frame (see ``BlockOperator.adjoint``);
-* the Laplacian of an operator ``D`` is ``D D* + D* D``.
+* the Laplacian of an operator ``D`` is ``D D* + D* D``; only the ledger
+  builds Laplacians.  Every harmonic space (``_harmonic_vectors``) is the
+  joint kernel of components and their adjoints, stacked block by block.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from .exact import GAUSS_I, kernel, vstack
+from .exact import GAUSS_I, ExactMatrix, kernel, vstack
 from .forms import (
     AlgebraError,
     BigradedAlgebra,
@@ -88,32 +90,30 @@ def _adjoint(alg: BigradedAlgebra, name: str) -> BlockOperator:
     return getattr(alg, name).adjoint()
 
 
-@memoized
-def _component_laplacians(alg: BigradedAlgebra) -> tuple:
-    """The Laplacians of mu_bar, dbar, partial and mu, in that order."""
-    return tuple(_laplacian(getattr(alg, name), _adjoint(alg, name)) for name in _COMPONENTS)
-
-
-@memoized
 def _constraint_operators(alg: BigradedAlgebra, which: str) -> tuple:
-    """Operators whose joint kernel is the harmonic space ``which`` (one of
-    ``akh.harmonic.WHICH_CHOICES``, which the caller has checked)."""
-    if which == "d":
-        return (tuple(getattr(alg, name) for name in _COMPONENTS)
-                + tuple(_adjoint(alg, name) for name in _COMPONENTS))
-    lap_mubar, lap_dbar, lap_partial, lap_mu = _component_laplacians(alg)
-    if which == "dbar+mu":
-        return (lap_dbar + lap_mu,)
-    if which == "partial+mu_bar":
-        return (lap_partial + lap_mubar,)
-    return (getattr(alg, which), _adjoint(alg, which))
+    """The components named by ``which`` (one of
+    ``akh.harmonic.WHICH_CHOICES``, which the caller has checked) and their
+    adjoints: "d" names all four, "dbar+mu" and "partial+mu_bar" two.
+
+    Their joint kernel is the harmonic space ``which``.  The metric is
+    positive definite, so <lap(D) x, x> = |D x|^2 + |D* x|^2, and a sum of
+    component Laplacians kills x exactly when each component and each
+    adjoint in it does."""
+    names = _COMPONENTS if which == "d" else which.split("+")
+    return (tuple(getattr(alg, name) for name in names)
+            + tuple(_adjoint(alg, name) for name in names))
+
+
+def _constraint_matrix(alg: BigradedAlgebra, which: str, pq: tuple) -> ExactMatrix:
+    """The images of A^{p,q} under every constraint operator of ``which``,
+    stacked: its kernel is the harmonic space ``which`` on pq."""
+    return vstack([op.columns(pq) for op in _constraint_operators(alg, which)])
 
 
 @memoized
 def _harmonic_vectors(alg: BigradedAlgebra, which: str, pq: tuple) -> tuple:
     """Canonical coordinate basis of the harmonic space ``which`` on pq."""
-    return tuple(kernel(vstack(
-        [op.columns(pq) for op in _constraint_operators(alg, which)])))
+    return tuple(kernel(_constraint_matrix(alg, which, pq)))
 
 
 def star_conjugate(algebra: BigradedAlgebra, op: BlockOperator) -> BlockOperator:
@@ -236,12 +236,13 @@ def verify_identities(model: LieModel) -> IdentityLedger:
     L, lam, d = alg.L, alg.lam, alg.d
     i = GAUSS_I
 
-    mubar_s, dbar_s, partial_s, mu_s = _constraint_operators(alg, "d")[4:]
+    adjoints = [_adjoint(alg, name) for name in _COMPONENTS]
+    mubar_s, dbar_s, partial_s, mu_s = adjoints
+    lap_mubar, lap_dbar, lap_partial, lap_mu = (
+        _laplacian(getattr(alg, name), star) for name, star in zip(_COMPONENTS, adjoints))
 
     zero = BlockOperator.zero(alg)
     gc = graded_commutator
-
-    lap_mubar, lap_dbar, lap_partial, lap_mu = _component_laplacians(alg)
 
     checks = [
         # Lefschetz operators commute with the non-Dolbeault components...
@@ -322,19 +323,16 @@ def laplacian_symmetry_witness(model: LieModel):
     invariant metrics compatible with J.
     """
     alg = build(model)
-    side_a, = _constraint_operators(alg, "dbar+mu")
-    side_b, = _constraint_operators(alg, "partial+mu_bar")
     for pq in alg.block_order:
         ker_a = _harmonic_vectors(alg, "dbar+mu", pq)
         ker_b = _harmonic_vectors(alg, "partial+mu_bar", pq)
         if ker_a == ker_b:  # canonical bases: the same subspace
             continue
-        mat_a, mat_b = side_a.block(pq, (0, 0)), side_b.block(pq, (0, 0))
-        # a vector lies in ker_b exactly when mat_b kills it
-        for vec in ker_a:
-            if any(mat_b.apply(vec)):
-                return form_from_coordinates(alg, pq, vec)
-        for vec in ker_b:
-            if any(mat_a.apply(vec)):
-                return form_from_coordinates(alg, pq, vec)
+        # a vector lies in the other kernel exactly when the other side's
+        # components and adjoints all kill it
+        for vecs, other in ((ker_a, "partial+mu_bar"), (ker_b, "dbar+mu")):
+            constraints = _constraint_matrix(alg, other, pq)
+            for vec in vecs:
+                if any(constraints.apply(vec)):
+                    return form_from_coordinates(alg, pq, vec)
     return "symmetric"

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from akh.exact import (GAUSS_I, GAUSS_ONE, GAUSS_ZERO, ExactMatrix, GaussScalar, ParamPoly,
-                       hermitian_signature, rref)
+                       hermitian_signature, kernel, rref)
 from akh.forms import (
     AlgebraError,
     BigradedAlgebra,
@@ -22,7 +23,7 @@ from akh.forms import (
 )
 from akh.harmonic import betti, ell_diamond, obstruction_report
 from akh.model import CATALOG_NAMES, LieModel, catalog, load_model, validate
-from akh.operators import verify_identities
+from akh.operators import _adjoint, verify_identities
 from linalg_reference import inverse
 
 
@@ -211,6 +212,34 @@ def test_block_zero_shapes():
     zero = BlockOperator.zero(alg)
     assert zero.shifts == () and zero.parity == 0
     assert zero.block((1, 1)) == ExactMatrix.zeros(alg.dim_block((1, 1)), alg.dim_block((1, 1)))
+
+
+def _nonzero_rows(mat):
+    return Counter(frozenset(mat.row_items(i)) for i in range(mat.rows) if mat.row_items(i))
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_columns_have_the_kernel_of_the_dense_column_slice(name):
+    alg = build(catalog(name))
+    components = ("mu_bar", "dbar", "partial", "mu")
+    ops = {"d": alg.d, "lam": alg.lam}
+    ops.update({c: getattr(alg, c) for c in components})
+    ops.update({c + "*": _adjoint(alg, c) for c in components})
+    for label, op in ops.items():
+        for pq in alg.block_order:
+            cols = op.columns(pq)
+            dense = op.matrix.submatrix(range(alg.size), alg.block_range(pq))
+            assert cols.cols == alg.dim_block(pq)
+            assert kernel(cols) == kernel(dense), (label, pq)
+            # the same nonzero rows, in shift order rather than layout order
+            assert _nonzero_rows(cols) == _nonzero_rows(dense), (label, pq)
+
+
+def test_columns_of_the_zero_operator_have_no_rows():
+    alg = build(catalog("torus4"))
+    assert alg.mu.is_zero()
+    for pq in alg.block_order:
+        assert alg.mu.columns(pq).shape == (0, alg.dim_block(pq))
 
 
 def test_first_nonzero_is_the_first_basis_form_with_a_nonzero_image():

@@ -5,13 +5,14 @@ import weakref
 from collections import Counter
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import akh.harmonic as harmonic
 import akh.operators as operators
-from akh.exact import ExactMatrix, GaussScalar, symmetric_signature
+from akh.exact import ExactMatrix, GaussScalar, kernel, rank, symmetric_signature
 from akh.cli import main
 from akh.forms import BlockOperator, build
 from akh.harmonic import (
@@ -30,12 +31,21 @@ from akh.harmonic import (
     obstruction_report,
     primitive_decomposition,
 )
-from akh.model import CATALOG_NAMES, catalog, validate
+from akh.model import CATALOG_NAMES, catalog, load_model, validate
 from linalg_reference import in_span
 
 AK_MODELS = ("torus2", "torus4", "torus6", "kodaira_thurston",
              "filiform4_Jprime")
 COMBINED_ROUTES = ("d", "dbar+mu", "partial+mu_bar")
+LADDER = ("kt_x_kt", "h5_J_x_T2", "torus8")
+MODELS_DIR = Path(__file__).resolve().parents[1] / "bench" / "models"
+
+
+def model_of(source):
+    """A catalog model, or a ladder model read from bench/models."""
+    if source in LADDER:
+        return load_model(str(MODELS_DIR / f"{source}.json"))
+    return catalog(source)
 
 
 def gs(re, im=0):
@@ -603,6 +613,25 @@ def test_report_builds_each_adjoint_once(monkeypatch, capsys):
     assert len(calls) == 7
 
 
+def test_cold_reports_compose_only_for_the_d_squared_check(monkeypatch, capsys):
+    # harmonic spaces are joint kernels of components and adjoints, so no
+    # report composes operators; build composes d with itself once
+    calls = []
+    compose = BlockOperator.compose
+
+    def counted(op, other):
+        calls.append(op)
+        return compose(op, other)
+
+    monkeypatch.setattr(BlockOperator, "compose", counted)
+    for command in ("diamond", "obstructions", "lefschetz"):
+        build.cache_clear()
+        calls.clear()
+        assert main([command, "--catalog", "kodaira_thurston", "--format", "json"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1, command
+
+
 def test_hard_lefschetz_runs_once_per_algebra(monkeypatch):
     model = catalog("kodaira_thurston")._replace(name="kt_lefschetz")
     ell_diamond(model)  # runs hard Lefschetz for its lefschetz_ok flag
@@ -637,3 +666,39 @@ def test_harmonic_dims_bounded_by_block_dims(name):
         n = alg.dim_block(pq)
         for which in WHICH_CHOICES:
             assert 0 <= len(harmonic_basis(model, which, *pq)) <= n
+
+
+# ---------------------------------------------------------------------------
+# harmonic spaces against their Laplacian definitions
+
+
+def _old_primitive_vectors(alg, pq):
+    """The primitive harmonics as first computed: the combinations of the
+    d-harmonic basis that the contraction operator kills."""
+    harm = operators._harmonic_vectors(alg, "d", pq)
+    if not harm:
+        return ()
+    lam_mat = alg.lam.block(pq, (-1, -1))
+    combos = kernel(ExactMatrix([lam_mat.apply(v) for v in harm]).transpose())
+    basis = ExactMatrix(harm).transpose()
+    return tuple(basis.apply(c) for c in combos)
+
+
+@pytest.mark.parametrize("source", CATALOG_NAMES + LADDER)
+def test_harmonic_spaces_are_kernels_of_laplacians(source):
+    alg = build(model_of(source))
+    lap = {name: operators.laplacian(getattr(alg, name))
+           for name in ("mu_bar", "dbar", "partial", "mu", "d")}
+    sums = {"dbar+mu": lap["dbar"] + lap["mu"],
+            "partial+mu_bar": lap["partial"] + lap["mu_bar"]}
+    for pq in alg.block_order:
+        for which, op in sums.items():
+            assert (operators._harmonic_vectors(alg, which, pq)
+                    == tuple(kernel(op.block(pq, (0, 0))))), (which, pq)
+        assert (operators._harmonic_vectors(alg, "d", pq)
+                == tuple(kernel(lap["d"].columns(pq)))), pq
+        new = harmonic._primitive_vectors(alg, pq)
+        old = _old_primitive_vectors(alg, pq)
+        assert len(new) == len(old), pq
+        if new:
+            assert rank(ExactMatrix(list(new) + list(old))) == len(new), pq
