@@ -449,10 +449,12 @@ def rref(mat: ExactMatrix) -> tuple:
     entry as pivot.  Entries live in the field Q(i), so classical normalized
     elimination is exact; no fraction-free bookkeeping is needed.
     """
-    # elimination works on copies of the sparse rows, so a step touches only
-    # the nonzero columns of the pivot row
-    work = [dict(row) for row in mat._rows]
-    nrows, ncols = mat.rows, mat.cols
+    # elimination works on copies of the nonempty sparse rows, so a step
+    # touches only the nonzero columns of the pivot row; an empty row never
+    # holds a pivot and R is zero below its pivots, so the empty rows return
+    # as padding at the bottom
+    work = [dict(row) for row in mat._rows if row]
+    nrows, ncols = len(work), mat.cols
     pivots = []
     r = 0
     for c in range(ncols):
@@ -476,6 +478,7 @@ def rref(mat: ExactMatrix) -> tuple:
                     del row[j]
         pivots.append(c)
         r += 1
+    work.extend({} for _ in range(mat.rows - nrows))
     return ExactMatrix._from_rows(work, ncols), tuple(pivots)
 
 
@@ -505,8 +508,18 @@ def kernel(mat: ExactMatrix) -> list:
     return basis
 
 
-def _diagonalize_congruence(mat: ExactMatrix, hermitian: bool) -> list:
-    """Congruence-diagonalize; returns the list of real diagonal values."""
+def _signature(mat: ExactMatrix, hermitian: bool) -> tuple:
+    """Check the matrix, congruence-diagonalize it and count the signs of
+    the (real) diagonal values."""
+    if mat.rows != mat.cols:
+        raise ExactError("signature of a non-square matrix")
+    if hermitian:
+        if mat != mat.conj_transpose():
+            raise ExactError("matrix is not hermitian")
+    elif any(not a.is_real() for i in range(mat.rows) for _, a in mat.row_items(i)):
+        raise ExactError("symmetric_signature needs a real matrix")
+    elif mat != mat.transpose():
+        raise ExactError("matrix is not symmetric")
     n = mat.rows
     work = [list(row) for row in mat.data]
 
@@ -556,7 +569,9 @@ def _diagonalize_congruence(mat: ExactMatrix, hermitian: bool) -> list:
             if work[r][k]:
                 add_row_col(r, k, -work[r][k] / pivot)
         diag.append(pivot.re)
-    return diag
+    plus = sum(1 for d in diag if d > 0)
+    minus = sum(1 for d in diag if d < 0)
+    return (plus, minus, n - plus - minus)
 
 
 def symmetric_signature(mat: ExactMatrix) -> tuple:
@@ -564,28 +579,12 @@ def symmetric_signature(mat: ExactMatrix) -> tuple:
 
     Sylvester's law makes the result independent of the congruence used.
     """
-    if mat.rows != mat.cols:
-        raise ExactError("signature of a non-square matrix")
-    if any(not a.is_real() for i in range(mat.rows) for _, a in mat.row_items(i)):
-        raise ExactError("symmetric_signature needs a real matrix")
-    if mat != mat.transpose():
-        raise ExactError("matrix is not symmetric")
-    diag = _diagonalize_congruence(mat, hermitian=False)
-    plus = sum(1 for d in diag if d > 0)
-    minus = sum(1 for d in diag if d < 0)
-    return (plus, minus, mat.rows - plus - minus)
+    return _signature(mat, hermitian=False)
 
 
 def hermitian_signature(mat: ExactMatrix) -> tuple:
     """(n_plus, n_minus, n_zero) of a complex Hermitian matrix."""
-    if mat.rows != mat.cols:
-        raise ExactError("signature of a non-square matrix")
-    if mat != mat.conj_transpose():
-        raise ExactError("matrix is not hermitian")
-    diag = _diagonalize_congruence(mat, hermitian=True)
-    plus = sum(1 for d in diag if d > 0)
-    minus = sum(1 for d in diag if d < 0)
-    return (plus, minus, mat.rows - plus - minus)
+    return _signature(mat, hermitian=True)
 
 
 # ---------------------------------------------------------------------------

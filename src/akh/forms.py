@@ -109,50 +109,51 @@ def sort_with_sign(gens) -> tuple:
 
 
 class Form:
-    """An invariant form, stored per bidegree as a coefficient vector.
+    """An invariant form: ``terms`` maps each coframe monomial with a nonzero
+    coefficient to that coefficient, the dict ``wedge_sum`` and d speak.
 
-    Coefficients are GaussScalar in normal use; vectors of ParamPoly appear
-    when a parametric family of forms is manipulated.  Blocks whose vector is
-    identically zero are dropped.
+    Coefficients are GaussScalar in normal use; ParamPoly coefficients
+    appear when a parametric family of forms is manipulated.  Every key must
+    be a basis monomial of the algebra (a key of ``algebra.position``), and
+    zero coefficients are dropped.  Coordinates on one bidegree block
+    (``block``), the bidegrees present and single coefficients are views of
+    ``terms``.
     """
 
-    __slots__ = ("algebra", "components")
+    __slots__ = ("algebra", "terms")
 
-    def __init__(self, algebra: "BigradedAlgebra", components: Mapping[BlockKey, Sequence]):
-        clean = {}
-        for pq, vec in components.items():
-            if pq not in algebra.blocks:
-                raise AlgebraError(f"no block {pq} in this algebra")
-            vec = tuple(vec)
-            if len(vec) != len(algebra.blocks[pq]):
-                raise AlgebraError(f"vector length mismatch on block {pq}")
-            if any(bool(c) for c in vec):
-                clean[pq] = vec
+    def __init__(self, algebra: "BigradedAlgebra", terms: Mapping[Mono, object]):
+        for mono in terms:
+            if mono not in algebra.position:
+                raise AlgebraError(f"no monomial {mono} in this algebra")
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "components", clean)
+        object.__setattr__(self, "terms", {mono: c for mono, c in terms.items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("Form is immutable")
 
     def is_zero(self) -> bool:
-        return not self.components
+        return not self.terms
 
     def bidegrees(self) -> tuple:
-        return tuple(sorted(self.components, key=self.algebra.block_sort_key))
+        alg = self.algebra
+        return tuple(sorted({alg.block_at[alg.position[mono]] for mono in self.terms},
+                            key=alg.block_sort_key))
+
+    def block(self, pq: BlockKey) -> tuple:
+        """The coordinates on block pq, in the order of ``algebra.blocks[pq]``;
+        empty when pq is out of range."""
+        return tuple(self.terms.get(mono, GAUSS_ZERO) for mono in self.algebra.blocks.get(pq, ()))
 
     def coefficient(self, mono: Mono):
-        pq, idx = self.algebra.mono_index[tuple(mono)]
-        vec = self.components.get(pq)
-        return vec[idx] if vec is not None else GAUSS_ZERO
+        return self.terms.get(tuple(mono), GAUSS_ZERO)
 
     def __add__(self, other: "Form") -> "Form":
         self._same_algebra(other)
-        out = dict(self.components)
-        for pq, vec in other.components.items():
-            if pq in out:
-                out[pq] = tuple(a + b for a, b in zip(out[pq], vec))
-            else:
-                out[pq] = vec
+        out = dict(self.terms)
+        for mono, c in other.terms.items():
+            prev = out.get(mono)
+            out[mono] = c if prev is None else prev + c
         return Form(self.algebra, out)
 
     def __sub__(self, other: "Form") -> "Form":
@@ -162,29 +163,20 @@ class Form:
         return self.scale(GaussScalar(-1))
 
     def scale(self, c) -> "Form":
-        return Form(
-            self.algebra,
-            {pq: tuple(c * x for x in vec) for pq, vec in self.components.items()},
-        )
-
-    def monomials(self) -> dict:
-        """The nonzero coefficients as {monomial: coefficient}."""
-        blocks = self.algebra.blocks
-        return {mono: c for pq, vec in self.components.items()
-                for mono, c in zip(blocks[pq], vec) if c}
+        return Form(self.algebra, {mono: c * x for mono, x in self.terms.items()})
 
     def wedge(self, other: "Form") -> "Form":
         self._same_algebra(other)
-        return self.algebra.form_from_monomials(wedge_sum((self.monomials(), other.monomials())))
+        return Form(self.algebra, wedge_sum((self.terms, other.terms)))
 
     def conj(self) -> "Form":
         m = self.algebra.m
         acc: Dict[Mono, object] = {}
         # conjugation permutes the monomials, so nothing accumulates
-        for mono, c in self.monomials().items():
+        for mono, c in self.terms.items():
             swapped, sign = sort_with_sign((g + m) if g < m else (g - m) for g in mono)
             acc[swapped] = c.conj() if sign > 0 else -c.conj()
-        return self.algebra.form_from_monomials(acc)
+        return Form(self.algebra, acc)
 
     def d(self) -> "Form":
         return self.algebra.d.apply(self)
@@ -195,16 +187,12 @@ class Form:
     def inner(self, other: "Form") -> GaussScalar:
         """Hermitian inner product, conjugate linear in the second slot."""
         self._same_algebra(other)
-        w = self.algebra.norm_sq
+        w, at = self.algebra.norm_sq, self.algebra.position
         total = GAUSS_ZERO
-        for pq, u in self.components.items():
-            v = other.components.get(pq)
-            if v is None:
-                continue
-            off = self.algebra.offset[pq]
-            for j, (uj, vj) in enumerate(zip(u, v)):
-                if uj and vj:
-                    total = total + uj * w[off + j] * vj.conj()
+        for mono, u in self.terms.items():
+            v = other.terms.get(mono)
+            if v is not None:
+                total = total + u * w[at[mono]] * v.conj()
         return total
 
     def integrate(self) -> GaussScalar:
@@ -213,10 +201,10 @@ class Form:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Form):
             return NotImplemented
-        return self.algebra is other.algebra and self.components == other.components
+        return self.algebra is other.algebra and self.terms == other.terms
 
     def __hash__(self):
-        return hash(tuple(sorted(self.components.items())))
+        return hash(frozenset(self.terms.items()))
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -403,7 +391,9 @@ class BigradedAlgebra:
 
     Attributes of note: blocks (basis monomials per bidegree), offset and
     size (the operator layout: every monomial gets one index, block after
-    block in block_order), the orthogonal coframe, norm_sq (the metric:
+    block in block_order), layout and position (the monomial at each index
+    and back; the keys of position are the monomials a Form may hold),
+    block_at (the bidegree at each index), the orthogonal coframe, norm_sq (the metric:
     |a_S|^2 per monomial in layout order) and its diagonal view gram, the
     four differential components mu_bar / dbar / partial / mu and their sum
     d, the Hodge star, the Lefschetz triple L / lam / weight_h, the parity
@@ -453,10 +443,6 @@ class BigradedAlgebra:
         self.block_order = tuple(
             sorted(self.blocks, key=self.block_sort_key)
         )
-        self.mono_index: Dict[Mono, tuple] = {}
-        for pq, basis in self.blocks.items():
-            for idx, mono in enumerate(basis):
-                self.mono_index[mono] = (pq, idx)
         # operators index all monomials at once, block after block in
         # block_order, so each block and each total degree is a contiguous range
         self.offset: Dict[BlockKey, int] = {}
@@ -503,9 +489,7 @@ class BigradedAlgebra:
                 f"omega^m/m! has top coefficient {format_scalar(coeff)}, expected +-1"
             )
         self.orientation = 1 if coeff.re > 0 else -1
-        self.volume_form = self.form_from_monomials(
-            {tau: GaussScalar(self.orientation) / self._top_real_coeff}
-        )
+        self.volume_form = Form(self, {tau: GaussScalar(self.orientation) / self._top_real_coeff})
 
     # -- built on first use ----------------------------------------------------
 
@@ -555,7 +539,7 @@ class BigradedAlgebra:
     @functools.cached_property
     def L(self) -> BlockOperator:
         """Wedge with the fundamental form, one column per monomial."""
-        omega = self.fundamental_form.monomials()
+        omega = self.fundamental_form.terms
         rows = [{} for _ in range(self.size)]
         for j, mono in enumerate(self.layout):
             for tgt, c in wedge_sum((omega, {mono: 1})).items():
@@ -684,7 +668,7 @@ class BigradedAlgebra:
                 if val:
                     comps[(a, b)] = GaussScalar(val)
         form = self.form_from_real(comps, degree=2)
-        if set(form.components) - {(1, 1)}:
+        if set(form.bidegrees()) - {(1, 1)}:
             raise AlgebraError("fundamental form is not of pure bidegree (1,1)")
         if form.conj() != form:
             raise AlgebraError("fundamental form is not real")
@@ -717,44 +701,22 @@ class BigradedAlgebra:
     def coordinates(self, form: Form) -> list:
         """Coefficients of every monomial of a form, in the operator layout."""
         out = [GAUSS_ZERO] * self.size
-        for pq, vec in form.components.items():
-            out[self.offset[pq]:self.offset[pq] + len(vec)] = vec
+        for mono, c in form.terms.items():
+            out[self.position[mono]] = c
         return out
 
     def form_from_vector(self, vec: Sequence, start: int = 0) -> Form:
         """Form whose coefficients at layout indices start, start+1, ... are vec."""
-        return Form(self, {
-            pq: vec[self.offset[pq] - start:self.offset[pq] - start + len(basis)]
-            for pq, basis in self.blocks.items()
-            if start <= self.offset[pq] and self.offset[pq] + len(basis) <= start + len(vec)
-        })
+        return Form(self, dict(zip(self.layout[start:], vec)))
 
     def zero_form(self) -> Form:
         return Form(self, {})
 
     def basis_form(self, pq: BlockKey, idx: int) -> Form:
-        n = len(self.blocks[pq])
-        vec = [GAUSS_ZERO] * n
-        vec[idx] = GAUSS_ONE
-        return Form(self, {pq: vec})
+        return Form(self, {self.blocks[pq][idx]: GAUSS_ONE})
 
     def generator_form(self, g: int) -> Form:
-        return self.basis_form(*self.mono_index[(g,)])
-
-    def form_from_monomials(self, comps: Mapping[Mono, object]) -> Form:
-        grouped: Dict[BlockKey, dict] = {}
-        for mono, coeff in comps.items():
-            if not coeff:
-                continue
-            pq, idx = self.mono_index[tuple(mono)]
-            grouped.setdefault(pq, {})[idx] = coeff
-        out = {}
-        for pq, entries in grouped.items():
-            vec = [GAUSS_ZERO] * len(self.blocks[pq])
-            for idx, coeff in entries.items():
-                vec[idx] = coeff
-            out[pq] = vec
-        return Form(self, out)
+        return Form(self, {(g,): GAUSS_ONE})
 
     def form_from_real(self, comps: Mapping[Mono, GaussScalar], degree: Optional[int] = None) -> Form:
         """Build a Form from coefficients over real frame monomials."""
@@ -762,27 +724,26 @@ class BigradedAlgebra:
             for rmono in comps:
                 if len(rmono) != degree:
                     raise AlgebraError("real monomial degree mismatch")
-        return self.form_from_monomials(self._complexify_real(comps))
+        return Form(self, self._complexify_real(comps))
 
     def real_coordinates(self, form: Form, degree: int) -> tuple:
         """Coordinates of a pure-degree form over real frame monomials."""
         basis = list(itertools.combinations(range(2 * self.m), degree))
         index = {mono: i for i, mono in enumerate(basis)}
         out = [GAUSS_ZERO] * len(basis)
-        if any(p + q != degree for p, q in form.components):
+        if any(len(mono) != degree for mono in form.terms):
             raise AlgebraError("form is not of the requested pure degree")
-        for mono, c in form.monomials().items():
+        for mono, c in form.terms.items():
             for rmono, rc in self._real_expansion(mono).items():
                 out[index[rmono]] = out[index[rmono]] + c * rc
         return tuple(out)
 
     def integrate(self, form: Form) -> GaussScalar:
         """Coefficient of the oriented volume form in the top component."""
-        top = form.components.get((self.m, self.m))
+        top = form.terms.get(self._top_mono)
         if top is None:
             return GAUSS_ZERO
-        coeff = top[0]
-        return coeff * self._top_real_coeff * GaussScalar(self.orientation)
+        return top * self._top_real_coeff * GaussScalar(self.orientation)
 
     def generator_name(self, g: int) -> str:
         if g < self.m:
@@ -798,20 +759,16 @@ class BigradedAlgebra:
         if form.is_zero():
             return "0"
         parts = []
-        for pq in form.bidegrees():
-            vec = form.components[pq]
-            basis = self.blocks[pq]
-            for j, c in enumerate(vec):
-                if not c:
-                    continue
-                cs = format_scalar(c) if isinstance(c, GaussScalar) else str(c)
-                if cs == "1":
-                    parts.append(self.monomial_name(basis[j]))
-                elif cs == "-1":
-                    parts.append(f"-{self.monomial_name(basis[j])}")
-                else:
-                    wrap = f"({cs})" if ("+" in cs or "-" in cs[1:] or "*" in cs) else cs
-                    parts.append(f"{wrap}*{self.monomial_name(basis[j])}")
+        for mono in sorted(form.terms, key=self.position.__getitem__):
+            c, name = form.terms[mono], self.monomial_name(mono)
+            cs = format_scalar(c) if isinstance(c, GaussScalar) else str(c)
+            if cs == "1":
+                parts.append(name)
+            elif cs == "-1":
+                parts.append(f"-{name}")
+            else:
+                wrap = f"({cs})" if ("+" in cs or "-" in cs[1:] or "*" in cs) else cs
+                parts.append(f"{wrap}*{name}")
         return " + ".join(parts)
 
 
@@ -844,7 +801,12 @@ def _betti(alg: BigradedAlgebra) -> tuple:
 
 def form_from_coordinates(algebra: BigradedAlgebra, pq: BlockKey, vec: Sequence) -> Form:
     """Form with coordinate vector ``vec`` on block ``pq``."""
-    return Form(algebra, {pq: tuple(vec)})
+    basis = algebra.blocks.get(pq)
+    if basis is None:
+        raise AlgebraError(f"no block {pq} in this algebra")
+    if len(vec) != len(basis):
+        raise AlgebraError(f"vector length mismatch on block {pq}")
+    return Form(algebra, dict(zip(basis, vec)))
 
 
 _D2_RELATIONS = (
@@ -918,17 +880,12 @@ def d_squared_relations(algebra: BigradedAlgebra) -> list:
 def form_to_json(form: Form) -> dict:
     out = {}
     algebra = form.algebra
-    for pq in form.bidegrees():
-        vec = form.components[pq]
-        basis = algebra.blocks[pq]
-        entries = {}
-        for j, c in enumerate(vec):
-            if not c:
-                continue
-            if not isinstance(c, GaussScalar):
-                raise AlgebraError("only scalar forms serialize to JSON")
-            entries[algebra.monomial_name(basis[j])] = format_scalar(c)
-        out[f"{pq[0]},{pq[1]}"] = entries
+    for mono in sorted(form.terms, key=algebra.position.__getitem__):
+        c = form.terms[mono]
+        if not isinstance(c, GaussScalar):
+            raise AlgebraError("only scalar forms serialize to JSON")
+        p, q = algebra.block_at[algebra.position[mono]]
+        out.setdefault(f"{p},{q}", {})[algebra.monomial_name(mono)] = format_scalar(c)
     return out
 
 
@@ -968,11 +925,10 @@ def form_from_json(algebra: BigradedAlgebra, data: Mapping) -> Form:
             raise AlgebraError(f"bad block key {block_key!r}") from None
         for mono_text, coeff_text in entries.items():
             mono, sign = _parse_monomial(algebra, mono_text)
-            pq, _ = algebra.mono_index[mono]
-            if pq != (p, q):
+            if algebra.block_at[algebra.position[mono]] != (p, q):
                 raise AlgebraError(
                     f"monomial {mono_text!r} is not of bidegree ({p},{q})"
                 )
             coeff = parse_scalar(coeff_text)
             comps[mono] = comps.get(mono, GAUSS_ZERO) + (coeff if sign > 0 else -coeff)
-    return algebra.form_from_monomials(comps)
+    return Form(algebra, comps)

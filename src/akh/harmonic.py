@@ -41,7 +41,6 @@ from .exact import (
     AkhError,
     GAUSS_I,
     GAUSS_ONE,
-    GAUSS_ZERO,
     ExactMatrix,
     GaussScalar,
     ParamPoly,
@@ -675,7 +674,7 @@ def _closed_real_11_forms(alg: BigradedAlgebra) -> tuple:
     block = (1, 1)
     n = len(alg.blocks[block])
     # column j of C is the conjugate of the j-th basis form
-    C = ExactMatrix([alg.basis_form(block, j).conj().components[block]
+    C = ExactMatrix([alg.basis_form(block, j).conj().block(block)
                      for j in range(n)]).transpose()
     D = alg.d.columns(block)
     one = ExactMatrix.identity(n)
@@ -723,8 +722,8 @@ def _ak_nonexistence(alg: BigradedAlgebra) -> AkNonexistenceReport:
     block21 = (2, 1)
     w_forms = [form_from_coordinates(alg, (1, 1), v) for v in omega_vecs]
     n21 = len(alg.blocks.get(block21, ()))
-    W = [ExactMatrix([w.wedge(form_from_coordinates(alg, (1, 0), a))
-                      .components.get(block21, (GAUSS_ZERO,) * n21) for w in w_forms],
+    W = [ExactMatrix([w.wedge(form_from_coordinates(alg, (1, 0), a)).block(block21)
+                      for w in w_forms],
                      cols=n21).transpose() for a in hol]
     # T1: parameters whose wedges are all dbar-exact.  Membership in the
     # image is cut out by the kernel of the transpose.

@@ -470,6 +470,10 @@ def load_model(path: str) -> LieModel:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ModelError(f"invalid JSON in {path}: line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ModelError(f"{path} is not UTF-8 text: {exc.reason}") from exc
+    except RecursionError:
+        raise ModelError(f"invalid JSON in {path}: nested too deeply") from None
     return model_from_json(data)
 
 

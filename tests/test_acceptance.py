@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from akh.cli import main as cli_main
 from akh.exact import GaussScalar
-from akh.forms import build, d_squared_relations
+from akh.forms import Form, build, d_squared_relations
 from akh.harmonic import (
     AK_NONEXISTENCE_VERDICT,
     ak_nonexistence_report,
@@ -96,9 +96,8 @@ def test_criterion_3_nonclosed_integrable_failure_witness():
     bc = alg.generator_form(1).wedge(alg.generator_form(2))
     assert da == bc.scale(gs(Fraction(-1, 2)))
     assert da == alg.partial.apply(witness)
-    ((pq, coords),) = da.components.items()
-    assert pq == (2, 0)
-    assert tuple(coords) == (gs(0), gs(0), gs(Fraction(-1, 2)))
+    assert da.bidegrees() == ((2, 0),)
+    assert da.block((2, 0)) == (gs(0), gs(0), gs(Fraction(-1, 2)))
 
     assert cli_main(["obstructions", "--catalog", "h5_J"]) == 2
 
@@ -147,9 +146,9 @@ def test_criterion_5_route_equivalence_with_containments():
             dims = {w: len(v) for w, v in spaces.items()}
             assert len(set(dims.values())) == 1, (name, pq, dims)
             for wa, wb in itertools.permutations(ROUTES, 2):
-                target = [list(f.components[pq]) for f in spaces[wb]]
+                target = [list(f.block(pq)) for f in spaces[wb]]
                 for f in spaces[wa]:
-                    assert in_span(target, list(f.components[pq])), \
+                    assert in_span(target, list(f.block(pq))), \
                         (name, pq, wa, wb)
 
 
@@ -180,7 +179,7 @@ def test_criterion_6_property_suites_all_models():
 
         # powers of the fundamental form are harmonic
         lap_d = laplacian(alg.d)
-        power = alg.form_from_monomials({(): gs(1)})
+        power = Form(alg, {(): gs(1)})
         for _ in range(m + 1):
             assert lap_d.apply(power).is_zero()
             power = power.wedge(alg.fundamental_form)

@@ -187,6 +187,14 @@ def test_malformed_model_shape_exits_one_without_traceback(tmp_path, change):
     _assert_cli_refuses(tmp_path, data, "validate")
 
 
+@pytest.mark.parametrize("raw", [
+    '{"format": 1, "name": "café"}'.encode("latin-1"),
+    b"[" * 200000,
+], ids=["latin1", "nested_too_deeply"])
+def test_unreadable_model_file_exits_one_without_traceback(tmp_path, raw):
+    _assert_cli_refuses(tmp_path, raw, "validate")
+
+
 @pytest.mark.parametrize("coframe", [
     "1 i 0 0 0 0",
     [["0", "0", "0", "0", "1/2", "-1/2*i"]],
@@ -219,8 +227,9 @@ def _python(code, *args):
 
 
 def _assert_cli_refuses(tmp_path, data, command):
+    """``data`` is a JSON value, or the raw bytes of the model file."""
     path = tmp_path / "malformed.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
+    path.write_bytes(data if isinstance(data, bytes) else json.dumps(data).encode("utf-8"))
     proc = _python("import sys; from akh.cli import main; sys.exit(main())",
                    command, "--model", str(path))
     assert proc.returncode == 1

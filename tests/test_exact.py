@@ -383,6 +383,16 @@ def test_sparse_rref_and_kernel_match_dense(m):
     assert pivots == dense_pivots
     assert reduced == ExactMatrix(work, cols=m.cols)
     assert kernel(m) == dense_kernel(m.data, m.cols)
+    # empty rows first, in the middle, last or everywhere change neither R
+    # (beyond its zero rows at the bottom) nor the pivots
+    zero, rows = (GAUSS_ZERO,) * m.cols, list(m.data)
+    for padded in ([zero] + rows, rows[:1] + [zero] + rows[1:], rows + [zero],
+                   [zero] + [r for row in rows for r in (row, zero)]):
+        got, got_pivots = rref(ExactMatrix(padded, cols=m.cols))
+        assert got.shape == (len(padded), m.cols)
+        assert got_pivots == pivots
+        assert got == ExactMatrix(list(reduced.data) + [zero] * (len(padded) - m.rows),
+                                  cols=m.cols)
 
 
 @given(st.integers(0, 4).flatmap(lambda n: sparse_matrices(rows=n, cols=n)),

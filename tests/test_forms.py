@@ -193,8 +193,8 @@ def test_block_views_agree_with_apply(source):
                         range(cols.start - col_start, cols.stop - col_start))
                     assert piece == views[tgt], (name, pq, (r, s))
             for j in range(alg.dim_block(pq)):
-                expected = Form(alg, {tgt: [mat[i, j] for i in range(mat.rows)]
-                                      for tgt, mat in views.items()})
+                expected = sum((form_from_coordinates(alg, tgt, [mat[i, j] for i in range(mat.rows)])
+                                for tgt, mat in views.items()), alg.zero_form())
                 assert op.apply(alg.basis_form(pq, j)) == expected, (name, pq, j)
         assert op.shifts is shifts, name  # scanned once per operator
 
@@ -347,7 +347,7 @@ def test_star_maps_block_to_dual_block():
             for i in range(alg.dim_block(pq)):
                 sf = alg.star.apply(alg.basis_form(pq, i))
                 target = (m - pq[1], m - pq[0])
-                assert set(sf.components) <= {target}
+                assert set(sf.bidegrees()) <= {target}
 
 
 def test_star_of_omega_powers():
@@ -356,7 +356,7 @@ def test_star_of_omega_powers():
         alg = build(catalog(name))
         m = alg.m
         omega = alg.fundamental_form
-        powers = [alg.form_from_monomials({(): GAUSS_ONE})]
+        powers = [Form(alg, {(): GAUSS_ONE})]
         for _ in range(m):
             powers.append(powers[-1].wedge(omega))
         for k in range(m + 1):
@@ -452,13 +452,47 @@ def test_form_arithmetic_and_pruning():
     assert s - f == g
     assert (s - s).is_zero()
     assert not s.is_zero()
-    assert (1, 0) not in (f - f).components
+    assert (1, 0) not in (f - f).bidegrees()
 
 
-def test_form_unknown_block_rejected():
+def test_form_unknown_monomial_rejected():
     alg = build(catalog("torus2"))
+    # not a monomial, unsorted, a repeated generator, a generator out of range
+    for mono in ((5, 5), (1, 0), (0, 0), (2,)):
+        with pytest.raises(AlgebraError):
+            Form(alg, {mono: GAUSS_ONE})
     with pytest.raises(AlgebraError):
-        Form(alg, {(5, 5): (GAUSS_ONE,)})
+        form_from_coordinates(alg, (1, 0), (GAUSS_ONE, GAUSS_ONE))
+    with pytest.raises(AlgebraError):
+        form_from_coordinates(alg, (5, 5), (GAUSS_ONE,))
+
+
+def _mixed_forms(alg):
+    """Fixed forms of mixed degree, with GaussScalar and ParamPoly coefficients."""
+    t = ParamPoly.variable(("t",), "t") + GAUSS_I
+    dense = alg.form_from_vector([gs(j % 5 - 2, j % 3) for j in range(alg.size)])
+    sparse = alg.form_from_vector([gs(1, -j) if j % 3 == 0 else GAUSS_ZERO
+                                   for j in range(alg.size)])
+    return (dense, sparse, alg.fundamental_form + alg.generator_form(0).conj(),
+            dense.scale(t), sparse.scale(t * t) - alg.volume_form.scale(t))
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_layout_and_block_views_rebuild_the_form(name):
+    alg = build(catalog(name))
+    for f in _mixed_forms(alg):
+        assert not f.is_zero()
+        assert alg.form_from_vector(alg.coordinates(f)) == f
+        assert sum((form_from_coordinates(alg, pq, f.block(pq)) for pq in f.bidegrees()),
+                   alg.zero_form()) == f
+        assert all(f.coefficient(mono) == c for mono, c in f.terms.items())
+        # equal forms built different ways hash equal
+        for g in (alg.form_from_vector(alg.coordinates(f)), f + alg.zero_form(), -(-f)):
+            assert g == f and hash(g) == hash(f)
+        assert hash(f - f) == hash(alg.zero_form())
+    for zero in (0, GAUSS_ZERO, ParamPoly.zero(("t",))):
+        for mono in alg.layout:
+            assert Form(alg, {mono: zero}).is_zero()
 
 
 def test_wedge_anticommutes_on_odd_forms():
@@ -492,14 +526,14 @@ def test_wedge_is_associative_with_the_shuffle_sign():
     # generators, over basis forms of degree <= 2, with a polynomial factor
     alg = build(catalog("h5_J"))
     t = ParamPoly.variable(("t",), "t") + GAUSS_I
-    basis = [(mono, alg.basis_form(*alg.mono_index[mono]))
+    basis = [(mono, Form(alg, {mono: GAUSS_ONE}))
              for mono in alg.layout if len(mono) <= 2]
 
     def shuffled(*monos):
         mono, sign = sort_with_sign(sum(monos, ()))
         if len(set(mono)) < len(mono):
             return alg.zero_form()
-        return alg.form_from_monomials({mono: GaussScalar(sign)})
+        return Form(alg, {mono: GaussScalar(sign)})
 
     for (ma, a), (mb, b) in itertools.product(basis, repeat=2):
         assert a.wedge(b) == shuffled(ma, mb)

@@ -344,11 +344,10 @@ def nijenhuis_scalar(model: LieModel):
         if rhs.is_zero() or lhs.is_zero():
             return None
         ratio = None
-        for (pq, vec) in rhs.components.items():
-            lvec = lhs.components.get(pq)
-            if lvec is None:
+        for pq in rhs.bidegrees():
+            if pq not in lhs.bidegrees():
                 return None
-            for a, b in zip(vec, lvec):
+            for a, b in zip(rhs.block(pq), lhs.block(pq)):
                 if a or b:
                     if not a:
                         return None
@@ -386,7 +385,7 @@ def test_fundamental_form_lives_in_middle_block():
         model = catalog(name)
         alg = build(model)
         omega = alg.fundamental_form
-        assert set(omega.components) == {(1, 1)}
+        assert omega.bidegrees() == ((1, 1),)
 
 
 def test_fundamental_form_closed_iff_almost_kahler():

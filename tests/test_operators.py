@@ -43,7 +43,7 @@ def test_adjoint_pairing():
             for i in range(alg.dim_block(pq)):
                 a = alg.basis_form(pq, i)
                 oa = op.apply(a)
-                for bq in oa.components:
+                for bq in oa.bidegrees():
                     for j in range(alg.dim_block(bq)):
                         b = alg.basis_form(bq, j)
                         assert oa.inner(b) == a.inner(ops.apply(b))
