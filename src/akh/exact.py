@@ -2,11 +2,13 @@
 
 Everything in this package reduces to linear algebra over Q(i).  A scalar is
 one normalized integer triple (a, b, d) meaning (a + b*i)/d, so its arithmetic
-is a few int products and one gcd, with no Fraction objects; matrices store
+is a few int products and one gcd, with no Fraction objects.  Matrices store
 each row as a dict from column to nonzero entry (the operators here are mostly
-zeros), and every routine is deterministic: reduced row echelon form always
-picks the leftmost pivot column and the topmost unused row, so kernel bases
-are canonical for a given input.
+zeros), and a vector is the same kind of dict: ``kernel`` returns its basis
+vectors that way, and ``ExactMatrix.apply`` takes and returns them.  Every
+routine is deterministic: reduced row echelon form always picks the leftmost
+pivot column and the topmost unused row, so kernel bases are canonical for a
+given input.
 
 ParamPoly adds multivariate polynomials over Q(i) in named real parameters.
 They are used to express families of forms (a 2-form with unknown rational
@@ -355,22 +357,22 @@ class ExactMatrix:
             out.append({j: s for j, s in acc.items() if s})
         return ExactMatrix._from_rows(out, other.cols)
 
-    def apply(self, vec: Sequence) -> tuple:
-        """Matrix times column vector; the vector entries may be any ring
-        elements that multiply with GaussScalar (ParamPoly included).  Zero
-        vector entries are skipped, so an entry with no nonzero term is
-        GAUSS_ZERO."""
-        if len(vec) != self.cols:
-            raise ExactError("vector length mismatch")
-        out = []
-        for row in self._rows:
+    def apply(self, vec: Mapping) -> dict:
+        """Matrix times a sparse column vector {column: entry}, returned as
+        {row: entry} with no zero entry.  The vector entries may be zero, or
+        any ring elements that multiply with GaussScalar (ParamPoly too)."""
+        if any(not 0 <= j < self.cols for j in vec):
+            raise ExactError("vector index out of range")
+        out = {}
+        for i, row in enumerate(self._rows):
             acc = None
             for j, a in row.items():
-                x = vec[j]
-                if x:
+                x = vec.get(j)
+                if x is not None:
                     acc = a * x if acc is None else acc + a * x
-            out.append(acc if acc is not None else GAUSS_ZERO)
-        return tuple(out)
+            if acc:
+                out[i] = acc
+        return out
 
     def transpose(self) -> "ExactMatrix":
         out = [{} for _ in range(self.cols)]
@@ -487,25 +489,24 @@ def rank(mat: ExactMatrix) -> int:
 
 
 def kernel(mat: ExactMatrix) -> list:
-    """Canonical kernel basis: one vector per free column, unit entry there.
+    """Canonical kernel basis: one sparse vector {column: entry} per free
+    column, holding 1 there and no zero entry.
 
     The basis is ordered by free column index; with the deterministic rref
     this makes kernel output reproducible across runs and platforms.
     """
     R, pivots = rref(mat)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(mat.cols):
-        if f in pivot_set:
-            continue
-        v = [GAUSS_ZERO] * mat.cols
-        v[f] = GAUSS_ONE
-        for row, c in zip(R._rows, pivots):
-            a = row.get(f)
-            if a is not None:
-                v[c] = -a
-        basis.append(tuple(v))
-    return basis
+    basis = {f: {} for f in range(mat.cols)}
+    for c in pivots:
+        del basis[c]
+    # besides its pivot, a reduced pivot row holds entries in free columns only
+    for row, c in zip(R._rows, pivots):
+        for f, a in row.items():
+            if f != c:
+                basis[f][c] = -a
+    for f, vec in basis.items():
+        vec[f] = GAUSS_ONE
+    return list(basis.values())
 
 
 def _signature(mat: ExactMatrix, hermitian: bool) -> tuple:

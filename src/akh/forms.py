@@ -564,14 +564,14 @@ class BigradedAlgebra:
         product and a row is orthogonal to every conjugate row as well."""
         model = self.model
         n = model.dim
-        K = ExactMatrix(model.J).transpose()  # dual action on coframe coordinates
+        # the dual action of J on coframe coordinates, minus i
+        shifted = ExactMatrix(model.J).transpose() - ExactMatrix.identity(n) * GAUSS_I
         if model.coframe is not None:
             rows = tuple(tuple(x for x in row) for row in model.coframe)
             if len(rows) != self.m or any(len(r) != n for r in rows):
                 raise ModelError("coframe override must have m rows of length dim")
             for row in rows:
-                image = K.apply(row)
-                if tuple(image) != tuple(GAUSS_I * x for x in row):
+                if shifted.apply(dict(enumerate(row))):
                     raise ModelError("coframe row is not a +i eigenvector")
             # a pinned coframe fixes printed normalizations, so it is checked
             # rather than orthogonalized
@@ -579,13 +579,12 @@ class BigradedAlgebra:
                 if _hermitian(a, b):
                     raise ModelError(f"coframe rows {r} and {s} are not orthogonal")
             return rows
-        shifted = K - ExactMatrix.identity(n) * GAUSS_I
         eigen = kernel(shifted)
         if len(eigen) != self.m:
             raise ModelError("almost complex structure has defective eigenspace")
         # row-reduce the eigenbasis so each generator has leading coefficient 1,
         # then halve: for block-diagonal J this is the coframe dual to X - iJX
-        reduced, pivots = rref(ExactMatrix(eigen))
+        reduced, pivots = rref(ExactMatrix._from_rows(eigen, n))
         half = GaussScalar(Fraction(1, 2))
         rows = []
         for r in range(len(pivots)):
@@ -698,16 +697,13 @@ class BigradedAlgebra:
             return range(0)
         return range(self._degree_start[k], self._degree_start[k + 1])
 
-    def coordinates(self, form: Form) -> list:
-        """Coefficients of every monomial of a form, in the operator layout."""
-        out = [GAUSS_ZERO] * self.size
-        for mono, c in form.terms.items():
-            out[self.position[mono]] = c
-        return out
+    def coordinates(self, form: Form) -> dict:
+        """The sparse vector {layout index: coefficient} of a form."""
+        return {self.position[mono]: c for mono, c in form.terms.items()}
 
-    def form_from_vector(self, vec: Sequence, start: int = 0) -> Form:
-        """Form whose coefficients at layout indices start, start+1, ... are vec."""
-        return Form(self, dict(zip(self.layout[start:], vec)))
+    def form_from_vector(self, vec: Mapping, start: int = 0) -> Form:
+        """Form whose coefficient at layout index start + j is vec[j]."""
+        return Form(self, {self.layout[start + j]: c for j, c in vec.items()})
 
     def zero_form(self) -> Form:
         return Form(self, {})
@@ -799,14 +795,15 @@ def _betti(alg: BigradedAlgebra) -> tuple:
     return tuple(out)
 
 
-def form_from_coordinates(algebra: BigradedAlgebra, pq: BlockKey, vec: Sequence) -> Form:
-    """Form with coordinate vector ``vec`` on block ``pq``."""
+def form_from_coordinates(algebra: BigradedAlgebra, pq: BlockKey, vec: Mapping) -> Form:
+    """Form with the sparse coordinate vector ``vec`` {index: coefficient} on
+    block ``pq``, indices in the order of ``algebra.blocks[pq]``."""
     basis = algebra.blocks.get(pq)
     if basis is None:
         raise AlgebraError(f"no block {pq} in this algebra")
-    if len(vec) != len(basis):
-        raise AlgebraError(f"vector length mismatch on block {pq}")
-    return Form(algebra, dict(zip(basis, vec)))
+    if any(not 0 <= j < len(basis) for j in vec):
+        raise AlgebraError(f"coordinate index out of range on block {pq}")
+    return Form(algebra, {basis[j]: c for j, c in vec.items()})
 
 
 _D2_RELATIONS = (

@@ -17,6 +17,11 @@ each the joint kernel of the components it names and their adjoints:
   exactly when every component and every adjoint in it does.  No
   Laplacian is built for it.
 
+Every basis here, harmonic, primitive or holomorphic, is a canonical
+``kernel`` basis of sparse vectors {coordinate: entry}, taken as it is:
+ranks stack the vectors as matrix rows, and the Lefschetz powers multiply
+those rows by the transposed blocks of L.
+
 The diamond dimension ``ell[p][q]`` is dim ker on the (p,q) block for
 ``"dbar+mu"``.  On almost Kahler models all flavours of ``"d"``,
 ``"dbar+mu"`` and ``"partial+mu_bar"`` agree; on other models their
@@ -41,6 +46,7 @@ from .exact import (
     AkhError,
     GAUSS_I,
     GAUSS_ONE,
+    GAUSS_ZERO,
     ExactMatrix,
     GaussScalar,
     ParamPoly,
@@ -279,18 +285,14 @@ class LefschetzReport(NamedTuple):
         return "\n".join(lines)
 
 
-def _lefschetz_power(alg: BigradedAlgebra, pq: tuple, vecs, power: int) -> list:
-    """The images under L^power of the coordinate vectors vecs on pq; each
-    block of L is cut once for all of them."""
-    out = list(vecs)
-    for step in range(power if out else 0):
-        block = alg.L.block((pq[0] + step, pq[1] + step), (1, 1))
-        out = [block.apply(v) for v in out]
-    return out
-
-
-def _sparse_row(vec) -> dict:
-    return {j: a for j, a in enumerate(vec) if a}
+def _lefschetz_power(alg: BigradedAlgebra, pq: tuple, vecs, power: int) -> ExactMatrix:
+    """The images under L^power of the sparse vectors vecs on pq, as the rows
+    of a matrix.  A step multiplies by the transpose of one block of L, cut
+    once for all of them, so each vector sums the columns it holds."""
+    images = ExactMatrix._from_rows(vecs, alg.dim_block(pq))
+    for step in range(power):
+        images = images @ alg.L.block((pq[0] + step, pq[1] + step), (1, 1)).transpose()
+    return images
 
 
 def hard_lefschetz(model: LieModel) -> LefschetzReport:
@@ -318,13 +320,13 @@ def _hard_lefschetz(alg: BigradedAlgebra) -> LefschetzReport:
             q = k - p
             src = _harmonic_vectors(alg, "d", (p, q))
             tgt = _harmonic_vectors(alg, "d", (p + power, q + power))
-            images = [_sparse_row(v) for v in _lefschetz_power(alg, (p, q), src, power)]
+            images = _lefschetz_power(alg, (p, q), src, power)
             n_tgt = alg.dim_block((p + power, q + power))
-            rk = rank(ExactMatrix._from_rows(images, n_tgt))
+            rk = rank(images)
             # tgt is a basis, so the images lie in its span iff adding them
             # leaves the rank at len(tgt)
-            stacked = [_sparse_row(v) for v in tgt] + images
-            contained = rank(ExactMatrix._from_rows(stacked, n_tgt)) == len(tgt)
+            stacked = vstack([ExactMatrix._from_rows(tgt, n_tgt), images])
+            contained = rank(stacked) == len(tgt)
             iso = contained and rk == len(src) == len(tgt)
             all_iso = all_iso and iso
             maps.append(LefschetzMap(
@@ -378,23 +380,16 @@ def primitive_decomposition(model: LieModel, p: int, q: int) -> PrimitiveDecompo
         raise HarmonicError("primitive decomposition requires an almost Kahler model")
     _check_block(alg, p, q)
     dims = []
-    images = []
+    summands = []
     for j in range(min(p, q) + 1):
         base = (p - j, q - j)
-        prim = _primitive_vectors(alg, base)
-        vecs = _lefschetz_power(alg, base, prim, j)
-        dims.append(rank(ExactMatrix(vecs)) if vecs else 0)
-        images.append(vecs)
+        images = _lefschetz_power(alg, base, _primitive_vectors(alg, base), j)
+        dims.append(rank(images))
+        summands.append([form_from_coordinates(alg, (p, q), dict(images.row_items(i)))
+                         for i in range(images.rows)])
     total = sum(dims)
-    orthogonal = True
-    for j1 in range(len(images)):
-        for j2 in range(j1 + 1, len(images)):
-            for u in images[j1]:
-                fu = form_from_coordinates(alg, (p, q), u)
-                for v in images[j2]:
-                    fv = form_from_coordinates(alg, (p, q), v)
-                    if fu.inner(fv):
-                        orthogonal = False
+    orthogonal = not any(fu.inner(fv) for first, second in itertools.combinations(summands, 2)
+                         for fu in first for fv in second)
     ell = _ell(alg, p, q)
     return PrimitiveDecomposition(
         p=p, q=q, summand_dims=tuple(dims), ell=ell,
@@ -473,9 +468,8 @@ def _real_harmonic_basis(alg: BigradedAlgebra, model: LieModel, degree: int) -> 
     reduced, pivots = rref(_real_rows(ExactMatrix(coords, cols=len(rmonos))))
     if len(pivots) != len(vecs):
         raise HarmonicError("harmonic space is not conjugation-stable")
-    return tuple(
-        alg.form_from_real({mono: c for mono, c in zip(rmonos, reduced.row(r)) if c}, degree)
-        for r in range(len(pivots)))
+    return tuple(alg.form_from_real({rmonos[j]: c for j, c in reduced.row_items(r)}, degree)
+                 for r in range(len(pivots)))
 
 
 class HodgeIndexReport(NamedTuple):
@@ -683,7 +677,9 @@ def _closed_real_11_forms(alg: BigradedAlgebra) -> tuple:
     solutions = kernel(_real_rows(vstack([
         hstack([C - one, (C + one) * -GAUSS_I]),
         hstack([D, D * GAUSS_I])])))
-    return tuple(tuple(GaussScalar(sol[j].re, sol[n + j].re) for j in range(n))
+    # a solution holds the real x_j in column j and y_j in column n + j
+    return tuple({j: GaussScalar(sol.get(j, GAUSS_ZERO).re, sol.get(n + j, GAUSS_ZERO).re)
+                  for j in range(n) if j in sol or n + j in sol}
                  for sol in solutions)
 
 
@@ -728,7 +724,7 @@ def _ak_nonexistence(alg: BigradedAlgebra) -> AkNonexistenceReport:
     # T1: parameters whose wedges are all dbar-exact.  Membership in the
     # image is cut out by the kernel of the transpose.
     image = alg.dbar.block((2, 0), DBAR_SHIFT) if m > 1 else ExactMatrix.zeros(0, 0)
-    cokernel = ExactMatrix(kernel(image.transpose()), cols=n21)
+    cokernel = ExactMatrix._from_rows(kernel(image.transpose()), n21)
     t1_basis = kernel(_real_rows(vstack([cokernel @ w for w in W])))
     if len(t1_basis) < dim_w:
         return AkNonexistenceReport(
@@ -751,7 +747,7 @@ def _ak_nonexistence(alg: BigradedAlgebra) -> AkNonexistenceReport:
         for i in range(dim_w):
             poly = ParamPoly.zero(names)
             for j, tau in enumerate(t2_basis):
-                if tau[i]:
+                if i in tau:
                     poly = poly + ParamPoly.variable(names, names[j]) * tau[i]
             coeff_polys.append(poly)
         family = alg.zero_form()

@@ -414,7 +414,7 @@ def model_from_json(data) -> LieModel:
             f"unsupported format {data.get('format')!r}; expected {FORMAT_VERSION}"
         )
     try:
-        name = str(data["name"])
+        name = _expect(data["name"], str, "name")
         dim = _expect(data["dim"], int, "dim")
         raw_brackets = _expect(data["brackets"], list, "brackets")
         raw_j = _expect(data["J"], list, "J")

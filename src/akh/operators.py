@@ -333,6 +333,6 @@ def laplacian_symmetry_witness(model: LieModel):
         for vecs, other in ((ker_a, "partial+mu_bar"), (ker_b, "dbar+mu")):
             constraints = _constraint_matrix(alg, other, pq)
             for vec in vecs:
-                if any(constraints.apply(vec)):
+                if constraints.apply(vec):
                     return form_from_coordinates(alg, pq, vec)
     return "symmetric"

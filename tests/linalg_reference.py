@@ -6,9 +6,20 @@ kernel bases.  These routines stay here, built on ``akh.exact.rref``, as
 independent references for the tests.
 """
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from akh.exact import GAUSS_ZERO, ExactError, ExactMatrix, as_gauss, hstack, rref
+
+
+def sparse(vec: Sequence) -> dict:
+    """The sparse vector {index: entry} of a dense one, zeros dropped: the
+    form ``akh.exact.kernel`` and ``ExactMatrix.apply`` use."""
+    return {j: a for j, a in enumerate(vec) if a}
+
+
+def dense(vec: Mapping, n: int) -> tuple:
+    """The dense length-n vector of a sparse one."""
+    return tuple(vec.get(j, GAUSS_ZERO) for j in range(n))
 
 
 def solve(mat: ExactMatrix, rhs: Sequence):

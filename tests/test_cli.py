@@ -179,8 +179,10 @@ def test_missing_field_exits_one_with_field_name(tmp_path, capsys):
     {"brackets": ["[X1,X2] = -X3"]},
     {"brackets": [{"i": 1.7, "j": 2, "k": 3, "c": "-1"}]},
     {"brackets": [{"i": True, "j": 2, "k": 3, "c": "-1"}]},
+    {"name": [[1]]},
+    {"name": 7},
 ], ids=["J_int", "brackets_int", "J_row_int", "bracket_string",
-        "index_float", "index_bool"])
+        "index_float", "index_bool", "name_list", "name_int"])
 def test_malformed_model_shape_exits_one_without_traceback(tmp_path, change):
     data = model_to_json(catalog("kodaira_thurston"))
     data.update(change)

@@ -22,7 +22,7 @@ from akh.exact import (
     symmetric_signature,
     vstack,
 )
-from linalg_reference import in_span, inverse, solve
+from linalg_reference import dense, in_span, inverse, solve, sparse
 
 rationals = st.fractions(min_value=-12, max_value=12, max_denominator=7)
 scalars = st.builds(GaussScalar, rationals, rationals)
@@ -142,13 +142,9 @@ def test_scalar_parse_forms():
 
 def test_kernel_spec_examples():
     zero3 = ExactMatrix.zeros(3, 3)
-    assert kernel(zero3) == [
-        (GAUSS_ONE, GAUSS_ZERO, GAUSS_ZERO),
-        (GAUSS_ZERO, GAUSS_ONE, GAUSS_ZERO),
-        (GAUSS_ZERO, GAUSS_ZERO, GAUSS_ONE),
-    ]
+    assert kernel(zero3) == [{0: GAUSS_ONE}, {1: GAUSS_ONE}, {2: GAUSS_ONE}]
     m = ExactMatrix([[GAUSS_ONE, GAUSS_I], [GAUSS_ZERO, GAUSS_ZERO]])
-    assert kernel(m) == [(-GAUSS_I, GAUSS_ONE)]
+    assert kernel(m) == [{0: -GAUSS_I, 1: GAUSS_ONE}]
 
 
 def test_signature_spec_example():
@@ -195,7 +191,7 @@ def test_kernel_vectors_annihilate(m):
     vecs = kernel(m)
     assert len(vecs) == m.cols - rank(m)
     for v in vecs:
-        assert all(not x for x in m.apply(v))
+        assert m.apply(v) == {}
 
 
 @given(small_matrices())
@@ -212,18 +208,18 @@ def test_rref_idempotent_and_deterministic(m):
 @settings(max_examples=40, deadline=None)
 def test_solve_recovers_consistent_rhs(m, xs):
     x = (xs * m.cols)[: m.cols]
-    b = m.apply(x)
-    got = solve(m, b)
+    b = m.apply(sparse(x))
+    got = solve(m, dense(b, m.rows))
     assert got is not None
-    assert m.apply(got) == tuple(b)
+    assert m.apply(sparse(got)) == b
 
 
 def test_kernel_intersection_is_stack_kernel():
     a = ExactMatrix([[1, 0, -1]])
     b = ExactMatrix([[0, 1, -1]])
     inter = kernel(vstack([a, b]))
-    assert inter == [(GAUSS_ONE, GAUSS_ONE, GAUSS_ONE)]
-    assert all(not x for v in inter for x in a.apply(v) + b.apply(v))
+    assert inter == [{0: GAUSS_ONE, 1: GAUSS_ONE, 2: GAUSS_ONE}]
+    assert all(a.apply(v) == b.apply(v) == {} for v in inter)
 
 
 def test_in_span():
@@ -382,7 +378,7 @@ def test_sparse_rref_and_kernel_match_dense(m):
     work, dense_pivots = dense_rref(m.data, m.cols)
     assert pivots == dense_pivots
     assert reduced == ExactMatrix(work, cols=m.cols)
-    assert kernel(m) == dense_kernel(m.data, m.cols)
+    assert kernel(m) == [sparse(v) for v in dense_kernel(m.data, m.cols)]
     # empty rows first, in the middle, last or everywhere change neither R
     # (beyond its zero rows at the bottom) nor the pivots
     zero, rows = (GAUSS_ZERO,) * m.cols, list(m.data)
@@ -512,11 +508,15 @@ def test_sparse_binary_maps_match_dense(case, vec):
     a, b = ExactMatrix(ga, cols=c), ExactMatrix(gb, cols=c)
     assert a - b == ExactMatrix(
         [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(ga, gb)], cols=c)
-    assert a.apply(vec[:c]) == tuple(
-        sum((x * v for x, v in zip(row, vec)), GAUSS_ZERO) for row in ga)
+    assert a.apply(sparse(vec[:c])) == sparse(
+        [sum((x * v for x, v in zip(row, vec)), GAUSS_ZERO) for row in ga])
+    # zero entries may be stored, and ParamPoly entries are allowed
     polys = [ParamPoly.variable(("t",), "t") * v for v in vec[:c]]
-    assert a.apply(polys) == tuple(
-        sum((x * p for x, p in zip(row, polys)), GAUSS_ZERO) for row in ga)
+    assert a.apply(dict(enumerate(polys))) == sparse(
+        [sum((x * p for x, p in zip(row, polys)), GAUSS_ZERO) for row in ga])
+    for outside in (c, -1):
+        with pytest.raises(ExactError):
+            a.apply({outside: GAUSS_ONE})
     assert vstack([a, ExactMatrix(gt, cols=c)]) == ExactMatrix(ga + gt, cols=c)
     assert hstack([a, ExactMatrix(gw, cols=3)]) == ExactMatrix(
         [ra + rw for ra, rw in zip(ga, gw)], cols=c + 3)

@@ -24,7 +24,7 @@ from akh.forms import (
 from akh.harmonic import betti, ell_diamond, obstruction_report
 from akh.model import CATALOG_NAMES, LieModel, catalog, load_model, validate
 from akh.operators import _adjoint, verify_identities
-from linalg_reference import inverse
+from linalg_reference import inverse, sparse
 
 
 def gs(re, im=0):
@@ -193,8 +193,9 @@ def test_block_views_agree_with_apply(source):
                         range(cols.start - col_start, cols.stop - col_start))
                     assert piece == views[tgt], (name, pq, (r, s))
             for j in range(alg.dim_block(pq)):
-                expected = sum((form_from_coordinates(alg, tgt, [mat[i, j] for i in range(mat.rows)])
-                                for tgt, mat in views.items()), alg.zero_form())
+                expected = sum((form_from_coordinates(
+                    alg, tgt, sparse([mat[i, j] for i in range(mat.rows)]))
+                    for tgt, mat in views.items()), alg.zero_form())
                 assert op.apply(alg.basis_form(pq, j)) == expected, (name, pq, j)
         assert op.shifts is shifts, name  # scanned once per operator
 
@@ -462,19 +463,20 @@ def test_form_unknown_monomial_rejected():
         with pytest.raises(AlgebraError):
             Form(alg, {mono: GAUSS_ONE})
     with pytest.raises(AlgebraError):
-        form_from_coordinates(alg, (1, 0), (GAUSS_ONE, GAUSS_ONE))
+        form_from_coordinates(alg, (1, 0), {0: GAUSS_ONE, 1: GAUSS_ONE})
     with pytest.raises(AlgebraError):
-        form_from_coordinates(alg, (5, 5), (GAUSS_ONE,))
+        form_from_coordinates(alg, (1, 0), {-1: GAUSS_ONE})
+    with pytest.raises(AlgebraError):
+        form_from_coordinates(alg, (5, 5), {0: GAUSS_ONE})
 
 
 def _mixed_forms(alg):
     """Fixed forms of mixed degree, with GaussScalar and ParamPoly coefficients."""
     t = ParamPoly.variable(("t",), "t") + GAUSS_I
-    dense = alg.form_from_vector([gs(j % 5 - 2, j % 3) for j in range(alg.size)])
-    sparse = alg.form_from_vector([gs(1, -j) if j % 3 == 0 else GAUSS_ZERO
-                                   for j in range(alg.size)])
-    return (dense, sparse, alg.fundamental_form + alg.generator_form(0).conj(),
-            dense.scale(t), sparse.scale(t * t) - alg.volume_form.scale(t))
+    full = alg.form_from_vector(sparse([gs(j % 5 - 2, j % 3) for j in range(alg.size)]))
+    thin = alg.form_from_vector({j: gs(1, -j) for j in range(0, alg.size, 3)})
+    return (full, thin, alg.fundamental_form + alg.generator_form(0).conj(),
+            full.scale(t), thin.scale(t * t) - alg.volume_form.scale(t))
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
@@ -483,7 +485,7 @@ def test_layout_and_block_views_rebuild_the_form(name):
     for f in _mixed_forms(alg):
         assert not f.is_zero()
         assert alg.form_from_vector(alg.coordinates(f)) == f
-        assert sum((form_from_coordinates(alg, pq, f.block(pq)) for pq in f.bidegrees()),
+        assert sum((form_from_coordinates(alg, pq, sparse(f.block(pq))) for pq in f.bidegrees()),
                    alg.zero_form()) == f
         assert all(f.coefficient(mono) == c for mono, c in f.terms.items())
         # equal forms built different ways hash equal
@@ -699,11 +701,11 @@ def test_closed_form_metric_matches_the_solved_one(source):
     assert alg.dbar.adjoint().matrix == adjoint(alg.dbar)
     assert alg.d.adjoint().matrix == adjoint(alg.d)
     assert alg.T_inv == inverse(alg.T)
-    u = alg.form_from_vector([gs(j % 5 - 2, j % 3) for j in range(alg.size)])
-    v = alg.form_from_vector([gs(j % 4, 1 - j % 7) for j in range(alg.size)])
+    u = alg.form_from_vector(sparse([gs(j % 5 - 2, j % 3) for j in range(alg.size)]))
+    v = alg.form_from_vector(sparse([gs(j % 4, 1 - j % 7) for j in range(alg.size)]))
     assert u.inner(v) == sum(
-        (a * gram.matrix[i, j] * b.conj() for i, a in enumerate(alg.coordinates(u))
-         for j, b in enumerate(alg.coordinates(v)) if a and b and gram.matrix[i, j]),
+        (a * gram.matrix[i, j] * b.conj() for i, a in alg.coordinates(u).items()
+         for j, b in alg.coordinates(v).items() if gram.matrix[i, j]),
         GAUSS_ZERO)
     if source == "h5_J_rotated":
         assert _gram_schmidt_ran(alg)

@@ -678,8 +678,9 @@ def _old_primitive_vectors(alg, pq):
     if not harm:
         return ()
     lam_mat = alg.lam.block(pq, (-1, -1))
-    combos = kernel(ExactMatrix([lam_mat.apply(v) for v in harm]).transpose())
-    basis = ExactMatrix(harm).transpose()
+    combos = kernel(ExactMatrix._from_rows([lam_mat.apply(v) for v in harm],
+                                           lam_mat.rows).transpose())
+    basis = ExactMatrix._from_rows(harm, alg.dim_block(pq)).transpose()
     return tuple(basis.apply(c) for c in combos)
 
 
@@ -700,4 +701,4 @@ def test_harmonic_spaces_are_kernels_of_laplacians(source):
         old = _old_primitive_vectors(alg, pq)
         assert len(new) == len(old), pq
         if new:
-            assert rank(ExactMatrix(list(new) + list(old))) == len(new), pq
+            assert rank(ExactMatrix._from_rows(new + old, alg.dim_block(pq))) == len(new), pq

@@ -1,0 +1,84 @@
+"""Byte-identity guard for ``akh report`` on the 8- and 10-dimensional ladder.
+
+``tests/ladder_expected.json`` maps ``report <model> <format>`` to the
+sha256 of the stdout of ``akh report --model <model JSON> --format
+<format>`` and its exit code.  The models are the three ladder models under
+``bench/models`` and two 10-dimensional products built with
+``bench/models/make_ladder.py``: torus10 (torus6 x torus4) and kt_x_h5_J
+(Kodaira-Thurston x h5_J).  ``bench/expected.json`` pins only their Betti
+numbers; this pins the identity ledger, the diamond, hard Lefschetz and the
+obstructions as well.
+
+Regenerate the digests, only when a change of these reports is intended,
+with ``PYTHONPATH=src python tests/test_ladder_golden.py``.
+"""
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from akh import cli
+from akh.model import catalog, save_model
+
+ROOT = Path(__file__).resolve().parents[1]
+MODELS_DIR = ROOT / "bench" / "models"
+EXPECTED_PATH = Path(__file__).resolve().parent / "ladder_expected.json"
+COMMITTED = ("kt_x_kt", "h5_J_x_T2", "torus8")
+PRODUCTS = {"torus10": ("torus6", "torus4"), "kt_x_h5_J": ("kodaira_thurston", "h5_J")}
+NAMES = COMMITTED + tuple(PRODUCTS)
+FORMATS = ("json", "text")
+
+_SPEC = importlib.util.spec_from_file_location("bench_make_ladder", MODELS_DIR / "make_ladder.py")
+make_ladder = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(make_ladder)
+
+
+def _model_path(name: str, tmp: Path) -> str:
+    if name in COMMITTED:
+        return str(MODELS_DIR / f"{name}.json")
+    first, second = PRODUCTS[name]
+    path = tmp / f"{name}.json"
+    save_model(make_ladder.product(name, catalog(first), catalog(second)), str(path))
+    return str(path)
+
+
+def record(name: str, tmp: Path) -> dict:
+    """{'report <name> <format>': {'sha256': ..., 'exit': ...}} for one model."""
+    path = _model_path(name, tmp)
+    out = {}
+    for fmt in FORMATS:
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            code = cli.main(["report", "--model", path, "--format", fmt])
+        digest = hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest()
+        out[f"report {name} {fmt}"] = {"sha256": digest, "exit": code}
+    return out
+
+
+def _expected() -> dict:
+    return json.loads(EXPECTED_PATH.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_ladder_report_matches_recorded_digest(name, tmp_path):
+    expected = {k: v for k, v in _expected().items() if k.split(" ")[1] == name}
+    assert record(name, tmp_path) == expected
+
+
+def test_every_ladder_model_and_format_is_recorded():
+    assert set(_expected()) == {f"report {name} {fmt}" for name in NAMES for fmt in FORMATS}
+
+
+if __name__ == "__main__":
+    recorded = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for model_name in NAMES:
+            recorded.update(record(model_name, Path(tmp)))
+    EXPECTED_PATH.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n",
+                             encoding="utf-8")

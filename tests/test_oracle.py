@@ -15,7 +15,8 @@ checks per model, on the catalog and the 8-dimensional bench ladder:
 On the catalog models, the d-harmonic dimension of every bidegree block is
 also checked: the nullity over Q(i) of d stacked on its adjoint
 G^-1 d^H G, both assembled by sympy from ``alg.d`` and the diagonal metric
-``alg.norm_sq`` alone, against the size of akh's harmonic basis.
+``alg.norm_sq`` alone, against the size of akh's harmonic basis.  The same
+check covers the two mixed spaces and the four single-component ones.
 """
 
 import itertools
@@ -171,9 +172,12 @@ def test_harmonic_block_dimensions_match_sympy(name):
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_mixed_harmonic_block_dimensions_match_sympy(name):
     # ker(lap(A) + lap(B)) is the joint kernel of A, B and their adjoints;
-    # "dbar+mu" gives the diamond's ell(p, q)
+    # "dbar+mu" gives the diamond's ell(p, q).  A single component's space
+    # is the joint kernel of it and its adjoint.
     alg = build(catalog(name))
     for which, names in (("dbar+mu", ("dbar", "mu")),
-                         ("partial+mu_bar", ("partial", "mu_bar"))):
+                         ("partial+mu_bar", ("partial", "mu_bar")),
+                         ("dbar", ("dbar",)), ("mu", ("mu",)),
+                         ("partial", ("partial",)), ("mu_bar", ("mu_bar",))):
         dims = {pq: len(_harmonic_vectors(alg, which, pq)) for pq in alg.block_order}
         assert dims == _sympy_harmonic_dims(alg, names), which
