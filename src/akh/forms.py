@@ -170,13 +170,12 @@ class Form:
         return Form(self.algebra, wedge_sum((self.terms, other.terms)))
 
     def conj(self) -> "Form":
-        m = self.algebra.m
-        acc: Dict[Mono, object] = {}
-        # conjugation permutes the monomials, so nothing accumulates
+        alg = self.algebra
+        out = {}
         for mono, c in self.terms.items():
-            swapped, sign = sort_with_sign((g + m) if g < m else (g - m) for g in mono)
-            acc[swapped] = c.conj() if sign > 0 else -c.conj()
-        return Form(self.algebra, acc)
+            i, sign = alg.C[alg.position[mono]]
+            out[alg.layout[i]] = c.conj() if sign > 0 else -c.conj()
+        return Form(alg, out)
 
     def d(self) -> "Form":
         return self.algebra.d.apply(self)
@@ -337,6 +336,18 @@ class BlockOperator:
                 rows[i][j] = a.conj() * (w[j] / w[i])
         return BlockOperator(self.algebra, ExactMatrix._from_rows(rows, self.algebra.size))
 
+    def conj(self) -> "BlockOperator":
+        """C A C for complex conjugation C (``algebra.C``), the operator
+        x -> conj(A conj(x)): entry by entry (C A C)[i', j'] = s_i s_j
+        conj(A[i, j]) for C[i] = (i', s_i) and C[j] = (j', s_j)."""
+        C = self.algebra.C
+        rows = [None] * self.matrix.rows
+        for i in range(self.matrix.rows):
+            i_bar, s = C[i]
+            rows[i_bar] = {C[j][0]: a.conj() if s == C[j][1] else -a.conj()
+                           for j, a in self.matrix.row_items(i)}
+        return BlockOperator(self.algebra, ExactMatrix._from_rows(rows, self.algebra.size))
+
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
 
@@ -421,8 +432,7 @@ class BigradedAlgebra:
         n = model.dim
 
         self.coframe = self._resolve_coframe()
-        conj_rows = tuple(tuple(x.conj() for x in row) for row in self.coframe)
-        self.T = ExactMatrix(list(self.coframe) + list(conj_rows))
+        self.T = vstack([ExactMatrix(self.coframe), ExactMatrix(self.coframe).conj()])
         # the rows of T are Hermitian-orthogonal, so T T^H is the diagonal of
         # their norms |t_g|^2 and T_inv[k][g] = conj(T[g][k]) / |t_g|^2
         self._gen_norm = [sum((x.norm_sq() for x in row), Fraction(0)) for row in self.coframe] * 2
@@ -519,22 +529,31 @@ class BigradedAlgebra:
     @functools.cached_property
     def star(self) -> BlockOperator:
         """The Hodge star, alpha ^ star(gamma) = g(alpha, gamma) vol, with g
-        the bilinear extension of the frame metric.
-
-        g(alpha, a_S) is the Hermitian product of alpha with conj(a_S) =
-        sign * a_Sbar, so it pairs a_S only with alpha = a_Sbar, with value
-        sign * |a_S|^2.  Hence star(a_S) = sign * sign(Sbar ^ C) * |a_S|^2 *
-        vol_coeff * a_C for the complement C of Sbar.
-        """
-        m, top, w = self.m, self._top_mono, self.norm_sq
+        the bilinear extension of the frame metric.  g(alpha, a_S) is the
+        Hermitian product of alpha with conj(a_S) = sign * a_T (``C``), so
+        star(a_S) = sign * sign(T ^ K) * |a_S|^2 * vol_coeff * a_K for the
+        complement K of T."""
+        top, w = self._top_mono, self.norm_sq
         vol_coeff = GaussScalar(self.orientation) / self._top_real_coeff
         rows = [{} for _ in range(self.size)]
-        for j, mono in enumerate(self.layout):
-            swapped, sign = sort_with_sign((g + m) if g < m else (g - m) for g in mono)
-            comp = tuple(g for g in top if g not in swapped)
-            sign *= merge_wedge(swapped, comp)[1]
+        for j, (i, sign) in enumerate(self.C):
+            comp = tuple(g for g in top if g not in self.layout[i])
+            sign *= merge_wedge(self.layout[i], comp)[1]
             rows[self.position[comp]][j] = vol_coeff * (sign * w[j])
         return BlockOperator(self, ExactMatrix._from_rows(rows, self.size))
+
+    @functools.cached_property
+    def C(self) -> tuple:
+        """Complex conjugation, the only place a conjugate monomial is
+        computed: C[j] = (i, sign) when conj(a_S) = sign * a_T for S =
+        layout[j], T = layout[i].  For S = I ^ Jbar in block (p, q), conj(a_S)
+        = a_Ibar ^ a_J sorts to T = J ^ Ibar with the sign (-1)^(pq)."""
+        m = self.m
+        out = []
+        for mono, (p, q) in zip(self.layout, self.block_at):
+            swapped = tuple(g - m for g in mono[p:]) + tuple(g + m for g in mono[:p])
+            out.append((self.position[swapped], -1 if p * q % 2 else 1))
+        return tuple(out)
 
     @functools.cached_property
     def L(self) -> BlockOperator:
@@ -722,17 +741,20 @@ class BigradedAlgebra:
                     raise AlgebraError("real monomial degree mismatch")
         return Form(self, self._complexify_real(comps))
 
-    def real_coordinates(self, form: Form, degree: int) -> tuple:
-        """Coordinates of a pure-degree form over real frame monomials."""
-        basis = list(itertools.combinations(range(2 * self.m), degree))
-        index = {mono: i for i, mono in enumerate(basis)}
-        out = [GAUSS_ZERO] * len(basis)
+    def real_coordinates(self, form: Form, degree: int) -> dict:
+        """The sparse vector {index: nonzero coefficient} of a pure-degree
+        form over the real frame monomials of that degree, indexed in the
+        order of itertools.combinations(range(2m), degree)."""
         if any(len(mono) != degree for mono in form.terms):
             raise AlgebraError("form is not of the requested pure degree")
+        index = {mono: i for i, mono in
+                 enumerate(itertools.combinations(range(2 * self.m), degree))}
+        out = {}
         for mono, c in form.terms.items():
             for rmono, rc in self._real_expansion(mono).items():
-                out[index[rmono]] = out[index[rmono]] + c * rc
-        return tuple(out)
+                i = index[rmono]
+                out[i] = c * rc if i not in out else out[i] + c * rc
+        return {i: c for i, c in out.items() if c}
 
     def integrate(self, form: Form) -> GaussScalar:
         """Coefficient of the oriented volume form in the top component."""
@@ -806,67 +828,37 @@ def form_from_coordinates(algebra: BigradedAlgebra, pq: BlockKey, vec: Mapping) 
     return Form(algebra, {basis[j]: c for j, c in vec.items()})
 
 
+# the bidegree components of d^2 = 0, component k shifting by (4 - k, k - 2)
 _D2_RELATIONS = (
-    ("d2_mu_mu", "mu mu = 0", ((MU_SHIFT, MU_SHIFT),)),
-    ("d2_mu_partial", "mu partial + partial mu = 0", ((MU_SHIFT, PARTIAL_SHIFT), (PARTIAL_SHIFT, MU_SHIFT))),
-    (
-        "d2_mu_dbar_partial2",
-        "mu dbar + dbar mu + partial partial = 0",
-        ((MU_SHIFT, DBAR_SHIFT), (DBAR_SHIFT, MU_SHIFT), (PARTIAL_SHIFT, PARTIAL_SHIFT)),
-    ),
-    (
-        "d2_square_balance",
-        "mu mubar + mubar mu + partial dbar + dbar partial = 0",
-        (
-            (MU_SHIFT, MU_BAR_SHIFT),
-            (MU_BAR_SHIFT, MU_SHIFT),
-            (PARTIAL_SHIFT, DBAR_SHIFT),
-            (DBAR_SHIFT, PARTIAL_SHIFT),
-        ),
-    ),
-    (
-        "d2_mubar_partial_dbar2",
-        "mubar partial + partial mubar + dbar dbar = 0",
-        ((MU_BAR_SHIFT, PARTIAL_SHIFT), (PARTIAL_SHIFT, MU_BAR_SHIFT), (DBAR_SHIFT, DBAR_SHIFT)),
-    ),
-    ("d2_mubar_dbar", "mubar dbar + dbar mubar = 0", ((MU_BAR_SHIFT, DBAR_SHIFT), (DBAR_SHIFT, MU_BAR_SHIFT))),
-    ("d2_mubar_mubar", "mubar mubar = 0", ((MU_BAR_SHIFT, MU_BAR_SHIFT),)),
+    ("d2_mu_mu", "mu mu = 0"),
+    ("d2_mu_partial", "mu partial + partial mu = 0"),
+    ("d2_mu_dbar_partial2", "mu dbar + dbar mu + partial partial = 0"),
+    ("d2_square_balance", "mu mubar + mubar mu + partial dbar + dbar partial = 0"),
+    ("d2_mubar_partial_dbar2", "mubar partial + partial mubar + dbar dbar = 0"),
+    ("d2_mubar_dbar", "mubar dbar + dbar mubar = 0"),
+    ("d2_mubar_mubar", "mubar mubar = 0"),
 )
 
 
 def d_squared_relations(algebra: BigradedAlgebra) -> list:
-    """The seven bidegree components of d^2 = 0, each checked separately.
-
-    Returns a list of dicts with id, statement, holds, and (on failure) the
-    first monomial witnessing the violation.  A failure can only come from a
-    sign error in this module, never from model data, so build() refuses to
-    return an algebra where any of these fail.
+    """The seven bidegree components of d^2 = 0, each the part of d d of one
+    shift, checked separately.  Returns a list of dicts with id, statement,
+    holds, and (on failure) the first monomial witnessing the violation.  A
+    failure can only come from a sign error in this module, never from model
+    data, so build() refuses to return an algebra where any of these fail.
     """
-    by_shift = {
-        MU_BAR_SHIFT: algebra.mu_bar,
-        DBAR_SHIFT: algebra.dbar,
-        PARTIAL_SHIFT: algebra.partial,
-        MU_SHIFT: algebra.mu,
-    }
+    dd = algebra.d.compose(algebra.d)
     out = []
-    for rel_id, statement, pairs in _D2_RELATIONS:
-        total = BlockOperator.zero(algebra)
-        for first, second in pairs:
-            total = total + by_shift[first].compose(by_shift[second])
-        holds = total.is_zero()
+    for k, (rel_id, statement) in enumerate(_D2_RELATIONS):
         witness = None
-        if not holds:
-            loc = total.first_nonzero()
-            if loc is not None:
-                witness = algebra.basis_form(*loc)
-        out.append(
-            {
-                "id": rel_id,
-                "statement": statement,
-                "holds": holds,
-                "witness": witness,
-            }
-        )
+        for pq in algebra.block_order:
+            part = dd.block(pq, (4 - k, k - 2))
+            if not part.is_zero():
+                col = min(j for i in range(part.rows) for j, _ in part.row_items(i))
+                witness = algebra.basis_form(pq, col)
+                break
+        out.append({"id": rel_id, "statement": statement, "holds": witness is None,
+                    "witness": witness})
     return out
 
 

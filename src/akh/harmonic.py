@@ -465,7 +465,7 @@ def _real_harmonic_basis(alg: BigradedAlgebra, model: LieModel, degree: int) -> 
     rmonos = list(itertools.combinations(range(model.dim), degree))
     start = alg.degree_range(degree).start
     coords = [alg.real_coordinates(alg.form_from_vector(vec, start), degree) for vec in vecs]
-    reduced, pivots = rref(_real_rows(ExactMatrix(coords, cols=len(rmonos))))
+    reduced, pivots = rref(_real_rows(ExactMatrix._from_rows(coords, len(rmonos))))
     if len(pivots) != len(vecs):
         raise HarmonicError("harmonic space is not conjugation-stable")
     return tuple(alg.form_from_real({rmonos[j]: c for j, c in reduced.row_items(r)}, degree)
@@ -666,10 +666,10 @@ def _real_rows(mat: ExactMatrix) -> ExactMatrix:
 def _closed_real_11_forms(alg: BigradedAlgebra) -> tuple:
     """Real basis of d-closed conjugation-fixed (1,1)-forms."""
     block = (1, 1)
-    n = len(alg.blocks[block])
-    # column j of C is the conjugate of the j-th basis form
-    C = ExactMatrix([alg.basis_form(block, j).conj().block(block)
-                     for j in range(n)]).transpose()
+    n, start = alg.dim_block(block), alg.offset[block]
+    # conjugation maps the block to itself: C is alg.C restricted to it
+    C = ExactMatrix._from_rows([{i - start: GaussScalar(sign)}
+                                for i, sign in alg.C[start:start + n]], n)
     D = alg.d.columns(block)
     one = ExactMatrix.identity(n)
     # Unknown z = x + iy; conjugation-fixed means C conj(z) = z, that is

@@ -19,6 +19,17 @@ Conventions:
 * the Laplacian of an operator ``D`` is ``D D* + D* D``; only the ledger
   builds Laplacians.  Every harmonic space (``_harmonic_vectors``) is the
   joint kernel of components and their adjoints, stacked block by block.
+
+Eleven ledger entries are derived: each is the complex conjugate of the
+entry before it (L_mu_commute, lam_mu_adj_commute, L_partial_commute,
+lam_partial_adj_commute, L_mu_adj, lam_mu, L_partial_adj, lam_partial,
+mu_mubar_adj, mu_dbar_adj, dbar_partial_adj).  d and the fundamental form
+are real and the metric is conjugation-invariant, so conjugation C gives
+C mubar C = mu, C dbar C = partial, C L C = L, C lam C = lam,
+C A* C = (C A C)* and C i C = -i.  A partner's difference operators are
+then exactly C D C for its representative's differences D
+(``BlockOperator.conj``): its status, first failing block and witness are
+those of the direct computation.
 """
 
 from __future__ import annotations
@@ -201,23 +212,16 @@ class IdentityLedger(NamedTuple):
         return "\n".join(lines)
 
 
-def _check_equal(algebra: BigradedAlgebra, entry_id: str, statement: str,
-                 ops: Sequence[BlockOperator]) -> LedgerEntry:
-    """Compare every operator in ``ops`` against the first one."""
-    reference = ops[0]
-    for other in ops[1:]:
-        diff = other - reference
+def _first_failure(algebra: BigradedAlgebra, entry_id: str, statement: str,
+                   diffs: Sequence[BlockOperator]) -> LedgerEntry:
+    """The entry of an identity whose sides differ by ``diffs``: it fails on
+    the first basis form that the first nonzero difference moves."""
+    for diff in diffs:
         hit = diff.first_nonzero()
         if hit is not None:
             pq, col = hit
-            return LedgerEntry(
-                id=entry_id,
-                statement=statement,
-                holds=False,
-                first_failing_block=pq,
-                witness=algebra.basis_form(pq, col),
-            )
-    return LedgerEntry(id=entry_id, statement=statement, holds=True)
+            return LedgerEntry(entry_id, statement, False, pq, algebra.basis_form(pq, col))
+    return LedgerEntry(entry_id, statement, True)
 
 
 def verify_identities(model: LieModel) -> IdentityLedger:
@@ -230,51 +234,54 @@ def verify_identities(model: LieModel) -> IdentityLedger:
     star-conjugation description of ``[lam, d]``.  Chains are verified
     member by member against their first expression, so ``witness`` always
     exhibits a concrete form on which the earliest failing member differs.
+    The eleven conjugate partners are read off the ``conj()`` of their
+    representatives' differences (see the module docstring).
     """
     alg = build(model)
     mubar, dbar, partial, mu = alg.mu_bar, alg.dbar, alg.partial, alg.mu
     L, lam, d = alg.L, alg.lam, alg.d
     i = GAUSS_I
+    gc = graded_commutator
 
     adjoints = [_adjoint(alg, name) for name in _COMPONENTS]
     mubar_s, dbar_s, partial_s, mu_s = adjoints
     lap_mubar, lap_dbar, lap_partial, lap_mu = (
         _laplacian(getattr(alg, name), star) for name, star in zip(_COMPONENTS, adjoints))
-
+    # lap_d_expand also takes their conjugates [mu, dbar*] and [dbar, partial*]
+    mubar_partial_s, partial_dbar_s = gc(mubar, partial_s), gc(partial, dbar_s)
     zero = BlockOperator.zero(alg)
-    gc = graded_commutator
 
+    # (id, statement, sides), or for a conjugate partner its representative's id
     checks = [
         # Lefschetz operators commute with the non-Dolbeault components...
         ("L_mubar_commute", "[L, mubar] = 0", (gc(L, mubar), zero)),
-        ("L_mu_commute", "[L, mu] = 0", (gc(L, mu), zero)),
+        ("L_mu_commute", "[L, mu] = 0", "L_mubar_commute"),
         ("lam_mubar_adj_commute", "[lam, mubar*] = 0", (gc(lam, mubar_s), zero)),
-        ("lam_mu_adj_commute", "[lam, mu*] = 0", (gc(lam, mu_s), zero)),
+        ("lam_mu_adj_commute", "[lam, mu*] = 0", "lam_mubar_adj_commute"),
         # ...and with the Dolbeault components.
         ("L_dbar_commute", "[L, dbar] = 0", (gc(L, dbar), zero)),
-        ("L_partial_commute", "[L, partial] = 0", (gc(L, partial), zero)),
+        ("L_partial_commute", "[L, partial] = 0", "L_dbar_commute"),
         ("lam_dbar_adj_commute", "[lam, dbar*] = 0", (gc(lam, dbar_s), zero)),
-        ("lam_partial_adj_commute", "[lam, partial*] = 0", (gc(lam, partial_s), zero)),
+        ("lam_partial_adj_commute", "[lam, partial*] = 0", "lam_dbar_adj_commute"),
         # Mixed Lefschetz commutators rotate components into adjoints.
         ("L_mubar_adj", "[L, mubar*] = i mu", (gc(L, mubar_s), mu.scale(i))),
-        ("L_mu_adj", "[L, mu*] = -i mubar", (gc(L, mu_s), mubar.scale(-i))),
+        ("L_mu_adj", "[L, mu*] = -i mubar", "L_mubar_adj"),
         ("lam_mubar", "[lam, mubar] = i mu*", (gc(lam, mubar), mu_s.scale(i))),
-        ("lam_mu", "[lam, mu] = -i mubar*", (gc(lam, mu), mubar_s.scale(-i))),
+        ("lam_mu", "[lam, mu] = -i mubar*", "lam_mubar"),
         ("L_dbar_adj", "[L, dbar*] = -i partial", (gc(L, dbar_s), partial.scale(-i))),
-        ("L_partial_adj", "[L, partial*] = i dbar", (gc(L, partial_s), dbar.scale(i))),
+        ("L_partial_adj", "[L, partial*] = i dbar", "L_dbar_adj"),
         ("lam_dbar", "[lam, dbar] = -i partial*", (gc(lam, dbar), partial_s.scale(-i))),
-        ("lam_partial", "[lam, partial] = i dbar*", (gc(lam, partial), dbar_s.scale(i))),
+        ("lam_partial", "[lam, partial] = i dbar*", "lam_dbar"),
         # Cross relations among the four components.
         ("mubar_mu_adj", "[mubar, mu*] = 0", (gc(mubar, mu_s), zero)),
-        ("mu_mubar_adj", "[mu, mubar*] = 0", (gc(mu, mubar_s), zero)),
+        ("mu_mubar_adj", "[mu, mubar*] = 0", "mubar_mu_adj"),
         ("mubar_partial_adj", "[mubar, partial*] = [dbar, mu*]",
-         (gc(mubar, partial_s), gc(dbar, mu_s))),
-        ("mu_dbar_adj", "[mu, dbar*] = [partial, mubar*]",
-         (gc(mu, dbar_s), gc(partial, mubar_s))),
+         (mubar_partial_s, gc(dbar, mu_s))),
+        ("mu_dbar_adj", "[mu, dbar*] = [partial, mubar*]", "mubar_partial_adj"),
         ("partial_dbar_adj", "[partial, dbar*] = [mubar*, dbar] + [mu, partial*]",
-         (gc(partial, dbar_s), gc(mubar_s, dbar) + gc(mu, partial_s))),
+         (partial_dbar_s, gc(mubar_s, dbar) + gc(mu, partial_s))),
         ("dbar_partial_adj", "[dbar, partial*] = [mu*, partial] + [mubar, dbar*]",
-         (gc(dbar, partial_s), gc(mu_s, partial) + gc(mubar, dbar_s))),
+         "partial_dbar_adj"),
         # Laplacian identities.
         ("lap_mu_split", "lap(mubar + mu) = lap(mubar) + lap(mu)",
          (laplacian(mubar + mu), lap_mubar + lap_mu)),
@@ -284,8 +291,8 @@ def verify_identities(model: LieModel) -> IdentityLedger:
          "lap(d) = 2(lap(dbar) + lap(mu) + [mubar, partial*] + [mu, dbar*]"
          " + [partial, dbar*] + [dbar, partial*])",
          (_laplacian(d, _adjoint(alg, "d")),
-          (lap_dbar + lap_mu + gc(mubar, partial_s) + gc(mu, dbar_s)
-           + gc(partial, dbar_s) + gc(dbar, partial_s)).scale(2))),
+          (lap_dbar + lap_mu + mubar_partial_s + mubar_partial_s.conj()
+           + partial_dbar_s + partial_dbar_s.conj()).scale(2))),
         # Commutator chains tying the Lefschetz operators to the Laplacians.
         ("L_lap_chain",
          "[L, lap(dbar)] = [L, lap(mubar)] = -[L, lap(partial)]"
@@ -304,11 +311,12 @@ def verify_identities(model: LieModel) -> IdentityLedger:
          (gc(lam, d), star_conjugate(alg, d))),
     ]
 
-    entries = tuple(
-        _check_equal(alg, entry_id, statement, ops)
-        for entry_id, statement, ops in checks
-    )
-    return IdentityLedger(model_name=model.name, entries=entries)
+    diffs, entries = {}, []
+    for entry_id, statement, sides in checks:
+        diffs[entry_id] = ([diff.conj() for diff in diffs[sides]] if isinstance(sides, str)
+                           else [other - sides[0] for other in sides[1:]])
+        entries.append(_first_failure(alg, entry_id, statement, diffs[entry_id]))
+    return IdentityLedger(model_name=model.name, entries=tuple(entries))
 
 
 def laplacian_symmetry_witness(model: LieModel):

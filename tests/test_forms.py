@@ -5,9 +5,10 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from akh.exact import (GAUSS_I, GAUSS_ONE, GAUSS_ZERO, ExactMatrix, GaussScalar, ParamPoly,
-                       hermitian_signature, kernel, rref)
+                       hermitian_signature, kernel, rank, rref)
 from akh.forms import (
     AlgebraError,
     BigradedAlgebra,
@@ -21,7 +22,8 @@ from akh.forms import (
     merge_wedge,
     sort_with_sign,
 )
-from akh.harmonic import betti, ell_diamond, obstruction_report
+from akh.harmonic import (_holomorphic_vectors, ak_nonexistence_report, betti, ell_diamond,
+                          obstruction_report)
 from akh.model import CATALOG_NAMES, LieModel, catalog, load_model, validate
 from akh.operators import _adjoint, verify_identities
 from linalg_reference import inverse, sparse
@@ -378,10 +380,10 @@ def test_volume_form_and_orientation():
     alg = build(catalog("kodaira_thurston"))
     assert alg.integrate(alg.volume_form) == GAUSS_ONE
     coords = alg.real_coordinates(alg.volume_form, 4)
-    assert coords == (gs(-1),)
+    assert coords == {0: gs(-1)}
     # torus4 coframe is positively oriented
     alg4 = build(catalog("torus4"))
-    assert alg4.real_coordinates(alg4.volume_form, 4) == (gs(1),)
+    assert alg4.real_coordinates(alg4.volume_form, 4) == {0: gs(1)}
 
 
 def test_star_squared_sign():
@@ -517,10 +519,7 @@ def test_real_coordinates_round_trip(name):
         for k, mono in enumerate(monos):
             comps = {mono: GAUSS_ONE}
             f = alg.form_from_real(comps, degree=degree)
-            coords = alg.real_coordinates(f, degree)
-            assert len(coords) == len(monos)
-            assert all(c == (GAUSS_ONE if i == k else GAUSS_ZERO)
-                       for i, c in enumerate(coords))
+            assert alg.real_coordinates(f, degree) == {k: GAUSS_ONE}
 
 
 def test_wedge_is_associative_with_the_shuffle_sign():
@@ -607,20 +606,24 @@ def _cayley(n, entries):
     return [[R[i, j].re for j in range(n)] for i in range(n)]
 
 
-def _frame_change(model, R):
-    """The same almost Hermitian Lie algebra written in the orthonormal frame
-    Y_a = sum_b R[b][a] X_b: J becomes R^T J R, the brackets follow, and the
-    coframe is derived afresh."""
+def _frame_change(model, P):
+    """The same Lie algebra and almost complex structure written in the frame
+    Y_a = sum_b P[b][a] X_b, declared orthonormal: J becomes P^-1 J P, the
+    bracket's target index goes through P^-1, and the coframe is derived
+    afresh.  A rotation P keeps the metric; a P that commutes with J keeps J
+    and changes only the metric."""
     n = model.dim
     rng = range(n)
-    J = [[sum(R[i][a] * model.J[i][j] * R[j][b] for i in rng for j in rng) for b in rng]
+    inv = inverse(ExactMatrix(P))
+    Q = [[inv[i, j].re for j in rng] for i in rng]
+    J = [[sum(Q[a][i] * model.J[i][j] * P[j][b] for i in rng for j in rng) for b in rng]
          for a in rng]
     brackets = []
     for i, j, k, c in model.brackets:
         for a, b in itertools.combinations(rng, 2):
-            f = R[i][a] * R[j][b] - R[j][a] * R[i][b]
+            f = P[i][a] * P[j][b] - P[j][a] * P[i][b]
             if f:
-                brackets.extend((a, b, d, c * f * R[k][d]) for d in rng if R[k][d])
+                brackets.extend((a, b, d, c * f * Q[d][k]) for d in rng if Q[d][k])
     return LieModel(name=model.name + "_rotated", dim=n, brackets=brackets, J=J)
 
 
@@ -728,3 +731,69 @@ def test_frame_change_keeps_every_invariant(name):
     assert (rotated_report.laplacian_witness is None) == (report.laplacian_witness is None)
     assert rotated_report.ak_nonexistence == report.ak_nonexistence._replace(
         model_name=rotated.name)
+
+
+# ---------------------------------------------------------------------------
+# frame changes that commute with J: the same J under another metric
+
+
+def _j_level(model):
+    """What depends on J alone: the Betti numbers, the holomorphic
+    dimensions and the almost Kahler nonexistence verdict."""
+    alg = build(model)
+    return (betti(model), tuple(len(_holomorphic_vectors(alg, p)) for p in range(alg.m + 1)),
+            ak_nonexistence_report(model).verdict)
+
+
+def test_sheared_kodaira_thurston_keeps_the_j_level_data():
+    # Y2 = X2 + X3 and Y4 = X4 - X1 commute with J (X1 -> X3, X2 -> X4) but
+    # are not orthogonal: the frame declares another metric for the same J
+    P = [[1, 0, 0, -1], [0, 1, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]]
+    model = catalog("kodaira_thurston")
+    sheared = _frame_change(model, P)
+    assert sheared.J == model.J
+    assert _j_level(sheared) == _j_level(model)
+    assert betti(sheared) == (1, 3, 4, 3, 1)
+    assert _j_level(model)[1:] == ((1, 1, 0), "inconclusive")
+    assert not obstruction_report(sheared).fires
+
+
+def _commuting(J, A):
+    """A - J A J, which commutes with J because J^2 = -1."""
+    n = len(J)
+    JAJ = [[sum(J[i][k] * A[k][l] * J[l][j] for k in range(n) for l in range(n))
+            for j in range(n)] for i in range(n)]
+    return [[A[i][j] - JAJ[i][j] for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def j_commuting_frames(draw):
+    name = draw(st.sampled_from(CATALOG_NAMES))
+    model = catalog(name)
+    n = model.dim
+    entries = st.lists(st.integers(-1, 1), min_size=n * n, max_size=n * n)
+    A = draw(entries)
+    P = _commuting(model.J, [A[i * n:(i + 1) * n] for i in range(n)])
+    orthogonal = draw(st.booleans())
+    if orthogonal:
+        # the Cayley transform of a skew J-commuting matrix is a rotation
+        # that commutes with J
+        S = [[Fraction(0)] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            S[i][j] = Fraction(A[i * n + j])
+            S[j][i] = -S[i][j]
+        K = _commuting(model.J, S)
+        P = _cayley(n, {(i, j): K[i][j] for i, j in itertools.combinations(range(n), 2)})
+    assume(rank(ExactMatrix(P)) == n)
+    return model, P, orthogonal
+
+
+@settings(max_examples=25, deadline=None)
+@given(j_commuting_frames())
+def test_j_commuting_frame_changes_keep_the_j_level_data(frame):
+    model, P, orthogonal = frame
+    changed = _frame_change(model, P)
+    assert changed.J == model.J
+    assert _j_level(changed) == _j_level(model)
+    if orthogonal:
+        assert ell_diamond(changed) == ell_diamond(model)._replace(model_name=changed.name)

@@ -12,7 +12,8 @@ on every pair of catalog models of total dimension at most 8:
 - the dimensions of the holomorphic p-forms convolve the same way;
 - the Betti numbers follow Kunneth;
 - the product is almost Kahler exactly when both factors are, and then its
-  "d", "dbar+mu" and "partial+mu_bar" spaces have the same dimensions.
+  "d", "dbar+mu" and "partial+mu_bar" spaces have the same dimensions and
+  every identity of its ledger holds.
 
 The convolutions alone hold for any consistent change of one flavour (a
 single component convolves as well), so the last check is what ties the
@@ -29,8 +30,8 @@ import pytest
 
 from akh.forms import betti, build
 from akh.harmonic import WHICH_CHOICES, _holomorphic_vectors
-from akh.model import CATALOG_NAMES, catalog
-from akh.operators import _harmonic_vectors
+from akh.model import CATALOG_NAMES, catalog, validate
+from akh.operators import _harmonic_vectors, verify_identities
 
 MAKE_LADDER = Path(__file__).resolve().parents[1] / "bench" / "models" / "make_ladder.py"
 _SPEC = importlib.util.spec_from_file_location("bench_make_ladder", MAKE_LADDER)
@@ -39,6 +40,8 @@ _SPEC.loader.exec_module(make_ladder)
 
 PAIRS = [(a, b) for a, b in itertools.combinations_with_replacement(CATALOG_NAMES, 2)
          if catalog(a).dim + catalog(b).dim <= 8]
+AK_PAIRS = [(a, b) for a, b in PAIRS
+            if validate(catalog(a)).almost_kahler and validate(catalog(b)).almost_kahler]
 
 
 def _convolve(a, b):
@@ -86,3 +89,15 @@ def test_product_dimensions_are_convolutions(first, second):
     if prod.validation.almost_kahler:
         assert (_harmonic_dims(prod, "dbar+mu") == _harmonic_dims(prod, "partial+mu_bar")
                 == _harmonic_dims(prod, "d"))
+
+
+def test_almost_kahler_pairs():
+    assert len(AK_PAIRS) == 11
+
+
+@pytest.mark.parametrize("first,second", AK_PAIRS, ids=lambda name: name)
+def test_almost_kahler_products_satisfy_the_ledger(first, second):
+    product = make_ladder.product(f"{first}_x_{second}", catalog(first), catalog(second))
+    assert build(product).validation.almost_kahler
+    ledger = verify_identities(product)
+    assert ledger.all_hold, [entry.id for entry in ledger.failures()]
