@@ -34,7 +34,6 @@ _EXPORTS = {
     "kernel": "exact",
     "rank": "exact",
     "rref": "exact",
-    "symmetric_signature": "exact",
     "AlgebraError": "forms",
     "BigradedAlgebra": "forms",
     "BlockOperator": "forms",

@@ -509,25 +509,24 @@ def kernel(mat: ExactMatrix) -> list:
     return list(basis.values())
 
 
-def _signature(mat: ExactMatrix, hermitian: bool) -> tuple:
-    """Check the matrix, congruence-diagonalize it and count the signs of
-    the (real) diagonal values."""
+def hermitian_signature(mat: ExactMatrix) -> tuple:
+    """(n_plus, n_minus, n_zero) of a complex Hermitian matrix, a real
+    symmetric one included: congruence-diagonalize it and count the signs
+    of the (real) diagonal values.
+
+    Sylvester's law makes the result independent of the congruence used.
+    """
     if mat.rows != mat.cols:
         raise ExactError("signature of a non-square matrix")
-    if hermitian:
-        if mat != mat.conj_transpose():
-            raise ExactError("matrix is not hermitian")
-    elif any(not a.is_real() for i in range(mat.rows) for _, a in mat.row_items(i)):
-        raise ExactError("symmetric_signature needs a real matrix")
-    elif mat != mat.transpose():
-        raise ExactError("matrix is not symmetric")
+    if mat != mat.conj_transpose():
+        raise ExactError("matrix is not hermitian")
     n = mat.rows
     work = [list(row) for row in mat.data]
 
     def add_row_col(i, j, c):
         # row_i += c * row_j, then col_i += conj(c) * col_j
         work[i] = [a + c * b for a, b in zip(work[i], work[j])]
-        cc = c.conj() if hermitian else c
+        cc = c.conj()
         for r in range(n):
             work[r][i] = work[r][i] + cc * work[r][j]
 
@@ -558,9 +557,9 @@ def _signature(mat: ExactMatrix, hermitian: bool) -> tuple:
                     diag.extend([Fraction(0)] * (n - k))
                     break
                 i, j = found
-                # both diagonal entries are zero here, so this creates a
-                # nonzero (and for the hermitian case positive) pivot
-                add_row_col(i, j, work[i][j] if hermitian else GAUSS_ONE)
+                # both diagonal entries are zero here, so this creates the
+                # positive pivot 2 |work[i][j]|^2
+                add_row_col(i, j, work[i][j])
                 if i != k:
                     swap(k, i)
         pivot = work[k][k]
@@ -573,19 +572,6 @@ def _signature(mat: ExactMatrix, hermitian: bool) -> tuple:
     plus = sum(1 for d in diag if d > 0)
     minus = sum(1 for d in diag if d < 0)
     return (plus, minus, n - plus - minus)
-
-
-def symmetric_signature(mat: ExactMatrix) -> tuple:
-    """(n_plus, n_minus, n_zero) of a real symmetric matrix.
-
-    Sylvester's law makes the result independent of the congruence used.
-    """
-    return _signature(mat, hermitian=False)
-
-
-def hermitian_signature(mat: ExactMatrix) -> tuple:
-    """(n_plus, n_minus, n_zero) of a complex Hermitian matrix."""
-    return _signature(mat, hermitian=True)
 
 
 # ---------------------------------------------------------------------------

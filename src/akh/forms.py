@@ -157,10 +157,10 @@ class Form:
         return Form(self.algebra, out)
 
     def __sub__(self, other: "Form") -> "Form":
-        return self + other.scale(GaussScalar(-1))
+        return self + -other
 
     def __neg__(self) -> "Form":
-        return self.scale(GaussScalar(-1))
+        return Form(self.algebra, {mono: -c for mono, c in self.terms.items()})
 
     def scale(self, c) -> "Form":
         return Form(self.algebra, {mono: c * x for mono, x in self.terms.items()})
@@ -317,10 +317,10 @@ class BlockOperator:
         return BlockOperator(self.algebra, self.matrix + other.matrix)
 
     def __sub__(self, other: "BlockOperator") -> "BlockOperator":
-        return self + other.scale(GaussScalar(-1))
+        return self + -other
 
     def __neg__(self) -> "BlockOperator":
-        return self.scale(GaussScalar(-1))
+        return BlockOperator(self.algebra, -self.matrix)
 
     def scale(self, c) -> "BlockOperator":
         return BlockOperator(self.algebra, self.matrix * c)
@@ -627,10 +627,6 @@ class BigradedAlgebra:
         head = {(k,): c for k, c in getattr(self, rows).row_items(mono[0])}
         return wedge_sum((head, self._expand(rows, mono[1:])))
 
-    def _real_expansion(self, mono: Mono) -> dict:
-        """Expansion of a coframe monomial over real frame monomials."""
-        return self._expand("T", tuple(mono))
-
     def _differential_on_generators(self) -> list:
         """d of each coframe generator as a dict over 2-monomials."""
         model = self.model
@@ -740,21 +736,6 @@ class BigradedAlgebra:
                 if len(rmono) != degree:
                     raise AlgebraError("real monomial degree mismatch")
         return Form(self, self._complexify_real(comps))
-
-    def real_coordinates(self, form: Form, degree: int) -> dict:
-        """The sparse vector {index: nonzero coefficient} of a pure-degree
-        form over the real frame monomials of that degree, indexed in the
-        order of itertools.combinations(range(2m), degree)."""
-        if any(len(mono) != degree for mono in form.terms):
-            raise AlgebraError("form is not of the requested pure degree")
-        index = {mono: i for i, mono in
-                 enumerate(itertools.combinations(range(2 * self.m), degree))}
-        out = {}
-        for mono, c in form.terms.items():
-            for rmono, rc in self._real_expansion(mono).items():
-                i = index[rmono]
-                out[i] = c * rc if i not in out else out[i] + c * rc
-        return {i: c for i, c in out.items() if c}
 
     def integrate(self, form: Form) -> GaussScalar:
         """Coefficient of the oriented volume form in the top component."""

@@ -27,6 +27,16 @@ The diamond dimension ``ell[p][q]`` is dim ker on the (p,q) block for
 ``"dbar+mu"`` and ``"partial+mu_bar"`` agree; on other models their
 differences are the interesting data and feed the obstruction reports.
 
+Both wedge pairings are Hermitian matrices of integrals of f_j ^ conj(f_k)
+^ tail over complex forms in coframe coordinates (``_pairing``), and one
+``hermitian_signature`` reads each.  Hodge-Riemann pairs the primitive
+harmonic (p,q)-forms with tail i^(p-q) w^(m-p-q); its signed signature
+swaps the plus and the minus count when (-1)^(k(k-1)/2) = -1 for k = p+q.
+The Hodge index pairs the canonical complex kernel of [d; d*] on total
+degree 2 with tail 1.  d and d* commute with conjugation, so that kernel
+is the complexification of the real harmonic 2-forms, and by Sylvester's
+law the Hermitian matrix has the signature of the real intersection form.
+
 The Betti numbers come from :mod:`akh.forms`, next to d; ``betti`` is
 re-exported here, and the diamond, the Hodge index and the obstruction
 report read the memoized ``_betti``.
@@ -45,7 +55,6 @@ from typing import NamedTuple, Optional
 from .exact import (
     AkhError,
     GAUSS_I,
-    GAUSS_ONE,
     GAUSS_ZERO,
     ExactMatrix,
     GaussScalar,
@@ -55,8 +64,6 @@ from .exact import (
     hstack,
     kernel,
     rank,
-    rref,
-    symmetric_signature,
     vstack,
 )
 from .forms import (
@@ -438,38 +445,26 @@ def hodge_riemann_check(model: LieModel, p: int, q: int) -> HodgeRiemannReport:
     for _ in range(alg.m - p - q):
         wpow = wpow.wedge(alg.fundamental_form)
     forms = [form_from_coordinates(alg, (p, q), v) for v in prim]
-    factor = I_POWERS[(p - q) % 4]
-    raw = [[factor * forms[j].wedge(forms[k].conj()).wedge(wpow).integrate()
-            for k in range(n)] for j in range(n)]
-    unsigned = ExactMatrix(raw)
+    unsigned = hermitian_signature(_pairing(forms, wpow.scale(I_POWERS[(p - q) % 4])))
     k = p + q
-    sign = GaussScalar(-1) if (k * (k - 1) // 2) % 2 else GAUSS_ONE
-    signed = unsigned * sign
-    sig_unsigned = hermitian_signature(unsigned)
-    sig_signed = hermitian_signature(signed)
+    # the signed pairing is the unsigned one times (-1)^(k(k-1)/2), and a
+    # factor -1 swaps the plus and the minus count
+    plus, minus, zero = unsigned
+    signed = (minus, plus, zero) if (k * (k - 1) // 2) % 2 else unsigned
     return HodgeRiemannReport(
         p=p, q=q, prim_dim=n,
-        signature_unsigned=sig_unsigned,
-        signature_signed=sig_signed,
-        positive_definite=sig_signed == (n, 0, 0))
+        signature_unsigned=unsigned,
+        signature_signed=signed,
+        positive_definite=signed == (n, 0, 0))
+
+
+def _pairing(forms: list, tail: Form) -> ExactMatrix:
+    """The Hermitian matrix of integrals of f_j ^ conj(f_k) ^ tail."""
+    conj = [f.conj() for f in forms]
+    return ExactMatrix([[f.wedge(g).wedge(tail).integrate() for g in conj] for f in forms])
 
 
 # -- intersection form on degree 2 ---------------------------------------------
-
-
-def _real_harmonic_basis(alg: BigradedAlgebra, model: LieModel, degree: int) -> tuple:
-    """Real forms spanning the d-harmonic total-degree space."""
-    d_out = alg.d.degree_slice(degree, degree + 1)
-    adj_out = _adjoint(alg, "d").degree_slice(degree, degree - 1)
-    vecs = kernel(vstack([d_out, adj_out]))
-    rmonos = list(itertools.combinations(range(model.dim), degree))
-    start = alg.degree_range(degree).start
-    coords = [alg.real_coordinates(alg.form_from_vector(vec, start), degree) for vec in vecs]
-    reduced, pivots = rref(_real_rows(ExactMatrix._from_rows(coords, len(rmonos))))
-    if len(pivots) != len(vecs):
-        raise HarmonicError("harmonic space is not conjugation-stable")
-    return tuple(alg.form_from_real({rmonos[j]: c for j, c in reduced.row_items(r)}, degree)
-                 for r in range(len(pivots)))
 
 
 class HodgeIndexReport(NamedTuple):
@@ -500,7 +495,8 @@ class HodgeIndexReport(NamedTuple):
 
 
 def hodge_index(model: LieModel) -> HodgeIndexReport:
-    """Signature of the wedge pairing on invariant harmonic 2-forms.
+    """Signature of the wedge pairing on invariant harmonic 2-forms, taken
+    as the Hermitian pairing of a ^ conj(b) on their complex basis.
 
     Only defined for 4-dimensional almost Kahler models.  The relation
     flag records ell(1,1) = b2_minus + 1 together with b2_plus >= 1; for
@@ -513,14 +509,19 @@ def hodge_index(model: LieModel) -> HodgeIndexReport:
     report = alg.validation
     if not report.almost_kahler:
         raise HarmonicError("the intersection form needs an almost Kahler model")
-    reps = _real_harmonic_basis(alg, model, 2)
+    d_adj = _adjoint(alg, "d")
+    vecs = kernel(vstack([alg.d.degree_slice(2, 3), d_adj.degree_slice(2, 1)]))
     b2 = _betti(alg)[2]
-    if len(reps) != b2:
+    if len(vecs) != b2:
         raise HarmonicError(
-            f"harmonic 2-forms span dimension {len(reps)}, expected b2={b2}")
-    entries = [[reps[j].wedge(reps[k]).integrate() for k in range(b2)]
-               for j in range(b2)]
-    plus, minus, zero = symmetric_signature(ExactMatrix(entries))
+            f"harmonic 2-forms span dimension {len(vecs)}, expected b2={b2}")
+    forms = [alg.form_from_vector(vec, alg.degree_range(2).start) for vec in vecs]
+    # the kernel is the complexification of the real harmonic 2-forms (see
+    # the module docstring) only if conjugation keeps it
+    if any(not (alg.d.apply(f.conj()).is_zero() and d_adj.apply(f.conj()).is_zero())
+           for f in forms):
+        raise HarmonicError("harmonic space is not conjugation-stable")
+    plus, minus, zero = hermitian_signature(_pairing(forms, alg.basis_form((0, 0), 0)))
     if zero:
         raise HarmonicError("intersection form is degenerate")
     ell11 = _ell(alg, 1, 1)

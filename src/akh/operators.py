@@ -284,7 +284,7 @@ def verify_identities(model: LieModel) -> IdentityLedger:
          "partial_dbar_adj"),
         # Laplacian identities.
         ("lap_mu_split", "lap(mubar + mu) = lap(mubar) + lap(mu)",
-         (laplacian(mubar + mu), lap_mubar + lap_mu)),
+         (_laplacian(mubar + mu, mubar_s + mu_s), lap_mubar + lap_mu)),
         ("lap_cross", "lap(dbar) + lap(mu) = lap(partial) + lap(mubar)",
          (lap_dbar + lap_mu, lap_partial + lap_mubar)),
         ("lap_d_expand",

@@ -4,11 +4,17 @@
 the metric is diagonal and every subspace is compared through canonical
 kernel bases.  These routines stay here, built on ``akh.exact.rref``, as
 independent references for the tests.
+
+Nor does ``akh`` read forms in real frame coordinates after ``build``:
+``real_coordinates`` and ``real_harmonic_basis`` keep that route here, as
+the reference for the Hodge index, which ``akh`` takes on complex forms.
 """
 
+import itertools
 from typing import Mapping, Sequence
 
-from akh.exact import GAUSS_ZERO, ExactError, ExactMatrix, as_gauss, hstack, rref
+from akh.exact import (GAUSS_ZERO, ExactError, ExactMatrix, GaussScalar, as_gauss, hstack,
+                       kernel, rref, vstack)
 
 
 def sparse(vec: Sequence) -> dict:
@@ -61,3 +67,39 @@ def in_span(basis: Sequence[Sequence], vec: Sequence) -> bool:
     if not basis:
         return all(not as_gauss(v) for v in vec)
     return solve(ExactMatrix(basis).transpose(), list(vec)) is not None
+
+
+def real_coordinates(alg, form, degree: int) -> dict:
+    """The sparse vector {index: nonzero coefficient} of a pure-degree form
+    over the real frame monomials of that degree, indexed in the order of
+    itertools.combinations(range(2m), degree).  A coframe monomial expands
+    over them through the rows of ``alg.T``."""
+    index = {mono: i for i, mono in
+             enumerate(itertools.combinations(range(2 * alg.m), degree))}
+    out = {}
+    for mono, c in form.terms.items():
+        if len(mono) != degree:
+            raise ExactError("form is not of the requested pure degree")
+        for rmono, rc in alg._expand("T", mono).items():
+            out[index[rmono]] = out.get(index[rmono], GAUSS_ZERO) + c * rc
+    return {i: c for i, c in out.items() if c}
+
+
+def real_harmonic_basis(alg, degree: int) -> tuple:
+    """Real forms spanning the d-harmonic forms of one total degree: the
+    complex kernel of [d; d*] written in real frame coordinates, split into
+    real and imaginary parts, row-reduced and read back as real forms."""
+    vecs = kernel(vstack([alg.d.degree_slice(degree, degree + 1),
+                          alg.d.adjoint().degree_slice(degree, degree - 1)]))
+    rmonos = list(itertools.combinations(range(2 * alg.m), degree))
+    start = alg.degree_range(degree).start
+    rows = []
+    for vec in vecs:
+        coords = real_coordinates(alg, alg.form_from_vector(vec, start), degree)
+        rows.append({j: GaussScalar(a.re) for j, a in coords.items() if a.re})
+        rows.append({j: GaussScalar(a.im) for j, a in coords.items() if a.im})
+    reduced, pivots = rref(ExactMatrix._from_rows(rows, len(rmonos)))
+    if len(pivots) != len(vecs):
+        raise ExactError("harmonic space is not conjugation-stable")
+    return tuple(alg.form_from_real({rmonos[j]: c for j, c in reduced.row_items(r)}, degree)
+                 for r in range(len(pivots)))

@@ -19,7 +19,6 @@ from akh.exact import (
     parse_scalar,
     rank,
     rref,
-    symmetric_signature,
     vstack,
 )
 from linalg_reference import dense, in_span, inverse, solve, sparse
@@ -148,8 +147,9 @@ def test_kernel_spec_examples():
 
 
 def test_signature_spec_example():
+    # a real symmetric matrix is Hermitian
     d = ExactMatrix([[1, 0, 0], [0, -1, 0], [0, 0, 0]])
-    assert symmetric_signature(d) == (1, 1, 1)
+    assert hermitian_signature(d) == (1, 1, 1)
 
 
 def test_solve_basics():
@@ -234,15 +234,19 @@ unitriangular_entries = st.fractions(min_value=-3, max_value=3, max_denominator=
 
 
 @st.composite
-def invertible_matrices(draw, n=3):
+def invertible_matrices(draw, n=3, complex_entries=False):
+    def entry():
+        im = draw(unitriangular_entries) if complex_entries else 0
+        return GaussScalar(draw(unitriangular_entries), im)
+
     lo = [[GAUSS_ZERO] * n for _ in range(n)]
     up = [[GAUSS_ZERO] * n for _ in range(n)]
     for i in range(n):
         lo[i][i] = GAUSS_ONE
         up[i][i] = GAUSS_ONE
         for j in range(i):
-            lo[i][j] = GaussScalar(draw(unitriangular_entries))
-            up[j][i] = GaussScalar(draw(unitriangular_entries))
+            lo[i][j] = entry()
+            up[j][i] = entry()
     return ExactMatrix(lo) @ ExactMatrix(up)
 
 
@@ -258,21 +262,34 @@ def symmetric_matrices(draw, n=3):
     return ExactMatrix(vals)
 
 
-@given(symmetric_matrices(), invertible_matrices())
+@st.composite
+def hermitian_matrices(draw, n=3):
+    vals = [[GAUSS_ZERO] * n for _ in range(n)]
+    for i in range(n):
+        vals[i][i] = GaussScalar(draw(unitriangular_entries))
+        for j in range(i + 1, n):
+            x = GaussScalar(draw(unitriangular_entries), draw(unitriangular_entries))
+            vals[i][j] = x
+            vals[j][i] = x.conj()
+    return ExactMatrix(vals)
+
+
+@given(st.one_of(symmetric_matrices(), hermitian_matrices()),
+       invertible_matrices(complex_entries=True))
 @settings(max_examples=40, deadline=None)
 def test_signature_congruence_invariant(s, p):
-    direct = symmetric_signature(s)
-    transformed = symmetric_signature(p.transpose() @ s @ p)
+    direct = hermitian_signature(s)
+    transformed = hermitian_signature(p.conj_transpose() @ s @ p)
     assert direct == transformed
 
 
 def test_signature_rejects_bad_input():
     with pytest.raises(ExactError):
-        symmetric_signature(ExactMatrix([[0, 1], [2, 0]]))
-    with pytest.raises(ExactError):
-        symmetric_signature(ExactMatrix([[GAUSS_I]]))
+        hermitian_signature(ExactMatrix([[0, 1], [2, 0]]))
     with pytest.raises(ExactError):
         hermitian_signature(ExactMatrix([[GAUSS_I]]))
+    with pytest.raises(ExactError):
+        hermitian_signature(ExactMatrix([[0, 1, 0], [1, 0, 0]]))
 
 
 def test_hermitian_signature_positive_definite():
@@ -288,7 +305,7 @@ def test_hermitian_signature_zero_diagonal():
     h = ExactMatrix([[GAUSS_ZERO, GAUSS_I], [-GAUSS_I, GAUSS_ZERO]])
     assert hermitian_signature(h) == (1, 1, 0)
     s = ExactMatrix([[0, 1], [1, 0]])
-    assert symmetric_signature(s) == (1, 1, 0)
+    assert hermitian_signature(s) == (1, 1, 0)
 
 
 def test_stack_shape_errors():

@@ -23,10 +23,10 @@ from akh.forms import (
     sort_with_sign,
 )
 from akh.harmonic import (_holomorphic_vectors, ak_nonexistence_report, betti, ell_diamond,
-                          obstruction_report)
+                          hodge_index, obstruction_report)
 from akh.model import CATALOG_NAMES, LieModel, catalog, load_model, validate
 from akh.operators import _adjoint, verify_identities
-from linalg_reference import inverse, sparse
+from linalg_reference import inverse, real_coordinates, real_harmonic_basis, sparse
 
 
 def gs(re, im=0):
@@ -379,11 +379,11 @@ def test_volume_form_and_orientation():
     # the J-orientation of the KT frame is negative
     alg = build(catalog("kodaira_thurston"))
     assert alg.integrate(alg.volume_form) == GAUSS_ONE
-    coords = alg.real_coordinates(alg.volume_form, 4)
+    coords = real_coordinates(alg, alg.volume_form, 4)
     assert coords == {0: gs(-1)}
     # torus4 coframe is positively oriented
     alg4 = build(catalog("torus4"))
-    assert alg4.real_coordinates(alg4.volume_form, 4) == {0: gs(1)}
+    assert real_coordinates(alg4, alg4.volume_form, 4) == {0: gs(1)}
 
 
 def test_star_squared_sign():
@@ -519,7 +519,7 @@ def test_real_coordinates_round_trip(name):
         for k, mono in enumerate(monos):
             comps = {mono: GAUSS_ONE}
             f = alg.form_from_real(comps, degree=degree)
-            assert alg.real_coordinates(f, degree) == {k: GAUSS_ONE}
+            assert real_coordinates(alg, f, degree) == {k: GAUSS_ONE}
 
 
 def test_wedge_is_associative_with_the_shuffle_sign():
@@ -663,7 +663,7 @@ def _oracle_metric(alg):
     top, vol_coeff = alg._top_mono, gs(alg.orientation) / alg._top_real_coeff
     gram, gram_conj_inv, star = [], [], []
     for pq in alg.block_order:
-        expansions = [alg._real_expansion(mono) for mono in alg.blocks[pq]]
+        expansions = [alg._expand("T", mono) for mono in alg.blocks[pq]]
 
         def pairing(exp_a, exp_b, conj):
             return sum((c * (exp_b[r].conj() if conj else exp_b[r])
@@ -676,7 +676,7 @@ def _oracle_metric(alg):
         pair_basis = alg.blocks[(pq[1], pq[0])]
         W = ExactMatrix([[gs(merged[1]) if (merged := merge_wedge(a, t)) and merged[0] == top
                           else GAUSS_ZERO for t in alg.blocks[dual]] for a in pair_basis])
-        B = ExactMatrix([[pairing(alg._real_expansion(a), eg, False) * vol_coeff
+        B = ExactMatrix([[pairing(alg._expand("T", a), eg, False) * vol_coeff
                           for eg in expansions] for a in pair_basis])
         star.append((pq, dual, inverse(W) @ B))
     gram, gram_conj_inv, star = (_assemble(alg, b) for b in (gram, gram_conj_inv, star))
@@ -766,6 +766,18 @@ def _commuting(J, A):
     return [[A[i][j] - JAJ[i][j] for j in range(n)] for i in range(n)]
 
 
+def _j_commuting_rotation(J, entries):
+    """The Cayley transform of the J-commuting part of the skew matrix whose
+    entries above the diagonal are ``entries`` {(i, j): a}.  That part is
+    skew too, so the result is a rotation that commutes with J."""
+    n = len(J)
+    S = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j), a in entries.items():
+        S[i][j], S[j][i] = Fraction(a), -Fraction(a)
+    K = _commuting(J, S)
+    return _cayley(n, {(i, j): K[i][j] for i, j in itertools.combinations(range(n), 2)})
+
+
 @st.composite
 def j_commuting_frames(draw):
     name = draw(st.sampled_from(CATALOG_NAMES))
@@ -776,14 +788,8 @@ def j_commuting_frames(draw):
     P = _commuting(model.J, [A[i * n:(i + 1) * n] for i in range(n)])
     orthogonal = draw(st.booleans())
     if orthogonal:
-        # the Cayley transform of a skew J-commuting matrix is a rotation
-        # that commutes with J
-        S = [[Fraction(0)] * n for _ in range(n)]
-        for i, j in itertools.combinations(range(n), 2):
-            S[i][j] = Fraction(A[i * n + j])
-            S[j][i] = -S[i][j]
-        K = _commuting(model.J, S)
-        P = _cayley(n, {(i, j): K[i][j] for i, j in itertools.combinations(range(n), 2)})
+        P = _j_commuting_rotation(model.J, {(i, j): A[i * n + j]
+                                            for i, j in itertools.combinations(range(n), 2)})
     assume(rank(ExactMatrix(P)) == n)
     return model, P, orthogonal
 
@@ -797,3 +803,25 @@ def test_j_commuting_frame_changes_keep_the_j_level_data(frame):
     assert _j_level(changed) == _j_level(model)
     if orthogonal:
         assert ell_diamond(changed) == ell_diamond(model)._replace(model_name=changed.name)
+
+
+@pytest.mark.parametrize("name", ("kodaira_thurston", "torus4", "filiform4_Jprime"))
+def test_hodge_index_matches_the_real_intersection_form(name):
+    # hodge_index takes the Hermitian signature of the complex harmonic
+    # 2-forms; the reference pairs real harmonic 2-forms in real frame
+    # coordinates.  A J-commuting rotation (and, where one is listed, a
+    # rotation) of the frame gives another coframe, hence another complex
+    # basis, of an isomorphic structure
+    model = catalog(name)
+    P = _j_commuting_rotation(model.J, {(0, 1): 1, (0, 2): Fraction(1, 2), (1, 3): -1})
+    assert P != [[int(i == j) for j in range(4)] for i in range(4)]
+    changed = [_frame_change(model, P)] + ([_rotated(name)] if name in ROTATIONS else [])
+    report = hodge_index(model)
+    for each in [model] + changed:
+        alg = build(each)
+        assert alg.validation.almost_kahler
+        reps = real_harmonic_basis(alg, 2)
+        real = ExactMatrix([[a.wedge(b).integrate() for b in reps] for a in reps])
+        assert real == real.transpose() and real == real.conj()
+        assert hermitian_signature(real) == (report.b2_plus, report.b2_minus, 0)
+        assert hodge_index(each) == report

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import akh.harmonic as harmonic
 import akh.operators as operators
-from akh.exact import ExactMatrix, GaussScalar, kernel, rank, symmetric_signature
+from akh.exact import ExactMatrix, GaussScalar, hermitian_signature, kernel, rank, vstack
 from akh.cli import main
 from akh.forms import BlockOperator, Form, build
 from akh.harmonic import (
@@ -397,32 +397,26 @@ def test_two_zero_harmonics_vanish_without_integrability():
 
 
 def test_intersection_form_ignores_exact_perturbations():
-    # the pairing is computed on closed representatives; shifting one by an
-    # exact form must not change any entry, hence not the signature
+    # the Hermitian pairing is computed on closed representatives; shifting
+    # one by an exact form must not change any entry, hence not the signature
     model = catalog("kodaira_thurston")
     alg = build(model)
-    reps = harmonic._real_harmonic_basis(alg, model, 2)
-    exact = []
-    for g in range(model.dim):
-        one = alg.form_from_real({(g,): gs(1)}, degree=1)
-        done = alg.d.apply(one)
-        if not done.is_zero():
-            exact.append(done)
+    vecs = kernel(vstack([alg.d.degree_slice(2, 3), alg.d.adjoint().degree_slice(2, 1)]))
+    reps = [alg.form_from_vector(vec, alg.degree_range(2).start) for vec in vecs]
+    exact = [alg.generator_form(g).d() for g in range(model.dim)]
+    exact = [f for f in exact if not f.is_zero()]
     assert exact, "the model must have at least one exact 2-form"
-
-    def pairing(forms):
-        return ExactMatrix([
-            [a.wedge(b).integrate() for b in forms] for a in forms])
-
-    base = pairing(list(reps))
-    sig_base = symmetric_signature(base)
+    unit = alg.basis_form((0, 0), 0)
+    base = harmonic._pairing(reps, unit)
+    sig_base = hermitian_signature(base)
+    assert sig_base == (2, 2, 0)
     for shift in exact:
         for idx in range(len(reps)):
             perturbed = list(reps)
             perturbed[idx] = perturbed[idx] + shift
-            mat = pairing(perturbed)
+            mat = harmonic._pairing(perturbed, unit)
             assert mat == base
-            assert symmetric_signature(mat) == sig_base
+            assert hermitian_signature(mat) == sig_base
 
 
 # ---------------------------------------------------------------------------
@@ -596,8 +590,9 @@ def test_reports_reuse_kernels_and_laplacians(monkeypatch):
 
 
 def test_report_builds_each_adjoint_once(monkeypatch, capsys):
-    # the adjoints of d, its four components, L and mu_bar + mu (the ledger's
-    # lap_mu_split); a cleared build cache makes the report start cold
+    # the adjoints of d, its four components and L; the ledger's lap_mu_split
+    # sums the memoized adjoints of mu_bar and mu.  A cleared build cache
+    # makes the report start cold
     build.cache_clear()
     calls = []
     adjoint = BlockOperator.adjoint
@@ -609,7 +604,7 @@ def test_report_builds_each_adjoint_once(monkeypatch, capsys):
     monkeypatch.setattr(BlockOperator, "adjoint", counted)
     assert main(["report", "--catalog", "kodaira_thurston", "--format", "json"]) == 0
     capsys.readouterr()
-    assert len(calls) == 7
+    assert len(calls) == 6
 
 
 def test_cold_reports_compose_only_for_the_d_squared_check(monkeypatch, capsys):

@@ -162,19 +162,19 @@ def _sympy_harmonic_dims(alg, names=("d",)):
             for pq in alg.block_order}
 
 
-@pytest.mark.parametrize("name", CATALOG_NAMES)
-def test_harmonic_block_dimensions_match_sympy(name):
-    alg = build(catalog(name))
+@pytest.mark.parametrize("case", MODELS, ids=lambda c: Path(str(c[1])).stem)
+def test_harmonic_block_dimensions_match_sympy(case):
+    alg = build(_load(case))
     dims = {pq: len(_harmonic_vectors(alg, "d", pq)) for pq in alg.block_order}
     assert dims == _sympy_harmonic_dims(alg)
 
 
-@pytest.mark.parametrize("name", CATALOG_NAMES)
-def test_mixed_harmonic_block_dimensions_match_sympy(name):
+@pytest.mark.parametrize("case", MODELS, ids=lambda c: Path(str(c[1])).stem)
+def test_mixed_harmonic_block_dimensions_match_sympy(case):
     # ker(lap(A) + lap(B)) is the joint kernel of A, B and their adjoints;
     # "dbar+mu" gives the diamond's ell(p, q).  A single component's space
     # is the joint kernel of it and its adjoint.
-    alg = build(catalog(name))
+    alg = build(_load(case))
     for which, names in (("dbar+mu", ("dbar", "mu")),
                          ("partial+mu_bar", ("partial", "mu_bar")),
                          ("dbar", ("dbar",)), ("mu", ("mu",)),
