@@ -137,7 +137,10 @@ class GaussScalar:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real scalar equals an int or Fraction, so it hashes as one
+        if not self._b:
+            return hash(Fraction(self._a, self._d))
+        return hash((self._a, self._b, self._d))
 
     def __str__(self) -> str:
         return format_scalar(self)
@@ -683,6 +686,10 @@ class ParamPoly:
         return NotImplemented
 
     def __hash__(self):
+        # a constant equals its GaussScalar, so it hashes as that scalar
+        constant = (0,) * len(self.names)
+        if set(self.terms) <= {constant}:
+            return hash(self.terms.get(constant, GAUSS_ZERO))
         return hash((self.names, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
 
     def __str__(self) -> str:

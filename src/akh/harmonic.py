@@ -251,11 +251,7 @@ class LefschetzMap(NamedTuple):
     iso: bool
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p, "q": self.q, "power": self.power,
-            "source_dim": self.source_dim, "target_dim": self.target_dim,
-            "rank": self.rank, "iso": self.iso,
-        }
+        return self._asdict()
 
 
 class LefschetzReport(NamedTuple):
@@ -365,13 +361,7 @@ class PrimitiveDecomposition(NamedTuple):
     orthogonal_ok: bool
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p, "q": self.q,
-            "summand_dims": list(self.summand_dims),
-            "ell": self.ell,
-            "sum_ok": self.sum_ok,
-            "orthogonal_ok": self.orthogonal_ok,
-        }
+        return self._asdict()
 
 
 def primitive_decomposition(model: LieModel, p: int, q: int) -> PrimitiveDecomposition:
@@ -412,12 +402,7 @@ class HodgeRiemannReport(NamedTuple):
     positive_definite: bool
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p, "q": self.q, "prim_dim": self.prim_dim,
-            "signature_unsigned": list(self.signature_unsigned),
-            "signature_signed": list(self.signature_signed),
-            "positive_definite": self.positive_definite,
-        }
+        return self._asdict()
 
 
 def hodge_riemann_check(model: LieModel, p: int, q: int) -> HodgeRiemannReport:
@@ -478,16 +463,7 @@ class HodgeIndexReport(NamedTuple):
     nonintegrable_20_vanishes: Optional[bool]
 
     def to_json(self) -> dict:
-        return {
-            "b2_plus": self.b2_plus,
-            "b2_minus": self.b2_minus,
-            "ell11": self.ell11,
-            "relation_ok": self.relation_ok,
-            "b2": self.b2,
-            "ell20": self.ell20,
-            "integrable": self.integrable,
-            "nonintegrable_20_vanishes": self.nonintegrable_20_vanishes,
-        }
+        return self._asdict()
 
     def to_text(self) -> str:
         return (f"hodge index: b2+ = {self.b2_plus}, b2- = {self.b2_minus}, "

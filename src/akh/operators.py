@@ -20,16 +20,19 @@ Conventions:
   builds Laplacians.  Every harmonic space (``_harmonic_vectors``) is the
   joint kernel of components and their adjoints, stacked block by block.
 
-Eleven ledger entries are derived: each is the complex conjugate of the
-entry before it (L_mu_commute, lam_mu_adj_commute, L_partial_commute,
-lam_partial_adj_commute, L_mu_adj, lam_mu, L_partial_adj, lam_partial,
-mu_mubar_adj, mu_dbar_adj, dbar_partial_adj).  d and the fundamental form
-are real and the metric is conjugation-invariant, so conjugation C gives
-C mubar C = mu, C dbar C = partial, C L C = L, C lam C = lam,
-C A* C = (C A C)* and C i C = -i.  A partner's difference operators are
-then exactly C D C for its representative's differences D
-(``BlockOperator.conj``): its status, first failing block and witness are
-those of the direct computation.
+Sixteen ledger entries are derived, each from one computed entry, so that
+status, first failing block and witness are those of the direct
+computation:
+
+* by conjugation C: d and the fundamental form are real and the metric is
+  conjugation-invariant, so C mubar C = mu, C dbar C = partial, C fixes L
+  and lam, C A* C = (C A C)* and C i C = -i.  A partner's differences are
+  C D C for its representative's differences D (``BlockOperator.conj``);
+* by adjunction: L* = lam, (c A)* = conj(c) A* and (A B)* = B* A*, so each
+  side of a lam-side identity is -(the matching L-side side)*, and its
+  differences are -D*.  The Gram matrix is diagonal and positive, so -D*
+  moves the j-th basis form exactly when row j of D is nonzero, which D's
+  transpose shows with no arithmetic.
 """
 
 from __future__ import annotations
@@ -224,6 +227,11 @@ def _first_failure(algebra: BigradedAlgebra, entry_id: str, statement: str,
     return LedgerEntry(entry_id, statement, True)
 
 
+def _adjoint_pattern(diff: BlockOperator) -> BlockOperator:
+    """D's transpose: nonzero exactly where -D* is (see the module docstring)."""
+    return BlockOperator(diff.algebra, diff.matrix.transpose())
+
+
 def verify_identities(model: LieModel) -> IdentityLedger:
     """Evaluate the full almost Kahler identity catalogue on ``model``.
 
@@ -234,8 +242,8 @@ def verify_identities(model: LieModel) -> IdentityLedger:
     star-conjugation description of ``[lam, d]``.  Chains are verified
     member by member against their first expression, so ``witness`` always
     exhibits a concrete form on which the earliest failing member differs.
-    The eleven conjugate partners are read off the ``conj()`` of their
-    representatives' differences (see the module docstring).
+    Twelve entries are computed; the sixteen conjugate and adjoint partners
+    are derived from them (see the module docstring).
     """
     alg = build(model)
     mubar, dbar, partial, mu = alg.mu_bar, alg.dbar, alg.partial, alg.mu
@@ -251,37 +259,38 @@ def verify_identities(model: LieModel) -> IdentityLedger:
     mubar_partial_s, partial_dbar_s = gc(mubar, partial_s), gc(partial, dbar_s)
     zero = BlockOperator.zero(alg)
 
-    # (id, statement, sides), or for a conjugate partner its representative's id
+    conj, adj = BlockOperator.conj, _adjoint_pattern
+    # (id, statement, sides), or for a derived entry (derive, representative id)
     checks = [
         # Lefschetz operators commute with the non-Dolbeault components...
         ("L_mubar_commute", "[L, mubar] = 0", (gc(L, mubar), zero)),
-        ("L_mu_commute", "[L, mu] = 0", "L_mubar_commute"),
-        ("lam_mubar_adj_commute", "[lam, mubar*] = 0", (gc(lam, mubar_s), zero)),
-        ("lam_mu_adj_commute", "[lam, mu*] = 0", "lam_mubar_adj_commute"),
+        ("L_mu_commute", "[L, mu] = 0", (conj, "L_mubar_commute")),
+        ("lam_mubar_adj_commute", "[lam, mubar*] = 0", (adj, "L_mubar_commute")),
+        ("lam_mu_adj_commute", "[lam, mu*] = 0", (adj, "L_mu_commute")),
         # ...and with the Dolbeault components.
         ("L_dbar_commute", "[L, dbar] = 0", (gc(L, dbar), zero)),
-        ("L_partial_commute", "[L, partial] = 0", "L_dbar_commute"),
-        ("lam_dbar_adj_commute", "[lam, dbar*] = 0", (gc(lam, dbar_s), zero)),
-        ("lam_partial_adj_commute", "[lam, partial*] = 0", "lam_dbar_adj_commute"),
+        ("L_partial_commute", "[L, partial] = 0", (conj, "L_dbar_commute")),
+        ("lam_dbar_adj_commute", "[lam, dbar*] = 0", (adj, "L_dbar_commute")),
+        ("lam_partial_adj_commute", "[lam, partial*] = 0", (adj, "L_partial_commute")),
         # Mixed Lefschetz commutators rotate components into adjoints.
         ("L_mubar_adj", "[L, mubar*] = i mu", (gc(L, mubar_s), mu.scale(i))),
-        ("L_mu_adj", "[L, mu*] = -i mubar", "L_mubar_adj"),
-        ("lam_mubar", "[lam, mubar] = i mu*", (gc(lam, mubar), mu_s.scale(i))),
-        ("lam_mu", "[lam, mu] = -i mubar*", "lam_mubar"),
+        ("L_mu_adj", "[L, mu*] = -i mubar", (conj, "L_mubar_adj")),
+        ("lam_mubar", "[lam, mubar] = i mu*", (adj, "L_mubar_adj")),
+        ("lam_mu", "[lam, mu] = -i mubar*", (adj, "L_mu_adj")),
         ("L_dbar_adj", "[L, dbar*] = -i partial", (gc(L, dbar_s), partial.scale(-i))),
-        ("L_partial_adj", "[L, partial*] = i dbar", "L_dbar_adj"),
-        ("lam_dbar", "[lam, dbar] = -i partial*", (gc(lam, dbar), partial_s.scale(-i))),
-        ("lam_partial", "[lam, partial] = i dbar*", "lam_dbar"),
+        ("L_partial_adj", "[L, partial*] = i dbar", (conj, "L_dbar_adj")),
+        ("lam_dbar", "[lam, dbar] = -i partial*", (adj, "L_dbar_adj")),
+        ("lam_partial", "[lam, partial] = i dbar*", (adj, "L_partial_adj")),
         # Cross relations among the four components.
         ("mubar_mu_adj", "[mubar, mu*] = 0", (gc(mubar, mu_s), zero)),
-        ("mu_mubar_adj", "[mu, mubar*] = 0", "mubar_mu_adj"),
+        ("mu_mubar_adj", "[mu, mubar*] = 0", (conj, "mubar_mu_adj")),
         ("mubar_partial_adj", "[mubar, partial*] = [dbar, mu*]",
          (mubar_partial_s, gc(dbar, mu_s))),
-        ("mu_dbar_adj", "[mu, dbar*] = [partial, mubar*]", "mubar_partial_adj"),
+        ("mu_dbar_adj", "[mu, dbar*] = [partial, mubar*]", (conj, "mubar_partial_adj")),
         ("partial_dbar_adj", "[partial, dbar*] = [mubar*, dbar] + [mu, partial*]",
          (partial_dbar_s, gc(mubar_s, dbar) + gc(mu, partial_s))),
         ("dbar_partial_adj", "[dbar, partial*] = [mu*, partial] + [mubar, dbar*]",
-         "partial_dbar_adj"),
+         (conj, "partial_dbar_adj")),
         # Laplacian identities.
         ("lap_mu_split", "lap(mubar + mu) = lap(mubar) + lap(mu)",
          (_laplacian(mubar + mu, mubar_s + mu_s), lap_mubar + lap_mu)),
@@ -303,9 +312,7 @@ def verify_identities(model: LieModel) -> IdentityLedger:
         ("lam_lap_chain",
          "[lam, lap(dbar)] = [lam, lap(mubar)] = -[lam, lap(partial)]"
          " = -[lam, lap(mu)] = -i[dbar*, partial*] = i[mubar*, mu*]",
-         (gc(lam, lap_dbar), gc(lam, lap_mubar),
-          gc(lam, lap_partial).scale(-1), gc(lam, lap_mu).scale(-1),
-          gc(dbar_s, partial_s).scale(-i), gc(mubar_s, mu_s).scale(i))),
+         (adj, "L_lap_chain")),
         # The weighted star conjugate of d computes [lam, d].
         ("weil_star", "[lam, d] = star . weight_inv . d . weight . star",
          (gc(lam, d), star_conjugate(alg, d))),
@@ -313,8 +320,11 @@ def verify_identities(model: LieModel) -> IdentityLedger:
 
     diffs, entries = {}, []
     for entry_id, statement, sides in checks:
-        diffs[entry_id] = ([diff.conj() for diff in diffs[sides]] if isinstance(sides, str)
-                           else [other - sides[0] for other in sides[1:]])
+        if callable(sides[0]):
+            derive, representative = sides
+            diffs[entry_id] = [derive(diff) for diff in diffs[representative]]
+        else:
+            diffs[entry_id] = [other - sides[0] for other in sides[1:]]
         entries.append(_first_failure(alg, entry_id, statement, diffs[entry_id]))
     return IdentityLedger(model_name=model.name, entries=tuple(entries))
 

@@ -1,16 +1,17 @@
 """Complex conjugation C as one signed permutation, and the ledger entries
-derived through it.
+derived through conjugation and adjunction.
 
 d and the fundamental form are real and the metric is invariant under
 conjugation, so C swaps mu_bar with mu and dbar with partial, fixes d, L,
 lam and the Hodge star, and commutes with adjoints.  The ledger reads each
-of its eleven conjugate partners off C D C for its representative's
-difference operators D; here every partner is also computed directly, as
-the ledger did before, and the two must agree in status, first failing
-block and witness.  The models are the catalog, the 8-dimensional ladder
-and every product of two catalog models of total dimension at most 8
-(``make_ladder.product``), which include failing entries on h5_J,
-filiform4_J and their products.
+of its seven conjugate partners off C D C for its representative's
+difference operators D, and each of its nine lam-side entries off the
+transpose of its L-side partner's D (its differences are -D*).  Here every
+partner is also computed directly, as the ledger once did, and the two must
+agree in status, first failing block and witness.  The models are the
+catalog, the 8-dimensional ladder and every product of two catalog models
+of total dimension at most 8 (``make_ladder.product``), which include
+failing entries of both kinds on h5_J, filiform4_J and their products.
 """
 
 from pathlib import Path
@@ -20,7 +21,7 @@ import pytest
 from akh.exact import GAUSS_I
 from akh.forms import BlockOperator, Form, build, sort_with_sign
 from akh.model import CATALOG_NAMES, catalog, load_model
-from akh.operators import _adjoint, graded_commutator, verify_identities
+from akh.operators import _adjoint, graded_commutator, laplacian, verify_identities
 from test_product_oracle import PAIRS, make_ladder
 
 MODELS = Path(__file__).resolve().parents[1] / "bench" / "models"
@@ -69,34 +70,67 @@ def test_conjugation_facts(source):
     assert alg.dbar.scale(GAUSS_I).conj() == alg.partial.scale(-GAUSS_I)
 
 
+# derived entry -> the computed entry it is read off
+CONJUGATE = {
+    "L_mu_commute": "L_mubar_commute",
+    "L_partial_commute": "L_dbar_commute",
+    "L_mu_adj": "L_mubar_adj",
+    "L_partial_adj": "L_dbar_adj",
+    "mu_mubar_adj": "mubar_mu_adj",
+    "mu_dbar_adj": "mubar_partial_adj",
+    "dbar_partial_adj": "partial_dbar_adj",
+}
+ADJOINT = {
+    "lam_mubar_adj_commute": "L_mubar_commute",
+    "lam_mu_adj_commute": "L_mu_commute",
+    "lam_dbar_adj_commute": "L_dbar_commute",
+    "lam_partial_adj_commute": "L_partial_commute",
+    "lam_mubar": "L_mubar_adj",
+    "lam_mu": "L_mu_adj",
+    "lam_dbar": "L_dbar_adj",
+    "lam_partial": "L_partial_adj",
+    "lam_lap_chain": "L_lap_chain",
+}
+
+
 def _direct_partners(alg):
-    """The sides of the eleven conjugate partners, computed as themselves."""
+    """The sides of the sixteen derived entries, computed as themselves."""
     mubar, dbar, partial, mu, L, lam = (alg.mu_bar, alg.dbar, alg.partial, alg.mu,
                                         alg.L, alg.lam)
     mubar_s, dbar_s, partial_s, mu_s = (_adjoint(alg, name)
                                         for name in ("mu_bar", "dbar", "partial", "mu"))
+    lap_mubar, lap_dbar, lap_partial, lap_mu = (laplacian(op) for op in (mubar, dbar, partial, mu))
     zero, gc, i = BlockOperator.zero(alg), graded_commutator, GAUSS_I
     return {
         "L_mu_commute": (gc(L, mu), zero),
+        "lam_mubar_adj_commute": (gc(lam, mubar_s), zero),
         "lam_mu_adj_commute": (gc(lam, mu_s), zero),
         "L_partial_commute": (gc(L, partial), zero),
+        "lam_dbar_adj_commute": (gc(lam, dbar_s), zero),
         "lam_partial_adj_commute": (gc(lam, partial_s), zero),
         "L_mu_adj": (gc(L, mu_s), mubar.scale(-i)),
+        "lam_mubar": (gc(lam, mubar), mu_s.scale(i)),
         "lam_mu": (gc(lam, mu), mubar_s.scale(-i)),
         "L_partial_adj": (gc(L, partial_s), dbar.scale(i)),
+        "lam_dbar": (gc(lam, dbar), partial_s.scale(-i)),
         "lam_partial": (gc(lam, partial), dbar_s.scale(i)),
         "mu_mubar_adj": (gc(mu, mubar_s), zero),
         "mu_dbar_adj": (gc(mu, dbar_s), gc(partial, mubar_s)),
         "dbar_partial_adj": (gc(dbar, partial_s), gc(mu_s, partial) + gc(mubar, dbar_s)),
+        "lam_lap_chain": (gc(lam, lap_dbar), gc(lam, lap_mubar),
+                          -gc(lam, lap_partial), -gc(lam, lap_mu),
+                          gc(dbar_s, partial_s).scale(-i), gc(mubar_s, mu_s).scale(i)),
     }
 
 
 def _outcome(alg, sides):
-    """(holds, first failing block, witness) of sides[1] = sides[0]."""
-    hit = (sides[1] - sides[0]).first_nonzero()
-    if hit is None:
-        return True, None, None
-    return False, hit[0], alg.basis_form(*hit)
+    """(holds, first failing block, witness) of sides[0] = sides[1] = ...,
+    checked member by member against the first."""
+    for other in sides[1:]:
+        hit = (other - sides[0]).first_nonzero()
+        if hit is not None:
+            return False, hit[0], alg.basis_form(*hit)
+    return True, None, None
 
 
 @pytest.mark.parametrize("source", CATALOG_NAMES + LADDER + tuple(PAIRS),
@@ -106,17 +140,34 @@ def test_derived_partners_match_the_direct_ones(source):
     alg = build(model)
     ledger = verify_identities(model)
     direct = _direct_partners(alg)
+    assert set(direct) == set(CONJUGATE) | set(ADJOINT)
     ids = [entry.id for entry in ledger.entries]
     for entry_id, sides in direct.items():
         entry = ledger.entry(entry_id)
         assert (entry.holds, entry.first_failing_block, entry.witness) == \
             _outcome(alg, sides), entry_id
-        # each partner follows its representative
-        assert ids.index(entry_id) % 2 == 1 and ids.index(entry_id) < 22
+        # each partner follows the entry it is read off
+        representative = CONJUGATE.get(entry_id) or ADJOINT[entry_id]
+        assert ids.index(representative) < ids.index(entry_id)
 
 
 def test_derived_partners_include_failures():
-    # the comparison above sees witnesses, not only "holds"
+    # the comparison above sees witnesses, not only "holds", for both rules
     for source in ("h5_J", "filiform4_J", ("h5_J", "torus2")):
         failing = {e.id for e in verify_identities(_model(source)).failures()}
-        assert failing & set(_direct_partners(build(_model(source)))), source
+        assert failing & set(CONJUGATE) and failing & set(ADJOINT), source
+
+
+def test_warm_ledger_computes_twelve_entries(monkeypatch):
+    # the sixteen partners cost no product and no adjoint: 50 products are
+    # the twelve computed entries' commutators, Laplacians and star conjugate
+    model = catalog("kodaira_thurston")
+    verify_identities(model)  # adjoints, L, lam and star built once
+    calls = {"compose": 0, "adjoint": 0}
+    for name in calls:
+        def counted(*args, name=name, method=getattr(BlockOperator, name)):
+            calls[name] += 1
+            return method(*args)
+        monkeypatch.setattr(BlockOperator, name, counted)
+    verify_identities(model)
+    assert calls == {"compose": 50, "adjoint": 0}

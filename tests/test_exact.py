@@ -119,8 +119,8 @@ def test_scalar_operations_match_fraction_pairs(z, w):
     assert (z != w) is (zp != wp)
     assert (z == a) is (b == 0)
     assert not a or z != Fraction(a.numerator, a.denominator + 1)
-    assert hash(z) == hash(zp)
     assert hash(GaussScalar(*zp)) == hash(z)
+    assert b or hash(z) == hash(a)
     _assert_scalar(parse_scalar(format_scalar(z)), zp)
 
 
@@ -612,3 +612,28 @@ def test_parampoly_evaluation_is_homomorphism(p, q, a, b):
     point = {"t1": a, "t2": b}
     assert (p + q).evaluate(point) == p.evaluate(point) + q.evaluate(point)
     assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)
+
+
+def _representations(re, im):
+    """The value re + im*i as each type that can hold it: a GaussScalar and a
+    constant ParamPoly, and when it is real a Fraction, and an int too when
+    it is an integer."""
+    z = GaussScalar(re, im)
+    out = [z, ParamPoly.constant(NAMES, z)]
+    if not im:
+        out.append(re)
+        if re.denominator == 1:
+            out.append(int(re))
+    return out
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@given(st.builds(_representations, small_rationals, small_rationals | st.just(Fraction(0)))
+       .flatmap(lambda reps: st.tuples(st.sampled_from(reps), st.sampled_from(reps))))
+@settings(max_examples=80, deadline=None)
+def test_equal_scalars_hash_equal(pair):
+    a, b = pair
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1 and {a: "a"}.get(b) == "a"

@@ -11,6 +11,10 @@ obstructions as well.
 
 Regenerate the digests, only when a change of these reports is intended,
 with ``PYTHONPATH=src python tests/test_ladder_golden.py``.
+
+The identity ledger of the two 12-dimensional products torus6 x torus6 and
+Kodaira-Thurston x Kodaira-Thurston x torus4 is pinned the same way, by
+the sha256 of its JSON (``sort_keys``) and of its text, kept inline below.
 """
 
 import contextlib
@@ -25,6 +29,7 @@ import pytest
 
 from akh import cli
 from akh.model import catalog, save_model
+from akh.operators import verify_identities
 
 ROOT = Path(__file__).resolve().parents[1]
 MODELS_DIR = ROOT / "bench" / "models"
@@ -73,6 +78,31 @@ def test_ladder_report_matches_recorded_digest(name, tmp_path):
 
 def test_every_ladder_model_and_format_is_recorded():
     assert set(_expected()) == {f"report {name} {fmt}" for name in NAMES for fmt in FORMATS}
+
+
+# 12-dimensional product -> (sha256 of the ledger JSON, sha256 of its text)
+TWELVE_DIM_LEDGERS = {
+    "torus6_x_torus6": ("3f062e989cdcdbbd6f90f3ef3b698a14d5f5c3e45ab9397f3d8c5a153bf0dec2",
+                        "273702b8c662d11177cd37fde0f76cb180314c8f0de1ed56ade53e729cfe4cfb"),
+    "kt_x_kt_x_T4": ("0020d677b7dc0733a284ecddf9f3d9a0d80bcba5893b7c9d0fa2c1504c6f6573",
+                     "9dfe910616d88c36b5e9403f3658bea6895a8cb35dcf0ae47129cc3683600857"),
+}
+
+
+def _twelve_dim_model(name: str):
+    product = make_ladder.product
+    if name == "torus6_x_torus6":
+        return product(name, catalog("torus6"), catalog("torus6"))
+    kt = catalog("kodaira_thurston")
+    return product(name, product("kt_x_kt", kt, kt), catalog("torus4"))
+
+
+@pytest.mark.parametrize("name", TWELVE_DIM_LEDGERS)
+def test_twelve_dim_ledger_matches_recorded_digest(name):
+    ledger = verify_identities(_twelve_dim_model(name))
+    digests = tuple(hashlib.sha256(text.encode("utf-8")).hexdigest()
+                    for text in (json.dumps(ledger.to_json(), sort_keys=True), ledger.to_text()))
+    assert digests == TWELVE_DIM_LEDGERS[name]
 
 
 if __name__ == "__main__":
