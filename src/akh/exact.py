@@ -198,6 +198,14 @@ def format_flag(value: Optional[bool]) -> str:
     return "true" if value else "false"
 
 
+def parse_rational(text: str) -> Fraction:
+    """Fraction(text), refusing exponent notation: '1e1000000' would build a
+    million-digit integer, and akh never writes an exponent."""
+    if "e" in text or "E" in text:
+        raise ExactError(f"exponent notation in rational {text!r}")
+    return Fraction(text)
+
+
 def parse_scalar(text: str) -> GaussScalar:
     """Inverse of format_scalar; also accepts '3i' without the '*'."""
     s = text.strip().replace(" ", "")
@@ -211,7 +219,7 @@ def parse_scalar(text: str) -> GaussScalar:
         re_part, im_part = (body[:split], body[split:]) if split > 0 else ("0", body)
         im_part = {"": "1", "+": "1", "-": "-1"}.get(im_part, im_part)
     try:
-        return GaussScalar(Fraction(re_part), Fraction(im_part))
+        return GaussScalar(parse_rational(re_part), parse_rational(im_part))
     except (ValueError, ZeroDivisionError) as exc:
         kind = "scalar" if s.endswith("i") else "rational"
         raise ExactError(f"bad {kind} {text!r}") from exc
@@ -225,8 +233,8 @@ class ExactMatrix:
     """Immutable sparse matrix over GaussScalar.
 
     Each row is a dict {column: nonzero entry}; zeros are never stored and
-    there is no dense copy.  ``data`` and ``row`` are dense views built on
-    access, for display and for callers that index every entry.
+    there is no dense copy.  ``data`` is a dense view built on access, for
+    display.
     """
 
     __slots__ = ("rows", "cols", "_rows")
@@ -282,10 +290,6 @@ class ExactMatrix:
             raise IndexError("matrix column index out of range")
         return self._rows[i].get(j % self.cols, GAUSS_ZERO)
 
-    def row(self, i: int) -> tuple:
-        entries = self._rows[i]
-        return tuple(entries.get(j, GAUSS_ZERO) for j in range(self.cols))
-
     def row_items(self, i: int):
         """The (column, entry) pairs of the nonzero entries of row i."""
         return self._rows[i].items()
@@ -293,7 +297,8 @@ class ExactMatrix:
     @property
     def data(self) -> tuple:
         """Dense tuple-of-tuples view, zeros filled in."""
-        return tuple(self.row(i) for i in range(self.rows))
+        return tuple(tuple(row.get(j, GAUSS_ZERO) for j in range(self.cols))
+                     for row in self._rows)
 
     def submatrix(self, rows: range, cols: range) -> "ExactMatrix":
         """The entries in a contiguous range of rows and one of columns, as a
@@ -447,6 +452,16 @@ def hstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
     return ExactMatrix._from_rows(out, sum(m.cols for m in mats))
 
 
+def _add_multiple(row: dict, f: GaussScalar, other: dict) -> None:
+    """row += f * other, in place, zeros dropped."""
+    for j, b in other.items():
+        a = row.get(j, GAUSS_ZERO) + f * b
+        if a:
+            row[j] = a
+        else:
+            del row[j]
+
+
 def rref(mat: ExactMatrix) -> tuple:
     """Reduced row echelon form.  Returns (R, pivot_columns).
 
@@ -473,14 +488,8 @@ def rref(mat: ExactMatrix) -> tuple:
         prow = work[r] = {j: a * inv for j, a in work[r].items()}
         for i, row in enumerate(work):
             f = row.get(c)
-            if f is None or i == r:
-                continue
-            for j, b in prow.items():
-                a = row.get(j, GAUSS_ZERO) - f * b
-                if a:
-                    row[j] = a
-                else:
-                    del row[j]
+            if f is not None and i != r:
+                _add_multiple(row, -f, prow)
         pivots.append(c)
         r += 1
     work.extend({} for _ in range(mat.rows - nrows))
@@ -523,58 +532,38 @@ def hermitian_signature(mat: ExactMatrix) -> tuple:
         raise ExactError("signature of a non-square matrix")
     if mat != mat.conj_transpose():
         raise ExactError("matrix is not hermitian")
-    n = mat.rows
-    work = [list(row) for row in mat.data]
-
-    def add_row_col(i, j, c):
-        # row_i += c * row_j, then col_i += conj(c) * col_j
-        work[i] = [a + c * b for a, b in zip(work[i], work[j])]
-        cc = c.conj()
-        for r in range(n):
-            work[r][i] = work[r][i] + cc * work[r][j]
-
-    def swap(i, j):
-        work[i], work[j] = work[j], work[i]
-        for r in range(n):
-            work[r][i], work[r][j] = work[r][j], work[r][i]
-
-    diag = []
-    for k in range(n):
-        if not work[k][k]:
-            moved = False
-            for j in range(k + 1, n):
-                if work[j][j]:
-                    swap(k, j)
-                    moved = True
-                    break
-            if not moved:
-                found = None
-                for i in range(k, n):
-                    for j in range(i + 1, n):
-                        if work[i][j]:
-                            found = (i, j)
-                            break
-                    if found:
-                        break
-                if found is None:
-                    diag.extend([Fraction(0)] * (n - k))
-                    break
-                i, j = found
-                # both diagonal entries are zero here, so this creates the
-                # positive pivot 2 |work[i][j]|^2
-                add_row_col(i, j, work[i][j])
-                if i != k:
-                    swap(k, i)
-        pivot = work[k][k]
-        if not pivot.is_real():
-            raise ExactError("diagonal entry not real under congruence")
-        for r in range(k + 1, n):
-            if work[r][k]:
-                add_row_col(r, k, -work[r][k] / pivot)
-        diag.append(pivot.re)
-    plus = sum(1 for d in diag if d > 0)
-    minus = sum(1 for d in diag if d < 0)
-    return (plus, minus, n - plus - minus)
+    # the nonzero rows of the block still to diagonalize; the block stays
+    # Hermitian, so row i is the conjugate of column i and row operations
+    # alone carry each step
+    work = {i: dict(row) for i, row in enumerate(mat._rows) if row}
+    positive = []
+    while work:
+        k = next((i for i, row in work.items() if i in row), None)
+        if k is None:
+            # every diagonal entry is zero: row_k += c row_j, then
+            # col_k += conj(c) col_j with c = a_kj gives the pivot 2 |c|^2,
+            # and the new column k is the conjugate of the new row k
+            k, row = next(iter(work.items()))
+            j, c = next(iter(row.items()))
+            touched = set(row) | set(work[j])
+            _add_multiple(row, c, work[j])
+            row[k] = row.get(k, GAUSS_ZERO) + c.conj() * row[j]
+            for r in touched - {k}:
+                work[r].pop(k, None)
+                if r in row:
+                    work[r][k] = row[r].conj()
+        # pivot on a_kk: subtracting a_rk / a_kk times row k from each row r
+        # leaves the Schur complement, and a_kk is real
+        row = work.pop(k)
+        pivot = row[k]
+        positive.append(pivot.re > 0)
+        for r in row:
+            if r != k:
+                _add_multiple(work[r], -work[r][k] / pivot, row)
+                if not work[r]:
+                    del work[r]
+    plus = sum(positive)
+    return (plus, len(positive) - plus, mat.rows - len(positive))
 
 
 # ---------------------------------------------------------------------------

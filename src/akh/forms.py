@@ -607,7 +607,7 @@ class BigradedAlgebra:
         half = GaussScalar(Fraction(1, 2))
         rows = []
         for r in range(len(pivots)):
-            row = tuple(half * x for x in reduced.row(r))
+            row = tuple(half * reduced[r, j] for j in range(n))
             # Gram-Schmidt without normalizing; an orthogonal row stays as it is
             for prev in rows:
                 c = _hermitian(row, prev)
@@ -630,14 +630,13 @@ class BigradedAlgebra:
     def _differential_on_generators(self) -> list:
         """d of each coframe generator as a dict over 2-monomials."""
         model = self.model
-        n = model.dim
         out = []
         for g in range(2 * self.m):
-            trow = self.T.row(g)
+            trow = dict(self.T.row_items(g))
             real2: Dict[Mono, GaussScalar] = {}
             for (i, j, k, c) in model.brackets:
-                tk = trow[k]
-                if not tk:
+                tk = trow.get(k)
+                if tk is None:
                     continue
                 contrib = tk * GaussScalar(-c)
                 key = (i, j)

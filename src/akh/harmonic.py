@@ -157,14 +157,11 @@ class Diamond(NamedTuple):
     bounds_ok: Optional[bool]
     lefschetz_ok: Optional[bool]
 
-    def row(self, k: int) -> tuple:
-        """Entries of total degree k, holomorphic index descending."""
-        top = min(k, self.m)
-        bottom = max(0, k - self.m)
-        return tuple(self.ell[p][k - p] for p in range(top, bottom - 1, -1))
-
     def rows(self) -> tuple:
-        return tuple(self.row(k) for k in range(2 * self.m + 1))
+        """The entries of each total degree k, holomorphic index descending."""
+        m = self.m
+        return tuple(tuple(self.ell[p][k - p] for p in range(min(k, m), max(0, k - m) - 1, -1))
+                     for k in range(2 * m + 1))
 
     def to_json(self) -> dict:
         return {

@@ -18,10 +18,10 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import combinations
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .exact import (AkhError, ExactError, ExactMatrix, GAUSS_ONE, GAUSS_ZERO, GaussScalar,
-                    format_flag, format_scalar, parse_scalar, rref)
+                    format_flag, format_scalar, parse_rational, parse_scalar, rref)
 
 
 class ModelError(AkhError):
@@ -93,17 +93,6 @@ class LieModel(_LieModelFields):
     def m(self) -> int:
         return self.dim // 2
 
-    def bracket(self, i: int, j: int) -> tuple:
-        """[X_i, X_j] as a frame coordinate vector of Fractions."""
-        return _dense(_bracket_table(self).get((i, j), {}), self.dim)
-
-    def bracket_vectors(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple:
-        """Bilinear extension of the bracket to coordinate vectors."""
-        return _dense(_bracket(_bracket_table(self), _sparse(u), _sparse(v)), self.dim)
-
-    def apply_J(self, v: Sequence[Fraction]) -> tuple:
-        return _dense(_apply(_j_columns(ExactMatrix(self.J)), _sparse(v)), self.dim)
-
     def omega(self, a: int, b: int) -> Fraction:
         """Fundamental 2-form on frame vectors: omega(X_a, X_b) = g(J X_a, X_b)."""
         return self.J[b][a]
@@ -151,9 +140,9 @@ class StructureReport(NamedTuple):
 
 
 # The structure checks run on sparse data built once per model: the bracket
-# table {(i, j): {k: c}} over both orders of every nonzero bracket, the
-# columns of J, and vectors, each a dict {index: entry} of nonzero
-# GaussScalars.
+# table {(i, j): {k: c}} over both orders of every nonzero bracket, J as an
+# ExactMatrix, and vectors, each a dict {index: entry} of nonzero
+# GaussScalars, which J acts on through ExactMatrix.apply.
 
 
 def _bracket_table(model: LieModel) -> dict:
@@ -163,19 +152,6 @@ def _bracket_table(model: LieModel) -> dict:
         table.setdefault((i, j), {})[k] = c
         table.setdefault((j, i), {})[k] = -c
     return table
-
-
-def _j_columns(jm: ExactMatrix) -> list:
-    jt = jm.transpose()
-    return [dict(jt.row_items(c)) for c in range(jt.rows)]
-
-
-def _sparse(v: Sequence) -> dict:
-    return {k: GaussScalar(x) for k, x in enumerate(v) if x}
-
-
-def _dense(v: dict, n: int) -> tuple:
-    return tuple(v[k].re if k in v else Fraction(0) for k in range(n))
 
 
 def _combine(terms) -> dict:
@@ -190,10 +166,6 @@ def _combine(terms) -> dict:
 def _bracket(table: dict, u: dict, v: dict) -> dict:
     return _combine((x * y, table[i, j]) for i, x in u.items() for j, y in v.items()
                     if (i, j) in table)
-
-
-def _apply(jcols: list, v: dict) -> dict:
-    return _combine((x, jcols[c]) for c, x in v.items())
 
 
 def _cyclic_triples(n: int):
@@ -211,27 +183,17 @@ def _jacobi_check(table: dict, n: int):
     return True, None
 
 
-def _nijenhuis_pairs(table: dict, jcols: list):
-    """((i, j), N(X_i, X_j)) for every i < j, each value a sparse vector, with
-    N(X,Y) = [JX,JY] - J([JX,Y] + [X,JY]) - [X,Y]."""
-    n = len(jcols)
-    for i in range(n):
-        for j in range(i + 1, n):
-            jx, jy, x, y = jcols[i], jcols[j], {i: GAUSS_ONE}, {j: GAUSS_ONE}
-            inner = _combine(((1, _bracket(table, jx, y)), (1, _bracket(table, x, jy))))
-            yield (i, j), _combine(((1, _bracket(table, jx, jy)), (-1, _apply(jcols, inner)),
-                                    (-1, table.get((i, j), {}))))
-
-
-def nijenhuis(model: LieModel) -> tuple:
-    """N[i][j] = frame coordinates of N(X_i, X_j) with
-    N(X,Y) = [JX,JY] - J[JX,Y] - J[X,JY] - [X,Y]."""
-    n = model.dim
-    out = [[(Fraction(0),) * n] * n for _ in range(n)]
-    for (i, j), vec in _nijenhuis_pairs(_bracket_table(model), _j_columns(ExactMatrix(model.J))):
-        out[i][j] = _dense(vec, n)
-        out[j][i] = tuple(-x for x in out[i][j])
-    return tuple(tuple(row) for row in out)
+def _integrable(table: dict, jm: ExactMatrix) -> bool:
+    """Whether N(X,Y) = [JX,JY] - J([JX,Y] + [X,JY]) - [X,Y] vanishes on every
+    pair of frame vectors X_i, X_j with i < j; stops at the first nonzero."""
+    jcols = [jm.apply({i: GAUSS_ONE}) for i in range(jm.rows)]
+    for i, j in combinations(range(jm.rows), 2):
+        jx, jy, x, y = jcols[i], jcols[j], {i: GAUSS_ONE}, {j: GAUSS_ONE}
+        inner = _combine(((1, _bracket(table, jx, y)), (1, _bracket(table, x, jy))))
+        if _combine(((1, _bracket(table, jx, jy)), (-1, jm.apply(inner)),
+                     (-1, table.get((i, j), {})))):
+            return False
+    return True
 
 
 def _domega_vanishes(table: dict, jm: ExactMatrix) -> bool:
@@ -265,7 +227,7 @@ def validate(model: LieModel) -> StructureReport:
     acs_ok = (jm @ jm) == (ExactMatrix.identity(n) * -1)
     compatible_ok = (jm.transpose() @ jm) == ExactMatrix.identity(n)
     jacobi_ok, witness = _jacobi_check(table, n)
-    integrable = not any(vec for _, vec in _nijenhuis_pairs(table, _j_columns(jm)))
+    integrable = _integrable(table, jm)
     almost_kahler = bool(
         acs_ok and compatible_ok and jacobi_ok and _domega_vanishes(table, jm)
     )
@@ -426,7 +388,7 @@ def model_from_json(data) -> LieModel:
         _expect(entry, dict, what)
         try:
             i, j, k = (_expect(entry[key], int, key) - 1 for key in "ijk")
-            c = Fraction(str(entry["c"]))
+            c = parse_rational(str(entry["c"]))
         except (KeyError, ValueError, ZeroDivisionError) as exc:
             raise ModelError(f"bad {what}: {entry!r}") from exc
         brackets.append((i, j, k, c))
@@ -436,7 +398,7 @@ def model_from_json(data) -> LieModel:
         parsed = []
         for cidx, x in enumerate(row):
             try:
-                parsed.append(Fraction(str(x)))
+                parsed.append(parse_rational(str(x)))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ModelError(f"bad rational in J at row {r}, column {cidx}: {x!r}") from exc
         jrows.append(tuple(parsed))
@@ -474,6 +436,9 @@ def load_model(path: str) -> LieModel:
         raise ModelError(f"{path} is not UTF-8 text: {exc.reason}") from exc
     except RecursionError:
         raise ModelError(f"invalid JSON in {path}: nested too deeply") from None
+    except ValueError as exc:
+        # an integer literal past the interpreter's digit limit
+        raise ModelError(f"invalid JSON in {path}: {exc}") from exc
     return model_from_json(data)
 
 

@@ -8,9 +8,13 @@ independent references for the tests.
 Nor does ``akh`` read forms in real frame coordinates after ``build``:
 ``real_coordinates`` and ``real_harmonic_basis`` keep that route here, as
 the reference for the Hodge index, which ``akh`` takes on complex forms.
+
+``dense_hermitian_signature`` is the dense congruence diagonalization that
+``akh.exact.hermitian_signature`` did before it eliminated on sparse rows.
 """
 
 import itertools
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 from akh.exact import (GAUSS_ZERO, ExactError, ExactMatrix, GaussScalar, as_gauss, hstack,
@@ -67,6 +71,67 @@ def in_span(basis: Sequence[Sequence], vec: Sequence) -> bool:
     if not basis:
         return all(not as_gauss(v) for v in vec)
     return solve(ExactMatrix(basis).transpose(), list(vec)) is not None
+
+
+def dense_hermitian_signature(mat: ExactMatrix) -> tuple:
+    """(n_plus, n_minus, n_zero) of a Hermitian matrix by congruence
+    diagonalization on a dense copy, with paired row and column operations."""
+    if mat.rows != mat.cols:
+        raise ExactError("signature of a non-square matrix")
+    if mat != mat.conj_transpose():
+        raise ExactError("matrix is not hermitian")
+    n = mat.rows
+    work = [list(row) for row in mat.data]
+
+    def add_row_col(i, j, c):
+        # row_i += c * row_j, then col_i += conj(c) * col_j
+        work[i] = [a + c * b for a, b in zip(work[i], work[j])]
+        cc = c.conj()
+        for r in range(n):
+            work[r][i] = work[r][i] + cc * work[r][j]
+
+    def swap(i, j):
+        work[i], work[j] = work[j], work[i]
+        for r in range(n):
+            work[r][i], work[r][j] = work[r][j], work[r][i]
+
+    diag = []
+    for k in range(n):
+        if not work[k][k]:
+            moved = False
+            for j in range(k + 1, n):
+                if work[j][j]:
+                    swap(k, j)
+                    moved = True
+                    break
+            if not moved:
+                found = None
+                for i in range(k, n):
+                    for j in range(i + 1, n):
+                        if work[i][j]:
+                            found = (i, j)
+                            break
+                    if found:
+                        break
+                if found is None:
+                    diag.extend([Fraction(0)] * (n - k))
+                    break
+                i, j = found
+                # both diagonal entries are zero here, so this creates the
+                # positive pivot 2 |work[i][j]|^2
+                add_row_col(i, j, work[i][j])
+                if i != k:
+                    swap(k, i)
+        pivot = work[k][k]
+        if not pivot.is_real():
+            raise ExactError("diagonal entry not real under congruence")
+        for r in range(k + 1, n):
+            if work[r][k]:
+                add_row_col(r, k, -work[r][k] / pivot)
+        diag.append(pivot.re)
+    plus = sum(1 for d in diag if d > 0)
+    minus = sum(1 for d in diag if d < 0)
+    return (plus, minus, n - plus - minus)
 
 
 def real_coordinates(alg, form, degree: int) -> dict:

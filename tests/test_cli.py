@@ -181,8 +181,13 @@ def test_missing_field_exits_one_with_field_name(tmp_path, capsys):
     {"brackets": [{"i": True, "j": 2, "k": 3, "c": "-1"}]},
     {"name": [[1]]},
     {"name": 7},
+    # exponent notation: Fraction("1e1000000") would build a million-digit int
+    {"J": [["0", "0", "-1", "0"], ["0", "0", "0", "-1"], ["1e5", "0", "0", "0"],
+           ["0", "1", "0", "0"]]},
+    {"brackets": [{"i": 1, "j": 2, "k": 3, "c": "1e5"}]},
 ], ids=["J_int", "brackets_int", "J_row_int", "bracket_string",
-        "index_float", "index_bool", "name_list", "name_int"])
+        "index_float", "index_bool", "name_list", "name_int", "J_exponent",
+        "bracket_exponent"])
 def test_malformed_model_shape_exits_one_without_traceback(tmp_path, change):
     data = model_to_json(catalog("kodaira_thurston"))
     data.update(change)
@@ -192,7 +197,9 @@ def test_malformed_model_shape_exits_one_without_traceback(tmp_path, change):
 @pytest.mark.parametrize("raw", [
     '{"format": 1, "name": "café"}'.encode("latin-1"),
     b"[" * 200000,
-], ids=["latin1", "nested_too_deeply"])
+    # past the interpreter's limit on the digits of an int literal
+    b'{"format": 1, "dim": ' + b"1" * 5000 + b"}",
+], ids=["latin1", "nested_too_deeply", "huge_integer"])
 def test_unreadable_model_file_exits_one_without_traceback(tmp_path, raw):
     _assert_cli_refuses(tmp_path, raw, "validate")
 
@@ -211,8 +218,10 @@ def test_unreadable_model_file_exits_one_without_traceback(tmp_path, raw):
     # orthogonal +i eigenvectors, but row 2 is zero
     [["0", "0", "0", "0", "1/2", "-1/2*i"], ["0", "0", "0", "0", "0", "0"],
      ["0", "0", "1", "-i", "0", "0"]],
+    [["0", "0", "0", "0", "1/2", "-1/2*i"], ["1e5", "i", "0", "0", "0", "0"],
+     ["0", "0", "1", "-i", "0", "0"]],
 ], ids=["string", "one_row", "bad_scalar", "wrong_eigenvalue", "not_orthogonal",
-        "zero_row"])
+        "zero_row", "exponent"])
 def test_malformed_coframe_exits_one_without_traceback(tmp_path, coframe):
     data = model_to_json(catalog("h5_J"))
     data["coframe"] = coframe

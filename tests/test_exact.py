@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from akh.exact import (
     GAUSS_I,
@@ -16,12 +16,13 @@ from akh.exact import (
     hermitian_signature,
     hstack,
     kernel,
+    parse_rational,
     parse_scalar,
     rank,
     rref,
     vstack,
 )
-from linalg_reference import dense, in_span, inverse, solve, sparse
+from linalg_reference import dense, dense_hermitian_signature, in_span, inverse, solve, sparse
 
 rationals = st.fractions(min_value=-12, max_value=12, max_denominator=7)
 scalars = st.builds(GaussScalar, rationals, rationals)
@@ -133,6 +134,16 @@ def test_scalar_parse_forms():
     assert parse_scalar("-2/3") == gs(Fraction(-2, 3))
     with pytest.raises(ExactError):
         parse_scalar("one")
+    assert parse_rational("-3/4") == Fraction(-3, 4)
+    assert parse_rational("0.25") == Fraction(1, 4)
+    # exponent notation is refused: Fraction("1e1000000") would build a
+    # million-digit integer
+    for text in ("1e5", "2E-3", "1e1000000"):
+        for parse in (parse_rational, parse_scalar):
+            with pytest.raises(ExactError):
+                parse(text)
+        with pytest.raises(ExactError):
+            parse_scalar(f"1/2+{text}*i")
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +319,35 @@ def test_hermitian_signature_zero_diagonal():
     assert hermitian_signature(s) == (1, 1, 0)
 
 
+# mostly zeros, so the elimination meets empty rows and zero pivots
+sparse_rationals = st.one_of(st.just(0), st.just(0), unitriangular_entries)
+
+
+@st.composite
+def sparse_hermitian_matrices(draw):
+    """Hermitian matrices of size 0 to 6: complex, real symmetric, or with an
+    all-zero diagonal, where the first pivot needs the 2 |a|^2 step."""
+    n = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(("complex", "real", "zero_diagonal")))
+    vals = [[GAUSS_ZERO] * n for _ in range(n)]
+    for i in range(n):
+        if kind != "zero_diagonal":
+            vals[i][i] = GaussScalar(draw(sparse_rationals))
+        for j in range(i + 1, n):
+            x = GaussScalar(draw(sparse_rationals), 0 if kind == "real" else draw(sparse_rationals))
+            vals[i][j], vals[j][i] = x, x.conj()
+    return ExactMatrix(vals, cols=n)
+
+
+@given(sparse_hermitian_matrices())
+@example(ExactMatrix([], cols=0))
+# zero diagonal, non-real off-diagonal entry: the 2 |c|^2 step must use c, not conj(c)
+@example(ExactMatrix([[0, gs(1, 1)], [gs(1, -1), 0]]))
+@settings(max_examples=300, deadline=None)
+def test_signature_matches_dense_reference(h):
+    assert hermitian_signature(h) == dense_hermitian_signature(h)
+
+
 def test_stack_shape_errors():
     with pytest.raises(ExactError):
         vstack([ExactMatrix([[1]]), ExactMatrix([[1, 2]])])
@@ -458,7 +498,6 @@ def test_dense_and_sparse_builds_agree(case, order):
     assert m.shape == built.shape == (len(grid), c)
     assert m.data == tuple(tuple(row) for row in grid)
     for i, row in enumerate(grid):
-        assert m.row(i) == tuple(row)
         assert dict(m.row_items(i)) == {j: a for j, a in enumerate(row) if a}
         for j, a in enumerate(row):
             assert m[i, j] == a and m[i, j - c] == a
