@@ -40,7 +40,6 @@ _EXPORTS = {
     "Form": "forms",
     "betti": "forms",
     "build": "forms",
-    "d_squared_relations": "forms",
     "form_from_coordinates": "forms",
     "form_from_json": "forms",
     "form_to_json": "forms",
@@ -76,7 +75,6 @@ _EXPORTS = {
     "validate": "model",
     "IdentityLedger": "operators",
     "LedgerEntry": "operators",
-    "adjoint": "operators",
     "graded_commutator": "operators",
     "laplacian": "operators",
     "laplacian_symmetry_witness": "operators",

@@ -6,7 +6,8 @@ of the dual almost complex structure) and its conjugates a_1~..a_m~.  The
 Chevalley differential of the model decomposes into four pure bidegree
 components, written mu_bar (-1,2), dbar (0,1), partial (1,0) and mu (2,-1).
 
-Sign conventions, fixed once here and verified by the d-squared report:
+Sign conventions, fixed once here; ``build`` refuses an algebra on which d
+squared is nonzero, so a sign error cannot pass unnoticed:
   * evaluation of a wedge of 1-forms is the determinant (no 1/k! averaging),
   * d on 1-forms is alpha -> -alpha([.,.]),
   * d extends as a degree one derivation, d(a^b) = da^b + (-1)^|a| a^db.
@@ -168,6 +169,12 @@ class Form:
     def wedge(self, other: "Form") -> "Form":
         self._same_algebra(other)
         return Form(self.algebra, wedge_sum((self.terms, other.terms)))
+
+    def power(self, k: int) -> "Form":
+        """The k-th wedge power, the constant form 1 for k = 0."""
+        if k == 0:
+            return Form(self.algebra, {(): GAUSS_ONE})
+        return functools.reduce(Form.wedge, [self] * k)
 
     def conj(self) -> "Form":
         alg = self.algebra
@@ -483,13 +490,7 @@ class BigradedAlgebra:
 
         # orientation: the top power of the fundamental form fixes the sign
         # of the volume so that integrate(omega^m / m!) = +1
-        top = self.fundamental_form
-        for _ in range(m - 1):
-            top = top.wedge(self.fundamental_form)
-        fact = Fraction(1)
-        for k in range(2, m + 1):
-            fact *= k
-        top = top.scale(GaussScalar(Fraction(1, fact)))
+        top = self.fundamental_form.power(m).scale(GaussScalar(Fraction(1, math.factorial(m))))
         tau = tuple(range(2 * m))
         self._top_mono = tau
         self._top_real_coeff = self._expand("T", tau)[tuple(range(n))]
@@ -806,40 +807,6 @@ def form_from_coordinates(algebra: BigradedAlgebra, pq: BlockKey, vec: Mapping) 
     if any(not 0 <= j < len(basis) for j in vec):
         raise AlgebraError(f"coordinate index out of range on block {pq}")
     return Form(algebra, {basis[j]: c for j, c in vec.items()})
-
-
-# the bidegree components of d^2 = 0, component k shifting by (4 - k, k - 2)
-_D2_RELATIONS = (
-    ("d2_mu_mu", "mu mu = 0"),
-    ("d2_mu_partial", "mu partial + partial mu = 0"),
-    ("d2_mu_dbar_partial2", "mu dbar + dbar mu + partial partial = 0"),
-    ("d2_square_balance", "mu mubar + mubar mu + partial dbar + dbar partial = 0"),
-    ("d2_mubar_partial_dbar2", "mubar partial + partial mubar + dbar dbar = 0"),
-    ("d2_mubar_dbar", "mubar dbar + dbar mubar = 0"),
-    ("d2_mubar_mubar", "mubar mubar = 0"),
-)
-
-
-def d_squared_relations(algebra: BigradedAlgebra) -> list:
-    """The seven bidegree components of d^2 = 0, each the part of d d of one
-    shift, checked separately.  Returns a list of dicts with id, statement,
-    holds, and (on failure) the first monomial witnessing the violation.  A
-    failure can only come from a sign error in this module, never from model
-    data, so build() refuses to return an algebra where any of these fail.
-    """
-    dd = algebra.d.compose(algebra.d)
-    out = []
-    for k, (rel_id, statement) in enumerate(_D2_RELATIONS):
-        witness = None
-        for pq in algebra.block_order:
-            part = dd.block(pq, (4 - k, k - 2))
-            if not part.is_zero():
-                col = min(j for i in range(part.rows) for j, _ in part.row_items(i))
-                witness = algebra.basis_form(pq, col)
-                break
-        out.append({"id": rel_id, "statement": statement, "holds": witness is None,
-                    "witness": witness})
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,6 @@ from .exact import (
 from .forms import (
     DBAR_SHIFT,
     I_POWERS,
-    MU_BAR_SHIFT,
     BigradedAlgebra,
     Form,
     _betti,
@@ -212,7 +211,10 @@ def ell_diamond(model: LieModel) -> Diamond:
         sum(grid[p][k - p] for p in range(max(0, k - m), min(k, m) + 1)) <= bett[k]
         for k in range(2 * m + 1))
     center_ok = all(grid[k][k] >= 1 for k in range(m + 1))
-    powers_ok = _omega_powers_harmonic(alg)
+    # every power of the fundamental form is killed by d and its adjoint
+    d_adj = _adjoint(alg, "d")
+    powers_ok = all(alg.d.apply(w).is_zero() and d_adj.apply(w).is_zero()
+                    for w in map(alg.fundamental_form.power, range(m + 1)))
     lef = _hard_lefschetz(alg)
     return Diamond(
         model_name=model.name, m=m, ell=grid, betti=bett,
@@ -220,19 +222,6 @@ def ell_diamond(model: LieModel) -> Diamond:
         bounds_ok=sums_ok and center_ok and powers_ok,
         lefschetz_ok=lef.all_iso and lef.monotone_ok,
     )
-
-
-def _omega_powers_harmonic(alg: BigradedAlgebra) -> bool:
-    """Each power of the fundamental form killed by d and its adjoint."""
-    d_adj = _adjoint(alg, "d")
-    power = alg.basis_form((0, 0), 0)
-    for _ in range(alg.m + 1):
-        if not alg.d.apply(power).is_zero():
-            return False
-        if not d_adj.apply(power).is_zero():
-            return False
-        power = power.wedge(alg.fundamental_form)
-    return True
 
 
 # -- hard Lefschetz ------------------------------------------------------------
@@ -423,9 +412,7 @@ def hodge_riemann_check(model: LieModel, p: int, q: int) -> HodgeRiemannReport:
                                   signature_unsigned=(0, 0, 0),
                                   signature_signed=(0, 0, 0),
                                   positive_definite=True)
-    wpow = alg.basis_form((0, 0), 0)
-    for _ in range(alg.m - p - q):
-        wpow = wpow.wedge(alg.fundamental_form)
+    wpow = alg.fundamental_form.power(alg.m - p - q)
     forms = [form_from_coordinates(alg, (p, q), v) for v in prim]
     unsigned = hermitian_signature(_pairing(forms, wpow.scale(I_POWERS[(p - q) % 4])))
     k = p + q
@@ -540,11 +527,11 @@ class HolomorphicReport(NamedTuple):
         }
 
 
-@memoized
 def _holomorphic_vectors(alg: BigradedAlgebra, p: int) -> tuple:
-    if p > alg.m:
-        return ()
-    return tuple(kernel(alg.dbar.block((p, 0), DBAR_SHIFT)))
+    """The kernel of dbar on (p,0), read as the dbar-harmonic space: dbar*
+    sends (p,0) to the empty (p,-1) block, so its constraint matrix is the
+    dbar block alone."""
+    return _harmonic_vectors(alg, "dbar", (p, 0)) if p <= alg.m else ()
 
 
 def holomorphic_forms(model: LieModel, p: int) -> HolomorphicReport:
@@ -571,14 +558,14 @@ def holomorphic_forms(model: LieModel, p: int) -> HolomorphicReport:
 
 
 def mu_bar_cohomology(model: LieModel, p: int, q: int) -> int:
-    """dim ker/im of the (-1,2) component on the invariant (p,q) block."""
+    """dim ker/im of the (-1,2) component mu_bar on the invariant (p,q)
+    block, counted as the mu_bar-harmonic forms there.  mu_bar squares to
+    zero (the (-2,4) part of d d = 0) and the metric is positive definite,
+    so ker mu_bar = im mu_bar + (ker mu_bar meet ker mu_bar*), orthogonally,
+    and ker/im is isomorphic to that joint kernel."""
     alg = build(model)
     _check_block(alg, p, q)
-    n = len(alg.blocks[(p, q)])
-    out_rank = rank(alg.mu_bar.block((p, q), MU_BAR_SHIFT))
-    src = (p + 1, q - 2)
-    in_rank = rank(alg.mu_bar.block(src, MU_BAR_SHIFT)) if src in alg.blocks else 0
-    return n - out_rank - in_rank
+    return len(_harmonic_vectors(alg, "mu_bar", (p, q)))
 
 
 # -- nonexistence of compatible almost Kahler structures ------------------------
@@ -727,10 +714,7 @@ def _ak_nonexistence(alg: BigradedAlgebra) -> AkNonexistenceReport:
         family = alg.zero_form()
         for i, w in enumerate(w_forms):
             family = family + w.scale(coeff_polys[i])
-        top = family
-        for _ in range(m - 1):
-            top = top.wedge(family)
-        vanishes = top.is_zero()
+        vanishes = family.power(m).is_zero()
     if vanishes:
         return AkNonexistenceReport(
             model_name=model.name, verdict=AK_NONEXISTENCE_VERDICT,

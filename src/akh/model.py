@@ -16,6 +16,7 @@ coordinates of J X_j.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Optional
@@ -360,12 +361,26 @@ def model_to_json(model: LieModel) -> dict:
     return data
 
 
-def _expect(value, kind: type, what: str):
-    """``value`` if it has JSON type ``kind``, else ModelError.  A bool is
-    not an int here, and floats and strings are refused, never truncated."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ModelError(f"{what} must be a JSON {kind.__name__}, got {value!r}")
+def _expect(value, kind, what: str):
+    """``value`` if it has JSON type ``kind`` (a type or a tuple of types),
+    else ModelError.  A bool is not an int here, and floats and strings are
+    refused, never truncated."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise ModelError(f"{what} must be a JSON {names}, got {value!r}")
     return value
+
+
+def _rational(value, what: str) -> Fraction:
+    """A rational written as a JSON string or integer.  A float is refused:
+    whether its digits parse would depend on Python's float repr."""
+    _expect(value, (str, int), what)
+    try:
+        return parse_rational(str(value))
+    except (ValueError, ZeroDivisionError) as exc:
+        reason = exc if isinstance(exc, ExactError) else repr(value)
+        raise ModelError(f"bad {what}: {reason}") from exc
 
 
 def model_from_json(data) -> LieModel:
@@ -388,20 +403,15 @@ def model_from_json(data) -> LieModel:
         _expect(entry, dict, what)
         try:
             i, j, k = (_expect(entry[key], int, key) - 1 for key in "ijk")
-            c = parse_rational(str(entry["c"]))
-        except (KeyError, ValueError, ZeroDivisionError) as exc:
+            c = entry["c"]
+        except (KeyError, ModelError) as exc:
             raise ModelError(f"bad {what}: {entry!r}") from exc
-        brackets.append((i, j, k, c))
+        brackets.append((i, j, k, _rational(c, f"c of {what}")))
     jrows = []
     for r, row in enumerate(raw_j):
         _expect(row, list, f"J row {r}")
-        parsed = []
-        for cidx, x in enumerate(row):
-            try:
-                parsed.append(parse_rational(str(x)))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ModelError(f"bad rational in J at row {r}, column {cidx}: {x!r}") from exc
-        jrows.append(tuple(parsed))
+        jrows.append(tuple(_rational(x, f"J entry at row {r}, column {cidx}")
+                           for cidx, x in enumerate(row)))
     return LieModel(name=name, dim=dim, brackets=tuple(brackets), J=tuple(jrows),
                     coframe=_coframe_from_json(data.get("coframe"), dim))
 
@@ -437,8 +447,9 @@ def load_model(path: str) -> LieModel:
     except RecursionError:
         raise ModelError(f"invalid JSON in {path}: nested too deeply") from None
     except ValueError as exc:
-        # an integer literal past the interpreter's digit limit
-        raise ModelError(f"invalid JSON in {path}: {exc}") from exc
+        # json's only other ValueError: an integer literal past the digit limit
+        raise ModelError(f"invalid JSON in {path}: an integer literal is longer than "
+                         f"{sys.get_int_max_str_digits()} digits") from exc
     return model_from_json(data)
 
 

@@ -53,7 +53,6 @@ from .forms import (
 from .model import LieModel
 
 __all__ = [
-    "adjoint",
     "graded_commutator",
     "laplacian",
     "star_conjugate",
@@ -62,11 +61,6 @@ __all__ = [
     "verify_identities",
     "laplacian_symmetry_witness",
 ]
-
-
-def adjoint(op: BlockOperator) -> BlockOperator:
-    """Adjoint with respect to the frame-induced Hermitian inner product."""
-    return op.adjoint()
 
 
 def graded_commutator(a: BlockOperator, b: BlockOperator) -> BlockOperator:

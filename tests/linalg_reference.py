@@ -11,6 +11,10 @@ the reference for the Hodge index, which ``akh`` takes on complex forms.
 
 ``dense_hermitian_signature`` is the dense congruence diagonalization that
 ``akh.exact.hermitian_signature`` did before it eliminated on sparse rows.
+
+``mu_bar_cohomology_by_rank`` counts ker/im of mu_bar by two ranks, the
+reference for ``akh.harmonic.mu_bar_cohomology``, which counts the
+mu_bar-harmonic forms instead.
 """
 
 import itertools
@@ -18,7 +22,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from akh.exact import (GAUSS_ZERO, ExactError, ExactMatrix, GaussScalar, as_gauss, hstack,
-                       kernel, rref, vstack)
+                       kernel, rank, rref, vstack)
+from akh.forms import MU_BAR_SHIFT
 
 
 def sparse(vec: Sequence) -> dict:
@@ -168,3 +173,11 @@ def real_harmonic_basis(alg, degree: int) -> tuple:
         raise ExactError("harmonic space is not conjugation-stable")
     return tuple(alg.form_from_real({rmonos[j]: c for j, c in reduced.row_items(r)}, degree)
                  for r in range(len(pivots)))
+
+
+def mu_bar_cohomology_by_rank(alg, p: int, q: int) -> int:
+    """dim ker/im of mu_bar on the (p,q) block: its dimension minus the rank
+    of mu_bar out of (p,q) and the rank of mu_bar into it, from (p+1,q-2)."""
+    src = (p + 1, q - 2)
+    into = rank(alg.mu_bar.block(src, MU_BAR_SHIFT)) if src in alg.blocks else 0
+    return alg.dim_block((p, q)) - rank(alg.mu_bar.block((p, q), MU_BAR_SHIFT)) - into

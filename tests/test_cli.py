@@ -172,36 +172,48 @@ def test_missing_field_exits_one_with_field_name(tmp_path, capsys):
     assert "error:" in err
 
 
-@pytest.mark.parametrize("change", [
-    {"J": 5},
-    {"brackets": 5},
-    {"J": [["0", "-1", "0", "0"], 7, ["0", "0", "0", "-1"], ["0", "0", "1", "0"]]},
-    {"brackets": ["[X1,X2] = -X3"]},
-    {"brackets": [{"i": 1.7, "j": 2, "k": 3, "c": "-1"}]},
-    {"brackets": [{"i": True, "j": 2, "k": 3, "c": "-1"}]},
-    {"name": [[1]]},
-    {"name": 7},
+J_ROWS = [["0", "0", "-1", "0"], ["0", "0", "0", "-1"], ["1", "0", "0", "0"], ["0", "1", "0", "0"]]
+
+
+@pytest.mark.parametrize("change, says", [
+    ({"J": 5}, None),
+    ({"brackets": 5}, None),
+    ({"J": [["0", "-1", "0", "0"], 7, ["0", "0", "0", "-1"], ["0", "0", "1", "0"]]}, None),
+    ({"brackets": ["[X1,X2] = -X3"]}, None),
+    ({"brackets": [{"i": 1.7, "j": 2, "k": 3, "c": "-1"}]}, None),
+    ({"brackets": [{"i": True, "j": 2, "k": 3, "c": "-1"}]}, None),
+    ({"name": [[1]]}, None),
+    ({"name": 7}, None),
     # exponent notation: Fraction("1e1000000") would build a million-digit int
-    {"J": [["0", "0", "-1", "0"], ["0", "0", "0", "-1"], ["1e5", "0", "0", "0"],
-           ["0", "1", "0", "0"]]},
-    {"brackets": [{"i": 1, "j": 2, "k": 3, "c": "1e5"}]},
+    ({"J": J_ROWS[:2] + [["1e5", "0", "0", "0"]] + J_ROWS[3:]},
+     "J entry at row 2, column 0: exponent notation"),
+    ({"brackets": [{"i": 1, "j": 2, "k": 3, "c": "1e5"}]}, "exponent notation"),
+    # a JSON float is refused whatever its repr: 1e-07 and 0.1 alike
+    ({"brackets": [{"i": 1, "j": 2, "k": 3, "c": 1e-07}]}, "must be a JSON str or int"),
+    ({"brackets": [{"i": 1, "j": 2, "k": 3, "c": True}]}, "must be a JSON str or int"),
+    ({"J": J_ROWS[:2] + [[0.1, "0", "0", "0"]] + J_ROWS[3:]},
+     "J entry at row 2, column 0 must be a JSON str or int, got 0.1"),
 ], ids=["J_int", "brackets_int", "J_row_int", "bracket_string",
         "index_float", "index_bool", "name_list", "name_int", "J_exponent",
-        "bracket_exponent"])
-def test_malformed_model_shape_exits_one_without_traceback(tmp_path, change):
+        "bracket_exponent", "bracket_float", "bracket_bool", "J_float"])
+def test_malformed_model_shape_exits_one_without_traceback(tmp_path, change, says):
     data = model_to_json(catalog("kodaira_thurston"))
     data.update(change)
-    _assert_cli_refuses(tmp_path, data, "validate")
+    err = _assert_cli_refuses(tmp_path, data, "validate")
+    assert says is None or says in err
 
 
-@pytest.mark.parametrize("raw", [
-    '{"format": 1, "name": "café"}'.encode("latin-1"),
-    b"[" * 200000,
+@pytest.mark.parametrize("raw, says", [
+    ('{"format": 1, "name": "café"}'.encode("latin-1"), None),
+    (b"[" * 200000, None),
     # past the interpreter's limit on the digits of an int literal
-    b'{"format": 1, "dim": ' + b"1" * 5000 + b"}",
+    (b'{"format": 1, "dim": ' + b"1" * 5000 + b"}",
+     f"an integer literal is longer than {sys.get_int_max_str_digits()} digits"),
 ], ids=["latin1", "nested_too_deeply", "huge_integer"])
-def test_unreadable_model_file_exits_one_without_traceback(tmp_path, raw):
-    _assert_cli_refuses(tmp_path, raw, "validate")
+def test_unreadable_model_file_exits_one_without_traceback(tmp_path, raw, says):
+    err = _assert_cli_refuses(tmp_path, raw, "validate")
+    assert says is None or says in err
+    assert "set_int_max_str_digits" not in err
 
 
 @pytest.mark.parametrize("coframe", [
@@ -238,7 +250,8 @@ def _python(code, *args):
 
 
 def _assert_cli_refuses(tmp_path, data, command):
-    """``data`` is a JSON value, or the raw bytes of the model file."""
+    """``data`` is a JSON value, or the raw bytes of the model file.  Returns
+    the error output."""
     path = tmp_path / "malformed.json"
     path.write_bytes(data if isinstance(data, bytes) else json.dumps(data).encode("utf-8"))
     proc = _python("import sys; from akh.cli import main; sys.exit(main())",
@@ -247,6 +260,7 @@ def _assert_cli_refuses(tmp_path, data, command):
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+    return proc.stderr
 
 
 def test_saved_pinned_coframe_reports_like_the_catalog(tmp_path, capsys):

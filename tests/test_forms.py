@@ -15,7 +15,6 @@ from akh.forms import (
     BlockOperator,
     Form,
     build,
-    d_squared_relations,
     form_from_coordinates,
     form_from_json,
     form_to_json,
@@ -139,16 +138,6 @@ def test_torus_differential_vanishes():
 
 # ---------------------------------------------------------------------------
 # differential structure
-
-
-@pytest.mark.parametrize("name", CATALOG_NAMES)
-def test_d_squared_relations_hold(name):
-    alg = build(catalog(name))
-    relations = d_squared_relations(alg)
-    assert len(relations) == 7
-    for rel in relations:
-        assert rel["holds"], rel["id"]
-        assert rel["witness"] is None
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
@@ -351,6 +340,27 @@ def test_star_maps_block_to_dual_block():
                 sf = alg.star.apply(alg.basis_form(pq, i))
                 target = (m - pq[1], m - pq[0])
                 assert set(sf.bidegrees()) <= {target}
+
+
+@pytest.mark.parametrize("name", ("kodaira_thurston", "h5_J", "torus6"))
+def test_form_power_is_the_iterated_wedge(name):
+    # for omega and for a ParamPoly family s*omega + t*(a (1,1) monomial),
+    # power(0) is the constant 1, power(1) the form, power(k) the k-fold wedge
+    alg = build(catalog(name))
+    names = ("s", "t")
+    omega = alg.fundamental_form
+    family = (omega.scale(ParamPoly.variable(names, "s"))
+              + alg.basis_form((1, 1), 0).scale(ParamPoly.variable(names, "t")))
+    one = Form(alg, {(): GAUSS_ONE})
+    for form in (omega, family):
+        assert form.power(0) == one
+        assert form.power(1) == form
+        wedge = form
+        for k in range(2, alg.m + 2):
+            wedge = wedge.wedge(form)
+            assert form.power(k) == wedge, k
+    assert not family.power(alg.m).is_zero()
+    assert family.power(alg.m + 1).is_zero()
 
 
 def test_star_of_omega_powers():

@@ -14,11 +14,12 @@ import akh.harmonic as harmonic
 import akh.operators as operators
 from akh.exact import ExactMatrix, GaussScalar, hermitian_signature, kernel, rank, vstack
 from akh.cli import main
-from akh.forms import BlockOperator, Form, build
+from akh.forms import DBAR_SHIFT, BlockOperator, Form, build
 from akh.harmonic import (
     AK_NONEXISTENCE_VERDICT,
     WHICH_CHOICES,
     HarmonicError,
+    _holomorphic_vectors,
     ak_nonexistence_report,
     betti,
     ell_diamond,
@@ -32,7 +33,7 @@ from akh.harmonic import (
     primitive_decomposition,
 )
 from akh.model import CATALOG_NAMES, catalog, load_model, validate
-from linalg_reference import in_span
+from linalg_reference import in_span, mu_bar_cohomology_by_rank
 
 AK_MODELS = ("torus2", "torus4", "torus6", "kodaira_thurston",
              "filiform4_Jprime")
@@ -105,9 +106,8 @@ def test_harmonic_forms_are_pure_bidegree():
 def test_eightfold_kernel_is_killed_by_all_components():
     model = catalog("kodaira_thurston")
     alg = build(model)
-    from akh.operators import adjoint
     ops = [alg.mu_bar, alg.dbar, alg.partial, alg.mu]
-    ops += [adjoint(op) for op in ops]
+    ops += [op.adjoint() for op in ops]
     for pq in blocks_of(model):
         for f in harmonic_basis(model, "d", *pq):
             for op in ops:
@@ -221,7 +221,7 @@ def test_off_diagonal_forces_betti(name):
 
 def test_omega_powers_are_harmonic():
     # closed fundamental form: every power lands in the harmonic diagonal
-    from akh.operators import adjoint, laplacian
+    from akh.operators import laplacian
     for name in AK_MODELS:
         alg = build(catalog(name))
         lap = laplacian(alg.d)
@@ -469,6 +469,20 @@ def test_mu_bar_cohomology_integrable_gives_block_dims():
     alg = build(model)
     for pq in blocks_of(model):
         assert mu_bar_cohomology(model, *pq) == alg.dim_block(pq)
+
+
+@pytest.mark.parametrize("source", CATALOG_NAMES + LADDER)
+def test_harmonic_counts_match_the_rank_and_kernel_routes(source):
+    # mu_bar cohomology is counted by mu_bar-harmonic forms and the
+    # holomorphic forms are the dbar-harmonic (p,0)-forms; both agree with
+    # the direct computation on every block
+    model = model_of(source)
+    alg = build(model)
+    for pq in alg.block_order:
+        assert mu_bar_cohomology(model, *pq) == mu_bar_cohomology_by_rank(alg, *pq), pq
+    for p in range(alg.m + 1):
+        assert _holomorphic_vectors(alg, p) == tuple(kernel(alg.dbar.block((p, 0), DBAR_SHIFT)))
+    assert _holomorphic_vectors(alg, alg.m + 1) == ()
 
 
 # ---------------------------------------------------------------------------

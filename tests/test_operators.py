@@ -8,7 +8,6 @@ from akh.exact import GaussScalar, kernel, vstack
 from akh.forms import AlgebraError, build
 from akh.model import catalog, validate
 from akh.operators import (
-    adjoint,
     graded_commutator,
     laplacian,
     laplacian_symmetry_witness,
@@ -31,14 +30,14 @@ def gs(re, im=0):
 def test_adjoint_is_involutive():
     alg = build(catalog("kodaira_thurston"))
     for op in (alg.dbar, alg.mu, alg.partial, alg.L, alg.d):
-        assert adjoint(adjoint(op)) == op
+        assert op.adjoint().adjoint() == op
 
 
 def test_adjoint_pairing():
     # <op a, b> = <a, op* b> for every basis pair
     alg = build(catalog("h5_J"))
     for op in (alg.dbar, alg.mu_bar, alg.L):
-        ops = adjoint(op)
+        ops = op.adjoint()
         for pq in alg.block_order:
             for i in range(alg.dim_block(pq)):
                 a = alg.basis_form(pq, i)
@@ -52,7 +51,7 @@ def test_adjoint_pairing():
 def test_lam_is_adjoint_of_L():
     for name in ("torus4", "kodaira_thurston", "h5_J"):
         alg = build(catalog(name))
-        assert alg.lam == adjoint(alg.L)
+        assert alg.lam == alg.L.adjoint()
 
 
 def test_component_adjoints_via_star():
@@ -67,14 +66,14 @@ def test_component_adjoints_via_star():
         )
         for op, partner in pairs:
             cand = alg.star.compose(partner).compose(alg.star).scale(gs(-1))
-            assert adjoint(op) == cand
+            assert op.adjoint() == cand
 
 
 def test_d_adjoint_sums_component_adjoints():
     alg = build(catalog("kodaira_thurston"))
-    total = (adjoint(alg.mu_bar) + adjoint(alg.dbar)
-             + adjoint(alg.partial) + adjoint(alg.mu))
-    assert adjoint(alg.d) == total
+    total = (alg.mu_bar.adjoint() + alg.dbar.adjoint()
+             + alg.partial.adjoint() + alg.mu.adjoint())
+    assert alg.d.adjoint() == total
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +134,7 @@ def test_laplacian_is_self_adjoint():
     alg = build(catalog("kodaira_thurston"))
     for op in (alg.dbar, alg.mu, alg.d):
         lap = laplacian(op)
-        assert adjoint(lap) == lap
+        assert lap.adjoint() == lap
 
 
 def test_laplacian_kernel_is_kernel_intersection():
@@ -145,7 +144,7 @@ def test_laplacian_kernel_is_kernel_intersection():
         alg = build(model)
         for op in (alg.dbar, alg.mu_bar, alg.d):
             lap = laplacian(op)
-            ops = adjoint(op)
+            ops = op.adjoint()
             for pq in alg.block_order:
                 lap_mats = [lap.block(pq, s) for s in lap.shifts]
                 lap_ker = kernel(vstack(lap_mats)) if lap_mats else None

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -136,3 +137,42 @@ def test_worked_examples_script_runs_clean():
     for name in CATALOG_NAMES:
         assert f"\n{name}\n" in proc.stdout
     assert proc.stdout.splitlines()[-1].startswith("total ")
+
+
+# ---------------------------------------------------------------------------
+# the source tree
+
+
+def _imported_names(tree):
+    """(bound name, line) for every import in the module, ``__future__``
+    imports excepted."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield (alias.asname or alias.name), node.lineno
+
+
+def _read_names(tree) -> set:
+    """The names the module loads, and those its ``__all__`` re-exports."""
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return read
+
+
+def test_src_has_no_unused_imports():
+    unused = []
+    for path in sorted((ROOT / "src" / "akh").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = _read_names(tree)
+        unused += [f"{path.name}:{line}: {name}" for name, line in _imported_names(tree)
+                   if name not in read]
+    assert unused == []
