@@ -81,7 +81,6 @@ class _RunConfigFields(NamedTuple):
     catalog: Optional[str] = None
     model_path: Optional[str] = None
     format: str = "text"
-    verbosity: int = 0
 
 
 class RunConfig(_RunConfigFields):
@@ -210,10 +209,7 @@ def _run_command(config: RunConfig, model: LieModel):
 
 def run(config: RunConfig) -> int:
     """Execute one invocation, writing the report to stdout."""
-    model = _load_model(config)
-    if config.verbosity >= 1:
-        print(f"loaded model {model.name} (dim {model.dim})", file=sys.stderr)
-    code, text = _run_command(config, model)
+    code, text = _run_command(config, _load_model(config))
     print(text)
     return code
 
@@ -241,16 +237,13 @@ def _build_parser() -> _Parser:
                         help="path to a model JSON file")
     parser.add_argument("--format", choices=FORMATS, default="text",
                         help="output format (default: text)")
-    parser.add_argument("-v", "--verbose", action="count", default=0,
-                        dest="verbosity", help="progress notes on stderr")
     return parser
 
 
 def parse_args(argv: Sequence[str]) -> RunConfig:
     ns = _build_parser().parse_args(argv)
     return RunConfig(command=ns.command, catalog=ns.catalog,
-                     model_path=ns.model_path, format=ns.format,
-                     verbosity=ns.verbosity)
+                     model_path=ns.model_path, format=ns.format)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

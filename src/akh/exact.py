@@ -18,6 +18,7 @@ parameter value by checking that all coefficients vanish.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -199,11 +200,21 @@ def format_flag(value: Optional[bool]) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Fraction(text), refusing exponent notation: '1e1000000' would build a
-    million-digit integer, and akh never writes an exponent."""
+    """Fraction(text), or an ExactError that says why not.  Exponent notation
+    is refused ('1e1000000' would build a million-digit integer, and akh
+    never writes an exponent), and so is a numerator or denominator past the
+    interpreter's limit on the digits of an int; neither refusal echoes the
+    text, which may be thousands of characters long."""
+    limit = sys.get_int_max_str_digits()
+    if limit and any(sum(ch.isdecimal() for ch in part) > limit for part in text.split("/")):
+        raise ExactError(f"rational with more than {limit} digits in its numerator "
+                         "or denominator")
     if "e" in text or "E" in text:
-        raise ExactError(f"exponent notation in rational {text!r}")
-    return Fraction(text)
+        raise ExactError("exponent notation in rational")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ExactError(f"bad rational {text!r}") from None
 
 
 def parse_scalar(text: str) -> GaussScalar:
@@ -218,11 +229,7 @@ def parse_scalar(text: str) -> GaussScalar:
         split = max(body.rfind("+"), body.rfind("-"))
         re_part, im_part = (body[:split], body[split:]) if split > 0 else ("0", body)
         im_part = {"": "1", "+": "1", "-": "-1"}.get(im_part, im_part)
-    try:
-        return GaussScalar(parse_rational(re_part), parse_rational(im_part))
-    except (ValueError, ZeroDivisionError) as exc:
-        kind = "scalar" if s.endswith("i") else "rational"
-        raise ExactError(f"bad {kind} {text!r}") from exc
+    return GaussScalar(parse_rational(re_part), parse_rational(im_part))
 
 
 # ---------------------------------------------------------------------------
@@ -594,10 +601,6 @@ class ParamPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("ParamPoly is immutable")
-
-    @classmethod
-    def zero(cls, names: Sequence[str]) -> "ParamPoly":
-        return cls(names, {})
 
     @classmethod
     def constant(cls, names: Sequence[str], value: ScalarLike) -> "ParamPoly":

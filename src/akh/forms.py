@@ -102,13 +102,6 @@ def wedge_sum(*pairs) -> dict:
     return {mono: c for mono, c in out.items() if c}
 
 
-def sort_with_sign(gens) -> tuple:
-    """(sorted tuple, sign of the permutation that sorts ``gens``)."""
-    gens = tuple(gens)
-    inversions = sum(1 for a, b in itertools.combinations(gens, 2) if a > b)
-    return tuple(sorted(gens)), (-1 if inversions % 2 else 1)
-
-
 class Form:
     """An invariant form: ``terms`` maps each coframe monomial with a nonzero
     coefficient to that coefficient, the dict ``wedge_sum`` and d speak.
@@ -187,9 +180,6 @@ class Form:
     def d(self) -> "Form":
         return self.algebra.d.apply(self)
 
-    def star(self) -> "Form":
-        return self.algebra.star.apply(self)
-
     def inner(self, other: "Form") -> GaussScalar:
         """Hermitian inner product, conjugate linear in the second slot."""
         self._same_algebra(other)
@@ -267,13 +257,6 @@ class BlockOperator:
         return self._shifts
 
     @property
-    def shift(self) -> tuple:
-        shifts = self.shifts
-        if len(shifts) != 1:
-            raise AlgebraError(f"operator is not pure: shifts {shifts}")
-        return shifts[0]
-
-    @property
     def parity(self) -> Optional[int]:
         """0 or 1 when every shift has the same total-degree parity, else None.
         The zero operator counts as even."""
@@ -284,18 +267,13 @@ class BlockOperator:
             return None
         return ps.pop()
 
-    def block(self, pq: BlockKey, shift: Optional[tuple] = None) -> ExactMatrix:
-        """Matrix out of block pq for the given shift (the unique one if pure,
-        (0, 0) for the zero operator); it has no rows when the target block
-        is out of range."""
-        if shift is None:
-            shift = self.shift if not self.is_zero() else (0, 0)
+    def block(self, pq: BlockKey, shift: tuple) -> ExactMatrix:
+        """Matrix out of block pq for the given shift; it has no rows when
+        the target block is out of range."""
         alg = self.algebra
         tgt = (pq[0] + shift[0], pq[1] + shift[1])
         rows = alg.block_range(tgt) if tgt in alg.blocks else range(0)
         return self.matrix.submatrix(rows, alg.block_range(pq))
-
-    __getitem__ = block
 
     def columns(self, pq: BlockKey) -> ExactMatrix:
         """Every image of A^{p,q}: the blocks out of pq for each shift,
@@ -411,15 +389,15 @@ class BigradedAlgebra:
     size (the operator layout: every monomial gets one index, block after
     block in block_order), layout and position (the monomial at each index
     and back; the keys of position are the monomials a Form may hold),
-    block_at (the bidegree at each index), the orthogonal coframe, norm_sq (the metric:
-    |a_S|^2 per monomial in layout order) and its diagonal view gram, the
-    four differential components mu_bar / dbar / partial / mu and their sum
-    d, the Hodge star, the Lefschetz triple L / lam / weight_h, the parity
+    block_at (the bidegree at each index), the orthogonal coframe, norm_sq
+    (the metric: |a_S|^2 per monomial in layout order), the four
+    differential components mu_bar / dbar / partial / mu and their sum d,
+    the Hodge star, the Lefschetz triple L / lam / weight_h, the parity
     operator weight (i^{p-q} per block), fundamental_form, and integrate().
 
     __init__ builds and checks all that can fail: the structure report, the
     coframe, d squared, the fundamental form and the orientation.  What cannot
-    fail once those pass (norm_sq, gram, star, weights, Lefschetz triple) is
+    fail once those pass (norm_sq, star, weights, Lefschetz triple) is
     built on first use.  Every cached result, the monomial expansions and
     d of each monomial as well as what other modules derive, is kept in
     memo (see memoized).
@@ -511,13 +489,6 @@ class BigradedAlgebra:
         generators of S (a conjugate generator has the norm of its own)."""
         return tuple(math.prod((self._gen_norm[g] for g in mono), start=Fraction(1))
                      for mono in self.layout)
-
-    @functools.cached_property
-    def gram(self) -> BlockOperator:
-        """Hermitian Gram matrix of the monomial basis: the diagonal of
-        norm_sq.  ``gram[pq]`` is the block of A^{p,q}."""
-        return BlockOperator(self, ExactMatrix._from_rows(
-            [{i: GaussScalar(w)} for i, w in enumerate(self.norm_sq)], self.size))
 
     @functools.cached_property
     def weight(self) -> BlockOperator:
@@ -681,7 +652,7 @@ class BigradedAlgebra:
                 val = model.omega(a, b)
                 if val:
                     comps[(a, b)] = GaussScalar(val)
-        form = self.form_from_real(comps, degree=2)
+        form = self.form_from_real(comps)
         if set(form.bidegrees()) - {(1, 1)}:
             raise AlgebraError("fundamental form is not of pure bidegree (1,1)")
         if form.conj() != form:
@@ -729,12 +700,8 @@ class BigradedAlgebra:
     def generator_form(self, g: int) -> Form:
         return Form(self, {(g,): GAUSS_ONE})
 
-    def form_from_real(self, comps: Mapping[Mono, GaussScalar], degree: Optional[int] = None) -> Form:
+    def form_from_real(self, comps: Mapping[Mono, GaussScalar]) -> Form:
         """Build a Form from coefficients over real frame monomials."""
-        if degree is not None:
-            for rmono in comps:
-                if len(rmono) != degree:
-                    raise AlgebraError("real monomial degree mismatch")
         return Form(self, self._complexify_real(comps))
 
     def integrate(self, form: Form) -> GaussScalar:
@@ -845,9 +812,13 @@ def _parse_monomial(algebra: BigradedAlgebra, text: str) -> tuple:
         if not (0 <= idx < algebra.m):
             raise AlgebraError(f"generator index out of range in {piece!r}")
         gens.append(idx + algebra.m if barred else idx)
-    mono, sign = sort_with_sign(gens)
-    if len(set(mono)) != len(mono):
-        raise AlgebraError(f"repeated generator in monomial {text!r}")
+    mono, sign = (), 1
+    for g in gens:
+        merged = merge_wedge(mono, (g,))
+        if merged is None:
+            raise AlgebraError(f"repeated generator in monomial {text!r}")
+        mono, shuffle = merged
+        sign *= shuffle
     return mono, sign
 
 

@@ -7,9 +7,10 @@ Gaussian rationals on the finite-dimensional bidegree blocks.  Reports say
 models the Betti numbers do agree with the underlying nilmanifold.
 
 Harmonic spaces come in several flavours selected by a ``which`` string,
-each the joint kernel of the components it names and their adjoints:
+each the joint kernel of the operators it names and their adjoints:
 
-* ``"d"``: all four bidegree components of d (eight operators);
+* ``"d"``: d.  Its four components send a (p,q) block to four distinct
+  blocks, so this is also the joint kernel of all four and their adjoints;
 * one of ``"mu_bar"``, ``"dbar"``, ``"partial"``, ``"mu"``: that component;
 * ``"dbar+mu"`` or ``"partial+mu_bar"``: the two components named.  This
   is the kernel of the sum of their Laplacians: the metric is positive
@@ -246,12 +247,6 @@ class LefschetzReport(NamedTuple):
     maps: tuple
     monotone_ok: bool
     all_iso: bool
-
-    def map_at(self, p: int, q: int) -> LefschetzMap:
-        for entry in self.maps:
-            if (entry.p, entry.q) == (p, q):
-                return entry
-        raise KeyError((p, q))
 
     def to_json(self) -> dict:
         return {
@@ -699,23 +694,15 @@ def _ak_nonexistence(alg: BigradedAlgebra) -> AkNonexistenceReport:
     t2_basis = kernel(_real_rows(vstack(W)))
     t2_dim = len(t2_basis)
     # Top power of the whole surviving family, with one fresh real
-    # parameter per T2 basis vector.
+    # parameter t_j per T2 basis vector tau_j: the sum of t_j tau_j[i] w_i.
+    # With no parameters the family is the zero form, whose top power is zero.
     names = tuple(f"t{j + 1}" for j in range(t2_dim))
-    if t2_dim == 0:
-        vanishes = True
-    else:
-        coeff_polys = []
-        for i in range(dim_w):
-            poly = ParamPoly.zero(names)
-            for j, tau in enumerate(t2_basis):
-                if i in tau:
-                    poly = poly + ParamPoly.variable(names, names[j]) * tau[i]
-            coeff_polys.append(poly)
-        family = alg.zero_form()
-        for i, w in enumerate(w_forms):
-            family = family + w.scale(coeff_polys[i])
-        vanishes = family.power(m).is_zero()
-    if vanishes:
+    family = alg.zero_form()
+    for name, tau in zip(names, t2_basis):
+        t = ParamPoly.variable(names, name)
+        for i, c in tau.items():
+            family = family + w_forms[i].scale(t * c)
+    if family.power(m).is_zero():
         return AkNonexistenceReport(
             model_name=model.name, verdict=AK_NONEXISTENCE_VERDICT,
             detail=(f"every candidate wedges holomorphic 1-forms dbar-exactly; "

@@ -378,9 +378,8 @@ def _rational(value, what: str) -> Fraction:
     _expect(value, (str, int), what)
     try:
         return parse_rational(str(value))
-    except (ValueError, ZeroDivisionError) as exc:
-        reason = exc if isinstance(exc, ExactError) else repr(value)
-        raise ModelError(f"bad {what}: {reason}") from exc
+    except ExactError as exc:
+        raise ModelError(f"bad {what}: {exc}") from exc
 
 
 def model_from_json(data) -> LieModel:

@@ -99,15 +99,15 @@ def _adjoint(alg: BigradedAlgebra, name: str) -> BlockOperator:
 
 
 def _constraint_operators(alg: BigradedAlgebra, which: str) -> tuple:
-    """The components named by ``which`` (one of
+    """The operators named by ``which`` (one of
     ``akh.harmonic.WHICH_CHOICES``, which the caller has checked) and their
-    adjoints: "d" names all four, "dbar+mu" and "partial+mu_bar" two.
+    adjoints: "d" names d, "dbar+mu" and "partial+mu_bar" two components.
 
     Their joint kernel is the harmonic space ``which``.  The metric is
     positive definite, so <lap(D) x, x> = |D x|^2 + |D* x|^2, and a sum of
     component Laplacians kills x exactly when each component and each
     adjoint in it does."""
-    names = _COMPONENTS if which == "d" else which.split("+")
+    names = which.split("+")
     return (tuple(getattr(alg, name) for name in names)
             + tuple(_adjoint(alg, name) for name in names))
 

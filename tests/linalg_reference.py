@@ -15,6 +15,13 @@ the reference for the Hodge index, which ``akh`` takes on complex forms.
 ``mu_bar_cohomology_by_rank`` counts ker/im of mu_bar by two ranks, the
 reference for ``akh.harmonic.mu_bar_cohomology``, which counts the
 mu_bar-harmonic forms instead.
+
+``eightfold_d_kernel`` stacks the four components of d and their four
+adjoints, the reference for the d-harmonic space, which ``akh`` takes as
+the kernel of d and d* alone.
+
+``sort_with_sign`` sorts a sequence of generators by counting inversions,
+the reference for the shuffle sign of ``akh.forms.merge_wedge``.
 """
 
 import itertools
@@ -171,7 +178,7 @@ def real_harmonic_basis(alg, degree: int) -> tuple:
     reduced, pivots = rref(ExactMatrix._from_rows(rows, len(rmonos)))
     if len(pivots) != len(vecs):
         raise ExactError("harmonic space is not conjugation-stable")
-    return tuple(alg.form_from_real({rmonos[j]: c for j, c in reduced.row_items(r)}, degree)
+    return tuple(alg.form_from_real({rmonos[j]: c for j, c in reduced.row_items(r)})
                  for r in range(len(pivots)))
 
 
@@ -181,3 +188,18 @@ def mu_bar_cohomology_by_rank(alg, p: int, q: int) -> int:
     src = (p + 1, q - 2)
     into = rank(alg.mu_bar.block(src, MU_BAR_SHIFT)) if src in alg.blocks else 0
     return alg.dim_block((p, q)) - rank(alg.mu_bar.block((p, q), MU_BAR_SHIFT)) - into
+
+
+def eightfold_d_kernel(alg, pq) -> tuple:
+    """Canonical kernel on block pq of mu_bar, dbar, partial, mu and their
+    adjoints, stacked."""
+    ops = [getattr(alg, name) for name in ("mu_bar", "dbar", "partial", "mu")]
+    ops += [op.adjoint() for op in ops]
+    return tuple(kernel(vstack([op.columns(pq) for op in ops])))
+
+
+def sort_with_sign(gens) -> tuple:
+    """(sorted tuple, sign of the permutation that sorts ``gens``)."""
+    gens = tuple(gens)
+    inversions = sum(1 for a, b in itertools.combinations(gens, 2) if a > b)
+    return tuple(sorted(gens)), (-1 if inversions % 2 else 1)

@@ -19,9 +19,10 @@ from pathlib import Path
 import pytest
 
 from akh.exact import GAUSS_I
-from akh.forms import BlockOperator, Form, build, sort_with_sign
+from akh.forms import BlockOperator, Form, build
 from akh.model import CATALOG_NAMES, catalog, load_model
 from akh.operators import _adjoint, graded_commutator, laplacian, verify_identities
+from linalg_reference import sort_with_sign
 from test_product_oracle import PAIRS, make_ladder
 
 MODELS = Path(__file__).resolve().parents[1] / "bench" / "models"

@@ -612,7 +612,7 @@ def test_parampoly_basics():
     assert p == q
     assert not (p - q)
     assert p.evaluate({"t1": 3, "t2": 2}) == gs(5)
-    assert ParamPoly.zero(NAMES).is_zero()
+    assert ParamPoly(NAMES, {}).is_zero()
     assert (t1 * 0).is_zero()
 
 

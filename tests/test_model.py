@@ -315,8 +315,8 @@ def nijenhuis_scalar(model: LieModel):
         # N* pullback on the k-th real coframe element, determinant convention
         comps = {(i, j): GaussScalar(nij[i][j][k])
                  for i, j in combinations(range(n), 2) if nij[i][j][k]}
-        rhs = algebra.form_from_real(comps, degree=2)
-        lhs = mixed.apply(algebra.form_from_real({(k,): GaussScalar(1)}, degree=1))
+        rhs = algebra.form_from_real(comps)
+        lhs = mixed.apply(algebra.form_from_real({(k,): GaussScalar(1)}))
         if rhs.is_zero() and lhs.is_zero():
             continue
         if rhs.is_zero() or lhs.is_zero():
