@@ -76,28 +76,13 @@ class CliInputError(AkhError):
     """Bad command line or model input; maps to exit code 1."""
 
 
-class _RunConfigFields(NamedTuple):
+class RunConfig(NamedTuple):
+    """One CLI invocation as :func:`parse_args` resolved it."""
+
     command: str
     catalog: Optional[str] = None
     model_path: Optional[str] = None
     format: str = "text"
-
-
-class RunConfig(_RunConfigFields):
-    """One resolved CLI invocation."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.command not in COMMANDS:
-            raise CliInputError(f"unknown command {self.command!r}")
-        if self.format not in FORMATS:
-            raise CliInputError(f"unknown format {self.format!r}")
-        if (self.catalog is None) == (self.model_path is None):
-            raise CliInputError(
-                "exactly one of --catalog and --model is required")
-        return self
 
 
 def _load_model(config: RunConfig) -> LieModel:
@@ -241,6 +226,9 @@ def _build_parser() -> _Parser:
 
 
 def parse_args(argv: Sequence[str]) -> RunConfig:
+    """The RunConfig of ``argv``.  The parser is the one check of the
+    command line: an unknown command or format, or anything but exactly
+    one of ``--catalog`` and ``--model``, raises CliInputError."""
     ns = _build_parser().parse_args(argv)
     return RunConfig(command=ns.command, catalog=ns.catalog,
                      model_path=ns.model_path, format=ns.format)

@@ -204,7 +204,8 @@ def parse_rational(text: str) -> Fraction:
     is refused ('1e1000000' would build a million-digit integer, and akh
     never writes an exponent), and so is a numerator or denominator past the
     interpreter's limit on the digits of an int; neither refusal echoes the
-    text, which may be thousands of characters long."""
+    text, which may be thousands of characters long, and any other bad text
+    is shown through ``quote``."""
     limit = sys.get_int_max_str_digits()
     if limit and any(sum(ch.isdecimal() for ch in part) > limit for part in text.split("/")):
         raise ExactError(f"rational with more than {limit} digits in its numerator "
@@ -214,7 +215,14 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ExactError(f"bad rational {text!r}") from None
+        raise ExactError(f"bad rational {quote(text)}") from None
+
+
+def quote(value) -> str:
+    """repr(value), or for a longer one its first 40 characters and its
+    length: an error message never echoes a long input whole."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
 
 
 def parse_scalar(text: str) -> GaussScalar:

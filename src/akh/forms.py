@@ -397,9 +397,10 @@ class BigradedAlgebra:
 
     __init__ builds and checks all that can fail: the structure report, the
     coframe, d squared, the fundamental form and the orientation.  What cannot
-    fail once those pass (norm_sq, star, weights, Lefschetz triple) is
-    built on first use.  Every cached result, the monomial expansions and
-    d of each monomial as well as what other modules derive, is kept in
+    fail once those pass (norm_sq, star, C, the weights and the Lefschetz
+    triple) is built on first use as a functools.cached_property, kept in
+    the instance dict.  Every other cached result, the monomial expansions
+    and d of each monomial as well as what other modules derive, is kept in
     memo (see memoized).
     """
 
@@ -742,7 +743,8 @@ class BigradedAlgebra:
 def build(model: LieModel) -> BigradedAlgebra:
     """Construct (and cache) the bigraded calculus of a validated model.
     This is the only module-level cache: every other derived result lives
-    in ``alg.memo``, so ``build.cache_clear()`` frees all of a model's work."""
+    on the algebra, in ``alg.memo`` or a cached property, so
+    ``build.cache_clear()`` frees all of a model's work."""
     return BigradedAlgebra(model)
 
 

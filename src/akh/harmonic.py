@@ -297,7 +297,6 @@ def hard_lefschetz(model: LieModel) -> LefschetzReport:
 def _hard_lefschetz(alg: BigradedAlgebra) -> LefschetzReport:
     m = alg.m
     maps = []
-    all_iso = True
     for k in range(m + 1):
         power = m - k
         for p in range(k + 1):
@@ -311,16 +310,15 @@ def _hard_lefschetz(alg: BigradedAlgebra) -> LefschetzReport:
             # leaves the rank at len(tgt)
             stacked = vstack([ExactMatrix._from_rows(tgt, n_tgt), images])
             contained = rank(stacked) == len(tgt)
-            iso = contained and rk == len(src) == len(tgt)
-            all_iso = all_iso and iso
             maps.append(LefschetzMap(
                 p=p, q=q, power=power,
-                source_dim=len(src), target_dim=len(tgt), rank=rk, iso=iso))
+                source_dim=len(src), target_dim=len(tgt), rank=rk,
+                iso=contained and rk == len(src) == len(tgt)))
     monotone = all(
         _ell(alg, p, q) <= _ell(alg, p + 1, q + 1)
         for p in range(m) for q in range(m) if p + q + 2 <= m)
     return LefschetzReport(model_name=alg.model.name, m=m, maps=tuple(maps),
-                           monotone_ok=monotone, all_iso=all_iso)
+                           monotone_ok=monotone, all_iso=all(x.iso for x in maps))
 
 
 # -- primitive decomposition and the positivity pairing -------------------------
@@ -402,11 +400,6 @@ def hodge_riemann_check(model: LieModel, p: int, q: int) -> HodgeRiemannReport:
         raise HarmonicError("the positivity pairing needs p+q <= m")
     prim = _primitive_vectors(alg, (p, q))
     n = len(prim)
-    if n == 0:
-        return HodgeRiemannReport(p=p, q=q, prim_dim=0,
-                                  signature_unsigned=(0, 0, 0),
-                                  signature_signed=(0, 0, 0),
-                                  positive_definite=True)
     wpow = alg.fundamental_form.power(alg.m - p - q)
     forms = [form_from_coordinates(alg, (p, q), v) for v in prim]
     unsigned = hermitian_signature(_pairing(forms, wpow.scale(I_POWERS[(p - q) % 4])))
@@ -511,15 +504,7 @@ class HolomorphicReport(NamedTuple):
     b1: int
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "dim": self.dim,
-            "basis": [form_to_json(f) for f in self.basis],
-            "matches_harmonic": self.matches_harmonic,
-            "symplectic_bound_ok": self.symplectic_bound_ok,
-            "free_rank_hypothesis": self.free_rank_hypothesis,
-            "b1": self.b1,
-        }
+        return {**self._asdict(), "basis": [form_to_json(f) for f in self.basis]}
 
 
 def _holomorphic_vectors(alg: BigradedAlgebra, p: int) -> tuple:
@@ -596,16 +581,9 @@ class AkNonexistenceReport(NamedTuple):
         return self.verdict == AK_NONEXISTENCE_VERDICT
 
     def to_json(self) -> dict:
-        return {
-            "model": self.model_name,
-            "verdict": self.verdict,
-            "detail": self.detail,
-            "closed_real_11_dim": self.closed_real_11_dim,
-            "holomorphic_1_dim": self.holomorphic_1_dim,
-            "t1_is_full": self.t1_is_full,
-            "t2_dim": self.t2_dim,
-            "top_power_vanishes": self.top_power_vanishes,
-        }
+        payload = self._asdict()
+        payload["model"] = payload.pop("model_name")
+        return payload
 
 
 def _real_rows(mat: ExactMatrix) -> ExactMatrix:
@@ -781,13 +759,12 @@ def obstruction_report(model: LieModel) -> ObstructionReport:
     alg = build(model)
     hol_dims = tuple(len(_holomorphic_vectors(alg, p)) for p in range(alg.m + 1))
     b1 = _betti(alg)[1]
-    witness = laplacian_symmetry_witness(model)
     return ObstructionReport(
         model_name=model.name,
         hol_dims=hol_dims,
         b1=b1,
         symplectic_bound_ok=2 * hol_dims[1] <= b1,
         free_rank_hypothesis=hol_dims[1] > (hol_dims[2] if alg.m >= 2 else 0) + 1,
-        laplacian_witness=None if isinstance(witness, str) else witness,
+        laplacian_witness=laplacian_symmetry_witness(model),
         ak_nonexistence=_ak_nonexistence(alg),
         integrable=alg.validation.integrable)

@@ -22,7 +22,7 @@ from itertools import combinations
 from typing import NamedTuple, Optional
 
 from .exact import (AkhError, ExactError, ExactMatrix, GAUSS_ONE, GAUSS_ZERO, GaussScalar,
-                    format_flag, format_scalar, parse_rational, parse_scalar, rref)
+                    format_flag, format_scalar, parse_rational, parse_scalar, quote, rref)
 
 
 class ModelError(AkhError):
@@ -116,19 +116,7 @@ class StructureReport(NamedTuple):
         return self.jacobi_ok and self.acs_ok and self.compatible_ok
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "dim": self.dim,
-            "jacobi_ok": self.jacobi_ok,
-            "acs_ok": self.acs_ok,
-            "compatible_ok": self.compatible_ok,
-            "integrable": self.integrable,
-            "almost_kahler": self.almost_kahler,
-            "nilpotent": self.nilpotent,
-            "structure_ok": self.structure_ok,
-            "jacobi_witness": (
-                None if self.jacobi_witness is None else list(self.jacobi_witness)),
-        }
+        return {**self._asdict(), "structure_ok": self.structure_ok}
 
     def to_text(self) -> str:
         lines = [f"model: {self.name} (dim {self.dim})"]
@@ -368,7 +356,7 @@ def _expect(value, kind, what: str):
     kinds = kind if isinstance(kind, tuple) else (kind,)
     if isinstance(value, bool) or not isinstance(value, kinds):
         names = " or ".join(k.__name__ for k in kinds)
-        raise ModelError(f"{what} must be a JSON {names}, got {value!r}")
+        raise ModelError(f"{what} must be a JSON {names}, got {quote(value)}")
     return value
 
 
@@ -385,10 +373,10 @@ def _rational(value, what: str) -> Fraction:
 def model_from_json(data) -> LieModel:
     if not isinstance(data, dict):
         raise ModelError("model document must be a JSON object")
-    if data.get("format") != FORMAT_VERSION:
-        raise ModelError(
-            f"unsupported format {data.get('format')!r}; expected {FORMAT_VERSION}"
-        )
+    version = data.get("format")
+    # true and 1.0 compare equal to 1, but only the JSON integer is accepted
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ModelError(f"unsupported format {quote(version)}; expected {FORMAT_VERSION}")
     try:
         name = _expect(data["name"], str, "name")
         dim = _expect(data["dim"], int, "dim")

@@ -177,12 +177,6 @@ class IdentityLedger(NamedTuple):
     def failures(self) -> tuple:
         return tuple(entry for entry in self.entries if not entry.holds)
 
-    def entry(self, entry_id: str) -> LedgerEntry:
-        for entry in self.entries:
-            if entry.id == entry_id:
-                return entry
-        raise KeyError(entry_id)
-
     def to_json(self) -> dict:
         return {
             "model": self.model_name,
@@ -323,16 +317,16 @@ def verify_identities(model: LieModel) -> IdentityLedger:
     return IdentityLedger(model_name=model.name, entries=tuple(entries))
 
 
-def laplacian_symmetry_witness(model: LieModel):
+def laplacian_symmetry_witness(model: LieModel) -> Optional[Form]:
     """First basis-ordered form separating the two mixed Laplacian kernels.
 
     Compares ``ker(lap(dbar) + lap(mu))`` with ``ker(lap(partial) +
     lap(mubar))`` block by block and returns a pure-bidegree form lying
-    in one kernel but not the other, or the string ``"symmetric"`` when
-    the kernels agree everywhere (as they must on an almost Kahler
-    model).  A witness shows that (J, g) as given, with the metric of the
-    orthonormal frame, is not almost Kahler; it says nothing about other
-    invariant metrics compatible with J.
+    in one kernel but not the other, or None when the kernels agree
+    everywhere (as they must on an almost Kahler model).  A witness shows
+    that (J, g) as given, with the metric of the orthonormal frame, is not
+    almost Kahler; it says nothing about other invariant metrics compatible
+    with J.
     """
     alg = build(model)
     for pq in alg.block_order:
@@ -347,4 +341,4 @@ def laplacian_symmetry_witness(model: LieModel):
             for vec in vecs:
                 if constraints.apply(vec):
                     return form_from_coordinates(alg, pq, vec)
-    return "symmetric"
+    return None

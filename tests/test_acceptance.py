@@ -82,7 +82,7 @@ def test_criterion_3_nonclosed_integrable_failure_witness():
     alg = build(model)
     assert validate(model).integrable
 
-    entry = verify_identities(model).entry("lap_cross")
+    entry = {e.id: e for e in verify_identities(model).entries}["lap_cross"]
     assert not entry.holds
     assert entry.first_failing_block == (1, 0)
     witness = entry.witness

@@ -23,21 +23,6 @@ from akh.model import catalog, model_to_json, save_model
 # configuration plumbing
 
 
-def test_run_config_requires_one_source():
-    with pytest.raises(CliInputError):
-        RunConfig(command="diamond")
-    with pytest.raises(CliInputError):
-        RunConfig(command="diamond", catalog="torus2", model_path="x.json")
-    RunConfig(command="diamond", catalog="torus2")
-
-
-def test_run_config_rejects_unknown_command_and_format():
-    with pytest.raises(CliInputError):
-        RunConfig(command="explode", catalog="torus2")
-    with pytest.raises(CliInputError):
-        RunConfig(command="diamond", catalog="torus2", format="yaml")
-
-
 def test_parse_args_round_trip():
     config = parse_args(["diamond", "--catalog", "torus4", "--format", "json"])
     assert config == RunConfig(command="diamond", catalog="torus4",
@@ -50,10 +35,12 @@ def test_parse_args_rejects_bad_flags():
     for flag in ("--bogus", "-v", "--verbose"):
         with pytest.raises(CliInputError):
             parse_args(["diamond", "--catalog", "torus2", flag])
-    with pytest.raises(CliInputError):
-        parse_args(["diamond"])
-    with pytest.raises(CliInputError):
-        parse_args(["not_a_command", "--catalog", "torus2"])
+    for argv in (["diamond"],
+                 ["diamond", "--catalog", "torus2", "--model", "x.json"],
+                 ["not_a_command", "--catalog", "torus2"],
+                 ["diamond", "--catalog", "torus2", "--format", "yaml"]):
+        with pytest.raises(CliInputError):
+            parse_args(argv)
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +181,13 @@ J_ROWS = [["0", "0", "-1", "0"], ["0", "0", "0", "-1"], ["1", "0", "0", "0"], ["
     ({"brackets": [{"i": 1, "j": 2, "k": 3, "c": True}]}, "must be a JSON str or int"),
     ({"J": J_ROWS[:2] + [[0.1, "0", "0", "0"]] + J_ROWS[3:]},
      "J entry at row 2, column 0 must be a JSON str or int, got 0.1"),
+    # only the JSON integer 1, though true and 1.0 compare equal to it
+    ({"format": True}, "unsupported format True"),
+    ({"format": 1.0}, "unsupported format 1.0"),
 ], ids=["J_int", "brackets_int", "J_row_int", "bracket_string",
         "index_float", "index_bool", "name_list", "name_int", "J_exponent",
-        "bracket_exponent", "bracket_float", "bracket_bool", "J_float"])
+        "bracket_exponent", "bracket_float", "bracket_bool", "J_float",
+        "format_bool", "format_float"])
 def test_malformed_model_shape_exits_one_without_traceback(tmp_path, change, says):
     data = model_to_json(catalog("kodaira_thurston"))
     data.update(change)
@@ -259,9 +250,14 @@ DIGIT_LIMIT = f"more than {sys.get_int_max_str_digits()} digits"
     ("h5_J", ("coframe", 1, 0), HUGE, DIGIT_LIMIT),
     ("kodaira_thurston", ("J", 0, 0), HUGE, DIGIT_LIMIT),
     ("kodaira_thurston", ("brackets", 0, "c"), HUGE, DIGIT_LIMIT),
-], ids=["coframe_exponent", "coframe_huge", "J_huge", "bracket_huge"])
+    # a long malformed value is quoted by its head and its length
+    ("kodaira_thurston", ("J", 0, 0), "1/" + "x" * 5000, "bad rational '1/xxx"),
+    ("kodaira_thurston", ("dim",), "9" * 5000, "dim must be a JSON int, got '999"),
+    ("kodaira_thurston", ("format",), "x" * 5000, "unsupported format 'xxx"),
+], ids=["coframe_exponent", "coframe_huge", "J_huge", "bracket_huge",
+        "J_long_malformed", "dim_long_string", "format_long_string"])
 def test_refused_number_literal_names_its_reason(tmp_path, source, where, literal, says):
-    # the reason survives every wrapper, and the literal is not echoed
+    # the reason survives every wrapper, and the literal is not echoed whole
     data = model_to_json(catalog(source))
     *path, last = where
     target = data

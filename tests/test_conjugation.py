@@ -143,8 +143,9 @@ def test_derived_partners_match_the_direct_ones(source):
     direct = _direct_partners(alg)
     assert set(direct) == set(CONJUGATE) | set(ADJOINT)
     ids = [entry.id for entry in ledger.entries]
+    by_id = {e.id: e for e in ledger.entries}
     for entry_id, sides in direct.items():
-        entry = ledger.entry(entry_id)
+        entry = by_id[entry_id]
         assert (entry.holds, entry.first_failing_block, entry.witness) == \
             _outcome(alg, sides), entry_id
         # each partner follows the entry it is read off

@@ -348,6 +348,28 @@ def test_signature_matches_dense_reference(h):
     assert hermitian_signature(h) == dense_hermitian_signature(h)
 
 
+@st.composite
+def sparse_rows_and_order(draw):
+    """The rows of a mostly-zero r x c matrix, 0 x c and r x 0 included, its
+    width, and a permutation of its rows."""
+    r, c = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    rows = [[GaussScalar(draw(sparse_rationals), draw(sparse_rationals)) for _ in range(c)]
+            for _ in range(r)]
+    return rows, c, draw(st.permutations(range(r)))
+
+
+@given(sparse_rows_and_order())
+@example(([], 3, []))
+@example(([[], []], 0, [1, 0]))
+@settings(max_examples=200, deadline=None)
+def test_rref_does_not_depend_on_row_order(case):
+    # R and its pivots are unique to the row space, which every comparison
+    # of canonical kernel bases as subspaces relies on
+    rows, cols, order = case
+    assert rref(ExactMatrix([rows[i] for i in order], cols=cols)) == \
+        rref(ExactMatrix(rows, cols=cols))
+
+
 def test_stack_shape_errors():
     with pytest.raises(ExactError):
         vstack([ExactMatrix([[1]]), ExactMatrix([[1, 2]])])

@@ -112,8 +112,6 @@ def test_lie_model_normalizes_and_checks_at_construction():
         LieModel("ragged", 2, (), ((0, -1), (1,)))
     with pytest.raises(ModelError):
         model._replace(dim=4)
-    with pytest.raises(CliInputError):
-        RunConfig(command="betti")
 
 
 def test_every_error_is_an_akh_error_and_a_value_error():
@@ -176,3 +174,25 @@ def test_src_has_no_unused_imports():
         unused += [f"{path.name}:{line}: {name}" for name, line in _imported_names(tree)
                    if name not in read]
     assert unused == []
+
+
+def test_src_has_no_unused_private_helpers():
+    # a module-level _name function or class is dead when no name, attribute
+    # or import anywhere in src/ refers to it
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "akh").glob("*.py"))}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                referenced |= {alias.name for alias in node.names}
+    helpers = [(name, node) for name, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")]
+    assert helpers
+    assert [f"{name}:{node.lineno}: {node.name}" for name, node in helpers
+            if node.name not in referenced] == []
