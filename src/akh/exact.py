@@ -11,9 +11,11 @@ pivot column and the topmost unused row, so kernel bases are canonical for a
 given input.
 
 ParamPoly adds multivariate polynomials over Q(i) in named real parameters.
-They are used to express families of forms (a 2-form with unknown rational
-coefficients) and to certify that a polynomial identity holds for every
-parameter value by checking that all coefficients vanish.
+They express a family of forms (a 2-form whose coefficients are linear in
+the parameters), and a wedge power of the family vanishes for every
+parameter value exactly when all its coefficients do.  ParamPoly has only
+the ring operations that power runs: sums, negation, products (with
+scalars on either side), truth value, equality and printing.
 """
 
 from __future__ import annotations
@@ -220,8 +222,12 @@ def parse_rational(text: str) -> Fraction:
 
 def quote(value) -> str:
     """repr(value), or for a longer one its first 40 characters and its
-    length: an error message never echoes a long input whole."""
-    text = repr(value)
+    length: an error message never echoes a long input whole.  A value
+    holding an int past the digit limit has no repr and is named as such."""
+    try:
+        text = repr(value)
+    except ValueError:
+        return f"a value holding an integer of more than {sys.get_int_max_str_digits()} digits"
     return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
 
 
@@ -448,25 +454,6 @@ def vstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
     return ExactMatrix._from_rows([row for m in mats for row in m._rows], cols)
 
 
-def hstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
-    mats = list(mats)
-    if not mats:
-        raise ExactError("hstack of nothing")
-    rows = mats[0].rows
-    if any(m.rows != rows for m in mats):
-        raise ExactError("hstack row mismatch")
-    out = []
-    for i in range(rows):
-        merged = {}
-        offset = 0
-        for m in mats:
-            for j, a in m._rows[i].items():
-                merged[offset + j] = a
-            offset += m.cols
-        out.append(merged)
-    return ExactMatrix._from_rows(out, sum(m.cols for m in mats))
-
-
 def _add_multiple(row: dict, f: GaussScalar, other: dict) -> None:
     """row += f * other, in place, zeros dropped."""
     for j, b in other.items():
@@ -637,12 +624,6 @@ class ParamPoly:
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "ParamPoly":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "ParamPoly":
-        return self._coerce(other) - self
-
     def __neg__(self) -> "ParamPoly":
         return ParamPoly(self.names, {e: -c for e, c in self.terms.items()})
 
@@ -657,26 +638,8 @@ class ParamPoly:
 
     __rmul__ = __mul__
 
-    def evaluate(self, assignment: Mapping[str, ScalarLike]) -> GaussScalar:
-        values = [as_gauss(assignment[n]) for n in self.names]
-        total = GAUSS_ZERO
-        for expo, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(values, expo):
-                for _ in range(e):
-                    term = term * v
-            total = total + term
-        return total
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def conj(self) -> "ParamPoly":
-        """Coefficient-wise conjugate (parameters are treated as real)."""
-        return ParamPoly(self.names, {e: c.conj() for e, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ParamPoly):

@@ -44,6 +44,7 @@ from .exact import (
     format_scalar,
     kernel,
     parse_scalar,
+    quote,
     rank,
     rref,
     vstack,
@@ -408,7 +409,7 @@ class BigradedAlgebra:
         report = validate(model)
         if not report.structure_ok:
             raise ModelError(
-                f"model {model.name!r} fails structural checks: "
+                f"model {quote(model.name)} fails structural checks: "
                 f"jacobi={report.jacobi_ok} acs={report.acs_ok} "
                 f"compatible={report.compatible_ok}"
             )
@@ -505,9 +506,10 @@ class BigradedAlgebra:
         the bilinear extension of the frame metric.  g(alpha, a_S) is the
         Hermitian product of alpha with conj(a_S) = sign * a_T (``C``), so
         star(a_S) = sign * sign(T ^ K) * |a_S|^2 * vol_coeff * a_K for the
-        complement K of T."""
+        complement K of T, vol_coeff being the one coefficient of
+        ``volume_form``."""
         top, w = self._top_mono, self.norm_sq
-        vol_coeff = GaussScalar(self.orientation) / self._top_real_coeff
+        vol_coeff = self.volume_form.terms[top]
         rows = [{} for _ in range(self.size)]
         for j, (i, sign) in enumerate(self.C):
             comp = tuple(g for g in top if g not in self.layout[i])

@@ -38,6 +38,10 @@ degree 2 with tail 1.  d and d* commute with conjugation, so that kernel
 is the complexification of the real harmonic 2-forms, and by Sylvester's
 law the Hermitian matrix has the signature of the real intersection form.
 
+The nonexistence argument writes each real (1,1)-form as R y for a real
+vector y, R read off conjugation, so each of its families is the kernel of
+a real matrix acting on y (:class:`AkNonexistenceReport`).
+
 The Betti numbers come from :mod:`akh.forms`, next to d; ``betti`` is
 re-exported here, and the diamond, the Hodge index and the obstruction
 report read the memoized ``_betti``.
@@ -56,13 +60,12 @@ from typing import NamedTuple, Optional
 from .exact import (
     AkhError,
     GAUSS_I,
-    GAUSS_ZERO,
+    GAUSS_ONE,
     ExactMatrix,
     GaussScalar,
     ParamPoly,
     format_flag,
     hermitian_signature,
-    hstack,
     kernel,
     rank,
     vstack,
@@ -514,6 +517,14 @@ def _holomorphic_vectors(alg: BigradedAlgebra, p: int) -> tuple:
     return _harmonic_vectors(alg, "dbar", (p, 0)) if p <= alg.m else ()
 
 
+def _one_form_flags(alg: BigradedAlgebra) -> dict:
+    """The flags symplectic_bound_ok, 2 h^{1,0} <= b1, and
+    free_rank_hypothesis, h^{1,0} > h^{2,0} + 1 (h^{2,0} = 0 when m < 2)."""
+    h10, h20 = (len(_holomorphic_vectors(alg, p)) for p in (1, 2))
+    return {"symplectic_bound_ok": 2 * h10 <= _betti(alg)[1],
+            "free_rank_hypothesis": h10 > h20 + 1}
+
+
 def holomorphic_forms(model: LieModel, p: int) -> HolomorphicReport:
     """Metric-free holomorphic p-forms with the obstruction flags."""
     alg = build(model)
@@ -521,9 +532,6 @@ def holomorphic_forms(model: LieModel, p: int) -> HolomorphicReport:
         raise HarmonicError(f"p out of range 0..{alg.m}")
     vecs = _holomorphic_vectors(alg, p)
     basis = tuple(form_from_coordinates(alg, (p, 0), v) for v in vecs)
-    dim1 = len(_holomorphic_vectors(alg, 1))
-    dim2 = len(_holomorphic_vectors(alg, 2))
-    b1 = _betti(alg)[1]
     matches = None
     if p == 1 and alg.validation.almost_kahler:
         harm = _harmonic_vectors(alg, "d", (1, 0))
@@ -532,9 +540,8 @@ def holomorphic_forms(model: LieModel, p: int) -> HolomorphicReport:
     return HolomorphicReport(
         p=p, dim=len(vecs), basis=basis,
         matches_harmonic=matches,
-        symplectic_bound_ok=2 * dim1 <= b1,
-        free_rank_hypothesis=dim1 > dim2 + 1,
-        b1=b1)
+        b1=_betti(alg)[1],
+        **_one_form_flags(alg))
 
 
 def mu_bar_cohomology(model: LieModel, p: int, q: int) -> int:
@@ -565,6 +572,11 @@ class AkNonexistenceReport(NamedTuple):
     the top power of the whole T2 family vanishes identically as an exact
     polynomial, every candidate is degenerate and no compatible structure
     exists.
+
+    A candidate is R y for a real vector y (``_real_11_basis``): W is the y
+    that the real and imaginary parts of d R kill, T1 adds those of the
+    wedges with the holomorphic 1-forms modulo the image of dbar, and T2
+    those of the wedges themselves.
     """
 
     model_name: str
@@ -597,24 +609,20 @@ def _real_rows(mat: ExactMatrix) -> ExactMatrix:
     return ExactMatrix._from_rows(rows, mat.cols)
 
 
-def _closed_real_11_forms(alg: BigradedAlgebra) -> tuple:
-    """Real basis of d-closed conjugation-fixed (1,1)-forms."""
-    block = (1, 1)
-    n, start = alg.dim_block(block), alg.offset[block]
-    # conjugation maps the block to itself: C is alg.C restricted to it
-    C = ExactMatrix._from_rows([{i - start: GaussScalar(sign)}
-                                for i, sign in alg.C[start:start + n]], n)
-    D = alg.d.columns(block)
-    one = ExactMatrix.identity(n)
-    # Unknown z = x + iy; conjugation-fixed means C conj(z) = z, that is
-    # (C - 1) x - i (C + 1) y = 0, and closedness means D x + i D y = 0.
-    solutions = kernel(_real_rows(vstack([
-        hstack([C - one, (C + one) * -GAUSS_I]),
-        hstack([D, D * GAUSS_I])])))
-    # a solution holds the real x_j in column j and y_j in column n + j
-    return tuple({j: GaussScalar(sol.get(j, GAUSS_ZERO).re, sol.get(n + j, GAUSS_ZERO).re)
-                  for j in range(n) if j in sol or n + j in sol}
-                 for sol in solutions)
+def _real_11_basis(alg: BigradedAlgebra) -> list:
+    """A real basis of the real (1,1)-forms as sparse vectors on the block,
+    read off conjugation: for C[i] = (j, s) on the block, a pair i < j
+    gives e_i + s e_j and i(e_i - s e_j), and a fixed i gives e_i if s = 1
+    and i e_i if s = -1.  There are as many as the block has monomials."""
+    n, start = alg.dim_block((1, 1)), alg.offset[(1, 1)]
+    cols = []
+    for i, (j, s) in enumerate(alg.C[start:start + n]):
+        j -= start
+        if i == j:
+            cols.append({i: GAUSS_ONE if s == 1 else GAUSS_I})
+        elif i < j:
+            cols += [{i: GAUSS_ONE, j: GaussScalar(s)}, {i: GAUSS_I, j: GaussScalar(0, -s)}]
+    return cols
 
 
 def ak_nonexistence_report(model: LieModel) -> AkNonexistenceReport:
@@ -632,8 +640,10 @@ def ak_nonexistence_report(model: LieModel) -> AkNonexistenceReport:
 def _ak_nonexistence(alg: BigradedAlgebra) -> AkNonexistenceReport:
     model = alg.model
     m = alg.m
-    omega_vecs = _closed_real_11_forms(alg)
-    dim_w = len(omega_vecs)
+    basis = _real_11_basis(alg)
+    R = ExactMatrix._from_rows(basis, len(basis)).transpose()
+    closed = alg.d.columns((1, 1)) @ R
+    dim_w = len(kernel(_real_rows(closed)))
     hol = _holomorphic_vectors(alg, 1)
     if not hol:
         return AkNonexistenceReport(
@@ -646,20 +656,19 @@ def _ak_nonexistence(alg: BigradedAlgebra) -> AkNonexistenceReport:
             detail="no d-closed real (1,1)-forms at all",
             closed_real_11_dim=0, holomorphic_1_dim=len(hol),
             t1_is_full=True, t2_dim=0, top_power_vanishes=True)
-    # W[s] has in column i the (2,1) coordinates of w_i ^ alpha_s, for the
-    # candidates w_i and the holomorphic 1-forms alpha_s.  For m = 1 the (2,1)
-    # block is empty, every wedge vanishes, and both cuts are trivial.
-    block21 = (2, 1)
-    w_forms = [form_from_coordinates(alg, (1, 1), v) for v in omega_vecs]
-    n21 = len(alg.blocks.get(block21, ()))
-    W = [ExactMatrix([w.wedge(form_from_coordinates(alg, (1, 0), a)).block(block21)
-                      for w in w_forms],
-                     cols=n21).transpose() for a in hol]
-    # T1: parameters whose wedges are all dbar-exact.  Membership in the
-    # image is cut out by the kernel of the transpose.
+    # X[s] has in column c the (2,1) coordinates of r_c ^ alpha_s, for the
+    # columns r_c of R and the holomorphic 1-forms alpha_s.  For m = 1 the
+    # (2,1) block is empty, every wedge vanishes, and both cuts are trivial.
+    r_forms = [form_from_coordinates(alg, (1, 1), r) for r in basis]
+    block21 = alg.block_range((2, 1)) if m > 1 else range(0)
+    X = [ExactMatrix._from_rows([alg.coordinates(r.wedge(alpha)) for r in r_forms], alg.size)
+         .submatrix(range(R.cols), block21).transpose()
+         for alpha in (form_from_coordinates(alg, (1, 0), a) for a in hol)]
+    # T1: closed candidates whose wedges are all dbar-exact.  Membership in
+    # the image is cut out by the kernel of the transpose.
     image = alg.dbar.block((2, 0), DBAR_SHIFT) if m > 1 else ExactMatrix.zeros(0, 0)
-    cokernel = ExactMatrix._from_rows(kernel(image.transpose()), n21)
-    t1_basis = kernel(_real_rows(vstack([cokernel @ w for w in W])))
+    cokernel = ExactMatrix._from_rows(kernel(image.transpose()), len(block21))
+    t1_basis = kernel(_real_rows(vstack([closed] + [cokernel @ x for x in X])))
     if len(t1_basis) < dim_w:
         return AkNonexistenceReport(
             model_name=model.name, verdict="inconclusive",
@@ -668,18 +677,16 @@ def _ak_nonexistence(alg: BigradedAlgebra) -> AkNonexistenceReport:
                     "subfamily qualifies"),
             closed_real_11_dim=dim_w, holomorphic_1_dim=len(hol),
             t1_is_full=False)
-    # T2: candidates killing every wedge outright.
-    t2_basis = kernel(_real_rows(vstack(W)))
+    # T2: closed candidates killing every wedge outright.
+    t2_basis = kernel(_real_rows(vstack([closed] + X)))
     t2_dim = len(t2_basis)
-    # Top power of the whole surviving family, with one fresh real
-    # parameter t_j per T2 basis vector tau_j: the sum of t_j tau_j[i] w_i.
-    # With no parameters the family is the zero form, whose top power is zero.
+    # Top power of the family R (sum of t_j tau_j) over the T2 basis, one
+    # real parameter t_j per tau_j; with none it is the zero form, whose
+    # top power is zero.
     names = tuple(f"t{j + 1}" for j in range(t2_dim))
-    family = alg.zero_form()
-    for name, tau in zip(names, t2_basis):
-        t = ParamPoly.variable(names, name)
-        for i, c in tau.items():
-            family = family + w_forms[i].scale(t * c)
+    params = {j: ParamPoly.variable(names, name) for j, name in enumerate(names)}
+    taus = ExactMatrix._from_rows(t2_basis, R.cols).transpose()
+    family = form_from_coordinates(alg, (1, 1), (R @ taus).apply(params))
     if family.power(m).is_zero():
         return AkNonexistenceReport(
             model_name=model.name, verdict=AK_NONEXISTENCE_VERDICT,
@@ -757,14 +764,11 @@ def obstruction_report(model: LieModel) -> ObstructionReport:
     """Holomorphic-form counts, Laplacian asymmetry, and the degeneracy
     argument in one report."""
     alg = build(model)
-    hol_dims = tuple(len(_holomorphic_vectors(alg, p)) for p in range(alg.m + 1))
-    b1 = _betti(alg)[1]
     return ObstructionReport(
         model_name=model.name,
-        hol_dims=hol_dims,
-        b1=b1,
-        symplectic_bound_ok=2 * hol_dims[1] <= b1,
-        free_rank_hypothesis=hol_dims[1] > (hol_dims[2] if alg.m >= 2 else 0) + 1,
+        hol_dims=tuple(len(_holomorphic_vectors(alg, p)) for p in range(alg.m + 1)),
+        b1=_betti(alg)[1],
+        **_one_form_flags(alg),
         laplacian_witness=laplacian_symmetry_witness(model),
         ak_nonexistence=_ak_nonexistence(alg),
         integrable=alg.validation.integrable)

@@ -35,10 +35,10 @@ def _normalize_brackets(raw, dim: int):
         i, j, k, c = entry
         c = Fraction(c)
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
-            raise ModelError(f"bracket index out of range: {entry!r}")
+            raise ModelError(f"bracket index out of range: {quote(entry)}")
         if i == j:
             if c != 0:
-                raise ModelError(f"[X,X] must vanish: {entry!r}")
+                raise ModelError(f"[X,X] must vanish: {quote(entry)}")
             continue
         if i > j:
             i, j, c = j, i, -c
@@ -79,7 +79,7 @@ class LieModel(_LieModelFields):
     def __new__(cls, *args, **kwargs):
         raw = _LieModelFields(*args, **kwargs)
         if raw.dim < 2 or raw.dim % 2 != 0:
-            raise ModelError(f"dimension must be even and positive, got {raw.dim}")
+            raise ModelError(f"dimension must be even and positive, got {quote(raw.dim)}")
         if len(raw.J) != raw.dim or any(len(r) != raw.dim for r in raw.J):
             raise ModelError("J must be a dim x dim matrix")
         J = tuple(tuple(Fraction(x) for x in row) for row in raw.J)
@@ -322,7 +322,7 @@ def catalog(name: str) -> LieModel:
         builder = _CATALOG[name]
     except KeyError:
         raise ModelError(
-            f"unknown catalog model {name!r}; available: {', '.join(CATALOG_NAMES)}"
+            f"unknown catalog model {quote(name)}; available: {', '.join(CATALOG_NAMES)}"
         ) from None
     return builder()
 
@@ -366,7 +366,7 @@ def _rational(value, what: str) -> Fraction:
     _expect(value, (str, int), what)
     try:
         return parse_rational(str(value))
-    except ExactError as exc:
+    except ValueError as exc:  # str of an int past the digit limit raises too
         raise ModelError(f"bad {what}: {exc}") from exc
 
 
@@ -392,7 +392,7 @@ def model_from_json(data) -> LieModel:
             i, j, k = (_expect(entry[key], int, key) - 1 for key in "ijk")
             c = entry["c"]
         except (KeyError, ModelError) as exc:
-            raise ModelError(f"bad {what}: {entry!r}") from exc
+            raise ModelError(f"bad {what}: {quote(entry)}") from exc
         brackets.append((i, j, k, _rational(c, f"c of {what}")))
     jrows = []
     for r, row in enumerate(raw_j):
@@ -410,7 +410,7 @@ def _coframe_from_json(raw, dim: int) -> Optional[tuple]:
         return None
     _expect(raw, list, "coframe")
     if len(raw) != dim // 2:
-        raise ModelError(f"coframe must have {dim // 2} rows, got {len(raw)}")
+        raise ModelError(f"coframe must have {quote(dim // 2)} rows, got {len(raw)}")
     rows = []
     for r, row in enumerate(raw):
         _expect(row, list, f"coframe row {r}")

@@ -3,7 +3,11 @@
 ``akh`` itself no longer needs a linear solve, an inverse or a span test:
 the metric is diagonal and every subspace is compared through canonical
 kernel bases.  These routines stay here, built on ``akh.exact.rref``, as
-independent references for the tests.
+independent references for the tests, with ``hstack``, which only
+``inverse`` uses.
+
+``evaluate`` substitutes values for the parameters of a ``ParamPoly``, the
+oracle that its ring operations are the ones of the values.
 
 Nor does ``akh`` read forms in real frame coordinates after ``build``:
 ``real_coordinates`` and ``real_harmonic_basis`` keep that route here, as
@@ -28,7 +32,7 @@ import itertools
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from akh.exact import (GAUSS_ZERO, ExactError, ExactMatrix, GaussScalar, as_gauss, hstack,
+from akh.exact import (GAUSS_ZERO, ExactError, ExactMatrix, GaussScalar, ParamPoly, as_gauss,
                        kernel, rank, rref, vstack)
 from akh.forms import MU_BAR_SHIFT
 
@@ -65,6 +69,24 @@ def solve(mat: ExactMatrix, rhs: Sequence):
     for r, c in enumerate(pivots):
         x[c] = R[r, n]
     return tuple(x)
+
+
+def hstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
+    """The matrices side by side: row i joins the rows i of all of them,
+    each shifted past the columns of the ones before it."""
+    mats = list(mats)
+    if not mats:
+        raise ExactError("hstack of nothing")
+    rows = mats[0].rows
+    if any(m.rows != rows for m in mats):
+        raise ExactError("hstack row mismatch")
+    out = [{} for _ in range(rows)]
+    offset = 0
+    for m in mats:
+        for i, row in enumerate(out):
+            row.update((offset + j, a) for j, a in m.row_items(i))
+        offset += m.cols
+    return ExactMatrix._from_rows(out, offset)
 
 
 def inverse(mat: ExactMatrix) -> ExactMatrix:
@@ -203,3 +225,17 @@ def sort_with_sign(gens) -> tuple:
     gens = tuple(gens)
     inversions = sum(1 for a, b in itertools.combinations(gens, 2) if a > b)
     return tuple(sorted(gens)), (-1 if inversions % 2 else 1)
+
+
+def evaluate(poly: ParamPoly, assignment: Mapping) -> GaussScalar:
+    """The value of poly when each parameter takes its value in assignment
+    {name: scalar}."""
+    values = [as_gauss(assignment[name]) for name in poly.names]
+    total = GAUSS_ZERO
+    for expo, coeff in poly.terms.items():
+        term = coeff
+        for v, e in zip(values, expo):
+            for _ in range(e):
+                term = term * v
+        total = total + term
+    return total

@@ -254,17 +254,30 @@ DIGIT_LIMIT = f"more than {sys.get_int_max_str_digits()} digits"
     ("kodaira_thurston", ("J", 0, 0), "1/" + "x" * 5000, "bad rational '1/xxx"),
     ("kodaira_thurston", ("dim",), "9" * 5000, "dim must be a JSON int, got '999"),
     ("kodaira_thurston", ("format",), "x" * 5000, "unsupported format 'xxx"),
+    ("kodaira_thurston", ("brackets", 0, "k"), "9" * 5000,
+     "bad bracket entry at index 0: {'i': 1"),
+    ("kodaira_thurston", ("brackets", 0, "k"), 10 ** 4000,
+     "bracket index out of range: (0, 1, 999"),
+    ("kodaira_thurston", ("dim",), 10 ** 4000 + 1,
+     "dimension must be even and positive, got 1000"),
+    ("h5_J", ("dim",), 10 ** 4000 + 1, "coframe must have 5000"),
+    # no model file: the literal is the --catalog name
+    (None, None, "x" * 5000, "unknown catalog model 'xxx"),
 ], ids=["coframe_exponent", "coframe_huge", "J_huge", "bracket_huge",
-        "J_long_malformed", "dim_long_string", "format_long_string"])
+        "J_long_malformed", "dim_long_string", "format_long_string", "bracket_long_string",
+        "bracket_index_huge", "dim_huge", "dim_huge_with_coframe", "catalog_long_name"])
 def test_refused_number_literal_names_its_reason(tmp_path, source, where, literal, says):
     # the reason survives every wrapper, and the literal is not echoed whole
-    data = model_to_json(catalog(source))
-    *path, last = where
-    target = data
-    for key in path:
-        target = target[key]
-    target[last] = literal
-    err = _assert_cli_refuses(tmp_path, data, "validate")
+    if source is None:
+        err = _assert_refuses("validate", "--catalog", literal)
+    else:
+        data = model_to_json(catalog(source))
+        *path, last = where
+        target = data
+        for key in path:
+            target = target[key]
+        target[last] = literal
+        err = _assert_cli_refuses(tmp_path, data, "validate")
     line, = err.splitlines()
     assert says in line
     assert len(line) < 200
@@ -275,8 +288,13 @@ def _assert_cli_refuses(tmp_path, data, command):
     the error output."""
     path = tmp_path / "malformed.json"
     path.write_bytes(data if isinstance(data, bytes) else json.dumps(data).encode("utf-8"))
-    proc = _python("import sys; from akh.cli import main; sys.exit(main())",
-                   command, "--model", str(path))
+    return _assert_refuses(command, "--model", str(path))
+
+
+def _assert_refuses(*args):
+    """Run the CLI on args and check that it refuses them with exit 1 and an
+    error line, no traceback.  Returns the error output."""
+    proc = _python("import sys; from akh.cli import main; sys.exit(main())", *args)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import json
 import weakref
@@ -14,7 +15,7 @@ import akh.harmonic as harmonic
 import akh.operators as operators
 from akh.exact import ExactMatrix, GaussScalar, hermitian_signature, kernel, rank, vstack
 from akh.cli import main
-from akh.forms import DBAR_SHIFT, BlockOperator, Form, build
+from akh.forms import DBAR_SHIFT, BlockOperator, Form, build, form_from_coordinates
 from akh.harmonic import (
     AK_NONEXISTENCE_VERDICT,
     WHICH_CHOICES,
@@ -34,6 +35,7 @@ from akh.harmonic import (
 )
 from akh.model import CATALOG_NAMES, catalog, load_model, validate
 from linalg_reference import eightfold_d_kernel, in_span, mu_bar_cohomology_by_rank
+from test_product_oracle import PAIRS, make_ladder
 
 AK_MODELS = ("torus2", "torus4", "torus6", "kodaira_thurston",
              "filiform4_Jprime")
@@ -527,6 +529,76 @@ def test_nonexistence_json():
     assert data["verdict"] == AK_NONEXISTENCE_VERDICT
     assert data["t2_dim"] == 1
     json.dumps(data)
+
+
+def _catalog_or_pair(source):
+    if source in CATALOG_NAMES:
+        return catalog(source)
+    first, second = source
+    return make_ladder.product(f"{first}_x_{second}", catalog(first), catalog(second))
+
+
+@pytest.mark.parametrize("source", CATALOG_NAMES + tuple(PAIRS))
+def test_real_11_basis_is_real_and_counts_closed_forms(source):
+    # d is real, so its kernel on the (1,1) block is the complexification of
+    # the closed real (1,1)-forms: their real dimension is its complex nullity
+    model = _catalog_or_pair(source)
+    alg = build(model)
+    n = alg.dim_block((1, 1))
+    basis = harmonic._real_11_basis(alg)
+    assert rank(ExactMatrix._from_rows(basis, n)) == len(basis) == n
+    for vec in basis:
+        form = form_from_coordinates(alg, (1, 1), vec)
+        assert form.conj() == form
+    nullity = n - rank(alg.d.columns((1, 1)))
+    assert ak_nonexistence_report(model).closed_real_11_dim == nullity
+
+
+# product of two catalog models -> sha256 of its nonexistence report JSON
+PAIR_NONEXISTENCE_DIGESTS = {
+    "filiform4_J_x_filiform4_J":
+        "c2fcdd2e52c1859edac078e0526b4fe929333d5414e3d31adf379134da43e443",
+    "filiform4_J_x_filiform4_Jprime":
+        "03dfef282a747960c52b1128e5676656a48e741b7ad239a6c529cbbae256777d",
+    "filiform4_J_x_kodaira_thurston":
+        "f89a285aa6eb73fe2d5d4f1ec6317ac4e788cd240a1a806b5b412cd2e2942a7c",
+    "filiform4_J_x_torus2":
+        "5d4e7f54dbe5358a0079e7bfb95c62ad3ee86bde25dc3e59e9214ceabe3cb648",
+    "filiform4_J_x_torus4":
+        "79b6df490ba75756e60f3715193d91b8345be7222c3b34151604f2d58f30cf70",
+    "filiform4_Jprime_x_filiform4_Jprime":
+        "59c385e431930602e26c693c0e33e326157eea7eac1949e54518c66396ac6cbb",
+    "filiform4_Jprime_x_kodaira_thurston":
+        "f39e211539fee3e3db0b29787ea16bbc6cd47f4641361ebb3276cacb2b2d6c29",
+    "filiform4_Jprime_x_torus2":
+        "5931682ef473a2f58a1f535859b7044f37a49694901e313c59ab247318e59d73",
+    "filiform4_Jprime_x_torus4":
+        "a1a390be0a68385e4318373808ec1bf1a406900c0c064a74fbed2b8e4045b733",
+    "h5_J_x_torus2":
+        "f58b46c384db0ed21db06436c8fbc4b1db1774d08cfd89464b086d028ce12062",
+    "kodaira_thurston_x_kodaira_thurston":
+        "62b1c02aa79652034c5be95e9e2b4211cf3adeb78851b89ae46136d39fe90781",
+    "kodaira_thurston_x_torus2":
+        "a83683130ffe3aa41a21fdbdca4a14374286ca1041ff52663f70056f017481a4",
+    "kodaira_thurston_x_torus4":
+        "2fffcd7a7ec02d590d0dc2c5a47adc6852bec66ffb647830fa21a227944b5368",
+    "torus2_x_torus2":
+        "2302b49deb0eec4e84e12af7ddd13385239ca1c621c067d2553a0444aa5f266b",
+    "torus2_x_torus4":
+        "3728d34780c501af8b102b921678b5d97d8296399c7a16061b86a71f67cbdb9b",
+    "torus2_x_torus6":
+        "4bcbe64d9e69479e28c7aab614812eefba8a986ab0a099143c9e176747400a38",
+    "torus4_x_torus4":
+        "906e1f4d40289d37f6aa26dd7ee92605a056d9ad0d8e98943663e06bc5f4c873",
+}
+
+
+@pytest.mark.parametrize("first, second", PAIRS)
+def test_pair_nonexistence_report_matches_recorded_digest(first, second):
+    report = ak_nonexistence_report(_catalog_or_pair((first, second)))
+    text = json.dumps(report.to_json(), sort_keys=True)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == PAIR_NONEXISTENCE_DIGESTS[f"{first}_x_{second}"]
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,21 @@ def test_bracket_index_out_of_range_rejected():
             J=catalog("torus4").J)
 
 
+@pytest.mark.parametrize("make, says", [
+    (lambda kt: kt._replace(brackets=((0, 0, 2, Fraction(10 ** 4000)),)), "[X,X] must vanish"),
+    (lambda kt: kt._replace(brackets=((0, 1, 10 ** 4000, 1),)), "bracket index out of range"),
+    (lambda kt: kt._replace(brackets=((0, 1, 10 ** 5000, 1),)),
+     "an integer of more than"),
+    (lambda kt: build(kt._replace(name="x" * 5000, J=((0,) * 4,) * 4)),
+     "fails structural checks"),
+], ids=["self_bracket", "bracket_index", "bracket_index_past_digit_limit", "structure"])
+def test_refusal_quotes_a_long_value(make, says):
+    with pytest.raises(ModelError) as exc:
+        make(catalog("kodaira_thurston"))
+    message = str(exc.value)
+    assert says in message and "\n" not in message and len(message) < 200
+
+
 def test_jacobi_failure_reports_witness():
     # [e0,e1]=e2 with [e0,e2]=e0 gives [[e2,e0],e1] = -e2, breaking Jacobi
     model = LieModel(
