@@ -16,10 +16,10 @@ The frame x_1..x_2m is orthonormal, and the coframe generators are made
 Hermitian-orthogonal once (exact Gram-Schmidt over Q(i), rows left
 unnormalized so no square roots appear).  The metric is then one positive
 rational |a_S|^2 per monomial, and the Gram matrix, the Hodge star, the
-metric adjoints and Lambda all have closed forms.  The volume form is the
-+-x_1^...^x_2m that makes the m-th wedge power of the fundamental form
-positive, so integration sees the orientation induced by the almost
-complex structure.
+metric adjoints and Lambda all have closed forms.  The volume form is
+omega^m/m!, the m-th wedge power of the fundamental form divided by m!,
+so integration follows the almost complex structure rather than the
+frame order.
 
 The invariant Betti numbers live here too (``betti``): they need only the
 total-degree slices of d and their ranks, so ``akh betti`` loads no layer
@@ -42,7 +42,6 @@ from .exact import (
     GAUSS_ZERO,
     GaussScalar,
     format_scalar,
-    kernel,
     parse_scalar,
     quote,
     rank,
@@ -193,7 +192,9 @@ class Form:
         return total
 
     def integrate(self) -> GaussScalar:
-        return self.algebra.integrate(self)
+        """The top coefficient over that of the volume form."""
+        (top, vol_coeff), = self.algebra.volume_form.terms.items()
+        return self.coefficient(top) / vol_coeff
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Form):
@@ -394,15 +395,16 @@ class BigradedAlgebra:
     (the metric: |a_S|^2 per monomial in layout order), the four
     differential components mu_bar / dbar / partial / mu and their sum d,
     the Hodge star, the Lefschetz triple L / lam / weight_h, the parity
-    operator weight (i^{p-q} per block), fundamental_form, and integrate().
+    operator weight (i^{p-q} per block), fundamental_form and volume_form
+    (omega^m/m!).
 
     __init__ builds and checks all that can fail: the structure report, the
-    coframe, d squared, the fundamental form and the orientation.  What cannot
-    fail once those pass (norm_sq, star, C, the weights and the Lefschetz
-    triple) is built on first use as a functools.cached_property, kept in
-    the instance dict.  Every other cached result, the monomial expansions
-    and d of each monomial as well as what other modules derive, is kept in
-    memo (see memoized).
+    coframe, d squared, the fundamental form and the unit length of the
+    volume form.  What cannot fail once those pass (norm_sq, star, C, the
+    weights and the Lefschetz triple) is built on first use as a
+    functools.cached_property, kept in the instance dict.  Every other
+    cached result, the monomial expansions and d of each monomial as well
+    as what other modules derive, is kept in memo (see memoized).
     """
 
     def __init__(self, model: LieModel):
@@ -467,20 +469,14 @@ class BigradedAlgebra:
             raise AlgebraError("d squared is nonzero; sign conventions broken")
 
         self.fundamental_form = self._build_fundamental_form()
-
-        # orientation: the top power of the fundamental form fixes the sign
-        # of the volume so that integrate(omega^m / m!) = +1
-        top = self.fundamental_form.power(m).scale(GaussScalar(Fraction(1, math.factorial(m))))
-        tau = tuple(range(2 * m))
-        self._top_mono = tau
-        self._top_real_coeff = self._expand("T", tau)[tuple(range(n))]
-        coeff = top.coefficient(tau) * self._top_real_coeff
-        if not coeff.is_real() or abs(coeff.re) != 1:
-            raise AlgebraError(
-                f"omega^m/m! has top coefficient {format_scalar(coeff)}, expected +-1"
-            )
-        self.orientation = 1 if coeff.re > 0 else -1
-        self.volume_form = Form(self, {tau: GaussScalar(self.orientation) / self._top_real_coeff})
+        self.volume_form = self.fundamental_form.power(m).scale(
+            GaussScalar(Fraction(1, math.factorial(m))))
+        # over the orthonormal frame it is c det(T) x_1^...^x_2m, real as omega
+        # is, and |det T|^2 is the product of the |t_g|^2 (orthogonal rows)
+        c = self.volume_form.coefficient(tuple(range(2 * m)))
+        if c.norm_sq() * math.prod(self._gen_norm) != 1:
+            raise AlgebraError(f"omega^m/m! has top coefficient {format_scalar(c)}, "
+                               f"expected one of unit length")
 
     # -- built on first use ----------------------------------------------------
 
@@ -508,8 +504,8 @@ class BigradedAlgebra:
         star(a_S) = sign * sign(T ^ K) * |a_S|^2 * vol_coeff * a_K for the
         complement K of T, vol_coeff being the one coefficient of
         ``volume_form``."""
-        top, w = self._top_mono, self.norm_sq
-        vol_coeff = self.volume_form.terms[top]
+        (top, vol_coeff), = self.volume_form.terms.items()
+        w = self.norm_sq
         rows = [{} for _ in range(self.size)]
         for j, (i, sign) in enumerate(self.C):
             comp = tuple(g for g in top if g not in self.layout[i])
@@ -558,8 +554,8 @@ class BigradedAlgebra:
         product and a row is orthogonal to every conjugate row as well."""
         model = self.model
         n = model.dim
-        # the dual action of J on coframe coordinates, minus i
-        shifted = ExactMatrix(model.J).transpose() - ExactMatrix.identity(n) * GAUSS_I
+        J, i = ExactMatrix(model.J), ExactMatrix.identity(n) * GAUSS_I
+        shifted = J.transpose() - i  # J^T acts on coframe coordinates
         if model.coframe is not None:
             rows = tuple(tuple(x for x in row) for row in model.coframe)
             if len(rows) != self.m or any(len(r) != n for r in rows):
@@ -573,12 +569,12 @@ class BigradedAlgebra:
                 if _hermitian(a, b):
                     raise ModelError(f"coframe rows {r} and {s} are not orthogonal")
             return rows
-        eigen = kernel(shifted)
-        if len(eigen) != self.m:
+        # J^2 = -1 gives (J^T - i)(J^T + i) = 0 with rank m: the eigenspace is
+        # the row space of J + i.  Its reduced rows, halved, are for
+        # block-diagonal J the coframe dual to X - iJX
+        reduced, pivots = rref(J + i)
+        if len(pivots) != self.m:
             raise ModelError("almost complex structure has defective eigenspace")
-        # row-reduce the eigenbasis so each generator has leading coefficient 1,
-        # then halve: for block-diagonal J this is the coframe dual to X - iJX
-        reduced, pivots = rref(ExactMatrix._from_rows(eigen, n))
         half = GaussScalar(Fraction(1, 2))
         rows = []
         for r in range(len(pivots)):
@@ -593,14 +589,13 @@ class BigradedAlgebra:
         return tuple(rows)
 
     @memoized
-    def _expand(self, rows: str, mono: Mono) -> dict:
-        """The wedge of the generators in mono, generator g being row g of
-        the matrix named by rows: "T" expands a coframe monomial over real
-        frame monomials, "T_inv" a real frame monomial over the coframe."""
+    def _expand(self, mono: Mono) -> dict:
+        """A real frame monomial over the coframe: the wedge of the rows of
+        T_inv that its generators index."""
         if not mono:
             return {(): GAUSS_ONE}
-        head = {(k,): c for k, c in getattr(self, rows).row_items(mono[0])}
-        return wedge_sum((head, self._expand(rows, mono[1:])))
+        head = {(k,): c for k, c in self.T_inv.row_items(mono[0])}
+        return wedge_sum((head, self._expand(mono[1:])))
 
     def _differential_on_generators(self) -> list:
         """d of each coframe generator as a dict over 2-monomials."""
@@ -622,7 +617,7 @@ class BigradedAlgebra:
 
     def _complexify_real(self, real_comps: Mapping[Mono, GaussScalar]) -> dict:
         """Rewrite a dict over real frame monomials in coframe monomials."""
-        return wedge_sum(*(({(): c}, self._expand("T_inv", tuple(rmono)))
+        return wedge_sum(*(({(): c}, self._expand(tuple(rmono)))
                            for rmono, c in real_comps.items()))
 
     @memoized
@@ -706,13 +701,6 @@ class BigradedAlgebra:
     def form_from_real(self, comps: Mapping[Mono, GaussScalar]) -> Form:
         """Build a Form from coefficients over real frame monomials."""
         return Form(self, self._complexify_real(comps))
-
-    def integrate(self, form: Form) -> GaussScalar:
-        """Coefficient of the oriented volume form in the top component."""
-        top = form.terms.get(self._top_mono)
-        if top is None:
-            return GAUSS_ZERO
-        return top * self._top_real_coeff * GaussScalar(self.orientation)
 
     def generator_name(self, g: int) -> str:
         if g < self.m:
@@ -798,6 +786,8 @@ def form_to_json(form: Form) -> dict:
 
 def _parse_monomial(algebra: BigradedAlgebra, text: str) -> tuple:
     """(sorted monomial, sign of the permutation that sorts the generators)."""
+    if not isinstance(text, str):
+        raise AlgebraError(f"monomial {quote(text)} is not a string")
     text = text.strip()
     if text == "1":
         return (), 1
@@ -808,38 +798,43 @@ def _parse_monomial(algebra: BigradedAlgebra, text: str) -> tuple:
         if barred:
             piece = piece[:-1]
         if not piece.startswith("a"):
-            raise AlgebraError(f"bad generator {piece!r}")
+            raise AlgebraError(f"bad generator {quote(piece)}")
         try:
             idx = int(piece[1:]) - 1
         except ValueError:
-            raise AlgebraError(f"bad generator index in {piece!r}") from None
+            raise AlgebraError(f"bad generator index in {quote(piece)}") from None
         if not (0 <= idx < algebra.m):
-            raise AlgebraError(f"generator index out of range in {piece!r}")
+            raise AlgebraError(f"generator index out of range in {quote(piece)}")
         gens.append(idx + algebra.m if barred else idx)
     mono, sign = (), 1
     for g in gens:
         merged = merge_wedge(mono, (g,))
         if merged is None:
-            raise AlgebraError(f"repeated generator in monomial {text!r}")
+            raise AlgebraError(f"repeated generator in monomial {quote(text)}")
         mono, shuffle = merged
         sign *= shuffle
     return mono, sign
 
 
 def form_from_json(algebra: BigradedAlgebra, data: Mapping) -> Form:
+    if not isinstance(data, Mapping):
+        raise AlgebraError(f"form JSON {quote(data)} is not an object")
     comps: Dict[Mono, GaussScalar] = {}
     for block_key, entries in data.items():
         try:
             p_str, q_str = str(block_key).split(",")
             p, q = int(p_str), int(q_str)
         except ValueError:
-            raise AlgebraError(f"bad block key {block_key!r}") from None
+            raise AlgebraError(f"bad block key {quote(block_key)}") from None
+        if not isinstance(entries, Mapping):
+            raise AlgebraError(f"block {quote(block_key)} holds {quote(entries)}, not an object")
         for mono_text, coeff_text in entries.items():
             mono, sign = _parse_monomial(algebra, mono_text)
             if algebra.block_at[algebra.position[mono]] != (p, q):
                 raise AlgebraError(
-                    f"monomial {mono_text!r} is not of bidegree ({p},{q})"
-                )
+                    f"monomial {quote(mono_text)} is not of bidegree {quote(block_key)}")
+            if not isinstance(coeff_text, str):
+                raise AlgebraError(f"coefficient {quote(coeff_text)} is not a string")
             coeff = parse_scalar(coeff_text)
             comps[mono] = comps.get(mono, GAUSS_ZERO) + (coeff if sign > 0 else -coeff)
     return Form(algebra, comps)

@@ -304,15 +304,13 @@ def _hard_lefschetz(alg: BigradedAlgebra) -> LefschetzReport:
         power = m - k
         for p in range(k + 1):
             q = k - p
+            target = (p + power, q + power)
             src = _harmonic_vectors(alg, "d", (p, q))
-            tgt = _harmonic_vectors(alg, "d", (p + power, q + power))
+            tgt = _harmonic_vectors(alg, "d", target)
             images = _lefschetz_power(alg, (p, q), src, power)
-            n_tgt = alg.dim_block((p + power, q + power))
             rk = rank(images)
-            # tgt is a basis, so the images lie in its span iff adding them
-            # leaves the rank at len(tgt)
-            stacked = vstack([ExactMatrix._from_rows(tgt, n_tgt), images])
-            contained = rank(stacked) == len(tgt)
+            # the images lie in the span of tgt iff d and d* kill them
+            contained = (images @ _constraint_matrix(alg, "d", target).transpose()).is_zero()
             maps.append(LefschetzMap(
                 p=p, q=q, power=power,
                 source_dim=len(src), target_dim=len(tgt), rank=rk,

@@ -22,7 +22,8 @@ from itertools import combinations
 from typing import NamedTuple, Optional
 
 from .exact import (AkhError, ExactError, ExactMatrix, GAUSS_ONE, GAUSS_ZERO, GaussScalar,
-                    format_flag, format_scalar, parse_rational, parse_scalar, quote, rref)
+                    _add_multiple, format_flag, format_scalar, parse_rational, parse_scalar,
+                    quote, rref)
 
 
 class ModelError(AkhError):
@@ -147,9 +148,8 @@ def _combine(terms) -> dict:
     """The sum of x * vec over (x, vec) pairs, zeros dropped."""
     out = {}
     for x, vec in terms:
-        for k, c in vec.items():
-            out[k] = out.get(k, GAUSS_ZERO) + x * c
-    return {k: c for k, c in out.items() if c}
+        _add_multiple(out, x, vec)
+    return out
 
 
 def _bracket(table: dict, u: dict, v: dict) -> dict:

@@ -112,6 +112,7 @@ def _constraint_operators(alg: BigradedAlgebra, which: str) -> tuple:
             + tuple(_adjoint(alg, name) for name in names))
 
 
+@memoized
 def _constraint_matrix(alg: BigradedAlgebra, which: str, pq: tuple) -> ExactMatrix:
     """The images of A^{p,q} under every constraint operator of ``which``,
     stacked: its kernel is the harmonic space ``which`` on pq."""

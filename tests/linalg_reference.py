@@ -10,8 +10,9 @@ independent references for the tests, with ``hstack``, which only
 oracle that its ring operations are the ones of the values.
 
 Nor does ``akh`` read forms in real frame coordinates after ``build``:
-``real_coordinates`` and ``real_harmonic_basis`` keep that route here, as
-the reference for the Hodge index, which ``akh`` takes on complex forms.
+``real_expansion``, ``real_coordinates`` and ``real_harmonic_basis`` keep
+that route here, as the reference for the Hodge index, which ``akh`` takes
+on complex forms, and for the volume form.
 
 ``dense_hermitian_signature`` is the dense congruence diagonalization that
 ``akh.exact.hermitian_signature`` did before it eliminated on sparse rows.
@@ -28,13 +29,14 @@ the kernel of d and d* alone.
 the reference for the shuffle sign of ``akh.forms.merge_wedge``.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from akh.exact import (GAUSS_ZERO, ExactError, ExactMatrix, GaussScalar, ParamPoly, as_gauss,
-                       kernel, rank, rref, vstack)
-from akh.forms import MU_BAR_SHIFT
+from akh.exact import (GAUSS_ONE, GAUSS_ZERO, ExactError, ExactMatrix, GaussScalar, ParamPoly,
+                       as_gauss, kernel, rank, rref, vstack)
+from akh.forms import MU_BAR_SHIFT, wedge_sum
 
 
 def sparse(vec: Sequence) -> dict:
@@ -168,6 +170,14 @@ def dense_hermitian_signature(mat: ExactMatrix) -> tuple:
     return (plus, minus, n - plus - minus)
 
 
+def real_expansion(alg, mono) -> dict:
+    """A coframe monomial over the real frame monomials: the wedge, left to
+    right, of the rows of ``alg.T`` that its generators index."""
+    return functools.reduce(
+        lambda acc, g: wedge_sum((acc, {(k,): c for k, c in alg.T.row_items(g)})),
+        mono, {(): GAUSS_ONE})
+
+
 def real_coordinates(alg, form, degree: int) -> dict:
     """The sparse vector {index: nonzero coefficient} of a pure-degree form
     over the real frame monomials of that degree, indexed in the order of
@@ -179,7 +189,7 @@ def real_coordinates(alg, form, degree: int) -> dict:
     for mono, c in form.terms.items():
         if len(mono) != degree:
             raise ExactError("form is not of the requested pure degree")
-        for rmono, rc in alg._expand("T", mono).items():
+        for rmono, rc in real_expansion(alg, mono).items():
             out[index[rmono]] = out.get(index[rmono], GAUSS_ZERO) + c * rc
     return {i: c for i, c in out.items() if c}
 

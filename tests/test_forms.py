@@ -24,8 +24,9 @@ from akh.harmonic import (_holomorphic_vectors, ak_nonexistence_report, betti, e
                           hodge_index, obstruction_report)
 from akh.model import CATALOG_NAMES, LieModel, catalog, load_model, validate
 from akh.operators import _adjoint, verify_identities
-from linalg_reference import (inverse, real_coordinates, real_harmonic_basis, sort_with_sign,
-                              sparse)
+from linalg_reference import (inverse, real_coordinates, real_expansion, real_harmonic_basis,
+                              sort_with_sign, sparse)
+from test_ladder_golden import PRODUCTS, make_ladder
 
 
 def gs(re, im=0):
@@ -92,7 +93,7 @@ def test_build_checks_eagerly(monkeypatch):
                       lambda self: broken_d)
         with pytest.raises(AlgebraError, match="d squared"):
             BigradedAlgebra(catalog("h5_J"))
-    # doubling omega makes omega^m/m! integrate to 2^m, not +-1
+    # doubling omega gives omega^m/m! the length 2^m, not 1
     original = BigradedAlgebra._build_fundamental_form
     monkeypatch.setattr(BigradedAlgebra, "_build_fundamental_form",
                         lambda self: original(self).scale(gs(2)))
@@ -401,12 +402,29 @@ def factorial(k):
 def test_volume_form_and_orientation():
     # the J-orientation of the KT frame is negative
     alg = build(catalog("kodaira_thurston"))
-    assert alg.integrate(alg.volume_form) == GAUSS_ONE
+    assert alg.volume_form.integrate() == GAUSS_ONE
     coords = real_coordinates(alg, alg.volume_form, 4)
     assert coords == {0: gs(-1)}
     # torus4 coframe is positively oriented
     alg4 = build(catalog("torus4"))
     assert real_coordinates(alg4, alg4.volume_form, 4) == {0: gs(1)}
+
+
+@pytest.mark.parametrize("source", CATALOG_NAMES + ("kt_x_kt", "h5_J_x_T2", "torus8",
+                                                    "torus10", "kt_x_h5_J"))
+def test_volume_form_is_omega_to_the_m_over_m_factorial(source):
+    if source in CATALOG_NAMES:
+        model = catalog(source)
+    elif source in PRODUCTS:
+        model = make_ladder.product(source, *map(catalog, PRODUCTS[source]))
+    else:
+        model = load_model(str(LADDER / f"{source}.json"))
+    alg = build(model)
+    m = alg.m
+    assert alg.volume_form == alg.fundamental_form.power(m).scale(gs(Fraction(1, factorial(m))))
+    assert alg.volume_form.integrate() == GAUSS_ONE
+    # over the orthonormal real frame it is +-x_1^...^x_2m
+    assert real_coordinates(alg, alg.volume_form, 2 * m) in ({0: gs(1)}, {0: gs(-1)})
 
 
 def test_star_squared_sign():
@@ -593,6 +611,29 @@ def test_form_from_json_keeps_the_wedge_sign():
         a1.wedge(a2).wedge(a1.conj()).scale(gs(0, -1))
 
 
+# a document that is not an object, a block that is not one, a coefficient
+# or monomial that is not a string, and overlong generators and block keys
+MALFORMED_FORMS = {
+    "list document": [],
+    "list block": {"1,0": []},
+    "int coefficient": {"1,0": {"a1": 3}},
+    "null coefficient": {"1,0": {"a1": None}},
+    "int monomial": {"1,0": {5: "1"}},
+    "long generator": {"1,0": {"b" + "x" * 5000: "1"}},
+    "long generator index": {"1,0": {"a" + "9" * 5000: "1"}},
+    "long block key": {"x" * 5000: {"a1": "1"}},
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_FORMS)
+def test_form_from_json_refuses_malformed_input_in_one_short_line(case):
+    alg = build(catalog("kodaira_thurston"))
+    with pytest.raises(AlgebraError) as info:
+        form_from_json(alg, MALFORMED_FORMS[case])
+    message = str(info.value)
+    assert "\n" not in message and len(message) <= 200, message[:300]
+
+
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_form_json_round_trips_every_monomial(name):
     alg = build(catalog(name))
@@ -683,10 +724,12 @@ def _oracle_metric(alg):
     """Gram matrix, star and the adjoint map built the old way: Gram entries
     from products of real-monomial expansions, star by solving
     W star = B per block, adjoints as conj(G)^-1 A^H conj(G)."""
-    top, vol_coeff = alg._top_mono, gs(alg.orientation) / alg._top_real_coeff
+    top = tuple(range(2 * alg.m))
+    vol_coeff = (alg.fundamental_form.power(alg.m).coefficient(top)
+                 / gs(factorial(alg.m)))
     gram, gram_conj_inv, star = [], [], []
     for pq in alg.block_order:
-        expansions = [alg._expand("T", mono) for mono in alg.blocks[pq]]
+        expansions = [real_expansion(alg, mono) for mono in alg.blocks[pq]]
 
         def pairing(exp_a, exp_b, conj):
             return sum((c * (exp_b[r].conj() if conj else exp_b[r])
@@ -699,7 +742,7 @@ def _oracle_metric(alg):
         pair_basis = alg.blocks[(pq[1], pq[0])]
         W = ExactMatrix([[gs(merged[1]) if (merged := merge_wedge(a, t)) and merged[0] == top
                           else GAUSS_ZERO for t in alg.blocks[dual]] for a in pair_basis])
-        B = ExactMatrix([[pairing(alg._expand("T", a), eg, False) * vol_coeff
+        B = ExactMatrix([[pairing(real_expansion(alg, a), eg, False) * vol_coeff
                           for eg in expansions] for a in pair_basis])
         star.append((pq, dual, inverse(W) @ B))
     gram, gram_conj_inv, star = (_assemble(alg, b) for b in (gram, gram_conj_inv, star))
@@ -799,6 +842,30 @@ def _j_commuting_rotation(J, entries):
         S[i][j], S[j][i] = Fraction(a), -Fraction(a)
     K = _commuting(J, S)
     return _cayley(n, {(i, j): K[i][j] for i, j in itertools.combinations(range(n), 2)})
+
+
+@st.composite
+def rotated_structures(draw):
+    """Q^T J Q for a catalog J and a random rational rotation Q."""
+    J = ExactMatrix(catalog(draw(st.sampled_from(CATALOG_NAMES))).J)
+    pairs = list(itertools.combinations(range(J.rows), 2))
+    entries = draw(st.lists(st.sampled_from((0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 3))),
+                            min_size=len(pairs), max_size=len(pairs)))
+    Q = ExactMatrix(_cayley(J.rows, dict(zip(pairs, entries))))
+    return Q.transpose() @ J @ Q
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(rotated_structures())
+def test_plus_i_eigenvectors_reduce_to_the_rows_of_j_plus_i(J):
+    # J^2 = -1 makes the +i eigenspace of J^T the row space of J + i, and
+    # the reduced row echelon form of a subspace is unique
+    n, i = J.rows, ExactMatrix.identity(J.rows) * GAUSS_I
+    eigen = kernel(J.transpose() - i)
+    reduced, pivots = rref(J + i)
+    assert len(pivots) == len(eigen) == n // 2
+    assert (reduced.submatrix(range(len(pivots)), range(n)), pivots) == \
+        rref(ExactMatrix._from_rows(eigen, n))
 
 
 @st.composite

@@ -3,9 +3,11 @@
 ``tests/ladder_expected.json`` maps ``report <model> <format>`` to the
 sha256 of the stdout of ``akh report --model <model JSON> --format
 <format>`` and its exit code.  The models are the three ladder models under
-``bench/models`` and two 10-dimensional products built with
-``bench/models/make_ladder.py``: torus10 (torus6 x torus4) and kt_x_h5_J
-(Kodaira-Thurston x h5_J).  ``bench/expected.json`` pins only their Betti
+``bench/models`` and three products of catalog models built with
+``bench/models/make_ladder.py``: the 10-dimensional torus10 (torus6 x
+torus4) and kt_x_h5_J (Kodaira-Thurston x h5_J), and the 12-dimensional
+ktff (Kodaira-Thurston x filiform4_J x filiform4_Jprime), which is not
+almost Kahler.  ``bench/expected.json`` pins only their Betti
 numbers; this pins the identity ledger, the diamond, hard Lefschetz and the
 obstructions as well.
 
@@ -18,6 +20,7 @@ the sha256 of its JSON (``sort_keys``) and of its text, kept inline below.
 """
 
 import contextlib
+import functools
 import hashlib
 import importlib.util
 import io
@@ -35,7 +38,8 @@ ROOT = Path(__file__).resolve().parents[1]
 MODELS_DIR = ROOT / "bench" / "models"
 EXPECTED_PATH = Path(__file__).resolve().parent / "ladder_expected.json"
 COMMITTED = ("kt_x_kt", "h5_J_x_T2", "torus8")
-PRODUCTS = {"torus10": ("torus6", "torus4"), "kt_x_h5_J": ("kodaira_thurston", "h5_J")}
+PRODUCTS = {"torus10": ("torus6", "torus4"), "kt_x_h5_J": ("kodaira_thurston", "h5_J"),
+            "ktff": ("kodaira_thurston", "filiform4_J", "filiform4_Jprime")}
 NAMES = COMMITTED + tuple(PRODUCTS)
 FORMATS = ("json", "text")
 
@@ -47,9 +51,10 @@ _SPEC.loader.exec_module(make_ladder)
 def _model_path(name: str, tmp: Path) -> str:
     if name in COMMITTED:
         return str(MODELS_DIR / f"{name}.json")
-    first, second = PRODUCTS[name]
+    factors = [catalog(factor) for factor in PRODUCTS[name]]
     path = tmp / f"{name}.json"
-    save_model(make_ladder.product(name, catalog(first), catalog(second)), str(path))
+    save_model(functools.reduce(lambda a, b: make_ladder.product(name, a, b), factors),
+               str(path))
     return str(path)
 
 

@@ -177,22 +177,33 @@ def test_src_has_no_unused_imports():
 
 
 def test_src_has_no_unused_private_helpers():
-    # a module-level _name function or class is dead when no name, attribute
-    # or import anywhere in src/ refers to it
+    # a module-level _name function or class, a _name method of a class, or
+    # a self._name attribute that src/ assigns is dead when no name, loaded
+    # attribute or import anywhere in src/ refers to it; a string constant
+    # counts too, for getattr and object.__setattr__
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted((ROOT / "src" / "akh").glob("*.py"))}
-    referenced = set()
-    for tree in trees.values():
+    referenced, members = set(), []
+    for name, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 referenced.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                referenced.add(node.value)
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 referenced |= {alias.name for alias in node.names}
-    helpers = [(name, node) for name, tree in trees.items() for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-               and node.name.startswith("_") and not node.name.startswith("__")]
-    assert helpers
-    assert [f"{name}:{node.lineno}: {node.name}" for name, node in helpers
-            if node.name not in referenced] == []
+            if isinstance(node, ast.ClassDef):
+                members += [(name, item.lineno, item.name) for item in node.body
+                            if isinstance(item, ast.FunctionDef)]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                  and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                members.append((name, node.lineno, node.attr))
+    members += [(name, node.lineno, node.name) for name, tree in trees.items()
+                for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    private = [(name, line, member) for name, line, member in members
+               if member.startswith("_") and not member.startswith("__")]
+    assert private
+    assert [f"{name}:{line}: {member}" for name, line, member in private
+            if member not in referenced] == []
