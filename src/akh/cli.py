@@ -73,7 +73,7 @@ FORMATS = ("text", "json")
 
 
 class CliInputError(AkhError):
-    """Bad command line or model input; maps to exit code 1."""
+    """A bad command line; maps to exit code 1."""
 
 
 class RunConfig(NamedTuple):
@@ -140,13 +140,6 @@ def _identities(model: LieModel):
     return (2 if structure.almost_kahler and not ledger.all_hold else 0), ledger
 
 
-def _lefschetz(model: LieModel):
-    try:
-        return 0, harmonic.hard_lefschetz(model)
-    except harmonic.HarmonicError as exc:
-        raise CliInputError(str(exc)) from exc
-
-
 def _obstructions(model: LieModel):
     report = harmonic.obstruction_report(model)
     return (2 if report.fires else 0), report
@@ -161,7 +154,7 @@ def _report(model: LieModel):
         ("structure", _structure(structure)),
         ("identities", _identities(model)),
         ("diamond", (0, diamond)),
-        ("lefschetz", _lefschetz(model) if closed else absent),
+        ("lefschetz", (0, harmonic.hard_lefschetz(model)) if closed else absent),
         ("hodge_index", (0, harmonic.hodge_index(model))
          if closed and model.dim == 4 else absent),
         ("obstructions", _obstructions(model)),
@@ -176,7 +169,7 @@ _COMMANDS = {
     "identities": _identities,
     "diamond": lambda model: (0, harmonic.ell_diamond(model)),
     "betti": lambda model: (0, _BettiReport(model.name, forms.betti(model))),
-    "lefschetz": _lefschetz,
+    "lefschetz": lambda model: (0, harmonic.hard_lefschetz(model)),
     "obstructions": _obstructions,
     "report": _report,
 }

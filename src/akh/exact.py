@@ -177,7 +177,7 @@ def as_gauss(x: ScalarLike) -> GaussScalar:
         return x
     if isinstance(x, (int, Fraction)):
         return GaussScalar(x)
-    raise ExactError(f"cannot coerce {x!r} to a GaussScalar")
+    raise ExactError(f"cannot coerce {quote(x)} to a GaussScalar")
 
 
 def format_scalar(z: GaussScalar) -> str:

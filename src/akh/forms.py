@@ -16,10 +16,10 @@ The frame x_1..x_2m is orthonormal, and the coframe generators are made
 Hermitian-orthogonal once (exact Gram-Schmidt over Q(i), rows left
 unnormalized so no square roots appear).  The metric is then one positive
 rational |a_S|^2 per monomial, and the Gram matrix, the Hodge star, the
-metric adjoints and Lambda all have closed forms.  The volume form is
-omega^m/m!, the m-th wedge power of the fundamental form divided by m!,
-so integration follows the almost complex structure rather than the
-frame order.
+metric adjoints and Lambda all have closed forms, as does the fundamental
+form omega = i sum_g a_g ^ a_g~ / |a_g|^2, checked against J once.  The
+volume form is omega^m/m!, so integration follows the almost complex
+structure rather than the frame order.
 
 The invariant Betti numbers live here too (``betti``): they need only the
 total-degree slices of d and their ranks, so ``akh betti`` loads no layer
@@ -119,7 +119,7 @@ class Form:
     def __init__(self, algebra: "BigradedAlgebra", terms: Mapping[Mono, object]):
         for mono in terms:
             if mono not in algebra.position:
-                raise AlgebraError(f"no monomial {mono} in this algebra")
+                raise AlgebraError(f"no monomial {quote(mono)} in this algebra")
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "terms", {mono: c for mono, c in terms.items() if c})
 
@@ -399,10 +399,10 @@ class BigradedAlgebra:
     (omega^m/m!).
 
     __init__ builds and checks all that can fail: the structure report, the
-    coframe, d squared, the fundamental form and the unit length of the
-    volume form.  What cannot fail once those pass (norm_sq, star, C, the
-    weights and the Lefschetz triple) is built on first use as a
-    functools.cached_property, kept in the instance dict.  Every other
+    coframe, d squared, and that the fundamental form, written down from the
+    coframe, agrees with J.  What cannot fail once those pass (norm_sq,
+    star, C, the weights and the Lefschetz triple) is built on first use as
+    a functools.cached_property, kept in the instance dict.  Every other
     cached result, the monomial expansions and d of each monomial as well
     as what other modules derive, is kept in memo (see memoized).
     """
@@ -468,15 +468,21 @@ class BigradedAlgebra:
         if not self.d.compose(self.d).is_zero():
             raise AlgebraError("d squared is nonzero; sign conventions broken")
 
-        self.fundamental_form = self._build_fundamental_form()
+        # the coframe is orthogonal, so omega = g(J., .) = i sum_g a_g^a_g~ / |a_g|^2,
+        # real and (1,1); on X_a, X_b it is -2 sum_g Im(t_ga conj t_gb) / |t_g|^2,
+        # which must be J[b][a]
+        self.fundamental_form = Form(self, {(g, g + m): GaussScalar(0, 1 / w)
+                                            for g, w in enumerate(self._gen_norm[:m])})
+        real = {}
+        for t, w in zip(self.coframe, self._gen_norm):
+            nonzero = [(k, x) for k, x in enumerate(t) if x]
+            for (a, x), (b, y) in itertools.combinations(nonzero, 2):
+                real[a, b] = real.get((a, b), 0) - 2 * (x * y.conj()).im / w
+        for a, b in itertools.combinations(range(n), 2):
+            if real.get((a, b), 0) != model.J[b][a]:
+                raise AlgebraError(f"fundamental form disagrees with J on X{a + 1}, X{b + 1}")
         self.volume_form = self.fundamental_form.power(m).scale(
             GaussScalar(Fraction(1, math.factorial(m))))
-        # over the orthonormal frame it is c det(T) x_1^...^x_2m, real as omega
-        # is, and |det T|^2 is the product of the |t_g|^2 (orthogonal rows)
-        c = self.volume_form.coefficient(tuple(range(2 * m)))
-        if c.norm_sq() * math.prod(self._gen_norm) != 1:
-            raise AlgebraError(f"omega^m/m! has top coefficient {format_scalar(c)}, "
-                               f"expected one of unit length")
 
     # -- built on first use ----------------------------------------------------
 
@@ -642,21 +648,6 @@ class BigradedAlgebra:
             for shift, r in rows.items()
         }
 
-    def _build_fundamental_form(self) -> Form:
-        model = self.model
-        comps: Dict[Mono, GaussScalar] = {}
-        for a in range(model.dim):
-            for b in range(a + 1, model.dim):
-                val = model.omega(a, b)
-                if val:
-                    comps[(a, b)] = GaussScalar(val)
-        form = self.form_from_real(comps)
-        if set(form.bidegrees()) - {(1, 1)}:
-            raise AlgebraError("fundamental form is not of pure bidegree (1,1)")
-        if form.conj() != form:
-            raise AlgebraError("fundamental form is not real")
-        return form
-
     def _diagonal(self, value) -> BlockOperator:
         """Diagonal operator acting on the (p,q) block by the scalar value(p, q)."""
         rows = [{i: c} if (c := value(p, q)) else {} for i, (p, q) in enumerate(self.block_at)]
@@ -762,8 +753,8 @@ def form_from_coordinates(algebra: BigradedAlgebra, pq: BlockKey, vec: Mapping) 
     block ``pq``, indices in the order of ``algebra.blocks[pq]``."""
     basis = algebra.blocks.get(pq)
     if basis is None:
-        raise AlgebraError(f"no block {pq} in this algebra")
-    if any(not 0 <= j < len(basis) for j in vec):
+        raise AlgebraError(f"no block {quote(pq)} in this algebra")
+    if any(not isinstance(j, int) or not 0 <= j < len(basis) for j in vec):
         raise AlgebraError(f"coordinate index out of range on block {pq}")
     return Form(algebra, {basis[j]: c for j, c in vec.items()})
 

@@ -67,6 +67,7 @@ from .exact import (
     format_flag,
     hermitian_signature,
     kernel,
+    quote,
     rank,
     vstack,
 )
@@ -121,15 +122,15 @@ WHICH_CHOICES = ("d", "mu_bar", "dbar", "partial", "mu", "dbar+mu", "partial+mu_
 
 
 def _check_block(alg: BigradedAlgebra, p: int, q: int) -> None:
-    if not (0 <= p <= alg.m and 0 <= q <= alg.m):
-        raise HarmonicError(f"bidegree ({p},{q}) out of range for m={alg.m}")
+    if not (isinstance(p, int) and isinstance(q, int) and 0 <= p <= alg.m and 0 <= q <= alg.m):
+        raise HarmonicError(f"bidegree ({quote(p)},{quote(q)}) out of range for m={alg.m}")
 
 
 def harmonic_basis(model: LieModel, which: str, p: int, q: int) -> tuple:
     """Deterministic basis of the chosen harmonic space as Forms."""
     if which not in WHICH_CHOICES:
         raise HarmonicError(
-            f"unknown harmonic space {which!r}; choose one of {WHICH_CHOICES}")
+            f"unknown harmonic space {quote(which)}; choose one of {WHICH_CHOICES}")
     alg = build(model)
     _check_block(alg, p, q)
     return tuple(

@@ -95,10 +95,6 @@ class LieModel(_LieModelFields):
     def m(self) -> int:
         return self.dim // 2
 
-    def omega(self, a: int, b: int) -> Fraction:
-        """Fundamental 2-form on frame vectors: omega(X_a, X_b) = g(J X_a, X_b)."""
-        return self.J[b][a]
-
 
 class StructureReport(NamedTuple):
     name: str

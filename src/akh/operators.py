@@ -98,25 +98,20 @@ def _adjoint(alg: BigradedAlgebra, name: str) -> BlockOperator:
     return getattr(alg, name).adjoint()
 
 
-def _constraint_operators(alg: BigradedAlgebra, which: str) -> tuple:
-    """The operators named by ``which`` (one of
+@memoized
+def _constraint_matrix(alg: BigradedAlgebra, which: str, pq: tuple) -> ExactMatrix:
+    """The images of A^{p,q} under the operators named by ``which`` (one of
     ``akh.harmonic.WHICH_CHOICES``, which the caller has checked) and their
-    adjoints: "d" names d, "dbar+mu" and "partial+mu_bar" two components.
+    adjoints, stacked: "d" names d, "dbar+mu" and "partial+mu_bar" two
+    components.
 
-    Their joint kernel is the harmonic space ``which``.  The metric is
+    Its kernel is the harmonic space ``which`` on pq.  The metric is
     positive definite, so <lap(D) x, x> = |D x|^2 + |D* x|^2, and a sum of
     component Laplacians kills x exactly when each component and each
     adjoint in it does."""
     names = which.split("+")
-    return (tuple(getattr(alg, name) for name in names)
-            + tuple(_adjoint(alg, name) for name in names))
-
-
-@memoized
-def _constraint_matrix(alg: BigradedAlgebra, which: str, pq: tuple) -> ExactMatrix:
-    """The images of A^{p,q} under every constraint operator of ``which``,
-    stacked: its kernel is the harmonic space ``which`` on pq."""
-    return vstack([op.columns(pq) for op in _constraint_operators(alg, which)])
+    return vstack([op.columns(pq) for op in [getattr(alg, name) for name in names]
+                   + [_adjoint(alg, name) for name in names]])
 
 
 @memoized

@@ -463,3 +463,14 @@ def test_bench_hooks_find_every_layer_of_the_lazy_cli(tmp_path):
         assert trace["build_cache"] is not None, model
         assert trace["build_cache"]["hits"] + trace["build_cache"]["misses"] >= 1, model
         assert trace["counters"]["matmul_calls"] >= 1, model
+
+
+def test_bench_hooks_find_every_layer_of_a_catalog_report(tmp_path):
+    # catalog_cli runs report on the catalog; its traced requests must reach
+    # every layer report calls, and make the ParamPoly product that feeds
+    # exact.parampoly_mul_calls
+    trace = _traced_run(tmp_path, "report", "--catalog", "torus2", "--format", "json")
+    _assert_trace_is_readable(trace, "torus2")
+    assert {"operators.ledger", "operators.witness", "harmonic.diamond", "harmonic.lefschetz",
+            "harmonic.obstructions"} <= {span[0] for span in trace["spans"]}
+    assert trace["counters"]["parampoly_mul_calls"] >= 1

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from akh.exact import (GAUSS_I, GAUSS_ONE, GAUSS_ZERO, ExactMatrix, GaussScalar, ParamPoly,
-                       hermitian_signature, kernel, rank, rref)
+from akh.exact import (GAUSS_I, GAUSS_ONE, GAUSS_ZERO, AkhError, ExactMatrix, GaussScalar,
+                       ParamPoly, hermitian_signature, kernel, rank, rref)
 from akh.forms import (
     AlgebraError,
     BigradedAlgebra,
@@ -21,7 +21,8 @@ from akh.forms import (
     merge_wedge,
 )
 from akh.harmonic import (_holomorphic_vectors, ak_nonexistence_report, betti, ell_diamond,
-                          hodge_index, obstruction_report)
+                          harmonic_basis, hodge_index, mu_bar_cohomology, obstruction_report,
+                          primitive_decomposition)
 from akh.model import CATALOG_NAMES, LieModel, catalog, load_model, validate
 from akh.operators import _adjoint, verify_identities
 from linalg_reference import (inverse, real_coordinates, real_expansion, real_harmonic_basis,
@@ -93,12 +94,18 @@ def test_build_checks_eagerly(monkeypatch):
                       lambda self: broken_d)
         with pytest.raises(AlgebraError, match="d squared"):
             BigradedAlgebra(catalog("h5_J"))
-    # doubling omega gives omega^m/m! the length 2^m, not 1
-    original = BigradedAlgebra._build_fundamental_form
-    monkeypatch.setattr(BigradedAlgebra, "_build_fundamental_form",
-                        lambda self: original(self).scale(gs(2)))
-    with pytest.raises(AlgebraError, match="expected"):
-        BigradedAlgebra(catalog("kodaira_thurston"))
+    # the coframe skewed to (a1 + a2, a2, ...) still holds +i eigenvectors,
+    # but omega = i sum a_g ^ a_g~ / |a_g|^2 written from it is not g(J., .)
+    original = BigradedAlgebra._resolve_coframe
+
+    def skewed(self):
+        first, second, *rest = original(self)
+        return (tuple(x + y for x, y in zip(first, second)), second, *rest)
+
+    monkeypatch.setattr(BigradedAlgebra, "_resolve_coframe", skewed)
+    for name, pair in (("torus4", "X1, X2"), ("kodaira_thurston", "X1, X3")):
+        with pytest.raises(AlgebraError, match=f"disagrees with J on {pair}$"):
+            BigradedAlgebra(catalog(name))
 
 
 # ---------------------------------------------------------------------------
@@ -410,16 +417,21 @@ def test_volume_form_and_orientation():
     assert real_coordinates(alg4, alg4.volume_form, 4) == {0: gs(1)}
 
 
-@pytest.mark.parametrize("source", CATALOG_NAMES + ("kt_x_kt", "h5_J_x_T2", "torus8",
-                                                    "torus10", "kt_x_h5_J"))
-def test_volume_form_is_omega_to_the_m_over_m_factorial(source):
+SOURCES = CATALOG_NAMES + ("kt_x_kt", "h5_J_x_T2", "torus8", "torus10", "kt_x_h5_J")
+
+
+def _source_model(source):
+    """A catalog model, a product of ``PRODUCTS`` or a committed ladder model."""
     if source in CATALOG_NAMES:
-        model = catalog(source)
-    elif source in PRODUCTS:
-        model = make_ladder.product(source, *map(catalog, PRODUCTS[source]))
-    else:
-        model = load_model(str(LADDER / f"{source}.json"))
-    alg = build(model)
+        return catalog(source)
+    if source in PRODUCTS:
+        return make_ladder.product(source, *map(catalog, PRODUCTS[source]))
+    return load_model(str(LADDER / f"{source}.json"))
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_volume_form_is_omega_to_the_m_over_m_factorial(source):
+    alg = build(_source_model(source))
     m = alg.m
     assert alg.volume_form == alg.fundamental_form.power(m).scale(gs(Fraction(1, factorial(m))))
     assert alg.volume_form.integrate() == GAUSS_ONE
@@ -634,6 +646,32 @@ def test_form_from_json_refuses_malformed_input_in_one_short_line(case):
     assert "\n" not in message and len(message) <= 200, message[:300]
 
 
+# an overlong harmonic space name, indices past the int digit limit (their
+# repr cannot be formatted), indices that are not ints, an overlong monomial
+# and an overlong matrix entry
+HUGE = 10 ** 5000
+LIBRARY_REFUSALS = {
+    "long harmonic space": lambda model, alg: harmonic_basis(model, "x" * 5000, 0, 0),
+    "huge p, harmonic_basis": lambda model, alg: harmonic_basis(model, "d", HUGE, 0),
+    "str q, harmonic_basis": lambda model, alg: harmonic_basis(model, "d", 0, "x" * 5000),
+    "huge q, primitive_decomposition": lambda model, alg: primitive_decomposition(model, 0, HUGE),
+    "huge p, mu_bar_cohomology": lambda model, alg: mu_bar_cohomology(model, HUGE, 0),
+    "huge block": lambda model, alg: form_from_coordinates(alg, (HUGE, 0), {}),
+    "str coordinate index": lambda model, alg: form_from_coordinates(alg, (1, 0), {"x": 1}),
+    "long monomial": lambda model, alg: Form(alg, {tuple(range(3000)): GAUSS_ONE}),
+    "long matrix entry": lambda model, alg: ExactMatrix([["x" * 5000]]),
+}
+
+
+@pytest.mark.parametrize("case", LIBRARY_REFUSALS)
+def test_library_refusals_are_one_short_line(case):
+    model = catalog("kodaira_thurston")
+    with pytest.raises(AkhError) as info:
+        LIBRARY_REFUSALS[case](model, build(model))
+    message = str(info.value)
+    assert "\n" not in message and len(message) <= 200, message[:300]
+
+
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_form_json_round_trips_every_monomial(name):
     alg = build(catalog(name))
@@ -844,19 +882,47 @@ def _j_commuting_rotation(J, entries):
     return _cayley(n, {(i, j): K[i][j] for i, j in itertools.combinations(range(n), 2)})
 
 
+def _assert_omega_is_g_of_j(model):
+    """omega(X_a, X_b) = g(J X_a, X_b) = J[b][a] over the orthonormal frame,
+    read off the real expansion of the fundamental form, and the volume form
+    integrates to 1."""
+    alg = build(model)
+    pairs = list(itertools.combinations(range(model.dim), 2))
+    coords = real_coordinates(alg, alg.fundamental_form, 2)
+    assert {pairs[i]: c for i, c in coords.items()} == \
+        {(a, b): gs(model.J[b][a]) for a, b in pairs if model.J[b][a]}
+    assert alg.volume_form.integrate() == GAUSS_ONE
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_fundamental_form_is_g_of_j(source):
+    _assert_omega_is_g_of_j(_source_model(source))
+
+
 @st.composite
-def rotated_structures(draw):
-    """Q^T J Q for a catalog J and a random rational rotation Q."""
-    J = ExactMatrix(catalog(draw(st.sampled_from(CATALOG_NAMES))).J)
+def rotated_models(draw):
+    """A catalog model with J conjugated to Q^T J Q by a random rational
+    rotation Q and its pinned coframe dropped, so the coframe is derived
+    afresh, Gram-Schmidt included."""
+    model = catalog(draw(st.sampled_from(CATALOG_NAMES)))
+    J = ExactMatrix(model.J)
     pairs = list(itertools.combinations(range(J.rows), 2))
     entries = draw(st.lists(st.sampled_from((0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 3))),
                             min_size=len(pairs), max_size=len(pairs)))
     Q = ExactMatrix(_cayley(J.rows, dict(zip(pairs, entries))))
-    return Q.transpose() @ J @ Q
+    R = Q.transpose() @ J @ Q
+    return model._replace(name=model.name + "_conjugated", coframe=None,
+                          J=[[R[i, j].re for j in range(J.rows)] for i in range(J.rows)])
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(rotated_models())
+def test_fundamental_form_is_g_of_j_under_conjugation(model):
+    _assert_omega_is_g_of_j(model)
 
 
 @settings(max_examples=40, deadline=None, database=None)
-@given(rotated_structures())
+@given(rotated_models().map(lambda model: ExactMatrix(model.J)))
 def test_plus_i_eigenvectors_reduce_to_the_rows_of_j_plus_i(J):
     # J^2 = -1 makes the +i eigenspace of J^T the row space of J + i, and
     # the reduced row echelon form of a subspace is unique

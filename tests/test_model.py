@@ -19,6 +19,7 @@ from akh.model import (
     save_model,
     validate,
 )
+from linalg_reference import real_coordinates
 
 AK_MODELS = ("torus2", "torus4", "torus6", "kodaira_thurston", "filiform4_Jprime")
 LADDER = {p.stem: p for p in
@@ -390,11 +391,16 @@ def test_fundamental_form_closed_iff_almost_kahler():
 
 
 def test_omega_entries_match_J():
+    # omega(X_a, X_b) = g(J X_a, X_b) = J[b][a], antisymmetric as J is
     model = catalog("kodaira_thurston")
+    alg = build(model)
+    pairs = list(combinations(range(model.dim), 2))
+    coords = real_coordinates(alg, alg.fundamental_form, 2)
+    assert {pairs[i]: c for i, c in coords.items()} == \
+        {(a, b): GaussScalar(model.J[b][a]) for a, b in pairs if model.J[b][a]}
     for a in range(model.dim):
         for b in range(model.dim):
-            assert model.omega(a, b) == model.J[b][a]
-            assert model.omega(a, b) == -model.omega(b, a)
+            assert model.J[b][a] == -model.J[a][b]
 
 
 # ---------------------------------------------------------------------------
