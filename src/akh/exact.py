@@ -13,9 +13,10 @@ given input.
 ParamPoly adds multivariate polynomials over Q(i) in named real parameters.
 They express a family of forms (a 2-form whose coefficients are linear in
 the parameters), and a wedge power of the family vanishes for every
-parameter value exactly when all its coefficients do.  ParamPoly has only
-the ring operations that power runs: sums, negation, products (with
-scalars on either side), truth value, equality and printing.
+parameter value exactly when all its coefficients do.  That power runs
+products (with scalars on either side) and the truth value, and sums and
+negation when two wedge terms meet on one monomial; equality, hashing and
+printing serve only the tests.
 """
 
 from __future__ import annotations

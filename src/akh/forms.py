@@ -9,7 +9,8 @@ components, written mu_bar (-1,2), dbar (0,1), partial (1,0) and mu (2,-1).
 Sign conventions, fixed once here; ``build`` refuses an algebra on which d
 squared is nonzero, so a sign error cannot pass unnoticed:
   * evaluation of a wedge of 1-forms is the determinant (no 1/k! averaging),
-  * d on 1-forms is alpha -> -alpha([.,.]),
+  * d on 1-forms is alpha -> -alpha([.,.]), so d a_g(e_k, e_l) =
+    -a_g([e_k, e_l]) on the frame e_k dual to the coframe,
   * d extends as a degree one derivation, d(a^b) = da^b + (-1)^|a| a^db.
 
 The frame x_1..x_2m is orthonormal, and the coframe generators are made
@@ -48,7 +49,7 @@ from .exact import (
     rref,
     vstack,
 )
-from .model import LieModel, ModelError, validate
+from .model import LieModel, ModelError, _bracket, _bracket_table, validate
 
 Mono = Tuple[int, ...]
 BlockKey = Tuple[int, int]
@@ -137,7 +138,7 @@ class Form:
     def block(self, pq: BlockKey) -> tuple:
         """The coordinates on block pq, in the order of ``algebra.blocks[pq]``;
         empty when pq is out of range."""
-        return tuple(self.terms.get(mono, GAUSS_ZERO) for mono in self.algebra.blocks.get(pq, ()))
+        return tuple(self.terms.get(mono, GAUSS_ZERO) for mono in _basis(self.algebra, pq) or ())
 
     def coefficient(self, mono: Mono):
         return self.terms.get(tuple(mono), GAUSS_ZERO)
@@ -396,15 +397,15 @@ class BigradedAlgebra:
     differential components mu_bar / dbar / partial / mu and their sum d,
     the Hodge star, the Lefschetz triple L / lam / weight_h, the parity
     operator weight (i^{p-q} per block), fundamental_form and volume_form
-    (omega^m/m!).
+    (omega^m/m!).  d a_g(e_k, e_l) = -a_g([e_k, e_l]) on the dual frame e_k.
 
     __init__ builds and checks all that can fail: the structure report, the
     coframe, d squared, and that the fundamental form, written down from the
     coframe, agrees with J.  What cannot fail once those pass (norm_sq,
     star, C, the weights and the Lefschetz triple) is built on first use as
     a functools.cached_property, kept in the instance dict.  Every other
-    cached result, the monomial expansions and d of each monomial as well
-    as what other modules derive, is kept in memo (see memoized).
+    cached result, d of each monomial as well as what other modules derive,
+    is kept in memo (see memoized).
     """
 
     def __init__(self, model: LieModel):
@@ -418,17 +419,13 @@ class BigradedAlgebra:
         self.model = model
         self.validation = report
         self.m = model.m
-        n = model.dim
 
         self.coframe = self._resolve_coframe()
-        self.T = vstack([ExactMatrix(self.coframe), ExactMatrix(self.coframe).conj()])
-        # the rows of T are Hermitian-orthogonal, so T T^H is the diagonal of
-        # their norms |t_g|^2 and T_inv[k][g] = conj(T[g][k]) / |t_g|^2
+        coframe = ExactMatrix(self.coframe)
+        self.T = vstack([coframe, coframe.conj()])
         self._gen_norm = [sum((x.norm_sq() for x in row), Fraction(0)) for row in self.coframe] * 2
         if not all(self._gen_norm):
             raise ModelError("coframe rows and conjugates are dependent")
-        self.T_inv = self.T.conj_transpose() @ ExactMatrix._from_rows(
-            [{g: GaussScalar(1 / w)} for g, w in enumerate(self._gen_norm)], n)
 
         m = self.m
         self.blocks: Dict[BlockKey, tuple] = {}
@@ -478,7 +475,7 @@ class BigradedAlgebra:
             nonzero = [(k, x) for k, x in enumerate(t) if x]
             for (a, x), (b, y) in itertools.combinations(nonzero, 2):
                 real[a, b] = real.get((a, b), 0) - 2 * (x * y.conj()).im / w
-        for a, b in itertools.combinations(range(n), 2):
+        for a, b in itertools.combinations(range(model.dim), 2):
             if real.get((a, b), 0) != model.J[b][a]:
                 raise AlgebraError(f"fundamental form disagrees with J on X{a + 1}, X{b + 1}")
         self.volume_form = self.fundamental_form.power(m).scale(
@@ -594,37 +591,20 @@ class BigradedAlgebra:
             rows.append(row)
         return tuple(rows)
 
-    @memoized
-    def _expand(self, mono: Mono) -> dict:
-        """A real frame monomial over the coframe: the wedge of the rows of
-        T_inv that its generators index."""
-        if not mono:
-            return {(): GAUSS_ONE}
-        head = {(k,): c for k, c in self.T_inv.row_items(mono[0])}
-        return wedge_sum((head, self._expand(mono[1:])))
-
     def _differential_on_generators(self) -> list:
-        """d of each coframe generator as a dict over 2-monomials."""
-        model = self.model
-        out = []
-        for g in range(2 * self.m):
-            trow = dict(self.T.row_items(g))
-            real2: Dict[Mono, GaussScalar] = {}
-            for (i, j, k, c) in model.brackets:
-                tk = trow.get(k)
-                if tk is None:
-                    continue
-                contrib = tk * GaussScalar(-c)
-                key = (i, j)
-                prev = real2.get(key)
-                real2[key] = contrib if prev is None else prev + contrib
-            out.append(self._complexify_real(real2))
-        return out
-
-    def _complexify_real(self, real_comps: Mapping[Mono, GaussScalar]) -> dict:
-        """Rewrite a dict over real frame monomials in coframe monomials."""
-        return wedge_sum(*(({(): c}, self._expand(tuple(rmono)))
-                           for rmono, c in real_comps.items()))
+        """d of each coframe generator as a dict over 2-monomials, from the
+        definition on the complex frame dual to the coframe.  The rows of T
+        are Hermitian-orthogonal, so that frame is e_k = conj(T[k]) / |t_k|^2
+        over the real one, and d a_g(e_k, e_l) = -a_g([e_k, e_l])."""
+        table = _bracket_table(self.model)
+        rows = [dict(self.T.row_items(g)) for g in range(2 * self.m)]
+        dual = [{j: x.conj() * GaussScalar(1 / w) for j, x in t.items()}
+                for t, w in zip(rows, self._gen_norm)]
+        brackets = [(kl, v) for kl in itertools.combinations(range(2 * self.m), 2)
+                    if (v := _bracket(table, dual[kl[0]], dual[kl[1]]))]
+        return [{kl: c for kl, v in brackets
+                 if (c := -sum((t[j] * x for j, x in v.items() if j in t), GAUSS_ZERO))}
+                for t in rows]
 
     @memoized
     def _d_monomial(self, mono: Mono) -> dict:
@@ -684,14 +664,10 @@ class BigradedAlgebra:
         return Form(self, {})
 
     def basis_form(self, pq: BlockKey, idx: int) -> Form:
-        return Form(self, {self.blocks[pq][idx]: GAUSS_ONE})
+        return form_from_coordinates(self, pq, {idx: GAUSS_ONE})
 
     def generator_form(self, g: int) -> Form:
         return Form(self, {(g,): GAUSS_ONE})
-
-    def form_from_real(self, comps: Mapping[Mono, GaussScalar]) -> Form:
-        """Build a Form from coefficients over real frame monomials."""
-        return Form(self, self._complexify_real(comps))
 
     def generator_name(self, g: int) -> str:
         if g < self.m:
@@ -748,10 +724,17 @@ def _betti(alg: BigradedAlgebra) -> tuple:
     return tuple(out)
 
 
+def _basis(algebra: BigradedAlgebra, pq: BlockKey) -> Optional[tuple]:
+    """The basis monomials of block pq, None when it is out of range."""
+    if not (isinstance(pq, tuple) and all(isinstance(x, int) for x in pq)):
+        raise AlgebraError(f"block {quote(pq)} is not a tuple of ints")
+    return algebra.blocks.get(pq)
+
+
 def form_from_coordinates(algebra: BigradedAlgebra, pq: BlockKey, vec: Mapping) -> Form:
     """Form with the sparse coordinate vector ``vec`` {index: coefficient} on
     block ``pq``, indices in the order of ``algebra.blocks[pq]``."""
-    basis = algebra.blocks.get(pq)
+    basis = _basis(algebra, pq)
     if basis is None:
         raise AlgebraError(f"no block {quote(pq)} in this algebra")
     if any(not isinstance(j, int) or not 0 <= j < len(basis) for j in vec):

@@ -527,8 +527,8 @@ def _one_form_flags(alg: BigradedAlgebra) -> dict:
 def holomorphic_forms(model: LieModel, p: int) -> HolomorphicReport:
     """Metric-free holomorphic p-forms with the obstruction flags."""
     alg = build(model)
-    if not 0 <= p <= alg.m:
-        raise HarmonicError(f"p out of range 0..{alg.m}")
+    if not (isinstance(p, int) and 0 <= p <= alg.m):
+        raise HarmonicError(f"p={quote(p)} out of range 0..{alg.m}")
     vecs = _holomorphic_vectors(alg, p)
     basis = tuple(form_from_coordinates(alg, (p, 0), v) for v in vecs)
     matches = None

@@ -12,7 +12,10 @@ oracle that its ring operations are the ones of the values.
 Nor does ``akh`` read forms in real frame coordinates after ``build``:
 ``real_expansion``, ``real_coordinates`` and ``real_harmonic_basis`` keep
 that route here, as the reference for the Hodge index, which ``akh`` takes
-on complex forms, and for the volume form.
+on complex forms, and for the volume form.  ``form_from_real`` is the way
+back, over the rows of the solved inverse of ``alg.T``: the route ``build``
+once took to d, kept as the reference for d on the generators, which
+``akh`` reads off the brackets of the dual frame.
 
 ``dense_hermitian_signature`` is the dense congruence diagonalization that
 ``akh.exact.hermitian_signature`` did before it eliminated on sparse rows.
@@ -36,7 +39,7 @@ from typing import Mapping, Sequence
 
 from akh.exact import (GAUSS_ONE, GAUSS_ZERO, ExactError, ExactMatrix, GaussScalar, ParamPoly,
                        as_gauss, kernel, rank, rref, vstack)
-from akh.forms import MU_BAR_SHIFT, wedge_sum
+from akh.forms import MU_BAR_SHIFT, Form, wedge_sum
 
 
 def sparse(vec: Sequence) -> dict:
@@ -194,6 +197,19 @@ def real_coordinates(alg, form, degree: int) -> dict:
     return {i: c for i, c in out.items() if c}
 
 
+def form_from_real(alg, comps: Mapping) -> Form:
+    """The form with coefficients ``comps`` {real frame monomial: scalar}.
+    A real generator x_i is sum_k inverse(T)[i][k] a_k, and a monomial is
+    the wedge, left to right, of its generators."""
+    t_inv = inverse(alg.T)
+    gens = [{(k,): c for k, c in t_inv.row_items(i)} for i in range(t_inv.rows)]
+
+    def expand(rmono):
+        return functools.reduce(lambda acc, i: wedge_sum((acc, gens[i])), rmono, {(): GAUSS_ONE})
+
+    return Form(alg, wedge_sum(*(({(): c}, expand(rmono)) for rmono, c in comps.items())))
+
+
 def real_harmonic_basis(alg, degree: int) -> tuple:
     """Real forms spanning the d-harmonic forms of one total degree: the
     complex kernel of [d; d*] written in real frame coordinates, split into
@@ -210,7 +226,7 @@ def real_harmonic_basis(alg, degree: int) -> tuple:
     reduced, pivots = rref(ExactMatrix._from_rows(rows, len(rmonos)))
     if len(pivots) != len(vecs):
         raise ExactError("harmonic space is not conjugation-stable")
-    return tuple(alg.form_from_real({rmonos[j]: c for j, c in reduced.row_items(r)})
+    return tuple(form_from_real(alg, {rmonos[j]: c for j, c in reduced.row_items(r)})
                  for r in range(len(pivots)))
 
 

@@ -21,12 +21,12 @@ from akh.forms import (
     merge_wedge,
 )
 from akh.harmonic import (_holomorphic_vectors, ak_nonexistence_report, betti, ell_diamond,
-                          harmonic_basis, hodge_index, mu_bar_cohomology, obstruction_report,
-                          primitive_decomposition)
+                          harmonic_basis, hodge_index, holomorphic_forms, mu_bar_cohomology,
+                          obstruction_report, primitive_decomposition)
 from akh.model import CATALOG_NAMES, LieModel, catalog, load_model, validate
 from akh.operators import _adjoint, verify_identities
-from linalg_reference import (inverse, real_coordinates, real_expansion, real_harmonic_basis,
-                              sort_with_sign, sparse)
+from linalg_reference import (form_from_real, inverse, real_coordinates, real_expansion,
+                              real_harmonic_basis, sort_with_sign, sparse)
 from test_ladder_golden import PRODUCTS, make_ladder
 
 
@@ -421,7 +421,10 @@ SOURCES = CATALOG_NAMES + ("kt_x_kt", "h5_J_x_T2", "torus8", "torus10", "kt_x_h5
 
 
 def _source_model(source):
-    """A catalog model, a product of ``PRODUCTS`` or a committed ladder model."""
+    """A catalog model, the rotated h5_J, a product of ``PRODUCTS`` or a
+    committed ladder model."""
+    if source == "h5_J_rotated":
+        return _rotated("h5_J")
     if source in CATALOG_NAMES:
         return catalog(source)
     if source in PRODUCTS:
@@ -562,8 +565,9 @@ def test_wedge_anticommutes_on_odd_forms():
 
 @pytest.mark.parametrize("name", CATALOG_NAMES + ("h5_J_rotated",))
 def test_real_coordinates_round_trip(name):
-    # real -> coframe goes through T_inv, coframe -> real through T; the
-    # rotated h5_J has an orthogonalized coframe, the catalog h5_J a pinned one
+    # real -> coframe goes through the solved inverse of T, coframe -> real
+    # through T; the rotated h5_J has an orthogonalized coframe, the catalog
+    # h5_J a pinned one
     model = _rotated("h5_J") if name == "h5_J_rotated" else catalog(name)
     alg = build(model)
     n = model.dim
@@ -571,7 +575,7 @@ def test_real_coordinates_round_trip(name):
         monos = list(itertools.combinations(range(n), degree))
         for k, mono in enumerate(monos):
             comps = {mono: GAUSS_ONE}
-            f = alg.form_from_real(comps)
+            f = form_from_real(alg, comps)
             assert real_coordinates(alg, f, degree) == {k: GAUSS_ONE}
 
 
@@ -658,6 +662,14 @@ LIBRARY_REFUSALS = {
     "huge p, mu_bar_cohomology": lambda model, alg: mu_bar_cohomology(model, HUGE, 0),
     "huge block": lambda model, alg: form_from_coordinates(alg, (HUGE, 0), {}),
     "str coordinate index": lambda model, alg: form_from_coordinates(alg, (1, 0), {"x": 1}),
+    "str p, holomorphic_forms": lambda model, alg: holomorphic_forms(model, "x"),
+    "float p, holomorphic_forms": lambda model, alg: holomorphic_forms(model, 1.0),
+    "list block, form_from_coordinates": lambda model, alg: form_from_coordinates(alg, [1, 0], {}),
+    "list block, Form.block": lambda model, alg: alg.generator_form(0).block([1, 0]),
+    "index past the block, basis_form": lambda model, alg: alg.basis_form((1, 0), 9),
+    "negative index, basis_form": lambda model, alg: alg.basis_form((1, 0), -1),
+    "str index, basis_form": lambda model, alg: alg.basis_form((1, 0), "a"),
+    "no such block, basis_form": lambda model, alg: alg.basis_form((9, 0), 0),
     "long monomial": lambda model, alg: Form(alg, {tuple(range(3000)): GAUSS_ONE}),
     "long matrix entry": lambda model, alg: ExactMatrix([["x" * 5000]]),
 }
@@ -791,23 +803,18 @@ def _oracle_metric(alg):
     return gram, star, adjoint
 
 
-@pytest.mark.parametrize("source", CATALOG_NAMES + ("kt_x_kt", "h5_J_x_T2", "torus8",
-                                                    "h5_J_rotated"))
+COFRAME_SOURCES = CATALOG_NAMES + ("kt_x_kt", "h5_J_x_T2", "torus8", "h5_J_rotated")
+
+
+@pytest.mark.parametrize("source", COFRAME_SOURCES)
 def test_closed_form_metric_matches_the_solved_one(source):
-    if source == "h5_J_rotated":
-        model = _rotated("h5_J")
-    elif source in CATALOG_NAMES:
-        model = catalog(source)
-    else:
-        model = load_model(str(LADDER / f"{source}.json"))
-    alg = build(model)
+    alg = build(_source_model(source))
     gram, star, adjoint = _oracle_metric(alg)
     assert _gram(alg) == gram.matrix
     assert alg.star == star
     assert alg.lam.matrix == adjoint(alg.L)
     assert alg.dbar.adjoint().matrix == adjoint(alg.dbar)
     assert alg.d.adjoint().matrix == adjoint(alg.d)
-    assert alg.T_inv == inverse(alg.T)
     u = alg.form_from_vector(sparse([gs(j % 5 - 2, j % 3) for j in range(alg.size)]))
     v = alg.form_from_vector(sparse([gs(j % 4, 1 - j % 7) for j in range(alg.size)]))
     assert u.inner(v) == sum(
@@ -816,6 +823,22 @@ def test_closed_form_metric_matches_the_solved_one(source):
         GAUSS_ZERO)
     if source == "h5_J_rotated":
         assert _gram_schmidt_ran(alg)
+
+
+@pytest.mark.parametrize("source", COFRAME_SOURCES)
+def test_d_on_generators_matches_the_real_frame_route(source):
+    # build reads d a_g off the brackets of the dual frame; the real frame
+    # route writes d a_g = -sum c T[g][k] x_i ^ x_j over the brackets
+    # [X_i, X_j] = c X_k and rewrites it through the solved inverse of T
+    model = _source_model(source)
+    alg = build(model)
+    for g in range(2 * alg.m):
+        t = dict(alg.T.row_items(g))
+        comps = {}
+        for i, j, k, c in model.brackets:
+            if k in t:
+                comps[i, j] = comps.get((i, j), GAUSS_ZERO) - GaussScalar(c) * t[k]
+        assert alg.generator_form(g).d() == form_from_real(alg, comps)
 
 
 @pytest.mark.parametrize("name", sorted(ROTATIONS))

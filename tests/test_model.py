@@ -19,7 +19,7 @@ from akh.model import (
     save_model,
     validate,
 )
-from linalg_reference import real_coordinates
+from linalg_reference import form_from_real, real_coordinates
 
 AK_MODELS = ("torus2", "torus4", "torus6", "kodaira_thurston", "filiform4_Jprime")
 LADDER = {p.stem: p for p in
@@ -331,8 +331,8 @@ def nijenhuis_scalar(model: LieModel):
         # N* pullback on the k-th real coframe element, determinant convention
         comps = {(i, j): GaussScalar(nij[i][j][k])
                  for i, j in combinations(range(n), 2) if nij[i][j][k]}
-        rhs = algebra.form_from_real(comps)
-        lhs = mixed.apply(algebra.form_from_real({(k,): GaussScalar(1)}))
+        rhs = form_from_real(algebra, comps)
+        lhs = mixed.apply(form_from_real(algebra, {(k,): GaussScalar(1)}))
         if rhs.is_zero() and lhs.is_zero():
             continue
         if rhs.is_zero() or lhs.is_zero():

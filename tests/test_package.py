@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -60,6 +61,29 @@ def test_namespace_dir_star_import_and_unknown_names():
     assert set(akh.__all__) <= set(namespace)
     assert namespace["build"] is build
     assert akh.operators is sys.modules["akh.operators"]
+
+
+def _resolve(dotted):
+    """The object ``akh.x.y`` names: each part an attribute of the one
+    before, or else its submodule."""
+    obj = import_module("akh")
+    for part in dotted.split(".")[1:]:
+        try:
+            obj = getattr(obj, part)
+        except AttributeError:
+            obj = import_module(f"{obj.__name__}.{part}")
+    return obj
+
+
+def test_readme_names_only_what_exists():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    alg = build(catalog("kodaira_thurston"))
+    alg_names = set(re.findall(r"\balg\.(\w+)", text))
+    akh_names = set(re.findall(r"\bakh(?:\.\w+)+", text))
+    assert alg_names and akh_names
+    assert sorted(name for name in alg_names if not hasattr(alg, name)) == []
+    for name in sorted(akh_names):
+        _resolve(name)
 
 
 # ---------------------------------------------------------------------------
