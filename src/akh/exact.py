@@ -2,13 +2,15 @@
 
 Everything in this package reduces to linear algebra over Q(i).  A scalar is
 one normalized integer triple (a, b, d) meaning (a + b*i)/d, so its arithmetic
-is a few int products and one gcd, with no Fraction objects.  Matrices store
-each row as a dict from column to nonzero entry (the operators here are mostly
-zeros), and a vector is the same kind of dict: ``kernel`` returns its basis
-vectors that way, and ``ExactMatrix.apply`` takes and returns them.  Every
-routine is deterministic: reduced row echelon form always picks the leftmost
-pivot column and the topmost unused row, so kernel bases are canonical for a
-given input.
+is a few int products and one gcd.  It is the only rational type; a real one
+equals and hashes like the int or standard library rational of its value, and
+either is accepted wherever a scalar is.  Matrices store each row as a dict
+from column to nonzero entry (the operators here are mostly zeros), and a
+vector is the same kind of dict: ``kernel`` returns its basis vectors that
+way, and ``ExactMatrix.apply`` takes and returns them.  Every routine is
+deterministic: reduced row echelon form always picks the leftmost pivot
+column and the topmost unused row, so kernel bases are canonical for a given
+input.
 
 ParamPoly adds multivariate polynomials over Q(i) in named real parameters.
 They express a family of forms (a 2-form whose coefficients are linear in
@@ -22,11 +24,11 @@ printing serve only the tests.
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-ScalarLike = Union["GaussScalar", Fraction, int]
+# a GaussScalar, or any rational _lift reads
+ScalarLike = Union["GaussScalar", int]
 
 
 class AkhError(ValueError):
@@ -40,22 +42,22 @@ class ExactError(AkhError):
 class GaussScalar:
     """A Gaussian rational (a + b*i)/d held as three ints, with d > 0 and
     gcd(a, b, d) = 1, so that equal scalars have equal triples.  The value
-    is fixed: ``re`` and ``im`` are read-only Fraction views of the parts."""
+    is fixed, from real rational parts: ``re`` and ``im`` read them back."""
 
     __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, re: Union[Fraction, int] = 0, im: Union[Fraction, int] = 0):
+    def __init__(self, re: ScalarLike = 0, im: ScalarLike = 0):
         if type(re) is int and type(im) is int:
-            d = 1
-        else:
-            re, im = Fraction(re), Fraction(im)
-            # over the lcm of two reduced denominators the triple is reduced
-            d = lcm(re.denominator, im.denominator)
-            re, im = re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)
-        self._a, self._b, self._d = re, im, d
+            self._a, self._b, self._d = re, im, 1
+            return
+        r, s = _lift(re), _lift(im)
+        if r is None or s is None or r._b or s._b:
+            raise ExactError(f"{quote(re if r is None or r._b else im)} is not a real rational")
+        z = _make(r._a * s._d, s._a * r._d, r._d * s._d)
+        self._a, self._b, self._d = z._a, z._b, z._d
 
-    re = property(lambda self: Fraction(self._a, self._d), doc="Real part.")
-    im = property(lambda self: Fraction(self._b, self._d), doc="Imaginary part.")
+    re = property(lambda self: _make(self._a, 0, self._d), doc="Real part.")
+    im = property(lambda self: _make(self._b, 0, self._d), doc="Imaginary part.")
 
     # -- ring operations ---------------------------------------------------
 
@@ -64,10 +66,8 @@ class GaussScalar:
     # M * k does.
 
     def __add__(self, other):
-        if type(other) is not GaussScalar:
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = GaussScalar(other)
+        if type(other) is not GaussScalar and (other := _lift(other)) is None:
+            return NotImplemented
         a, b, d = self._a, self._b, self._d
         c, e, f = other._a, other._b, other._d
         if d == f:
@@ -77,18 +77,14 @@ class GaussScalar:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, (GaussScalar, int, Fraction)):
-            return NotImplemented
         return self.__add__(-other)
 
     def __rsub__(self, other: ScalarLike) -> "GaussScalar":
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        if type(other) is not GaussScalar:
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = GaussScalar(other)
+        if type(other) is not GaussScalar and (other := _lift(other)) is None:
+            return NotImplemented
         a, b, d = self._a, self._b, self._d
         c, e, f = other._a, other._b, other._d
         return _make(a * c - b * e, a * e + b * c, d * f)
@@ -96,9 +92,8 @@ class GaussScalar:
     __rmul__ = __mul__
 
     def __truediv__(self, other: ScalarLike) -> "GaussScalar":
-        if not isinstance(other, (GaussScalar, int, Fraction)):
+        if type(other) is not GaussScalar and (other := _lift(other)) is None:
             return NotImplemented
-        other = as_gauss(other)
         # (a + bi)/d over (c + ei)/f is (a + bi)(c - ei) f / (d (c^2 + e^2))
         a, b, d = self._a, self._b, self._d
         c, e, f = other._a, other._b, other._d
@@ -108,9 +103,8 @@ class GaussScalar:
         return _make((a * c + b * e) * f, (b * c - a * e) * f, d * n)
 
     def __rtruediv__(self, other: ScalarLike) -> "GaussScalar":
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return GaussScalar(other).__truediv__(self)
+        other = _lift(other)
+        return NotImplemented if other is None else other.__truediv__(self)
 
     def __neg__(self) -> "GaussScalar":
         return _raw(-self._a, -self._b, self._d)
@@ -123,9 +117,9 @@ class GaussScalar:
     def conj(self) -> "GaussScalar":
         return _raw(self._a, -self._b, self._d)
 
-    def norm_sq(self) -> Fraction:
-        """|z|^2 as an exact nonnegative rational."""
-        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
+    def norm_sq(self) -> "GaussScalar":
+        """|z|^2 as an exact nonnegative real scalar."""
+        return _make(self._a * self._a + self._b * self._b, 0, self._d * self._d)
 
     def is_real(self) -> bool:
         return self._b == 0
@@ -134,17 +128,19 @@ class GaussScalar:
         return bool(self._a or self._b)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, GaussScalar):
+        if type(other) is GaussScalar:
             return self._a == other._a and self._b == other._b and self._d == other._d
-        if isinstance(other, (Fraction, int)):
-            return not self._b and self._a == other.numerator and self._d == other.denominator
-        return NotImplemented
+        other = _lift(other)
+        return NotImplemented if other is None else self == other
 
     def __hash__(self):
-        # a real scalar equals an int or Fraction, so it hashes as one
-        if not self._b:
-            return hash(Fraction(self._a, self._d))
-        return hash((self._a, self._b, self._d))
+        if self._b:
+            return hash((self._a, self._b, self._d))
+        # as Python hashes the rational a/d: a times 1/d modulo P, signed
+        P, inf = sys.hash_info.modulus, sys.hash_info.inf
+        if self._d % P == 0:
+            return inf if self._a > 0 else -inf
+        return hash(self._a * pow(self._d, -1, P))
 
     def __str__(self) -> str:
         return format_scalar(self)
@@ -173,26 +169,34 @@ GAUSS_ONE = GaussScalar(1)
 GAUSS_I = GaussScalar(0, 1)
 
 
-def as_gauss(x: ScalarLike) -> GaussScalar:
-    if isinstance(x, GaussScalar):
+def _lift(x) -> Optional[GaussScalar]:
+    """x as a GaussScalar when it is one or has int ``numerator`` and
+    ``denominator`` (an int, a standard library rational), else None."""
+    if type(x) is int:
+        return _raw(x, 0, 1)
+    if type(x) is GaussScalar:
         return x
-    if isinstance(x, (int, Fraction)):
-        return GaussScalar(x)
-    raise ExactError(f"cannot coerce {quote(x)} to a GaussScalar")
+    n, d = getattr(x, "numerator", None), getattr(x, "denominator", None)
+    if isinstance(n, int) and isinstance(d, int) and d > 0:
+        return _make(int(n), 0, int(d))
+    return None
+
+
+def as_gauss(x: ScalarLike) -> GaussScalar:
+    if (z := _lift(x)) is None:
+        raise ExactError(f"cannot coerce {quote(x)} to a GaussScalar")
+    return z
 
 
 def format_scalar(z: GaussScalar) -> str:
     """Canonical string form: '0', '-1/2', 'i', '2/3*i', '1/2-3/4*i'."""
-    if z.im == 0:
-        return str(z.re)
-    if abs(z.im) == 1:
-        imag = "i" if z.im > 0 else "-i"
-    else:
-        imag = f"{z.im}*i"
-    if z.re == 0:
+    a, b, d = z._a, z._b, z._d
+    if not b:  # a real triple is a fraction in lowest terms
+        return str(a) if d == 1 else f"{a}/{d}"
+    imag = ("i" if b > 0 else "-i") if abs(b) == d else f"{z.im}*i"
+    if not a:
         return imag
-    sign = "+" if z.im > 0 else ""
-    return f"{z.re}{sign}{imag}"
+    return f"{z.re}{'+' if b > 0 else ''}{imag}"
 
 
 def format_flag(value: Optional[bool]) -> str:
@@ -202,23 +206,44 @@ def format_flag(value: Optional[bool]) -> str:
     return "true" if value else "false"
 
 
-def parse_rational(text: str) -> Fraction:
-    """Fraction(text), or an ExactError that says why not.  Exponent notation
-    is refused ('1e1000000' would build a million-digit integer, and akh
-    never writes an exponent), and so is a numerator or denominator past the
-    interpreter's limit on the digits of an int; neither refusal echoes the
-    text, which may be thousands of characters long, and any other bad text
-    is shown through ``quote``."""
+# the standard library's rationals read underscores between digits from
+# Python 3.11 and whitespace around the slash from 3.12
+_UNDERSCORES, _SPACED_SLASH = sys.version_info >= (3, 11), sys.version_info >= (3, 12)
+
+
+def _digits(text: str) -> bool:
+    """Whether text is decimal digits of any script, underscores between."""
+    return all(part.isdecimal() for part in (text.split("_") if _UNDERSCORES else (text,)))
+
+
+def parse_rational(text: str) -> GaussScalar:
+    """[sign] n/d or [sign] n[.f] amid whitespace, read as the standard
+    library's rationals read it, or an ExactError that says why not.
+    Exponent notation is refused ('1e1000000' would build a million-digit
+    integer, and akh never writes an exponent), and so is a numerator or
+    denominator past the interpreter's limit on the digits of an int;
+    neither refusal echoes the text, which may be thousands of characters
+    long, and any other bad text is shown through ``quote``."""
     limit = sys.get_int_max_str_digits()
     if limit and any(sum(ch.isdecimal() for ch in part) > limit for part in text.split("/")):
         raise ExactError(f"rational with more than {limit} digits in its numerator "
                          "or denominator")
     if "e" in text or "E" in text:
         raise ExactError("exponent notation in rational")
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ExactError(f"bad rational {quote(text)}") from None
+    s = text.strip()
+    body = s[1:] if s[:1] in ("+", "-") else s
+    num, slash, den = body.partition("/")
+    if slash:
+        num, den = (num.rstrip(), den.lstrip()) if _SPACED_SLASH else (num, den)
+        ok = _digits(num) and _digits(den) and int(den) != 0
+    else:
+        whole, _, frac = body.partition(".")
+        ok = bool(whole or frac) and all(_digits(x) for x in (whole, frac) if x)
+        frac = frac.replace("_", "")
+        num, den = (whole or "0") + frac, 10 ** len(frac) if ok else 1
+    if not ok:
+        raise ExactError(f"bad rational {quote(text)}")
+    return _make(-int(num) if s[:1] == "-" else int(num), 0, int(den))
 
 
 def quote(value) -> str:
@@ -559,7 +584,7 @@ def hermitian_signature(mat: ExactMatrix) -> tuple:
         # leaves the Schur complement, and a_kk is real
         row = work.pop(k)
         pivot = row[k]
-        positive.append(pivot.re > 0)
+        positive.append(pivot._a > 0)
         for r in row:
             if r != k:
                 _add_multiple(work[r], -work[r][k] / pivot, row)
@@ -645,9 +670,9 @@ class ParamPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, ParamPoly):
             return self.names == other.names and self.terms == other.terms
-        if isinstance(other, (GaussScalar, int, Fraction)):
-            return self == ParamPoly.constant(self.names, other)
-        return NotImplemented
+        if (z := _lift(other)) is None:
+            return NotImplemented
+        return self == ParamPoly.constant(self.names, z)
 
     def __hash__(self):
         # a constant equals its GaussScalar, so it hashes as that scalar

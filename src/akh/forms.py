@@ -32,7 +32,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from fractions import Fraction
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .exact import (
@@ -399,9 +398,9 @@ class BigradedAlgebra:
     operator weight (i^{p-q} per block), fundamental_form and volume_form
     (omega^m/m!).  d a_g(e_k, e_l) = -a_g([e_k, e_l]) on the dual frame e_k.
 
-    __init__ builds and checks all that can fail: the structure report, the
-    coframe, d squared, and that the fundamental form, written down from the
-    coframe, agrees with J.  What cannot fail once those pass (norm_sq,
+    __init__ builds and checks all that can fail: the structure report,
+    unimodularity, the coframe, d squared, and that the fundamental form,
+    written down from the coframe, agrees with J.  What cannot fail once those pass (norm_sq,
     star, C, the weights and the Lefschetz triple) is built on first use as
     a functools.cached_property, kept in the instance dict.  Every other
     cached result, d of each monomial as well as what other modules derive,
@@ -416,6 +415,13 @@ class BigradedAlgebra:
                 f"jacobi={report.jacobi_ok} acs={report.acs_ok} "
                 f"compatible={report.compatible_ok}"
             )
+        # unimodular: tr ad X_i, the sum over k of [X_i, X_k]_k, vanishes for every i
+        table = _bracket_table(model)
+        for i in range(model.dim):
+            if trace := sum((table.get((i, k), {}).get(k, GAUSS_ZERO) for k in range(model.dim)),
+                            GAUSS_ZERO):
+                raise ModelError(f"model {quote(model.name)} is not unimodular: tr ad X{i + 1} = "
+                                 f"{trace}, and akh's verdicts need tr ad X = 0 for every X")
         self.model = model
         self.validation = report
         self.m = model.m
@@ -423,7 +429,7 @@ class BigradedAlgebra:
         self.coframe = self._resolve_coframe()
         coframe = ExactMatrix(self.coframe)
         self.T = vstack([coframe, coframe.conj()])
-        self._gen_norm = [sum((x.norm_sq() for x in row), Fraction(0)) for row in self.coframe] * 2
+        self._gen_norm = [sum((x.norm_sq() for x in row), GAUSS_ZERO) for row in self.coframe] * 2
         if not all(self._gen_norm):
             raise ModelError("coframe rows and conjugates are dependent")
 
@@ -468,7 +474,7 @@ class BigradedAlgebra:
         # the coframe is orthogonal, so omega = g(J., .) = i sum_g a_g^a_g~ / |a_g|^2,
         # real and (1,1); on X_a, X_b it is -2 sum_g Im(t_ga conj t_gb) / |t_g|^2,
         # which must be J[b][a]
-        self.fundamental_form = Form(self, {(g, g + m): GaussScalar(0, 1 / w)
+        self.fundamental_form = Form(self, {(g, g + m): GAUSS_I / w
                                             for g, w in enumerate(self._gen_norm[:m])})
         real = {}
         for t, w in zip(self.coframe, self._gen_norm):
@@ -478,8 +484,7 @@ class BigradedAlgebra:
         for a, b in itertools.combinations(range(model.dim), 2):
             if real.get((a, b), 0) != model.J[b][a]:
                 raise AlgebraError(f"fundamental form disagrees with J on X{a + 1}, X{b + 1}")
-        self.volume_form = self.fundamental_form.power(m).scale(
-            GaussScalar(Fraction(1, math.factorial(m))))
+        self.volume_form = self.fundamental_form.power(m).scale(GAUSS_ONE / math.factorial(m))
 
     # -- built on first use ----------------------------------------------------
 
@@ -488,7 +493,7 @@ class BigradedAlgebra:
         """|a_S|^2 for every monomial a_S, in layout order.  The generators
         are orthogonal, so this is the product of |a_g|^2 over the
         generators of S (a conjugate generator has the norm of its own)."""
-        return tuple(math.prod((self._gen_norm[g] for g in mono), start=Fraction(1))
+        return tuple(math.prod((self._gen_norm[g] for g in mono), start=GAUSS_ONE)
                      for mono in self.layout)
 
     @functools.cached_property
@@ -578,10 +583,9 @@ class BigradedAlgebra:
         reduced, pivots = rref(J + i)
         if len(pivots) != self.m:
             raise ModelError("almost complex structure has defective eigenspace")
-        half = GaussScalar(Fraction(1, 2))
         rows = []
         for r in range(len(pivots)):
-            row = tuple(half * reduced[r, j] for j in range(n))
+            row = tuple(reduced[r, j] / 2 for j in range(n))
             # Gram-Schmidt without normalizing; an orthogonal row stays as it is
             for prev in rows:
                 c = _hermitian(row, prev)
@@ -598,7 +602,7 @@ class BigradedAlgebra:
         over the real one, and d a_g(e_k, e_l) = -a_g([e_k, e_l])."""
         table = _bracket_table(self.model)
         rows = [dict(self.T.row_items(g)) for g in range(2 * self.m)]
-        dual = [{j: x.conj() * GaussScalar(1 / w) for j, x in t.items()}
+        dual = [{j: x.conj() / w for j, x in t.items()}
                 for t, w in zip(rows, self._gen_norm)]
         brackets = [(kl, v) for kl in itertools.combinations(range(2 * self.m), 2)
                     if (v := _bracket(table, dual[kl[0]], dual[kl[1]]))]
@@ -640,14 +644,17 @@ class BigradedAlgebra:
         return (pq[0] + pq[1], -pq[0])
 
     def dim_block(self, pq: BlockKey) -> int:
-        return len(self.blocks[pq])
+        return len(_block(self, pq))
 
     def block_range(self, pq: BlockKey) -> range:
         """Indices of the monomials of block pq in the operator layout."""
-        return range(self.offset[pq], self.offset[pq] + len(self.blocks[pq]))
+        n = len(_block(self, pq))
+        return range(self.offset[pq], self.offset[pq] + n)
 
     def degree_range(self, k: int) -> range:
         """Indices of the monomials of total degree k (none out of range)."""
+        if type(k) is not int:
+            raise AlgebraError(f"degree {quote(k)} is not an int")
         if not 0 <= k <= 2 * self.m:
             return range(0)
         return range(self._degree_start[k], self._degree_start[k + 1])
@@ -726,18 +733,24 @@ def _betti(alg: BigradedAlgebra) -> tuple:
 
 def _basis(algebra: BigradedAlgebra, pq: BlockKey) -> Optional[tuple]:
     """The basis monomials of block pq, None when it is out of range."""
-    if not (isinstance(pq, tuple) and all(isinstance(x, int) for x in pq)):
+    if not (isinstance(pq, tuple) and all(type(x) is int for x in pq)):
         raise AlgebraError(f"block {quote(pq)} is not a tuple of ints")
     return algebra.blocks.get(pq)
+
+
+def _block(algebra: BigradedAlgebra, pq: BlockKey) -> tuple:
+    """The basis monomials of block pq, an AlgebraError when there is none."""
+    basis = _basis(algebra, pq)
+    if basis is None:
+        raise AlgebraError(f"no block {quote(pq)} in this algebra")
+    return basis
 
 
 def form_from_coordinates(algebra: BigradedAlgebra, pq: BlockKey, vec: Mapping) -> Form:
     """Form with the sparse coordinate vector ``vec`` {index: coefficient} on
     block ``pq``, indices in the order of ``algebra.blocks[pq]``."""
-    basis = _basis(algebra, pq)
-    if basis is None:
-        raise AlgebraError(f"no block {quote(pq)} in this algebra")
-    if any(not isinstance(j, int) or not 0 <= j < len(basis) for j in vec):
+    basis = _block(algebra, pq)
+    if any(type(j) is not int or not 0 <= j < len(basis) for j in vec):
         raise AlgebraError(f"coordinate index out of range on block {pq}")
     return Form(algebra, {basis[j]: c for j, c in vec.items()})
 

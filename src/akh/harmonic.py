@@ -6,6 +6,12 @@ Gaussian rationals on the finite-dimensional bidegree blocks.  Reports say
 "invariant" rather than claiming manifold-level statements; for nilpotent
 models the Betti numbers do agree with the underlying nilmanifold.
 
+Every verdict here assumes a unimodular Lie algebra, tr ad X = 0 for every
+X, and ``build`` refuses any other.  Only a unimodular group has a lattice,
+so a compact quotient for the verdicts to describe (J. Milnor, Adv. Math. 21
+(1976)), and only then does the invariant complex have H^{2m} = R and the
+Gram adjoint of d equal -*d*.
+
 Harmonic spaces come in several flavours selected by a ``which`` string,
 each the joint kernel of the operators it names and their adjoints:
 
@@ -122,7 +128,7 @@ WHICH_CHOICES = ("d", "mu_bar", "dbar", "partial", "mu", "dbar+mu", "partial+mu_
 
 
 def _check_block(alg: BigradedAlgebra, p: int, q: int) -> None:
-    if not (isinstance(p, int) and isinstance(q, int) and 0 <= p <= alg.m and 0 <= q <= alg.m):
+    if not (type(p) is int and type(q) is int and 0 <= p <= alg.m and 0 <= q <= alg.m):
         raise HarmonicError(f"bidegree ({quote(p)},{quote(q)}) out of range for m={alg.m}")
 
 
@@ -527,7 +533,7 @@ def _one_form_flags(alg: BigradedAlgebra) -> dict:
 def holomorphic_forms(model: LieModel, p: int) -> HolomorphicReport:
     """Metric-free holomorphic p-forms with the obstruction flags."""
     alg = build(model)
-    if not (isinstance(p, int) and 0 <= p <= alg.m):
+    if not (type(p) is int and 0 <= p <= alg.m):
         raise HarmonicError(f"p={quote(p)} out of range 0..{alg.m}")
     vecs = _holomorphic_vectors(alg, p)
     basis = tuple(form_from_coordinates(alg, (p, 0), v) for v in vecs)
@@ -603,8 +609,8 @@ def _real_rows(mat: ExactMatrix) -> ExactMatrix:
     rows = []
     for i in range(mat.rows):
         items = mat.row_items(i)
-        rows.append({j: GaussScalar(a.re) for j, a in items if a.re})
-        rows.append({j: GaussScalar(a.im) for j, a in items if a.im})
+        rows.append({j: x for j, a in items if (x := a.re)})
+        rows.append({j: x for j, a in items if (x := a.im)})
     return ExactMatrix._from_rows(rows, mat.cols)
 
 

@@ -10,20 +10,19 @@ meaning [X_i, X_j] has coefficient c on X_k.  The JSON interchange format is
 one-based; the loader converts.
 
 The matrix J acts on frame vectors column-wise: column j holds the frame
-coordinates of J X_j.
+coordinates of J X_j; J and the structure constants hold real GaussScalars.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Optional
 
-from .exact import (AkhError, ExactError, ExactMatrix, GAUSS_ONE, GAUSS_ZERO, GaussScalar,
-                    _add_multiple, format_flag, format_scalar, parse_rational, parse_scalar,
-                    quote, rref)
+from .exact import (AkhError, ExactError, ExactMatrix, GAUSS_I, GAUSS_ONE, GAUSS_ZERO,
+                    GaussScalar, _add_multiple, format_flag, format_scalar,
+                    parse_rational, parse_scalar, quote, rref)
 
 
 class ModelError(AkhError):
@@ -34,21 +33,18 @@ def _normalize_brackets(raw, dim: int):
     table = {}
     for entry in raw:
         i, j, k, c = entry
-        c = Fraction(c)
+        c = GaussScalar(c)
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise ModelError(f"bracket index out of range: {quote(entry)}")
         if i == j:
-            if c != 0:
+            if c:
                 raise ModelError(f"[X,X] must vanish: {quote(entry)}")
             continue
         if i > j:
             i, j, c = j, i, -c
         key = (i, j, k)
-        table[key] = table.get(key, Fraction(0)) + c
-    items = tuple(
-        (i, j, k, c) for (i, j, k), c in sorted(table.items()) if c != 0
-    )
-    return items
+        table[key] = table.get(key, GAUSS_ZERO) + c
+    return tuple((i, j, k, c) for (i, j, k), c in sorted(table.items()) if c)
 
 
 class _LieModelFields(NamedTuple):
@@ -70,9 +66,9 @@ class LieModel(_LieModelFields):
     use it to pin printed normalizations; model JSON carries it as an
     optional "coframe" field.
 
-    Construction checks the shape and normalizes J to Fractions and the
-    brackets to sorted (i, j, k, c) with i < j; ``_replace`` goes through
-    the same checks.
+    Construction checks the shape, makes J and the bracket constants real
+    GaussScalars (refusing what is not a real rational) and sorts the
+    brackets to (i, j, k, c) with i < j; ``_replace`` checks the same.
     """
 
     __slots__ = ()
@@ -83,7 +79,7 @@ class LieModel(_LieModelFields):
             raise ModelError(f"dimension must be even and positive, got {quote(raw.dim)}")
         if len(raw.J) != raw.dim or any(len(r) != raw.dim for r in raw.J):
             raise ModelError("J must be a dim x dim matrix")
-        J = tuple(tuple(Fraction(x) for x in row) for row in raw.J)
+        J = tuple(tuple(GaussScalar(x) for x in row) for row in raw.J)
         brackets = _normalize_brackets(raw.brackets, raw.dim)
         return super().__new__(cls, raw.name, raw.dim, brackets, J, raw.coframe)
 
@@ -134,7 +130,6 @@ class StructureReport(NamedTuple):
 def _bracket_table(model: LieModel) -> dict:
     table = {}
     for i, j, k, c in model.brackets:
-        c = GaussScalar(c)
         table.setdefault((i, j), {})[k] = c
         table.setdefault((j, i), {})[k] = -c
     return table
@@ -206,7 +201,10 @@ def _is_nilpotent(table: dict, n: int) -> bool:
 
 
 def validate(model: LieModel) -> StructureReport:
-    """Exact structural checks; every flag is decided over the rationals."""
+    """Exact structural checks; every flag is decided over the rationals.
+    Unimodularity (tr ad X = 0 for every X) is not a flag here, though every
+    verdict above this layer assumes it: ``forms.build`` refuses a model
+    without it, and this report is all akh says of such a model."""
     n = model.dim
     table, jm = _bracket_table(model), ExactMatrix(model.J)
     acs_ok = (jm @ jm) == (ExactMatrix.identity(n) * -1)
@@ -236,10 +234,10 @@ def validate(model: LieModel) -> StructureReport:
 
 def _j_from_pairs(dim: int, pairs) -> list:
     """J sending X_a to X_b (and X_b to -X_a) for each one-based pair (a, b)."""
-    J = [[Fraction(0)] * dim for _ in range(dim)]
+    J = [[0] * dim for _ in range(dim)]
     for a, b in pairs:
-        J[b - 1][a - 1] = Fraction(1)
-        J[a - 1][b - 1] = Fraction(-1)
+        J[b - 1][a - 1] = 1
+        J[a - 1][b - 1] = -1
     return J
 
 
@@ -258,7 +256,7 @@ def _kodaira_thurston() -> LieModel:
     return LieModel(
         name="kodaira_thurston",
         dim=4,
-        brackets=((0, 1, 2, Fraction(-1)),),
+        brackets=((0, 1, 2, -1),),
         J=_j_from_pairs(4, [(1, 3), (2, 4)]),
     )
 
@@ -267,21 +265,18 @@ def _filiform4(name: str, pairs) -> LieModel:
     return LieModel(
         name=name,
         dim=4,
-        brackets=((0, 1, 2, Fraction(1)), (0, 2, 3, Fraction(1))),
+        brackets=((0, 1, 2, 1), (0, 2, 3, 1)),
         J=_j_from_pairs(4, pairs),
     )
 
 
 def _h5() -> LieModel:
-    half = Fraction(1, 2)
-    i_ = GaussScalar(0, 1)
-    one = GaussScalar(1)
-    zero = GAUSS_ZERO
+    i_, one, zero = GAUSS_I, GAUSS_ONE, GAUSS_ZERO
     # explicit coframe: first generator dual to X5 + i X6, the other two are
     # twice the duals of X1 - i X2 and X3 + i X4; this normalization makes
     # the differential of the first generator come out with coefficient -1/2
     coframe = (
-        (zero, zero, zero, zero, GaussScalar(half), GaussScalar(0, -half)),
+        (zero, zero, zero, zero, one / 2, -i_ / 2),
         (one, i_, zero, zero, zero, zero),
         (zero, zero, one, -i_, zero, zero),
     )
@@ -289,10 +284,10 @@ def _h5() -> LieModel:
         name="h5_J",
         dim=6,
         brackets=(
-            (0, 2, 4, Fraction(1)),
-            (1, 3, 4, Fraction(1)),
-            (0, 3, 5, Fraction(1)),
-            (1, 2, 5, Fraction(-1)),
+            (0, 2, 4, 1),
+            (1, 3, 4, 1),
+            (0, 3, 5, 1),
+            (1, 2, 5, -1),
         ),
         J=_j_from_pairs(6, [(1, 2), (4, 3), (6, 5)]),
         coframe=coframe,
@@ -356,7 +351,7 @@ def _expect(value, kind, what: str):
     return value
 
 
-def _rational(value, what: str) -> Fraction:
+def _rational(value, what: str) -> GaussScalar:
     """A rational written as a JSON string or integer.  A float is refused:
     whether its digits parse would depend on Python's float repr."""
     _expect(value, (str, int), what)

@@ -319,10 +319,12 @@ def laplacian_symmetry_witness(model: LieModel) -> Optional[Form]:
     Compares ``ker(lap(dbar) + lap(mu))`` with ``ker(lap(partial) +
     lap(mubar))`` block by block and returns a pure-bidegree form lying
     in one kernel but not the other, or None when the kernels agree
-    everywhere (as they must on an almost Kahler model).  A witness shows
-    that (J, g) as given, with the metric of the orthonormal frame, is not
-    almost Kahler; it says nothing about other invariant metrics compatible
-    with J.
+    everywhere (as they must on an almost Kahler model).  The model is
+    unimodular, since ``build`` refuses any other: only then is the Gram
+    adjoint of d equal to -*d*, and without it a Kahler model can have a
+    witness.  A witness shows that (J, g) as given, with the metric of the
+    orthonormal frame, is not almost Kahler; it says nothing about other
+    invariant metrics compatible with J.
     """
     alg = build(model)
     for pq in alg.block_order:

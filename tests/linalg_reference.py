@@ -167,7 +167,7 @@ def dense_hermitian_signature(mat: ExactMatrix) -> tuple:
         for r in range(k + 1, n):
             if work[r][k]:
                 add_row_col(r, k, -work[r][k] / pivot)
-        diag.append(pivot.re)
+        diag.append(Fraction(pivot._a, pivot._d))
     plus = sum(1 for d in diag if d > 0)
     minus = sum(1 for d in diag if d < 0)
     return (plus, minus, n - plus - minus)

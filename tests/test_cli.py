@@ -317,6 +317,45 @@ def test_lefschetz_on_nonclosed_model_exits_one(capsys):
     assert "almost Kahler" in capsys.readouterr().err
 
 
+# aff(R) x aff(R), [X1, X2] = X2 and [X3, X4] = X4, is Kahler as given but not
+# unimodular (tr ad X1 = 1), so it has no compact quotient; sol3 x R,
+# [X1, X2] = X2 and [X1, X3] = -X3, is unimodular, almost Kahler and neither
+# nilpotent nor integrable
+AFF_X_AFF = {"format": 1, "name": "aff_x_aff", "dim": 4,
+             "brackets": [{"i": 1, "j": 2, "k": 2, "c": "1"}, {"i": 3, "j": 4, "k": 4, "c": "1"}],
+             "J": [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]}
+SOL3_X_R = {"format": 1, "name": "sol3_x_R", "dim": 4,
+            "brackets": [{"i": 1, "j": 2, "k": 2, "c": "1"}, {"i": 1, "j": 3, "k": 3, "c": "-1"}],
+            "J": [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]}
+
+
+def test_non_unimodular_model_validates_and_every_other_command_refuses(tmp_path, capsys):
+    path = tmp_path / "aff_x_aff.json"
+    path.write_text(json.dumps(AFF_X_AFF))
+    assert main(["validate", "--model", str(path), "--format", "json"]) == 0
+    flags = json.loads(capsys.readouterr().out)
+    assert flags["structure_ok"] and flags["almost_kahler"] and not flags["nilpotent"]
+    for command in sorted(set(akh.cli.COMMANDS) - {"validate"}):
+        error = _assert_cli_refuses(tmp_path, AFF_X_AFF, command)
+        assert error.count("\n") == 1 and "not unimodular: tr ad X1 = 1" in error, command
+
+
+def test_unimodular_solvable_model_runs_every_command(tmp_path, capsys):
+    path = tmp_path / "sol3_x_R.json"
+    path.write_text(json.dumps(SOL3_X_R))
+    out = {}
+    for command in akh.cli.COMMANDS:
+        assert main([command, "--model", str(path), "--format", "json"]) == 0, command
+        out[command] = json.loads(capsys.readouterr().out)
+    assert out["validate"]["almost_kahler"] and not out["validate"]["nilpotent"]
+    assert out["betti"]["betti"] == [1, 2, 2, 2, 1]
+    assert out["identities"]["all_hold"] is True
+    assert all(value is True for value in out["diamond"]["flags"].values())
+    assert len(out["diamond"]["flags"]) == 3
+    assert out["obstructions"]["fires"] is False
+    assert out["report"]["betti"] == [1, 2, 2, 2, 1]
+
+
 # ---------------------------------------------------------------------------
 # output content
 
@@ -376,12 +415,36 @@ def test_run_function_directly(capsys):
 # start-up cost: what a cold process loads
 
 
+# modules a start-up path of akh must not load: the standard library's
+# rationals pull in decimal and numbers
+_UNLOADED = ("fractions", "decimal", "numbers", "dataclasses")
+
+
 def test_cli_import_does_not_load_dataclasses():
     proc = _python("import json, sys; before = set(sys.modules); import akh.cli; "
                    "print(json.dumps(sorted(set(sys.modules) - before)))")
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
     assert "akh.cli" in loaded and "dataclasses" not in loaded
+    # every command, run in turn in one process, and loading a model file
+    # through the namespace leave the unloaded modules unloaded
+    proc = _python(
+        "import contextlib, io, json, sys, akh.cli\n"
+        "found = {}\n"
+        "for command in akh.cli.COMMANDS:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        akh.cli.main([command, '--catalog', 'kodaira_thurston'])\n"
+        "    found[command] = [m for m in sys.argv[1:] if m in sys.modules]\n"
+        "print(json.dumps(found))", *_UNLOADED)
+    assert proc.returncode == 0, proc.stderr
+    found = json.loads(proc.stdout)
+    assert len(found) == 7 and not any(found.values()), found
+    kt_x_kt = Path(__file__).resolve().parents[1] / "bench" / "models" / "kt_x_kt.json"
+    proc = _python("import json, sys, akh; akh.load_model(sys.argv[1]); "
+                   "print(json.dumps([m for m in sys.argv[2:] if m in sys.modules]))",
+                   str(kt_x_kt), *_UNLOADED)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 def test_catalog_through_the_namespace_loads_no_algebra_layer():

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -76,7 +77,9 @@ def test_scalar_string_round_trip(z):
 # GaussScalar had before it held one integer triple.
 
 def _pair(x):
-    return (x.re, x.im) if isinstance(x, GaussScalar) else (Fraction(x), Fraction(0))
+    if isinstance(x, GaussScalar):
+        return (Fraction(x._a, x._d), Fraction(x._b, x._d))
+    return (Fraction(x), Fraction(0))
 
 
 def _pair_div(x, y):
@@ -90,7 +93,7 @@ def _assert_scalar(z, pair):
     assert type(z) is GaussScalar
     assert z._d > 0 and gcd(z._a, z._b, z._d) == 1
     assert (z.re, z.im) == pair
-    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert all(type(x) is GaussScalar and x.is_real() for x in (z.re, z.im))
 
 
 mixed_scalars = st.one_of(scalars, st.builds(GaussScalar, st.integers(-9, 9), st.integers(-9, 9)))
@@ -114,7 +117,7 @@ def test_scalar_operations_match_fraction_pairs(z, w):
         _assert_scalar(z / w, _pair_div(zp, wp))
     if zp != (0, 0):
         _assert_scalar(w / z, _pair_div(wp, zp))
-    assert z.norm_sq() == a * a + b * b and type(z.norm_sq()) is Fraction
+    assert z.norm_sq() == a * a + b * b and z.norm_sq().is_real()
     assert z.is_real() is (b == 0) and bool(z) is (zp != (0, 0))
     assert (z == w) is (zp == wp) and (w == z) is (zp == wp)
     assert (z != w) is (zp != wp)
@@ -144,6 +147,70 @@ def test_scalar_parse_forms():
                 parse(text)
         with pytest.raises(ExactError):
             parse_scalar(f"1/2+{text}*i")
+
+
+# parse_rational reads what the standard library's rationals read, exponent
+# notation aside: texts built from the grammar's pieces, from its alphabet and
+# from anywhere
+_DIGIT_RUNS = st.text(st.sampled_from("0123456789_\u0663\u0665\u096b"), max_size=5)
+_SPACES = st.sampled_from(("", " ", "  ", "\t", "\n", "\u00a0"))
+_SIGNS = st.sampled_from(("", "+", "-", "--", "+-"))
+rational_texts = st.one_of(
+    st.builds(lambda *parts: "".join(parts), _SPACES, _SIGNS, _DIGIT_RUNS, _SPACES,
+              st.sampled_from(("/", ".", "", "e", "E-", "/-")), _SPACES, _DIGIT_RUNS, _SPACES),
+    st.text(st.sampled_from(" +-/._0123456789eEdD\u0663"), max_size=10),
+    st.text(max_size=8),
+)
+
+
+@given(rational_texts)
+@settings(max_examples=400, deadline=None)
+@example("1/0")
+@example(" -3 / 4 ")
+@example("1_000.000_1")
+@example("\u0663/\u0665")
+@example("1e5")
+@example(".5")
+@example("5.")
+@example(".")
+def test_parse_rational_reads_what_fraction_reads(text):
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        expected = None
+    try:
+        got = parse_rational(text)
+    except ExactError:
+        got = None
+    if "e" in text or "E" in text:
+        assert got is None  # exponent notation is refused
+        return
+    assert (got is None) is (expected is None)
+    if got is not None:
+        assert got.is_real() and got == expected and str(got) == str(expected)
+
+
+# rationals of every size, denominators past the hash modulus and multiples
+# of it (whose hash is sys.hash_info.inf) among them
+_MODULUS = sys.hash_info.modulus
+wide_rationals = st.one_of(
+    st.integers(),
+    st.fractions(max_denominator=10 ** 30),
+    st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30).filter(bool),
+              st.sampled_from((_MODULUS, 2 * _MODULUS, _MODULUS + 1, _MODULUS ** 2))),
+)
+
+
+@given(wide_rationals, wide_rationals)
+@settings(max_examples=300, deadline=None)
+def test_real_scalars_compare_and_hash_as_their_rationals(q, r):
+    z, w = GaussScalar(q), GaussScalar(r)
+    for a, b in ((z, q), (q, z), (z, Fraction(q)), (w, r)):
+        assert a == b and hash(a) == hash(b)
+    for a, b in ((z, r), (r, z), (z, w), (z, Fraction(r))):
+        assert (a == b) is (q == r) and (a != b) is (q != r)
+    assert q != r or hash(z) == hash(w) == hash(r)
+    assert z != GaussScalar(q, 1) != q
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from test_ladder_golden import PRODUCTS, make_ladder
 
 
 def gs(re, im=0):
-    return GaussScalar(Fraction(re), Fraction(im))
+    return GaussScalar(re, im)
 
 
 def half(n=1):
@@ -670,6 +670,20 @@ LIBRARY_REFUSALS = {
     "negative index, basis_form": lambda model, alg: alg.basis_form((1, 0), -1),
     "str index, basis_form": lambda model, alg: alg.basis_form((1, 0), "a"),
     "no such block, basis_form": lambda model, alg: alg.basis_form((9, 0), 0),
+    "list block, dim_block": lambda model, alg: alg.dim_block([1, 0]),
+    "no such block, dim_block": lambda model, alg: alg.dim_block((9, 0)),
+    "no such block, block_range": lambda model, alg: alg.block_range((9, 0)),
+    "str degree, degree_range": lambda model, alg: alg.degree_range("x"),
+    "bool p, holomorphic_forms": lambda model, alg: holomorphic_forms(model, True),
+    "bool bidegree, harmonic_basis": lambda model, alg: harmonic_basis(model, "d", True, False),
+    "bool block, form_from_coordinates":
+        lambda model, alg: form_from_coordinates(alg, (True, 0), {}),
+    "bool index, basis_form": lambda model, alg: alg.basis_form((1, 0), True),
+    "float J entry, LieModel": lambda model, alg: model._replace(J=[[0.5] * 4] * 4),
+    "str bracket constant, LieModel":
+        lambda model, alg: model._replace(brackets=((0, 1, 2, "1"),)),
+    "complex J entry, LieModel":
+        lambda model, alg: model._replace(J=[[GaussScalar(0, 1)] * 4] * 4),
     "long monomial": lambda model, alg: Form(alg, {tuple(range(3000)): GAUSS_ONE}),
     "long matrix entry": lambda model, alg: ExactMatrix([["x" * 5000]]),
 }
@@ -714,7 +728,7 @@ def _cayley(n, entries):
     entries above the diagonal are ``entries`` {(i, j): a}."""
     A = [[0] * n for _ in range(n)]
     for (i, j), a in entries.items():
-        A[i][j], A[j][i] = Fraction(a), -Fraction(a)
+        A[i][j], A[j][i] = a, -a
     I, A = ExactMatrix.identity(n), ExactMatrix(A)
     R = (I - A) @ inverse(I + A)
     return [[R[i, j].re for j in range(n)] for i in range(n)]

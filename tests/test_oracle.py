@@ -44,7 +44,9 @@ def _load(case):
 
 
 def _qq(x):
-    return QQ(x.numerator, x.denominator)
+    """A real GaussScalar as a sympy rational."""
+    assert x.is_real()
+    return QQ(x._a, x._d)
 
 
 def _qi(a):
