@@ -76,21 +76,6 @@ class CliInputError(AkhError):
     """A bad command line; maps to exit code 1."""
 
 
-class RunConfig(NamedTuple):
-    """One CLI invocation as :func:`parse_args` resolved it."""
-
-    command: str
-    catalog: Optional[str] = None
-    model_path: Optional[str] = None
-    format: str = "text"
-
-
-def _load_model(config: RunConfig) -> LieModel:
-    if config.catalog is not None:
-        return catalog(config.catalog)
-    return load_model(config.model_path)
-
-
 # -- the reports the commands print ------------------------------------------------
 
 
@@ -176,19 +161,14 @@ _COMMANDS = {
 COMMANDS = tuple(_COMMANDS)
 
 
-def _run_command(config: RunConfig, model: LieModel):
-    """Return (exit_code, output_text) for one subcommand."""
-    code, report = _COMMANDS[config.command](model)
-    if config.format == "json":
-        return code, json.dumps(report.to_json(), sort_keys=True, indent=2,
-                                ensure_ascii=False)
-    return code, report.to_text()
-
-
-def run(config: RunConfig) -> int:
-    """Execute one invocation, writing the report to stdout."""
-    code, text = _run_command(config, _load_model(config))
-    print(text)
+def run(args: argparse.Namespace) -> int:
+    """Print the report of one invocation as :func:`parse_args` read it; return its exit code."""
+    model = catalog(args.catalog) if args.catalog is not None else load_model(args.model_path)
+    code, report = _COMMANDS[args.command](model)
+    if args.format == "json":
+        print(json.dumps(report.to_json(), sort_keys=True, indent=2, ensure_ascii=False))
+    else:
+        print(report.to_text())
     return code
 
 
@@ -218,21 +198,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def parse_args(argv: Sequence[str]) -> RunConfig:
-    """The RunConfig of ``argv``.  The parser is the one check of the
+def parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    """argparse's namespace of ``argv``: ``command``, ``catalog``,
+    ``model_path`` and ``format``.  The parser is the one check of the
     command line: an unknown command or format, or anything but exactly
     one of ``--catalog`` and ``--model``, raises CliInputError."""
-    ns = _build_parser().parse_args(argv)
-    return RunConfig(command=ns.command, catalog=ns.catalog,
-                     model_path=ns.model_path, format=ns.format)
+    return _build_parser().parse_args(argv)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        config = parse_args(argv)
-        return run(config)
+        return run(parse_args(argv))
     except (AkhError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

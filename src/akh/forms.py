@@ -415,13 +415,7 @@ class BigradedAlgebra:
                 f"jacobi={report.jacobi_ok} acs={report.acs_ok} "
                 f"compatible={report.compatible_ok}"
             )
-        # unimodular: tr ad X_i, the sum over k of [X_i, X_k]_k, vanishes for every i
-        table = _bracket_table(model)
-        for i in range(model.dim):
-            if trace := sum((table.get((i, k), {}).get(k, GAUSS_ZERO) for k in range(model.dim)),
-                            GAUSS_ZERO):
-                raise ModelError(f"model {quote(model.name)} is not unimodular: tr ad X{i + 1} = "
-                                 f"{trace}, and akh's verdicts need tr ad X = 0 for every X")
+        table = _unimodular_table(model)
         self.model = model
         self.validation = report
         self.m = model.m
@@ -461,7 +455,7 @@ class BigradedAlgebra:
 
         self.memo: Dict[tuple, object] = {}
 
-        self._dgen = self._differential_on_generators()
+        self._dgen = self._differential_on_generators(table)
         comps = self._differential_components()
         self.mu_bar = comps[MU_BAR_SHIFT]
         self.dbar = comps[DBAR_SHIFT]
@@ -564,10 +558,7 @@ class BigradedAlgebra:
         n = model.dim
         J, i = ExactMatrix(model.J), ExactMatrix.identity(n) * GAUSS_I
         shifted = J.transpose() - i  # J^T acts on coframe coordinates
-        if model.coframe is not None:
-            rows = tuple(tuple(x for x in row) for row in model.coframe)
-            if len(rows) != self.m or any(len(r) != n for r in rows):
-                raise ModelError("coframe override must have m rows of length dim")
+        if (rows := model.coframe) is not None:
             for row in rows:
                 if shifted.apply(dict(enumerate(row))):
                     raise ModelError("coframe row is not a +i eigenvector")
@@ -595,12 +586,11 @@ class BigradedAlgebra:
             rows.append(row)
         return tuple(rows)
 
-    def _differential_on_generators(self) -> list:
+    def _differential_on_generators(self, table: dict) -> list:
         """d of each coframe generator as a dict over 2-monomials, from the
         definition on the complex frame dual to the coframe.  The rows of T
         are Hermitian-orthogonal, so that frame is e_k = conj(T[k]) / |t_k|^2
         over the real one, and d a_g(e_k, e_l) = -a_g([e_k, e_l])."""
-        table = _bracket_table(self.model)
         rows = [dict(self.T.row_items(g)) for g in range(2 * self.m)]
         dual = [{j: x.conj() / w for j, x in t.items()}
                 for t, w in zip(rows, self._gen_norm)]
@@ -701,6 +691,17 @@ class BigradedAlgebra:
                 wrap = f"({cs})" if ("+" in cs or "-" in cs[1:] or "*" in cs) else cs
                 parts.append(f"{wrap}*{name}")
         return " + ".join(parts)
+
+
+def _unimodular_table(model: LieModel) -> dict:
+    """The bracket table of ``model``; ModelError unless tr ad X_i = sum_k [X_i, X_k]_k is 0."""
+    table = _bracket_table(model)
+    for i in range(model.dim):
+        if trace := sum((table.get((i, k), {}).get(k, GAUSS_ZERO) for k in range(model.dim)),
+                        GAUSS_ZERO):
+            raise ModelError(f"model {quote(model.name)} is not unimodular: tr ad X{i + 1} = "
+                             f"{trace}, and akh's verdicts need tr ad X = 0 for every X")
+    return table
 
 
 @functools.lru_cache(maxsize=None)

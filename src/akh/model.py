@@ -10,7 +10,8 @@ meaning [X_i, X_j] has coefficient c on X_k.  The JSON interchange format is
 one-based; the loader converts.
 
 The matrix J acts on frame vectors column-wise: column j holds the frame
-coordinates of J X_j; J and the structure constants hold real GaussScalars.
+coordinates of J X_j; J and the structure constants hold real GaussScalars,
+a pinned coframe GaussScalars.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from itertools import combinations
 from typing import NamedTuple, Optional
 
 from .exact import (AkhError, ExactError, ExactMatrix, GAUSS_I, GAUSS_ONE, GAUSS_ZERO,
-                    GaussScalar, _add_multiple, format_flag, format_scalar,
+                    GaussScalar, _add_multiple, as_gauss, format_flag, format_scalar,
                     parse_rational, parse_scalar, quote, rref)
 
 
@@ -47,6 +48,18 @@ def _normalize_brackets(raw, dim: int):
     return tuple((i, j, k, c) for (i, j, k), c in sorted(table.items()) if c)
 
 
+def _matrix(raw, rows: int, cols: int, read, refusal: str) -> tuple:
+    """``raw`` as a tuple of rows of ``read(x)``; ModelError(refusal) unless
+    it is ``rows`` rows of ``cols`` entries."""
+    try:
+        shaped = len(raw) == rows and all(len(row) == cols for row in raw)
+    except TypeError:  # raw or a row has no length
+        shaped = False
+    if not shaped:
+        raise ModelError(refusal)
+    return tuple(tuple(read(x) for x in row) for row in raw)
+
+
 class _LieModelFields(NamedTuple):
     name: str
     dim: int
@@ -66,9 +79,10 @@ class LieModel(_LieModelFields):
     use it to pin printed normalizations; model JSON carries it as an
     optional "coframe" field.
 
-    Construction checks the shape, makes J and the bracket constants real
-    GaussScalars (refusing what is not a real rational) and sorts the
-    brackets to (i, j, k, c) with i < j; ``_replace`` checks the same.
+    Construction checks the shapes, makes J and the bracket constants real
+    GaussScalars (refusing what is not a real rational) and the coframe, if
+    any, dim/2 rows of dim GaussScalars, and sorts the brackets to
+    (i, j, k, c) with i < j; ``_replace`` checks the same.
     """
 
     __slots__ = ()
@@ -77,11 +91,11 @@ class LieModel(_LieModelFields):
         raw = _LieModelFields(*args, **kwargs)
         if raw.dim < 2 or raw.dim % 2 != 0:
             raise ModelError(f"dimension must be even and positive, got {quote(raw.dim)}")
-        if len(raw.J) != raw.dim or any(len(r) != raw.dim for r in raw.J):
-            raise ModelError("J must be a dim x dim matrix")
-        J = tuple(tuple(GaussScalar(x) for x in row) for row in raw.J)
+        J = _matrix(raw.J, raw.dim, raw.dim, GaussScalar, "J must be a dim x dim matrix")
+        coframe = None if raw.coframe is None else _matrix(
+            raw.coframe, raw.dim // 2, raw.dim, as_gauss, "coframe must be a dim/2 x dim matrix")
         brackets = _normalize_brackets(raw.brackets, raw.dim)
-        return super().__new__(cls, raw.name, raw.dim, brackets, J, raw.coframe)
+        return super().__new__(cls, raw.name, raw.dim, brackets, J, coframe)
 
     @classmethod
     def _make(cls, iterable):

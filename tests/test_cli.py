@@ -10,7 +10,6 @@ import pytest
 import akh
 from akh.cli import (
     CliInputError,
-    RunConfig,
     main,
     parse_args,
     run,
@@ -25,8 +24,8 @@ from akh.model import catalog, model_to_json, save_model
 
 def test_parse_args_round_trip():
     config = parse_args(["diamond", "--catalog", "torus4", "--format", "json"])
-    assert config == RunConfig(command="diamond", catalog="torus4",
-                               format="json")
+    assert vars(config) == {"command": "diamond", "catalog": "torus4",
+                            "model_path": None, "format": "json"}
     config = parse_args(["report", "--model", "foo.json"])
     assert config.model_path == "foo.json"
 
@@ -405,7 +404,7 @@ def test_report_text_sections(capsys):
 
 
 def test_run_function_directly(capsys):
-    config = RunConfig(command="betti", catalog="torus6", format="json")
+    config = parse_args(["betti", "--catalog", "torus6", "--format", "json"])
     assert run(config) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["betti"] == [1, 6, 15, 20, 15, 6, 1]

@@ -91,7 +91,7 @@ def test_build_checks_eagerly(monkeypatch):
                 {}, {}, {}]
     with monkeypatch.context() as patch:
         patch.setattr(BigradedAlgebra, "_differential_on_generators",
-                      lambda self: broken_d)
+                      lambda self, table: broken_d)
         with pytest.raises(AlgebraError, match="d squared"):
             BigradedAlgebra(catalog("h5_J"))
     # the coframe skewed to (a1 + a2, a2, ...) still holds +i eigenvectors,
@@ -684,6 +684,12 @@ LIBRARY_REFUSALS = {
         lambda model, alg: model._replace(brackets=((0, 1, 2, "1"),)),
     "complex J entry, LieModel":
         lambda model, alg: model._replace(J=[[GaussScalar(0, 1)] * 4] * 4),
+    "str coframe entry, LieModel": lambda model, alg: model._replace(coframe=[["1", 0, 0, 0]] * 2),
+    "2 coframe rows at dim 6, LieModel":
+        lambda model, alg: catalog("h5_J")._replace(coframe=catalog("h5_J").coframe[:2]),
+    "5-entry coframe row, LieModel": lambda model, alg: catalog("h5_J")._replace(
+        coframe=(catalog("h5_J").coframe[0][:5],) + catalog("h5_J").coframe[1:]),
+    "int coframe, LieModel": lambda model, alg: model._replace(coframe=5),
     "long monomial": lambda model, alg: Form(alg, {tuple(range(3000)): GAUSS_ONE}),
     "long matrix entry": lambda model, alg: ExactMatrix([["x" * 5000]]),
 }

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from akh.exact import GaussScalar
-from akh.forms import build
+from akh.forms import BigradedAlgebra, build
 from akh.model import (
     CATALOG_NAMES,
     LieModel,
@@ -485,6 +485,20 @@ def test_from_json_rejects_malformed_coframe(case):
     data = model_to_json(catalog("h5_J"))
     with pytest.raises(ModelError):
         model_from_json(dict(data, coframe=MALFORMED_COFRAMES[case]))
+
+
+def test_coframe_of_ints_and_fractions_is_the_catalog_coframe():
+    # the real entries of the h5_J coframe given as ints and Fractions, the
+    # others as GaussScalars, in lists: construction reads each through as_gauss
+    h5 = catalog("h5_J")
+    rows = [[x if not x.is_real() else Fraction(str(x)) if x._d > 1 else int(str(x))
+             for x in row] for row in h5.coframe]
+    assert {type(x) for row in rows for x in row} == {int, Fraction, GaussScalar}
+    model = h5._replace(coframe=rows)
+    assert model == h5 and hash(model) == hash(h5)
+    assert all(type(x) is GaussScalar for row in model.coframe for x in row)
+    assert BigradedAlgebra(model).d.matrix == build(h5).d.matrix
+    assert model_from_json(model_to_json(model)) == h5
 
 
 def test_from_json_rejects_unknown_format():

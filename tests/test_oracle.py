@@ -12,6 +12,13 @@ checks per model, on the catalog and the 8-dimensional bench ladder:
   constants alone and ranked by sympy over Q, gives the same Betti numbers,
   so the complex coframe and the bigraded assembly are checked as well.
 
+Two checks of unimodularity (tr ad X = 0 for every X), which every verdict
+of akh assumes, run on the catalog, the ladder and the solvable models
+sol3 x R (unimodular) and aff(R) x aff(R) (not): the top Betti number of the
+real complex is 1 exactly when the traces read off the brackets vanish, and
+the adjoint of d is -star d star on the unimodular ones and not on
+aff(R) x aff(R), built with the refusal patched out.
+
 On the catalog models, the d-harmonic dimension of every bidegree block is
 also checked: the nullity over Q(i) of d stacked on its adjoint
 G^-1 d^H G, both assembled by sympy from ``alg.d`` and the diagonal metric
@@ -28,19 +35,33 @@ pytest.importorskip("sympy")
 from sympy import QQ, QQ_I  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
+from akh import forms  # noqa: E402
 from akh.exact import rank  # noqa: E402
-from akh.forms import DBAR_SHIFT, MU_BAR_SHIFT, MU_SHIFT, PARTIAL_SHIFT, build  # noqa: E402
+from akh.forms import (DBAR_SHIFT, MU_BAR_SHIFT, MU_SHIFT, PARTIAL_SHIFT,  # noqa: E402
+                       BigradedAlgebra, build)
 from akh.harmonic import betti  # noqa: E402
-from akh.model import CATALOG_NAMES, catalog, load_model  # noqa: E402
-from akh.operators import _harmonic_vectors  # noqa: E402
+from akh.model import (CATALOG_NAMES, ModelError, _bracket_table, catalog,  # noqa: E402
+                       load_model, model_from_json)
+from akh.operators import _adjoint, _harmonic_vectors  # noqa: E402
+from test_cli import AFF_X_AFF, SOL3_X_R  # noqa: E402
 
 LADDER = sorted((Path(__file__).resolve().parents[1] / "bench" / "models").glob("*.json"))
 MODELS = [("catalog", name) for name in CATALOG_NAMES] + [("ladder", p) for p in LADDER]
+# two solvable models, neither nilpotent: sol3 x R is unimodular, aff(R) x aff(R) is not
+SOL3 = ("json", SOL3_X_R)
+AFF = ("json", AFF_X_AFF)
 
 
 def _load(case):
     kind, what = case
+    if kind == "json":
+        return model_from_json(what)
     return catalog(what) if kind == "catalog" else load_model(str(what))
+
+
+def _case_id(case):
+    kind, what = case
+    return what["name"] if kind == "json" else Path(str(what)).stem
 
 
 def _qq(x):
@@ -66,7 +87,7 @@ def _betti_from_ranks(dims, ranks):
                  for k in range(len(dims)))
 
 
-@pytest.mark.parametrize("case", MODELS, ids=lambda c: Path(str(c[1])).stem)
+@pytest.mark.parametrize("case", MODELS, ids=_case_id)
 def test_degree_matrix_ranks_match_sympy(case):
     model = _load(case)
     alg = build(model)
@@ -80,7 +101,7 @@ def test_degree_matrix_ranks_match_sympy(case):
     assert _betti_from_ranks(dims, ranks) == betti(model)
 
 
-@pytest.mark.parametrize("case", MODELS, ids=lambda c: Path(str(c[1])).stem)
+@pytest.mark.parametrize("case", MODELS, ids=_case_id)
 def test_component_block_ranks_match_sympy(case):
     alg = build(_load(case))
     for name, shift in (("mu_bar", MU_BAR_SHIFT), ("dbar", DBAR_SHIFT),
@@ -136,10 +157,56 @@ def _ce_betti(model):
     return _betti_from_ranks([len(b) for b in bases[:n + 1]], [m.rank() for m in mats])
 
 
-@pytest.mark.parametrize("case", MODELS, ids=lambda c: Path(str(c[1])).stem)
+@pytest.mark.parametrize("case", MODELS, ids=_case_id)
 def test_chevalley_eilenberg_betti_match_sympy(case):
     model = _load(case)
     assert _ce_betti(model) == betti(model)
+
+
+def _traces(model):
+    """tr ad X_i = sum_k c_ik^k for every i, read off the brackets: an entry
+    [X_i, X_j] = c X_k adds c to tr ad X_i when k = j and -c to tr ad X_j
+    when k = i."""
+    trace = [QQ(0)] * model.dim
+    for i, j, k, c in model.brackets:
+        if k == j:
+            trace[i] += _qq(c)
+        if k == i:
+            trace[j] -= _qq(c)
+    return trace
+
+
+@pytest.mark.parametrize("case", MODELS + [SOL3, AFF], ids=_case_id)
+def test_top_betti_number_is_one_exactly_when_unimodular(case):
+    # H^2m of the Chevalley-Eilenberg complex is R exactly when every ad X
+    # has trace zero, and 0 otherwise
+    model = _load(case)
+    ce, unimodular = _ce_betti(model), not any(_traces(model))
+    assert ce[-1] == (1 if unimodular else 0)
+    assert unimodular == (case != AFF)
+    if case == SOL3:
+        assert ce == (1, 2, 2, 2, 1)
+
+
+def _minus_star_d_star(alg):
+    return -alg.star.compose(alg.d).compose(alg.star)
+
+
+@pytest.mark.parametrize("case", MODELS + [SOL3], ids=_case_id)
+def test_adjoint_of_d_is_minus_star_d_star(case):
+    alg = build(_load(case))
+    assert _adjoint(alg, "d") == _minus_star_d_star(alg)
+
+
+def test_adjoint_of_d_is_not_minus_star_d_star_without_unimodularity(monkeypatch):
+    # the identity integrates d(alpha ^ star beta) to zero, which needs
+    # tr ad X = 0; with the refusal patched out, aff(R) x aff(R) breaks it
+    model = _load(AFF)
+    with pytest.raises(ModelError, match="not unimodular: tr ad X1 = 1"):
+        BigradedAlgebra(model)
+    monkeypatch.setattr(forms, "_unimodular_table", _bracket_table)
+    alg = BigradedAlgebra(model)
+    assert _adjoint(alg, "d") != _minus_star_d_star(alg)
 
 
 def _sympy_harmonic_dims(alg, names=("d",)):
@@ -164,14 +231,14 @@ def _sympy_harmonic_dims(alg, names=("d",)):
             for pq in alg.block_order}
 
 
-@pytest.mark.parametrize("case", MODELS, ids=lambda c: Path(str(c[1])).stem)
+@pytest.mark.parametrize("case", MODELS, ids=_case_id)
 def test_harmonic_block_dimensions_match_sympy(case):
     alg = build(_load(case))
     dims = {pq: len(_harmonic_vectors(alg, "d", pq)) for pq in alg.block_order}
     assert dims == _sympy_harmonic_dims(alg)
 
 
-@pytest.mark.parametrize("case", MODELS, ids=lambda c: Path(str(c[1])).stem)
+@pytest.mark.parametrize("case", MODELS, ids=_case_id)
 def test_mixed_harmonic_block_dimensions_match_sympy(case):
     # ker(lap(A) + lap(B)) is the joint kernel of A, B and their adjoints;
     # "dbar+mu" gives the diamond's ell(p, q).  A single component's space

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import akh
-from akh.cli import CliInputError, RunConfig
+from akh.cli import CliInputError
 from akh.exact import AkhError, ExactError, GaussScalar
 from akh.forms import AlgebraError, build
 from akh.harmonic import (
@@ -101,7 +101,7 @@ def _records():
             lefschetz, lefschetz.maps[0], primitive_decomposition(kt, 1, 1),
             hodge_riemann_check(kt, 0, 0), hodge_index(kt),
             holomorphic_forms(fil, 1), obstructions, obstructions.ak_nonexistence,
-            kt, RunConfig(command="betti", catalog="torus2"))
+            kt)
 
 
 def test_records_refuse_assignment_and_compare_by_value():
