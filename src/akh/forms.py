@@ -165,6 +165,8 @@ class Form:
 
     def power(self, k: int) -> "Form":
         """The k-th wedge power, the constant form 1 for k = 0."""
+        if type(k) is not int or k < 0:
+            raise AlgebraError(f"wedge power {quote(k)} is not a nonnegative int")
         if k == 0:
             return Form(self.algebra, {(): GAUSS_ONE})
         return functools.reduce(Form.wedge, [self] * k)
@@ -655,6 +657,9 @@ class BigradedAlgebra:
 
     def form_from_vector(self, vec: Mapping, start: int = 0) -> Form:
         """Form whose coefficient at layout index start + j is vec[j]."""
+        n = len(self.layout)
+        if type(start) is not int or not all(type(j) is int and 0 <= start + j < n for j in vec):
+            raise AlgebraError(f"vector index out of range on {n} monomials")
         return Form(self, {self.layout[start + j]: c for j, c in vec.items()})
 
     def zero_form(self) -> Form:

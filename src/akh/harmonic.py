@@ -132,6 +132,14 @@ def _check_block(alg: BigradedAlgebra, p: int, q: int) -> None:
         raise HarmonicError(f"bidegree ({quote(p)},{quote(q)}) out of range for m={alg.m}")
 
 
+def _almost_kahler(model: LieModel, what: str) -> BigradedAlgebra:
+    """build(model), or a HarmonicError unless the model is almost Kahler."""
+    alg = build(model)
+    if not alg.validation.almost_kahler:
+        raise HarmonicError(f"{what} requires an almost Kahler model")
+    return alg
+
+
 def harmonic_basis(model: LieModel, which: str, p: int, q: int) -> tuple:
     """Deterministic basis of the chosen harmonic space as Forms."""
     if which not in WHICH_CHOICES:
@@ -297,10 +305,7 @@ def hard_lefschetz(model: LieModel) -> LefschetzReport:
     Lefschetz operator; each map is flagged iso when it is injective onto a
     target of the same dimension.
     """
-    alg = build(model)
-    if not alg.validation.almost_kahler:
-        raise HarmonicError("hard Lefschetz requires an almost Kahler model")
-    return _hard_lefschetz(alg)
+    return _hard_lefschetz(_almost_kahler(model, "hard Lefschetz"))
 
 
 @memoized
@@ -359,9 +364,7 @@ def primitive_decomposition(model: LieModel, p: int, q: int) -> PrimitiveDecompo
     must add up to ell(p,q) and distinct summands must be orthogonal for
     the inner product; both facts are recorded as flags.
     """
-    alg = build(model)
-    if not alg.validation.almost_kahler:
-        raise HarmonicError("primitive decomposition requires an almost Kahler model")
+    alg = _almost_kahler(model, "primitive decomposition")
     _check_block(alg, p, q)
     dims = []
     summands = []
@@ -400,9 +403,7 @@ def hodge_riemann_check(model: LieModel, p: int, q: int) -> HodgeRiemannReport:
     alternating degree sign, after which the form must be positive
     definite on almost Kahler models.
     """
-    alg = build(model)
-    if not alg.validation.almost_kahler:
-        raise HarmonicError("the positivity pairing requires an almost Kahler model")
+    alg = _almost_kahler(model, "the positivity pairing")
     _check_block(alg, p, q)
     if p + q > alg.m:
         raise HarmonicError("the positivity pairing needs p+q <= m")
@@ -461,10 +462,7 @@ def hodge_index(model: LieModel) -> HodgeIndexReport:
     """
     if model.dim != 4:
         raise HarmonicError("the intersection form needs a 4-dimensional model")
-    alg = build(model)
-    report = alg.validation
-    if not report.almost_kahler:
-        raise HarmonicError("the intersection form needs an almost Kahler model")
+    alg = _almost_kahler(model, "the intersection form")
     d_adj = _adjoint(alg, "d")
     vecs = kernel(vstack([alg.d.degree_slice(2, 3), d_adj.degree_slice(2, 1)]))
     b2 = _betti(alg)[2]
@@ -486,8 +484,8 @@ def hodge_index(model: LieModel) -> HodgeIndexReport:
         b2_plus=plus, b2_minus=minus, ell11=ell11,
         relation_ok=(ell11 == minus + 1 and plus >= 1),
         b2=b2, ell20=ell20,
-        integrable=report.integrable,
-        nonintegrable_20_vanishes=None if report.integrable else ell20 == 0)
+        integrable=alg.validation.integrable,
+        nonintegrable_20_vanishes=None if alg.validation.integrable else ell20 == 0)
 
 
 # -- holomorphic forms and cohomology ------------------------------------------

@@ -21,7 +21,7 @@ import sys
 from itertools import combinations
 from typing import NamedTuple, Optional
 
-from .exact import (AkhError, ExactError, ExactMatrix, GAUSS_I, GAUSS_ONE, GAUSS_ZERO,
+from .exact import (AkhError, ExactMatrix, GAUSS_I, GAUSS_ONE, GAUSS_ZERO,
                     GaussScalar, _add_multiple, as_gauss, format_flag, format_scalar,
                     parse_rational, parse_scalar, quote, rref)
 
@@ -31,12 +31,20 @@ class ModelError(AkhError):
 
 
 def _normalize_brackets(raw, dim: int):
+    try:
+        entries = [tuple(entry) for entry in raw]
+    except TypeError:  # raw or an entry is not iterable
+        raise ModelError(f"brackets must be (i, j, k, c) entries, got {quote(raw)}") from None
     table = {}
-    for entry in raw:
+    for entry in entries:
+        if len(entry) != 4:
+            raise ModelError(f"bracket entry must be (i, j, k, c), got {quote(entry)}")
         i, j, k, c = entry
-        c = GaussScalar(c)
+        if not all(type(x) is int for x in (i, j, k)):  # a bool is not an index
+            raise ModelError(f"bracket indices must be ints: {quote(entry)}")
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise ModelError(f"bracket index out of range: {quote(entry)}")
+        c = GaussScalar(c)
         if i == j:
             if c:
                 raise ModelError(f"[X,X] must vanish: {quote(entry)}")
@@ -79,16 +87,21 @@ class LieModel(_LieModelFields):
     use it to pin printed normalizations; model JSON carries it as an
     optional "coframe" field.
 
-    Construction checks the shapes, makes J and the bracket constants real
-    GaussScalars (refusing what is not a real rational) and the coframe, if
-    any, dim/2 rows of dim GaussScalars, and sorts the brackets to
-    (i, j, k, c) with i < j; ``_replace`` checks the same.
+    Construction, ``_replace`` too, is the one check of every field: a str
+    name, an even int dim >= 2, J as dim rows of dim real rationals, the
+    coframe None or dim/2 rows of dim Gaussian rationals (all stored as
+    GaussScalars), brackets as (i, j, k, c) with int indices below dim and a
+    real rational c, sorted to i < j.  Model JSON checks only the JSON.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         raw = _LieModelFields(*args, **kwargs)
+        if not isinstance(raw.name, str):
+            raise ModelError(f"model name must be a str, got {quote(raw.name)}")
+        if type(raw.dim) is not int:  # a bool is not a dimension
+            raise ModelError(f"dimension must be an int, got {quote(raw.dim)}")
         if raw.dim < 2 or raw.dim % 2 != 0:
             raise ModelError(f"dimension must be even and positive, got {quote(raw.dim)}")
         J = _matrix(raw.J, raw.dim, raw.dim, GaussScalar, "J must be a dim x dim matrix")
@@ -365,17 +378,28 @@ def _expect(value, kind, what: str):
     return value
 
 
-def _rational(value, what: str) -> GaussScalar:
-    """A rational written as a JSON string or integer.  A float is refused:
-    whether its digits parse would depend on Python's float repr."""
-    _expect(value, (str, int), what)
+def _rational(value, what: str, kind=(str, int), parse=parse_rational) -> GaussScalar:
+    """``parse`` of a JSON value of type ``kind``, by default a rational in a
+    string or integer.  A float is refused: whether its digits parse would
+    depend on Python's float repr."""
+    _expect(value, kind, what)
     try:
-        return parse_rational(str(value))
+        return parse(str(value))
     except ValueError as exc:  # str of an int past the digit limit raises too
         raise ModelError(f"bad {what}: {exc}") from exc
 
 
+def _rows(raw, what: str, *reader) -> tuple:
+    """A JSON list of lists as a tuple of rows, each entry read by
+    ``_rational(entry, where, *reader)``; LieModel checks the shape."""
+    return tuple(tuple(_rational(x, f"{what} entry at row {r}, column {c}", *reader)
+                       for c, x in enumerate(_expect(row, list, f"{what} row {r}")))
+                 for r, row in enumerate(_expect(raw, list, what)))
+
+
 def model_from_json(data) -> LieModel:
+    """The model a JSON document describes.  Only the JSON is checked here (its
+    keys, value types, format and scalar strings); LieModel checks the model."""
     if not isinstance(data, dict):
         raise ModelError("model document must be a JSON object")
     version = data.get("format")
@@ -383,14 +407,11 @@ def model_from_json(data) -> LieModel:
     if type(version) is not int or version != FORMAT_VERSION:
         raise ModelError(f"unsupported format {quote(version)}; expected {FORMAT_VERSION}")
     try:
-        name = _expect(data["name"], str, "name")
-        dim = _expect(data["dim"], int, "dim")
-        raw_brackets = _expect(data["brackets"], list, "brackets")
-        raw_j = _expect(data["J"], list, "J")
+        name, dim, raw_brackets, raw_j = (data[key] for key in ("name", "dim", "brackets", "J"))
     except KeyError as exc:
         raise ModelError(f"missing field {exc.args[0]!r}") from None
     brackets = []
-    for pos, entry in enumerate(raw_brackets):
+    for pos, entry in enumerate(_expect(raw_brackets, list, "brackets")):
         what = f"bracket entry at index {pos}"
         _expect(entry, dict, what)
         try:
@@ -399,33 +420,9 @@ def model_from_json(data) -> LieModel:
         except (KeyError, ModelError) as exc:
             raise ModelError(f"bad {what}: {quote(entry)}") from exc
         brackets.append((i, j, k, _rational(c, f"c of {what}")))
-    jrows = []
-    for r, row in enumerate(raw_j):
-        _expect(row, list, f"J row {r}")
-        jrows.append(tuple(_rational(x, f"J entry at row {r}, column {cidx}")
-                           for cidx, x in enumerate(row)))
-    return LieModel(name=name, dim=dim, brackets=tuple(brackets), J=tuple(jrows),
-                    coframe=_coframe_from_json(data.get("coframe"), dim))
-
-
-def _coframe_from_json(raw, dim: int) -> Optional[tuple]:
-    """The optional pinned coframe: dim/2 rows of dim Gaussian rational
-    strings."""
-    if raw is None:
-        return None
-    _expect(raw, list, "coframe")
-    if len(raw) != dim // 2:
-        raise ModelError(f"coframe must have {quote(dim // 2)} rows, got {len(raw)}")
-    rows = []
-    for r, row in enumerate(raw):
-        _expect(row, list, f"coframe row {r}")
-        if len(row) != dim:
-            raise ModelError(f"coframe row {r} must have {dim} entries, got {len(row)}")
-        try:
-            rows.append(tuple(parse_scalar(_expect(x, str, "coframe entry")) for x in row))
-        except ExactError as exc:
-            raise ModelError(f"bad scalar in coframe row {r}: {exc}") from exc
-    return tuple(rows)
+    coframe = data.get("coframe")
+    return LieModel(name, _expect(dim, int, "dim"), tuple(brackets), _rows(raw_j, "J"),
+                    None if coframe is None else _rows(coframe, "coframe", str, parse_scalar))
 
 
 def load_model(path: str) -> LieModel:

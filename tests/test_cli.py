@@ -259,7 +259,8 @@ DIGIT_LIMIT = f"more than {sys.get_int_max_str_digits()} digits"
      "bracket index out of range: (0, 1, 999"),
     ("kodaira_thurston", ("dim",), 10 ** 4000 + 1,
      "dimension must be even and positive, got 1000"),
-    ("h5_J", ("dim",), 10 ** 4000 + 1, "coframe must have 5000"),
+    # the dimension is checked before the coframe's shape
+    ("h5_J", ("dim",), 10 ** 4000 + 1, "dimension must be even and positive, got 1000"),
     # no model file: the literal is the --catalog name
     (None, None, "x" * 5000, "unknown catalog model 'xxx"),
 ], ids=["coframe_exponent", "coframe_huge", "J_huge", "bracket_huge",

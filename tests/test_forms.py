@@ -651,8 +651,9 @@ def test_form_from_json_refuses_malformed_input_in_one_short_line(case):
 
 
 # an overlong harmonic space name, indices past the int digit limit (their
-# repr cannot be formatted), indices that are not ints, an overlong monomial
-# and an overlong matrix entry
+# repr cannot be formatted), indices that are not ints, wedge powers that
+# are not nonnegative ints, vector indices off the layout, an overlong
+# monomial and an overlong matrix entry
 HUGE = 10 ** 5000
 LIBRARY_REFUSALS = {
     "long harmonic space": lambda model, alg: harmonic_basis(model, "x" * 5000, 0, 0),
@@ -690,6 +691,12 @@ LIBRARY_REFUSALS = {
     "5-entry coframe row, LieModel": lambda model, alg: catalog("h5_J")._replace(
         coframe=(catalog("h5_J").coframe[0][:5],) + catalog("h5_J").coframe[1:]),
     "int coframe, LieModel": lambda model, alg: model._replace(coframe=5),
+    "negative power, Form.power": lambda model, alg: alg.fundamental_form.power(-1),
+    "float power, Form.power": lambda model, alg: alg.fundamental_form.power(1.5),
+    "bool power, Form.power": lambda model, alg: alg.fundamental_form.power(True),
+    "index past the layout, form_from_vector": lambda model, alg: alg.form_from_vector({99: 1}),
+    "negative index, form_from_vector": lambda model, alg: alg.form_from_vector({-1: 1}),
+    "str start, form_from_vector": lambda model, alg: alg.form_from_vector({0: 1}, "x"),
     "long monomial": lambda model, alg: Form(alg, {tuple(range(3000)): GAUSS_ONE}),
     "long matrix entry": lambda model, alg: ExactMatrix([["x" * 5000]]),
 }

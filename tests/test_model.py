@@ -110,6 +110,33 @@ def test_refusal_quotes_a_long_value(make, says):
     assert says in message and "\n" not in message and len(message) < 200
 
 
+# every field is checked at construction, so _replace refuses a bad value
+# in one line, whoever builds the model: not a str name, a dim that is not
+# an int (a string, a float, a bool), brackets that are not (i, j, k, c)
+# entries, and bracket indices that are bools or floats
+BAD_FIELDS = {
+    "str dim": {"dim": "4"},
+    "float dim": {"dim": 4.0},
+    "bool dim": {"dim": True},
+    "int name": {"name": 5},
+    "short bracket entry": {"brackets": ((0, 1),)},
+    "long bracket entry": {"brackets": ((0, 1, 2, -1, 0),)},
+    "brackets None": {"brackets": None},
+    "bracket entry not iterable": {"brackets": (5,)},
+    "bool bracket indices": {"brackets": ((False, True, 2, -1),)},
+    "float bracket index": {"brackets": ((0.0, 1, 2, -1),)},
+}
+
+
+@pytest.mark.parametrize("case", BAD_FIELDS)
+def test_construction_refuses_a_bad_field_in_one_line(case):
+    kt = catalog("kodaira_thurston")
+    with pytest.raises(ModelError) as exc:
+        build(kt._replace(**BAD_FIELDS[case]))
+    message = str(exc.value)
+    assert "\n" not in message and len(message) < 200 and "JSON" not in message
+
+
 def test_jacobi_failure_reports_witness():
     # [e0,e1]=e2 with [e0,e2]=e0 gives [[e2,e0],e1] = -e2, breaking Jacobi
     model = LieModel(

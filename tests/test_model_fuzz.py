@@ -8,7 +8,14 @@ number in exponent notation.  Each document goes through ``model_from_json``,
 ``AkhError`` whose message is one line of at most 200 characters: a refusal
 never echoes a long input whole, and no other exception escapes.
 
-The seed and the number of examples are fixed, so the test is the same on
+A second strategy changes one field of a catalog ``LieModel`` through
+``_replace``: the whole field, or one entry of it at any depth (a bracket
+entry, an index or constant in it, a row of J or of the coframe, one
+matrix entry), is deleted or swapped for a value of another type.  The
+result is checked the same way, so construction itself refuses what
+``model_from_json`` never sees.
+
+The seeds and the numbers of examples are fixed, so the test is the same on
 every run and stays within a few seconds.
 """
 
@@ -17,7 +24,7 @@ import operator
 
 from hypothesis import given, seed, settings, strategies as st
 
-from akh.exact import AkhError
+from akh.exact import AkhError, GaussScalar
 from akh.forms import build
 from akh.model import CATALOG_NAMES, LieModel, catalog, model_from_json, model_to_json, validate
 
@@ -25,6 +32,8 @@ LONG_VALUES = ("x" * 5000, "9" * 5000, "1/" + "x" * 5000, "-" * 5000,
                10 ** 5000 + 1, -(10 ** 5000), 10 ** 4000 + 1)
 OTHER_TYPES = (None, True, False, 0, -1, 2, 1.5, "", "1", "i", "1e5", "1E400", "2.5e-3",
                [], [1], {}, {"i": 1})
+FIELD_VALUES = OTHER_TYPES + LONG_VALUES + (0.0, 4.0, (), (0, 1), (0, 1, 2, -1),
+                                            GaussScalar(0, 1), 10 ** 4000)
 
 
 def _paths(value, path=()):
@@ -78,21 +87,61 @@ def mutated_documents(draw):
     return data
 
 
-def load_or_refuse(data):
-    """The loaded model, or the message of the AkhError that refused it."""
+def assert_built_or_refused_in_one_short_line(make):
+    """``make()`` gives a model that validates and builds, or raises an
+    AkhError of one line of at most 200 characters, and nothing else."""
     try:
-        model = model_from_json(data)
+        model = make()
         validate(model)
         build(model)
     except AkhError as exc:
-        return str(exc)
-    return model
+        assert "\n" not in str(exc) and len(str(exc)) <= 200, str(exc)[:300]
+    else:
+        assert isinstance(model, LieModel)
 
 
 @seed(180901414)
 @given(mutated_documents())
 @settings(max_examples=400, deadline=None, database=None)
 def test_mutated_model_loads_or_is_refused_in_one_short_line(data):
-    result = load_or_refuse(data)
-    if not isinstance(result, LieModel):
-        assert "\n" not in result and len(result) <= 200, result[:300]
+    assert_built_or_refused_in_one_short_line(lambda: model_from_json(data))
+
+
+def _tuple_paths(value, path=()):
+    """The path of every entry inside nested tuples, the root excluded."""
+    if isinstance(value, tuple):
+        for i, child in enumerate(value):
+            yield path + (i,)
+            yield from _tuple_paths(child, path + (i,))
+
+
+def _replaced(value, path, new, delete):
+    """``value`` with the entry at ``path`` swapped for ``new``, or deleted."""
+    if not path:
+        return new
+    items = list(value)
+    if len(path) > 1:
+        items[path[0]] = _replaced(items[path[0]], path[1:], new, delete)
+    elif delete:
+        del items[path[0]]
+    else:
+        items[path[0]] = new
+    return tuple(items)
+
+
+@st.composite
+def mutated_fields(draw):
+    model = catalog(draw(st.sampled_from(CATALOG_NAMES)))
+    field = draw(st.sampled_from(LieModel._fields))
+    value = getattr(model, field)
+    path = draw(st.sampled_from([()] + list(_tuple_paths(value))))
+    new = draw(st.sampled_from(FIELD_VALUES))
+    return model, {field: _replaced(value, path, new, bool(path) and draw(st.booleans()))}
+
+
+@seed(180901415)
+@given(mutated_fields())
+@settings(max_examples=400, deadline=None, database=None)
+def test_mutated_lie_model_is_built_or_refused_in_one_short_line(case):
+    model, change = case
+    assert_built_or_refused_in_one_short_line(lambda: model._replace(**change))
