@@ -472,8 +472,8 @@ class ExactMatrix:
 
 def vstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
     mats = list(mats)
-    if not mats:
-        raise ExactError("vstack of nothing")
+    if not mats or not all(isinstance(m, ExactMatrix) for m in mats):
+        raise ExactError(f"vstack takes one or more ExactMatrices, got {quote(mats)}")
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise ExactError("vstack column mismatch")
@@ -497,6 +497,8 @@ def rref(mat: ExactMatrix) -> tuple:
     entry as pivot.  Entries live in the field Q(i), so classical normalized
     elimination is exact; no fraction-free bookkeeping is needed.
     """
+    if not isinstance(mat, ExactMatrix):
+        raise ExactError(f"rref of {quote(mat)}, not an ExactMatrix")
     # elimination works on copies of the nonempty sparse rows, so a step
     # touches only the nonzero columns of the pivot row; an empty row never
     # holds a pivot and R is zero below its pivots, so the empty rows return
@@ -556,8 +558,8 @@ def hermitian_signature(mat: ExactMatrix) -> tuple:
 
     Sylvester's law makes the result independent of the congruence used.
     """
-    if mat.rows != mat.cols:
-        raise ExactError("signature of a non-square matrix")
+    if not isinstance(mat, ExactMatrix) or mat.rows != mat.cols:
+        raise ExactError(f"signature of {quote(mat)}, not a square ExactMatrix")
     if mat != mat.conj_transpose():
         raise ExactError("matrix is not hermitian")
     # the nonzero rows of the block still to diagonalize; the block stays

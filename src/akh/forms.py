@@ -117,6 +117,8 @@ class Form:
     __slots__ = ("algebra", "terms")
 
     def __init__(self, algebra: "BigradedAlgebra", terms: Mapping[Mono, object]):
+        if not isinstance(algebra, BigradedAlgebra):
+            raise AlgebraError(f"{quote(algebra)} is not a BigradedAlgebra")
         for mono in terms:
             if mono not in algebra.position:
                 raise AlgebraError(f"no monomial {quote(mono)} in this algebra")
@@ -143,15 +145,14 @@ class Form:
         return self.terms.get(tuple(mono), GAUSS_ZERO)
 
     def __add__(self, other: "Form") -> "Form":
-        self._same_algebra(other)
         out = dict(self.terms)
-        for mono, c in other.terms.items():
+        for mono, c in _operand(self.algebra, other, Form).terms.items():
             prev = out.get(mono)
             out[mono] = c if prev is None else prev + c
         return Form(self.algebra, out)
 
     def __sub__(self, other: "Form") -> "Form":
-        return self + -other
+        return self + -_operand(self.algebra, other, Form)
 
     def __neg__(self) -> "Form":
         return Form(self.algebra, {mono: -c for mono, c in self.terms.items()})
@@ -160,16 +161,19 @@ class Form:
         return Form(self.algebra, {mono: c * x for mono, x in self.terms.items()})
 
     def wedge(self, other: "Form") -> "Form":
-        self._same_algebra(other)
+        other = _operand(self.algebra, other, Form)
         return Form(self.algebra, wedge_sum((self.terms, other.terms)))
 
     def power(self, k: int) -> "Form":
-        """The k-th wedge power, the constant form 1 for k = 0."""
+        """The k-th wedge power, 1 for k = 0; the product stops once it is zero."""
         if type(k) is not int or k < 0:
             raise AlgebraError(f"wedge power {quote(k)} is not a nonnegative int")
-        if k == 0:
-            return Form(self.algebra, {(): GAUSS_ONE})
-        return functools.reduce(Form.wedge, [self] * k)
+        out = self if k else Form(self.algebra, {(): GAUSS_ONE})
+        for factor in itertools.repeat(self, k - 1):  # no factor when k is 0 or 1
+            if out.is_zero():
+                break
+            out = out.wedge(factor)
+        return out
 
     def conj(self) -> "Form":
         alg = self.algebra
@@ -184,7 +188,7 @@ class Form:
 
     def inner(self, other: "Form") -> GaussScalar:
         """Hermitian inner product, conjugate linear in the second slot."""
-        self._same_algebra(other)
+        other = _operand(self.algebra, other, Form)
         w, at = self.algebra.norm_sq, self.algebra.position
         total = GAUSS_ZERO
         for mono, u in self.terms.items():
@@ -211,10 +215,6 @@ class Form:
             return "Form(0)"
         return f"Form({self.algebra.format_form(self)})"
 
-    def _same_algebra(self, other: "Form") -> None:
-        if self.algebra is not other.algebra:
-            raise AlgebraError("forms live on different algebras")
-
 
 class BlockOperator:
     """A linear operator on invariant forms: one square matrix on the
@@ -231,6 +231,8 @@ class BlockOperator:
     __slots__ = ("algebra", "matrix", "_shifts")
 
     def __init__(self, algebra: "BigradedAlgebra", matrix: ExactMatrix):
+        if not isinstance(algebra, BigradedAlgebra):
+            raise AlgebraError(f"{quote(algebra)} is not a BigradedAlgebra")
         if matrix.shape != (algebra.size, algebra.size):
             raise AlgebraError(f"operator matrix has shape {matrix.shape}, "
                                f"expected {algebra.size} square")
@@ -291,22 +293,21 @@ class BlockOperator:
         return self.matrix.submatrix(alg.degree_range(k_tgt), alg.degree_range(k_src))
 
     def apply(self, form: Form) -> Form:
-        if form.algebra is not self.algebra:
-            raise AlgebraError("form and operator live on different algebras")
+        form = _operand(self.algebra, form, Form)
         return self.algebra.form_from_vector(
             self.matrix.apply(self.algebra.coordinates(form)))
 
     def compose(self, other: "BlockOperator") -> "BlockOperator":
         """self after other."""
-        self._same_algebra(other)
+        other = _operand(self.algebra, other, BlockOperator)
         return BlockOperator(self.algebra, self.matrix @ other.matrix)
 
     def __add__(self, other: "BlockOperator") -> "BlockOperator":
-        self._same_algebra(other)
+        other = _operand(self.algebra, other, BlockOperator)
         return BlockOperator(self.algebra, self.matrix + other.matrix)
 
     def __sub__(self, other: "BlockOperator") -> "BlockOperator":
-        return self + -other
+        return self + -_operand(self.algebra, other, BlockOperator)
 
     def __neg__(self) -> "BlockOperator":
         return BlockOperator(self.algebra, -self.matrix)
@@ -364,9 +365,12 @@ class BlockOperator:
         shifts = ", ".join(str(s) for s in self.shifts)
         return f"BlockOperator(shifts {shifts})"
 
-    def _same_algebra(self, other: "BlockOperator") -> None:
-        if self.algebra is not other.algebra:
-            raise AlgebraError("operators live on different algebras")
+
+def _operand(algebra: "BigradedAlgebra", other, kind: type):
+    """``other``, or an AlgebraError unless it is a ``kind`` on ``algebra``."""
+    if not (isinstance(other, kind) and other.algebra is algebra):
+        raise AlgebraError(f"{quote(other)} is not a {kind.__name__} on this algebra")
+    return other
 
 
 def _hermitian(u: Sequence[GaussScalar], v: Sequence[GaussScalar]) -> GaussScalar:
@@ -672,6 +676,8 @@ class BigradedAlgebra:
         return Form(self, {(g,): GAUSS_ONE})
 
     def generator_name(self, g: int) -> str:
+        if type(g) is not int or not 0 <= g < 2 * self.m:
+            raise AlgebraError(f"generator index {quote(g)} is not an int in 0..{2 * self.m - 1}")
         if g < self.m:
             return f"a{g + 1}"
         return f"a{g - self.m + 1}~"
@@ -709,7 +715,7 @@ def _unimodular_table(model: LieModel) -> dict:
     return table
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def build(model: LieModel) -> BigradedAlgebra:
     """Construct (and cache) the bigraded calculus of a validated model.
     This is the only module-level cache: every other derived result lives
@@ -739,8 +745,8 @@ def _betti(alg: BigradedAlgebra) -> tuple:
 
 def _basis(algebra: BigradedAlgebra, pq: BlockKey) -> Optional[tuple]:
     """The basis monomials of block pq, None when it is out of range."""
-    if not (isinstance(pq, tuple) and all(type(x) is int for x in pq)):
-        raise AlgebraError(f"block {quote(pq)} is not a tuple of ints")
+    if not (isinstance(pq, tuple) and len(pq) == 2 and all(type(x) is int for x in pq)):
+        raise AlgebraError(f"block {quote(pq)} is not a pair of ints")
     return algebra.blocks.get(pq)
 
 

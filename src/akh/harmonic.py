@@ -89,7 +89,7 @@ from .forms import (
     form_to_json,
     memoized,
 )
-from .model import LieModel
+from .model import LieModel, _model
 from .operators import (_adjoint, _constraint_matrix, _harmonic_vectors,
                         laplacian_symmetry_witness)
 
@@ -460,7 +460,7 @@ def hodge_index(model: LieModel) -> HodgeIndexReport:
     non-integrable structures the vanishing of ell(2,0) is recorded as
     well.
     """
-    if model.dim != 4:
+    if _model(model).dim != 4:
         raise HarmonicError("the intersection form needs a 4-dimensional model")
     alg = _almost_kahler(model, "the intersection form")
     d_adj = _adjoint(alg, "d")

@@ -17,6 +17,7 @@ a pinned coframe GaussScalars.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from itertools import combinations
 from typing import NamedTuple, Optional
@@ -117,6 +118,13 @@ class LieModel(_LieModelFields):
     @property
     def m(self) -> int:
         return self.dim // 2
+
+
+def _model(model) -> LieModel:
+    """``model``, or a ModelError unless it is a LieModel (every entry point)."""
+    if not isinstance(model, LieModel):
+        raise ModelError(f"{quote(model)} is not a LieModel")
+    return model
 
 
 class StructureReport(NamedTuple):
@@ -232,7 +240,7 @@ def validate(model: LieModel) -> StructureReport:
     Unimodularity (tr ad X = 0 for every X) is not a flag here, though every
     verdict above this layer assumes it: ``forms.build`` refuses a model
     without it, and this report is all akh says of such a model."""
-    n = model.dim
+    n = _model(model).dim
     table, jm = _bracket_table(model), ExactMatrix(model.J)
     acs_ok = (jm @ jm) == (ExactMatrix.identity(n) * -1)
     compatible_ok = (jm.transpose() @ jm) == ExactMatrix.identity(n)
@@ -354,7 +362,7 @@ FORMAT_VERSION = 1
 def model_to_json(model: LieModel) -> dict:
     data = {
         "format": FORMAT_VERSION,
-        "name": model.name,
+        "name": _model(model).name,
         "dim": model.dim,
         "brackets": [
             {"i": i + 1, "j": j + 1, "k": k + 1, "c": str(c)}
@@ -425,7 +433,15 @@ def model_from_json(data) -> LieModel:
                     None if coframe is None else _rows(coframe, "coframe", str, parse_scalar))
 
 
-def load_model(path: str) -> LieModel:
+def _path(path):
+    """``path``, or a ModelError unless it names a file: open() reads an int as a descriptor."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise ModelError(f"model path {quote(path)} is not a str, bytes or os.PathLike")
+    return path
+
+
+def load_model(path) -> LieModel:
+    path = _path(path)  # before the try: a ModelError is a ValueError too
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -442,7 +458,7 @@ def load_model(path: str) -> LieModel:
     return model_from_json(data)
 
 
-def save_model(model: LieModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_json(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def save_model(model: LieModel, path) -> None:
+    text = json.dumps(model_to_json(model), indent=2, sort_keys=True) + "\n"
+    with open(_path(path), "w", encoding="utf-8") as fh:
+        fh.write(text)

@@ -1,4 +1,5 @@
 import itertools
+import os
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from akh.exact import (GAUSS_I, GAUSS_ONE, GAUSS_ZERO, AkhError, ExactMatrix, GaussScalar,
-                       ParamPoly, hermitian_signature, kernel, rank, rref)
+                       ParamPoly, hermitian_signature, kernel, rank, rref, vstack)
 from akh.forms import (
     AlgebraError,
     BigradedAlgebra,
@@ -23,7 +24,8 @@ from akh.forms import (
 from akh.harmonic import (_holomorphic_vectors, ak_nonexistence_report, betti, ell_diamond,
                           harmonic_basis, hodge_index, holomorphic_forms, mu_bar_cohomology,
                           obstruction_report, primitive_decomposition)
-from akh.model import CATALOG_NAMES, LieModel, catalog, load_model, validate
+from akh.model import (CATALOG_NAMES, LieModel, catalog, load_model, model_to_json, save_model,
+                       validate)
 from akh.operators import _adjoint, verify_identities
 from linalg_reference import (form_from_real, inverse, real_coordinates, real_expansion,
                               real_harmonic_basis, sort_with_sign, sparse)
@@ -384,6 +386,25 @@ def test_form_power_is_the_iterated_wedge(name):
     assert all(zero.power(k).is_zero() for k in range(1, alg.m + 2))
 
 
+@pytest.mark.parametrize("name", ("kodaira_thurston", "h5_J", "torus6"))
+def test_form_power_stops_at_the_first_zero_product(name, monkeypatch):
+    # omega^(m+1) = 0, so a huge power of omega costs at most 2m+1 wedges;
+    # a form with a constant term never reaches zero: (1 + a1)^k = 1 + k a1
+    alg = build(catalog(name))
+    one_plus_a1 = Form(alg, {(): GAUSS_ONE, (0,): GAUSS_ONE})
+    assert one_plus_a1.power(5) == Form(alg, {(): GAUSS_ONE, (0,): gs(5)})
+    calls = Counter()
+    wedge = Form.wedge
+
+    def counted(self, other):
+        calls["wedge"] += 1
+        return wedge(self, other)
+
+    monkeypatch.setattr(Form, "wedge", counted)
+    assert alg.fundamental_form.power(10 ** 6).is_zero()
+    assert 0 < calls["wedge"] <= 2 * alg.m + 1
+
+
 def test_star_of_omega_powers():
     # star(omega^k / k!) = omega^(m-k) / (m-k)!
     for name in ("torus6", "kodaira_thurston", "h5_J"):
@@ -653,8 +674,12 @@ def test_form_from_json_refuses_malformed_input_in_one_short_line(case):
 # an overlong harmonic space name, indices past the int digit limit (their
 # repr cannot be formatted), indices that are not ints, wedge powers that
 # are not nonnegative ints, vector indices off the layout, an overlong
-# monomial and an overlong matrix entry
+# monomial and an overlong matrix entry; operands that are not a Form or
+# BlockOperator, models that are not a LieModel, generator indices and block
+# keys the layout does not hold, model paths that are not paths (an int is
+# a closed file descriptor here) and matrices that are not ExactMatrices
 HUGE = 10 ** 5000
+NO_FD = 2 ** 20
 LIBRARY_REFUSALS = {
     "long harmonic space": lambda model, alg: harmonic_basis(model, "x" * 5000, 0, 0),
     "huge p, harmonic_basis": lambda model, alg: harmonic_basis(model, "d", HUGE, 0),
@@ -699,6 +724,43 @@ LIBRARY_REFUSALS = {
     "str start, form_from_vector": lambda model, alg: alg.form_from_vector({0: 1}, "x"),
     "long monomial": lambda model, alg: Form(alg, {tuple(range(3000)): GAUSS_ONE}),
     "long matrix entry": lambda model, alg: ExactMatrix([["x" * 5000]]),
+    "int, Form.wedge": lambda model, alg: alg.fundamental_form.wedge(5),
+    "int, Form +": lambda model, alg: alg.fundamental_form + 5,
+    "int, Form.inner": lambda model, alg: alg.fundamental_form.inner(5),
+    "None, Form -": lambda model, alg: alg.fundamental_form - None,
+    "None, BlockOperator -": lambda model, alg: alg.d - None,
+    "int, BlockOperator.apply": lambda model, alg: alg.d.apply(5),
+    "int, BlockOperator.compose": lambda model, alg: alg.d.compose(5),
+    "int, BlockOperator +": lambda model, alg: alg.d + 5,
+    "None algebra, Form": lambda model, alg: Form(None, {}),
+    "None algebra, BlockOperator": lambda model, alg: BlockOperator(None, alg.d.matrix),
+    "str model, build": lambda model, alg: build("x"),
+    "str model, betti": lambda model, alg: betti("x"),
+    "None model, ell_diamond": lambda model, alg: ell_diamond(None),
+    "tuple model, validate": lambda model, alg: validate(("a", 4, (), ())),
+    "None model, hodge_index": lambda model, alg: hodge_index(None),
+    "None model, model_to_json": lambda model, alg: model_to_json(None),
+    "index past the generators, generator_name": lambda model, alg: alg.generator_name(99),
+    "bool index, generator_name": lambda model, alg: alg.generator_name(True),
+    "index past the generators, monomial_name": lambda model, alg: alg.monomial_name((99,)),
+    "three-int block, Form.block": lambda model, alg: alg.fundamental_form.block((1, 1, 1)),
+    "int path, load_model": lambda model, alg: load_model(NO_FD),
+    "int path, save_model": lambda model, alg: save_model(model, NO_FD),
+    "None path, load_model": lambda model, alg: load_model(None),
+    "int, rref": lambda model, alg: rref(5),
+    "str, kernel": lambda model, alg: kernel("x"),
+    "None, rank": lambda model, alg: rank(None),
+    "list, hermitian_signature": lambda model, alg: hermitian_signature([[1]]),
+    "list of int, vstack": lambda model, alg: vstack([1]),
+    "Form on another algebra, Form.wedge":
+        lambda model, alg: alg.fundamental_form.wedge(build(catalog("torus4")).fundamental_form),
+    "Form on another algebra, BlockOperator.apply":
+        lambda model, alg: alg.d.apply(build(catalog("torus4")).fundamental_form),
+    "BlockOperator on another algebra, compose":
+        lambda model, alg: alg.d.compose(build(catalog("torus4")).d),
+    # the model is built before the call, so a plain tuple equal to it
+    # reaches the model check only if build's cache keys on the type
+    "tuple equal to a built model, betti": lambda model, alg: betti(tuple(model)),
 }
 
 
@@ -709,6 +771,20 @@ def test_library_refusals_are_one_short_line(case):
         LIBRARY_REFUSALS[case](model, build(model))
     message = str(info.value)
     assert "\n" not in message and len(message) <= 200, message[:300]
+
+
+def test_model_files_refuse_a_file_descriptor_and_leave_it_open():
+    model = catalog("torus2")
+    read_end, write_end = os.pipe()
+    try:
+        with pytest.raises(AkhError):
+            save_model(model, write_end)
+        with pytest.raises(AkhError):
+            load_model(read_end)
+        os.fstat(read_end), os.fstat(write_end)  # neither end was closed
+    finally:
+        os.close(read_end)
+        os.close(write_end)
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)

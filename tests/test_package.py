@@ -1,4 +1,5 @@
 import ast
+import inspect
 import os
 import re
 import subprocess
@@ -136,6 +137,31 @@ def test_lie_model_normalizes_and_checks_at_construction():
         LieModel("ragged", 2, (), ((0, -1), (1,)))
     with pytest.raises(ModelError):
         model._replace(dim=4)
+
+
+@pytest.mark.parametrize("not_a_model", (None, "x", ("a", 4, (), ()),
+                                         tuple(catalog("kodaira_thurston"))))
+def test_every_entry_point_taking_a_model_refuses_anything_else(not_a_model, tmp_path):
+    # the other parameters are filled by name with values a model accepts,
+    # so the refusal can only come from the model; the model equal to the
+    # plain tuple is built first, so build's cache cannot answer for it
+    build(catalog("kodaira_thurston"))
+    values = {"p": 0, "q": 0, "which": "d", "path": tmp_path / "m.json"}
+    walked = []
+    for name in akh.__all__:
+        fn = getattr(akh, name)
+        if inspect.isclass(fn) or not callable(fn):
+            continue
+        first, *rest = inspect.signature(fn).parameters
+        if first != "model":
+            continue
+        walked.append(name)
+        with pytest.raises(AkhError) as info:
+            fn(not_a_model, *(values[p] for p in rest))
+        message = str(info.value)
+        assert "\n" not in message and len(message) <= 200, (name, message[:300])
+    assert {"build", "validate", "model_to_json", "save_model", "hodge_index"} <= set(walked)
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_every_error_is_an_akh_error_and_a_value_error():
