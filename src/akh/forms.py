@@ -13,12 +13,12 @@ squared is nonzero, so a sign error cannot pass unnoticed:
     -a_g([e_k, e_l]) on the frame e_k dual to the coframe,
   * d extends as a degree one derivation, d(a^b) = da^b + (-1)^|a| a^db.
 
-The frame x_1..x_2m is orthonormal, and the coframe generators are made
-Hermitian-orthogonal once (exact Gram-Schmidt over Q(i), rows left
-unnormalized so no square roots appear).  The metric is then one positive
-rational |a_S|^2 per monomial, and the Gram matrix, the Hodge star, the
-metric adjoints and Lambda all have closed forms, as does the fundamental
-form omega = i sum_g a_g ^ a_g~ / |a_g|^2, checked against J once.  The
+The frame x_1..x_2m is orthonormal, and the coframe is Hermitian-orthogonal
+(``akh.model``, which alone refuses models, derives it by exact Gram-Schmidt
+over Q(i), rows left unnormalized so no square roots appear).  The metric is
+then one positive rational |a_S|^2 per monomial, and the Gram matrix, the
+Hodge star, the metric adjoints and Lambda all have closed forms, as does the
+fundamental form omega = i sum_g a_g ^ a_g~ / |a_g|^2, checked against J once.  The
 volume form is omega^m/m!, so integration follows the almost complex
 structure rather than the frame order.
 
@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from .exact import (
     AkhError,
@@ -45,10 +45,9 @@ from .exact import (
     parse_scalar,
     quote,
     rank,
-    rref,
     vstack,
 )
-from .model import LieModel, ModelError, _bracket, _bracket_table, validate
+from .model import LieModel, _bracket, _checked
 
 Mono = Tuple[int, ...]
 BlockKey = Tuple[int, int]
@@ -117,12 +116,10 @@ class Form:
     __slots__ = ("algebra", "terms")
 
     def __init__(self, algebra: "BigradedAlgebra", terms: Mapping[Mono, object]):
-        if not isinstance(algebra, BigradedAlgebra):
-            raise AlgebraError(f"{quote(algebra)} is not a BigradedAlgebra")
+        object.__setattr__(self, "algebra", _operand(None, algebra, BigradedAlgebra))
         for mono in terms:
             if mono not in algebra.position:
                 raise AlgebraError(f"no monomial {quote(mono)} in this algebra")
-        object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "terms", {mono: c for mono, c in terms.items() if c})
 
     def __setattr__(self, name, value):
@@ -231,9 +228,7 @@ class BlockOperator:
     __slots__ = ("algebra", "matrix", "_shifts")
 
     def __init__(self, algebra: "BigradedAlgebra", matrix: ExactMatrix):
-        if not isinstance(algebra, BigradedAlgebra):
-            raise AlgebraError(f"{quote(algebra)} is not a BigradedAlgebra")
-        if matrix.shape != (algebra.size, algebra.size):
+        if (_operand(None, algebra, BigradedAlgebra).size, algebra.size) != matrix.shape:
             raise AlgebraError(f"operator matrix has shape {matrix.shape}, "
                                f"expected {algebra.size} square")
         object.__setattr__(self, "algebra", algebra)
@@ -244,7 +239,8 @@ class BlockOperator:
 
     @classmethod
     def zero(cls, algebra: "BigradedAlgebra") -> "BlockOperator":
-        return cls(algebra, ExactMatrix.zeros(algebra.size, algebra.size))
+        n = _operand(None, algebra, BigradedAlgebra).size
+        return cls(algebra, ExactMatrix.zeros(n, n))
 
     @property
     def shifts(self) -> tuple:
@@ -366,16 +362,14 @@ class BlockOperator:
         return f"BlockOperator(shifts {shifts})"
 
 
-def _operand(algebra: "BigradedAlgebra", other, kind: type):
-    """``other``, or an AlgebraError unless it is a ``kind`` on ``algebra``."""
-    if not (isinstance(other, kind) and other.algebra is algebra):
+def _operand(algebra: Optional["BigradedAlgebra"], other, kind: type):
+    """``other``, or an AlgebraError unless it is a ``kind`` on ``algebra`` (on any
+    algebra if that is None): every entry point's check of its algebra and operands."""
+    if not isinstance(other, kind):
+        raise AlgebraError(f"{quote(other)} is not a {kind.__name__}")
+    if algebra is not None and other.algebra is not algebra:
         raise AlgebraError(f"{quote(other)} is not a {kind.__name__} on this algebra")
     return other
-
-
-def _hermitian(u: Sequence[GaussScalar], v: Sequence[GaussScalar]) -> GaussScalar:
-    """Hermitian product sum u_k conj(v_k) of two coframe rows."""
-    return sum((x * y.conj() for x, y in zip(u, v) if x and y), GAUSS_ZERO)
 
 
 def memoized(fn):
@@ -404,36 +398,24 @@ class BigradedAlgebra:
     operator weight (i^{p-q} per block), fundamental_form and volume_form
     (omega^m/m!).  d a_g(e_k, e_l) = -a_g([e_k, e_l]) on the dual frame e_k.
 
-    __init__ builds and checks all that can fail: the structure report,
-    unimodularity, the coframe, d squared, and that the fundamental form,
-    written down from the coframe, agrees with J.  What cannot fail once those pass (norm_sq,
-    star, C, the weights and the Lefschetz triple) is built on first use as
-    a functools.cached_property, kept in the instance dict.  Every other
-    cached result, d of each monomial as well as what other modules derive,
-    is kept in memo (see memoized).
+    __init__ builds on the report, bracket table and coframe of the gate
+    akh.model._checked, which refuses every model akh does not compute on,
+    and checks its own conventions: d squared, and that the fundamental form,
+    written down from the coframe, agrees with J.  What cannot fail once those
+    pass (norm_sq, star, C, the weights and the Lefschetz triple) is built on
+    first use as a functools.cached_property, kept in the instance dict.
+    Every other cached result, d of each monomial as well as what other
+    modules derive, is kept in memo (see memoized).
     """
 
     def __init__(self, model: LieModel):
-        report = validate(model)
-        if not report.structure_ok:
-            raise ModelError(
-                f"model {quote(model.name)} fails structural checks: "
-                f"jacobi={report.jacobi_ok} acs={report.acs_ok} "
-                f"compatible={report.compatible_ok}"
-            )
-        table = _unimodular_table(model)
+        self.validation, table, self.coframe = _checked(model)
         self.model = model
-        self.validation = report
-        self.m = model.m
-
-        self.coframe = self._resolve_coframe()
+        self.m = m = model.m
         coframe = ExactMatrix(self.coframe)
         self.T = vstack([coframe, coframe.conj()])
         self._gen_norm = [sum((x.norm_sq() for x in row), GAUSS_ZERO) for row in self.coframe] * 2
-        if not all(self._gen_norm):
-            raise ModelError("coframe rows and conjugates are dependent")
 
-        m = self.m
         self.blocks: Dict[BlockKey, tuple] = {}
         for p in range(m + 1):
             for q in range(m + 1):
@@ -556,42 +538,6 @@ class BigradedAlgebra:
 
     # -- construction helpers ------------------------------------------------
 
-    def _resolve_coframe(self) -> tuple:
-        """The coframe: m Hermitian-orthogonal +i eigenvectors of the dual
-        structure.  J is orthogonal, so two such rows have zero bilinear
-        product and a row is orthogonal to every conjugate row as well."""
-        model = self.model
-        n = model.dim
-        J, i = ExactMatrix(model.J), ExactMatrix.identity(n) * GAUSS_I
-        shifted = J.transpose() - i  # J^T acts on coframe coordinates
-        if (rows := model.coframe) is not None:
-            for row in rows:
-                if shifted.apply(dict(enumerate(row))):
-                    raise ModelError("coframe row is not a +i eigenvector")
-            # a pinned coframe fixes printed normalizations, so it is checked
-            # rather than orthogonalized
-            for (r, a), (s, b) in itertools.combinations(enumerate(rows, 1), 2):
-                if _hermitian(a, b):
-                    raise ModelError(f"coframe rows {r} and {s} are not orthogonal")
-            return rows
-        # J^2 = -1 gives (J^T - i)(J^T + i) = 0 with rank m: the eigenspace is
-        # the row space of J + i.  Its reduced rows, halved, are for
-        # block-diagonal J the coframe dual to X - iJX
-        reduced, pivots = rref(J + i)
-        if len(pivots) != self.m:
-            raise ModelError("almost complex structure has defective eigenspace")
-        rows = []
-        for r in range(len(pivots)):
-            row = tuple(reduced[r, j] / 2 for j in range(n))
-            # Gram-Schmidt without normalizing; an orthogonal row stays as it is
-            for prev in rows:
-                c = _hermitian(row, prev)
-                if c:
-                    c = c / _hermitian(prev, prev)
-                    row = tuple(x - c * y for x, y in zip(row, prev))
-            rows.append(row)
-        return tuple(rows)
-
     def _differential_on_generators(self, table: dict) -> list:
         """d of each coframe generator as a dict over 2-monomials, from the
         definition on the complex frame dual to the coframe.  The rows of T
@@ -657,7 +603,7 @@ class BigradedAlgebra:
 
     def coordinates(self, form: Form) -> dict:
         """The sparse vector {layout index: coefficient} of a form."""
-        return {self.position[mono]: c for mono, c in form.terms.items()}
+        return {self.position[mono]: c for mono, c in _operand(self, form, Form).terms.items()}
 
     def form_from_vector(self, vec: Mapping, start: int = 0) -> Form:
         """Form whose coefficient at layout index start + j is vec[j]."""
@@ -673,6 +619,7 @@ class BigradedAlgebra:
         return form_from_coordinates(self, pq, {idx: GAUSS_ONE})
 
     def generator_form(self, g: int) -> Form:
+        self.generator_name(g)  # refuses what is not a generator index
         return Form(self, {(g,): GAUSS_ONE})
 
     def generator_name(self, g: int) -> str:
@@ -688,7 +635,7 @@ class BigradedAlgebra:
         return "^".join(self.generator_name(g) for g in mono)
 
     def format_form(self, form: Form) -> str:
-        if form.is_zero():
+        if _operand(self, form, Form).is_zero():
             return "0"
         parts = []
         for mono in sorted(form.terms, key=self.position.__getitem__):
@@ -702,17 +649,6 @@ class BigradedAlgebra:
                 wrap = f"({cs})" if ("+" in cs or "-" in cs[1:] or "*" in cs) else cs
                 parts.append(f"{wrap}*{name}")
         return " + ".join(parts)
-
-
-def _unimodular_table(model: LieModel) -> dict:
-    """The bracket table of ``model``; ModelError unless tr ad X_i = sum_k [X_i, X_k]_k is 0."""
-    table = _bracket_table(model)
-    for i in range(model.dim):
-        if trace := sum((table.get((i, k), {}).get(k, GAUSS_ZERO) for k in range(model.dim)),
-                        GAUSS_ZERO):
-            raise ModelError(f"model {quote(model.name)} is not unimodular: tr ad X{i + 1} = "
-                             f"{trace}, and akh's verdicts need tr ad X = 0 for every X")
-    return table
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -761,7 +697,7 @@ def _block(algebra: BigradedAlgebra, pq: BlockKey) -> tuple:
 def form_from_coordinates(algebra: BigradedAlgebra, pq: BlockKey, vec: Mapping) -> Form:
     """Form with the sparse coordinate vector ``vec`` {index: coefficient} on
     block ``pq``, indices in the order of ``algebra.blocks[pq]``."""
-    basis = _block(algebra, pq)
+    basis = _block(_operand(None, algebra, BigradedAlgebra), pq)
     if any(type(j) is not int or not 0 <= j < len(basis) for j in vec):
         raise AlgebraError(f"coordinate index out of range on block {pq}")
     return Form(algebra, {basis[j]: c for j, c in vec.items()})
@@ -773,7 +709,7 @@ def form_from_coordinates(algebra: BigradedAlgebra, pq: BlockKey, vec: Mapping) 
 
 def form_to_json(form: Form) -> dict:
     out = {}
-    algebra = form.algebra
+    algebra = _operand(None, form, Form).algebra
     for mono in sorted(form.terms, key=algebra.position.__getitem__):
         c = form.terms[mono]
         if not isinstance(c, GaussScalar):
@@ -816,6 +752,7 @@ def _parse_monomial(algebra: BigradedAlgebra, text: str) -> tuple:
 
 
 def form_from_json(algebra: BigradedAlgebra, data: Mapping) -> Form:
+    algebra = _operand(None, algebra, BigradedAlgebra)
     if not isinstance(data, Mapping):
         raise AlgebraError(f"form JSON {quote(data)} is not an object")
     comps: Dict[Mono, GaussScalar] = {}

@@ -236,9 +236,9 @@ def _is_nilpotent(table: dict, n: int) -> bool:
 
 
 def validate(model: LieModel) -> StructureReport:
-    """Exact structural checks; every flag is decided over the rationals.
-    Unimodularity (tr ad X = 0 for every X) is not a flag here, though every
-    verdict above this layer assumes it: ``forms.build`` refuses a model
+    """Exact structural checks, each flag decided over the rationals; they
+    refuse nothing.  Unimodularity (tr ad X = 0 for every X) is no flag, though
+    every verdict above this layer assumes it: ``_checked`` refuses a model
     without it, and this report is all akh says of such a model."""
     n = _model(model).dim
     table, jm = _bracket_table(model), ExactMatrix(model.J)
@@ -261,6 +261,67 @@ def validate(model: LieModel) -> StructureReport:
         nilpotent=nilpotent,
         jacobi_witness=witness,
     )
+
+
+def _unimodular_table(model: LieModel) -> dict:
+    """The bracket table of ``model``; ModelError unless tr ad X_i = sum_k [X_i, X_k]_k is 0."""
+    table = _bracket_table(model)
+    for i in range(model.dim):
+        if trace := sum((table.get((i, k), {}).get(k, GAUSS_ZERO) for k in range(model.dim)),
+                        GAUSS_ZERO):
+            raise ModelError(f"model {quote(model.name)} is not unimodular: tr ad X{i + 1} = "
+                             f"{trace}, and akh's verdicts need tr ad X = 0 for every X")
+    return table
+
+
+def _hermitian(u, v) -> GaussScalar:
+    """Hermitian product sum u_k conj(v_k) of two coframe rows."""
+    return sum((x * y.conj() for x, y in zip(u, v) if x and y), GAUSS_ZERO)
+
+
+def _coframe(model: LieModel) -> tuple:
+    """The coframe: m Hermitian-orthogonal +i eigenvectors of the dual
+    structure.  J is orthogonal, so two such rows have zero bilinear
+    product and a row is orthogonal to every conjugate row as well."""
+    J, i = ExactMatrix(model.J), ExactMatrix.identity(model.dim) * GAUSS_I
+    shifted = J.transpose() - i  # J^T acts on coframe coordinates
+    if (rows := model.coframe) is not None:
+        if any(shifted.apply(dict(enumerate(row))) for row in rows):
+            raise ModelError("coframe row is not a +i eigenvector")
+        # a pinned coframe fixes printed normalizations, so it is checked
+        # rather than orthogonalized
+        for (r, a), (s, b) in combinations(enumerate(rows, 1), 2):
+            if _hermitian(a, b):
+                raise ModelError(f"coframe rows {r} and {s} are not orthogonal")
+        if not all(any(row) for row in rows):
+            raise ModelError("coframe rows and conjugates are dependent")
+        return rows
+    # J^2 = -1, checked before, gives (J^T - i)(J^T + i) = 0 with rank m: the
+    # eigenspace is the row space of J + i.  Its reduced rows, halved, are
+    # for block-diagonal J the coframe dual to X - iJX
+    reduced, pivots = rref(J + i)
+    rows = []
+    for r in range(len(pivots)):
+        row = tuple(reduced[r, j] / 2 for j in range(model.dim))
+        # Gram-Schmidt without normalizing; an orthogonal row stays as it is
+        for prev in rows:
+            if c := _hermitian(row, prev):
+                c = c / _hermitian(prev, prev)
+                row = tuple(x - c * y for x, y in zip(row, prev))
+        rows.append(row)
+    return tuple(rows)
+
+
+def _checked(model: LieModel) -> tuple:
+    """(structure report, bracket table, coframe) of a model akh computes on,
+    and the one refusal of a model's data or hypotheses: ModelError if it fails
+    the structure checks, is not unimodular or has no coframe, in that order."""
+    report = validate(model)
+    if not report.structure_ok:
+        raise ModelError(f"model {quote(model.name)} fails structural checks: jacobi="
+                         f"{report.jacobi_ok} acs={report.acs_ok} "
+                         f"compatible={report.compatible_ok}")
+    return report, _unimodular_table(model), _coframe(model)
 
 
 # ---------------------------------------------------------------------------

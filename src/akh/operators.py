@@ -45,6 +45,7 @@ from .forms import (
     BigradedAlgebra,
     BlockOperator,
     Form,
+    _operand,
     build,
     form_from_coordinates,
     form_to_json,
@@ -69,8 +70,8 @@ def graded_commutator(a: BlockOperator, b: BlockOperator) -> BlockOperator:
     Raises :class:`~akh.forms.AlgebraError` when either operator mixes
     even and odd shifts, since the sign is then undefined.
     """
-    pa = a.parity
-    pb = b.parity
+    pa = _operand(None, a, BlockOperator).parity
+    pb = _operand(a.algebra, b, BlockOperator).parity
     if pa is None or pb is None:
         raise AlgebraError("graded commutator requires operators of pure parity")
     ab = a.compose(b)
@@ -82,7 +83,7 @@ def graded_commutator(a: BlockOperator, b: BlockOperator) -> BlockOperator:
 
 def laplacian(op: BlockOperator) -> BlockOperator:
     """``op op* + op* op``; degree zero whenever ``op`` has a pure shift."""
-    return _laplacian(op, op.adjoint())
+    return _laplacian(op, _operand(None, op, BlockOperator).adjoint())
 
 
 def _laplacian(op: BlockOperator, star: BlockOperator) -> BlockOperator:
@@ -128,6 +129,7 @@ def star_conjugate(algebra: BigradedAlgebra, op: BlockOperator) -> BlockOperator
     each Dolbeault-type component it reproduces the adjoint up to a factor
     of ``i`` (checked in the test suite).
     """
+    algebra = _operand(None, algebra, BigradedAlgebra)
     return algebra.star.compose(algebra.weight_inv).compose(op).compose(
         algebra.weight).compose(algebra.star)
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from akh import model as akh_model
 from akh.exact import (GAUSS_I, GAUSS_ONE, GAUSS_ZERO, AkhError, ExactMatrix, GaussScalar,
                        ParamPoly, hermitian_signature, kernel, rank, rref, vstack)
 from akh.forms import (
@@ -98,13 +99,13 @@ def test_build_checks_eagerly(monkeypatch):
             BigradedAlgebra(catalog("h5_J"))
     # the coframe skewed to (a1 + a2, a2, ...) still holds +i eigenvectors,
     # but omega = i sum a_g ^ a_g~ / |a_g|^2 written from it is not g(J., .)
-    original = BigradedAlgebra._resolve_coframe
+    original = akh_model._coframe
 
-    def skewed(self):
-        first, second, *rest = original(self)
+    def skewed(model):
+        first, second, *rest = original(model)
         return (tuple(x + y for x, y in zip(first, second)), second, *rest)
 
-    monkeypatch.setattr(BigradedAlgebra, "_resolve_coframe", skewed)
+    monkeypatch.setattr(akh_model, "_coframe", skewed)
     for name, pair in (("torus4", "X1, X2"), ("kodaira_thurston", "X1, X3")):
         with pytest.raises(AlgebraError, match=f"disagrees with J on {pair}$"):
             BigradedAlgebra(catalog(name))
@@ -742,6 +743,7 @@ LIBRARY_REFUSALS = {
     "None model, model_to_json": lambda model, alg: model_to_json(None),
     "index past the generators, generator_name": lambda model, alg: alg.generator_name(99),
     "bool index, generator_name": lambda model, alg: alg.generator_name(True),
+    "bool index, generator_form": lambda model, alg: alg.generator_form(True),
     "index past the generators, monomial_name": lambda model, alg: alg.monomial_name((99,)),
     "three-int block, Form.block": lambda model, alg: alg.fundamental_form.block((1, 1, 1)),
     "int path, load_model": lambda model, alg: load_model(NO_FD),

@@ -20,6 +20,7 @@ from akh.model import (
     validate,
 )
 from linalg_reference import form_from_real, real_coordinates
+from test_cli import AFF_X_AFF
 
 AK_MODELS = ("torus2", "torus4", "torus6", "kodaira_thurston", "filiform4_Jprime")
 LADDER = {p.stem: p for p in
@@ -108,6 +109,31 @@ def test_refusal_quotes_a_long_value(make, says):
         make(catalog("kodaira_thurston"))
     message = str(exc.value)
     assert says in message and "\n" not in message and len(message) < 200
+
+
+AFF = model_from_json(AFF_X_AFF)  # Kahler as given, but tr ad X1 = 1
+ZERO_COFRAME = ((0,) * 4,) * 2
+H5 = catalog("h5_J")
+
+
+@pytest.mark.parametrize("model, says", [
+    # [X1, X2] = X1 breaks Jacobi, and the first pinned row is a -i eigenvector
+    (H5._replace(brackets=H5.brackets + ((0, 1, 0, 1),),
+                 coframe=(tuple(x.conj() for x in H5.coframe[0]),) + H5.coframe[1:]),
+     "fails structural checks: jacobi=False acs=True compatible=True"),
+    (AFF._replace(J=((0,) * 4,) * 4, coframe=ZERO_COFRAME),
+     "fails structural checks: jacobi=True acs=False compatible=False"),
+    (AFF._replace(coframe=ZERO_COFRAME), "not unimodular: tr ad X1 = 1"),
+    (catalog("torus4")._replace(coframe=ZERO_COFRAME), "coframe rows and conjugates are dependent"),
+], ids=["jacobi_and_coframe", "structure_unimodular_and_coframe", "unimodular_and_coframe",
+        "coframe"])
+def test_build_refuses_a_model_for_the_first_check_it_fails(model, says):
+    # structure, then unimodularity, then the coframe; validate reports the
+    # flags of each model and refuses none
+    validate(model)
+    with pytest.raises(ModelError) as exc:
+        build(model)
+    assert says in str(exc.value)
 
 
 # every field is checked at construction, so _replace refuses a bad value

@@ -35,7 +35,7 @@ pytest.importorskip("sympy")
 from sympy import QQ, QQ_I  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from akh import forms  # noqa: E402
+from akh import model as akh_model  # noqa: E402
 from akh.exact import rank  # noqa: E402
 from akh.forms import (DBAR_SHIFT, MU_BAR_SHIFT, MU_SHIFT, PARTIAL_SHIFT,  # noqa: E402
                        BigradedAlgebra, build)
@@ -204,7 +204,7 @@ def test_adjoint_of_d_is_not_minus_star_d_star_without_unimodularity(monkeypatch
     model = _load(AFF)
     with pytest.raises(ModelError, match="not unimodular: tr ad X1 = 1"):
         BigradedAlgebra(model)
-    monkeypatch.setattr(forms, "_unimodular_table", _bracket_table)
+    monkeypatch.setattr(akh_model, "_unimodular_table", _bracket_table)
     alg = BigradedAlgebra(model)
     assert _adjoint(alg, "d") != _minus_star_d_star(alg)
 

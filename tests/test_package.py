@@ -164,6 +164,36 @@ def test_every_entry_point_taking_a_model_refuses_anything_else(not_a_model, tmp
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("not_an_operand", (None, 5, "x"))
+def test_every_entry_point_taking_an_algebra_form_or_operator_refuses_anything_else(
+        not_an_operand):
+    # the twin of the model walk, over every akh function and every public
+    # method of an algebra, a form and an operator: one parameter naming an
+    # algebra, a form or an operator at a time gets ``not_an_operand``, the
+    # others values they accept
+    alg = build(catalog("kodaira_thurston"))
+    values = {"algebra": alg, "form": alg.fundamental_form, "op": alg.d, "a": alg.d, "b": alg.d,
+              "pq": (1, 0), "vec": {}, "data": {}}
+    entry_points = [getattr(akh, name) for name in akh.__all__
+                    if inspect.isfunction(getattr(akh, name))]
+    for owner in (alg, alg.fundamental_form, alg.d):
+        entry_points += [method for name in dir(owner) if not name.startswith("_")
+                         and inspect.ismethod(method := getattr(owner, name))]
+    walked = []
+    for fn in entry_points:
+        params = inspect.signature(fn).parameters
+        for operand in params.keys() & {"algebra", "form", "op", "a", "b", "other"}:
+            walked.append(fn.__name__)
+            args = {name: not_an_operand if name == operand else values[name] for name in params}
+            with pytest.raises(AkhError) as info:
+                fn(**args)
+            message = str(info.value)
+            assert "\n" not in message and len(message) <= 200, (fn.__name__, message[:300])
+    assert {"form_from_coordinates", "form_from_json", "form_to_json", "star_conjugate",
+            "laplacian", "graded_commutator", "coordinates", "format_form", "zero", "apply",
+            "compose", "wedge"} <= set(walked)
+
+
 def test_every_error_is_an_akh_error_and_a_value_error():
     assert akh.AkhError is AkhError
     for error in (ExactError, ModelError, AlgebraError, HarmonicError,
