@@ -8,9 +8,10 @@ either is accepted wherever a scalar is.  Matrices store each row as a dict
 from column to nonzero entry (the operators here are mostly zeros), and a
 vector is the same kind of dict: ``kernel`` returns its basis vectors that
 way, and ``ExactMatrix.apply`` takes and returns them.  Every routine is
-deterministic: reduced row echelon form always picks the leftmost pivot
-column and the topmost unused row, so kernel bases are canonical for a given
-input.
+deterministic: reduced row echelon form takes pivot columns leftmost first,
+each from the sparsest unused row holding it, and R is the one reduced row
+echelon form of the matrix for that column order whichever row supplies a
+pivot, so kernel bases are canonical for a given input.
 
 ParamPoly adds multivariate polynomials over Q(i) in named real parameters.
 They express a family of forms (a 2-form whose coefficients are linear in
@@ -188,6 +189,17 @@ def as_gauss(x: ScalarLike) -> GaussScalar:
     return z
 
 
+def _sparse_vector(vec, n: int, start: int = 0) -> Mapping:
+    """``vec``, or an ExactError unless it is a mapping whose keys j are ints
+    (not bools) with 0 <= start + j < n: the one check of a sparse vector
+    argument; its entries are the caller's to read."""
+    if not (isinstance(vec, Mapping) and type(start) is int
+            and all(type(j) is int and 0 <= start + j < n for j in vec)):
+        raise ExactError(f"{quote(vec)} from index {quote(start)} is not a sparse vector "
+                         f"on {n} coordinates")
+    return vec
+
+
 def format_scalar(z: GaussScalar) -> str:
     """Canonical string form: '0', '-1/2', 'i', '2/3*i', '1/2-3/4*i'."""
     a, b, d = z._a, z._b, z._d
@@ -323,12 +335,13 @@ class ExactMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
+    # private: the zero and the identity matrix take only sizes akh computes
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
+    def _zeros(cls, rows: int, cols: int) -> "ExactMatrix":
         return cls._from_rows([{} for _ in range(rows)], cols)
 
     @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
+    def _identity(cls, n: int) -> "ExactMatrix":
         return cls._from_rows([{i: GAUSS_ONE} for i in range(n)], n)
 
     def __getitem__(self, key) -> GaussScalar:
@@ -387,7 +400,7 @@ class ExactMatrix:
     def __mul__(self, scalar: ScalarLike) -> "ExactMatrix":
         c = as_gauss(scalar)
         if not c:
-            return ExactMatrix.zeros(self.rows, self.cols)
+            return ExactMatrix._zeros(self.rows, self.cols)
         return ExactMatrix._from_rows(
             [{j: a * c for j, a in row.items()} for row in self._rows], self.cols
         )
@@ -416,8 +429,7 @@ class ExactMatrix:
         """Matrix times a sparse column vector {column: entry}, returned as
         {row: entry} with no zero entry.  The vector entries may be zero, or
         any ring elements that multiply with GaussScalar (ParamPoly too)."""
-        if any(not 0 <= j < self.cols for j in vec):
-            raise ExactError("vector index out of range")
+        vec = _sparse_vector(vec, self.cols)
         out = {}
         for i, row in enumerate(self._rows):
             acc = None
@@ -493,37 +505,52 @@ def _add_multiple(row: dict, f: GaussScalar, other: dict) -> None:
 def rref(mat: ExactMatrix) -> tuple:
     """Reduced row echelon form.  Returns (R, pivot_columns).
 
-    Deterministic: scans columns left to right, picks the topmost nonzero
-    entry as pivot.  Entries live in the field Q(i), so classical normalized
-    elimination is exact; no fraction-free bookkeeping is needed.
+    Scans columns left to right; the pivot of column c comes from the
+    sparsest unused row holding c, the lowest such row on a tie, so fill-in
+    stays small.  Which row supplies a pivot cannot change R: a matrix has
+    one reduced row echelon form for a given column order.  Entries live in
+    the field Q(i), so classical normalized elimination is exact; no
+    fraction-free bookkeeping is needed.
     """
     if not isinstance(mat, ExactMatrix):
         raise ExactError(f"rref of {quote(mat)}, not an ExactMatrix")
     # elimination works on copies of the nonempty sparse rows, so a step
-    # touches only the nonzero columns of the pivot row; an empty row never
-    # holds a pivot and R is zero below its pivots, so the empty rows return
-    # as padding at the bottom
+    # touches only the nonzero columns of the pivot row; holders[c] is the set
+    # of rows holding column c, so a step visits only those rows.  Fill-in
+    # lands only in columns the pivot row holds, so no column gains its first
+    # holder and the columns no row holds are never visited.  An empty row
+    # never holds a pivot and R is zero below its pivots, so the empty rows
+    # return as padding at the bottom
     work = [dict(row) for row in mat._rows if row]
-    nrows, ncols = len(work), mat.cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
+    holders = {}
+    for i, row in enumerate(work):
+        for c in row:
+            holders.setdefault(c, set()).add(i)
+    used, pivot_rows, pivots = set(), [], []
+    for c in sorted(holders):
+        if len(pivots) == len(work):  # every nonzero row holds a pivot
             break
-        pivot_row = next((i for i in range(r, nrows) if c in work[i]), None)
-        if pivot_row is None:
+        r = min((i for i in holders[c] if i not in used),
+                key=lambda i: (len(work[i]), i), default=None)
+        if r is None:
             continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
         inv = GAUSS_ONE / work[r][c]
         prow = work[r] = {j: a * inv for j, a in work[r].items()}
-        for i, row in enumerate(work):
-            f = row.get(c)
-            if f is not None and i != r:
-                _add_multiple(row, -f, prow)
+        for i in holders[c] - {r}:
+            row, f = work[i], -work[i][c]
+            for j, b in prow.items():
+                a = row.get(j)
+                if (s := f * b if a is None else a + f * b):
+                    row[j] = s
+                    holders[j].add(i)
+                else:
+                    del row[j]
+                    holders[j].discard(i)
+        used.add(r)
+        pivot_rows.append(r)
         pivots.append(c)
-        r += 1
-    work.extend({} for _ in range(mat.rows - nrows))
-    return ExactMatrix._from_rows(work, ncols), tuple(pivots)
+    rows = [work[r] for r in pivot_rows] + [{} for _ in range(mat.rows - len(pivots))]
+    return ExactMatrix._from_rows(rows, mat.cols), tuple(pivots)
 
 
 def rank(mat: ExactMatrix) -> int:

@@ -41,13 +41,15 @@ from .exact import (
     GAUSS_ONE,
     GAUSS_ZERO,
     GaussScalar,
+    _sparse_vector,
+    as_gauss,
     format_scalar,
     parse_scalar,
     quote,
     rank,
     vstack,
 )
-from .model import LieModel, _bracket, _checked
+from .model import LieModel, _bracket, _checked, _model
 
 Mono = Tuple[int, ...]
 BlockKey = Tuple[int, int]
@@ -117,6 +119,8 @@ class Form:
 
     def __init__(self, algebra: "BigradedAlgebra", terms: Mapping[Mono, object]):
         object.__setattr__(self, "algebra", _operand(None, algebra, BigradedAlgebra))
+        if not isinstance(terms, Mapping):
+            raise AlgebraError(f"form terms {quote(terms)} are not a mapping")
         for mono in terms:
             if mono not in algebra.position:
                 raise AlgebraError(f"no monomial {quote(mono)} in this algebra")
@@ -131,7 +135,7 @@ class Form:
     def bidegrees(self) -> tuple:
         alg = self.algebra
         return tuple(sorted({alg.block_at[alg.position[mono]] for mono in self.terms},
-                            key=alg.block_sort_key))
+                            key=alg.offset.__getitem__))
 
     def block(self, pq: BlockKey) -> tuple:
         """The coordinates on block pq, in the order of ``algebra.blocks[pq]``;
@@ -139,7 +143,8 @@ class Form:
         return tuple(self.terms.get(mono, GAUSS_ZERO) for mono in _basis(self.algebra, pq) or ())
 
     def coefficient(self, mono: Mono):
-        return self.terms.get(tuple(mono), GAUSS_ZERO)
+        self.algebra.monomial_name(mono)  # refuses what is not a basis monomial
+        return self.terms.get(mono, GAUSS_ZERO)
 
     def __add__(self, other: "Form") -> "Form":
         out = dict(self.terms)
@@ -155,6 +160,7 @@ class Form:
         return Form(self.algebra, {mono: -c for mono, c in self.terms.items()})
 
     def scale(self, c) -> "Form":
+        c = as_gauss(c)
         return Form(self.algebra, {mono: c * x for mono, x in self.terms.items()})
 
     def wedge(self, other: "Form") -> "Form":
@@ -228,6 +234,7 @@ class BlockOperator:
     __slots__ = ("algebra", "matrix", "_shifts")
 
     def __init__(self, algebra: "BigradedAlgebra", matrix: ExactMatrix):
+        matrix = _operand(None, matrix, ExactMatrix)
         if (_operand(None, algebra, BigradedAlgebra).size, algebra.size) != matrix.shape:
             raise AlgebraError(f"operator matrix has shape {matrix.shape}, "
                                f"expected {algebra.size} square")
@@ -240,7 +247,7 @@ class BlockOperator:
     @classmethod
     def zero(cls, algebra: "BigradedAlgebra") -> "BlockOperator":
         n = _operand(None, algebra, BigradedAlgebra).size
-        return cls(algebra, ExactMatrix.zeros(n, n))
+        return cls(algebra, ExactMatrix._zeros(n, n))
 
     @property
     def shifts(self) -> tuple:
@@ -273,14 +280,15 @@ class BlockOperator:
         """Matrix out of block pq for the given shift; it has no rows when
         the target block is out of range."""
         alg = self.algebra
+        cols = alg.block_range(pq)
+        _basis(alg, shift)  # a shift is a pair of ints too
         tgt = (pq[0] + shift[0], pq[1] + shift[1])
-        rows = alg.block_range(tgt) if tgt in alg.blocks else range(0)
-        return self.matrix.submatrix(rows, alg.block_range(pq))
+        return self.matrix.submatrix(alg.block_range(tgt) if tgt in alg.blocks else range(0), cols)
 
     def columns(self, pq: BlockKey) -> ExactMatrix:
         """Every image of A^{p,q}: the blocks out of pq for each shift,
         stacked; a matrix with no rows for the zero operator."""
-        return vstack([ExactMatrix.zeros(0, self.algebra.dim_block(pq))]
+        return vstack([ExactMatrix._zeros(0, self.algebra.dim_block(pq))]
                       + [self.block(pq, shift) for shift in self.shifts])
 
     def degree_slice(self, k_src: int, k_tgt: int) -> ExactMatrix:
@@ -424,9 +432,8 @@ class BigradedAlgebra:
                     for J in itertools.combinations(range(m), q):
                         basis.append(I + tuple(m + j for j in J))
                 self.blocks[(p, q)] = tuple(basis)
-        self.block_order = tuple(
-            sorted(self.blocks, key=self.block_sort_key)
-        )
+        # by total degree, then by falling p
+        self.block_order = tuple(sorted(self.blocks, key=lambda pq: (pq[0] + pq[1], -pq[0])))
         # operators index all monomials at once, block after block in
         # block_order, so each block and each total degree is a contiguous range
         self.offset: Dict[BlockKey, int] = {}
@@ -581,10 +588,6 @@ class BigradedAlgebra:
 
     # -- public helpers -------------------------------------------------------
 
-    @staticmethod
-    def block_sort_key(pq: BlockKey):
-        return (pq[0] + pq[1], -pq[0])
-
     def dim_block(self, pq: BlockKey) -> int:
         return len(_block(self, pq))
 
@@ -607,16 +610,17 @@ class BigradedAlgebra:
 
     def form_from_vector(self, vec: Mapping, start: int = 0) -> Form:
         """Form whose coefficient at layout index start + j is vec[j]."""
-        n = len(self.layout)
-        if type(start) is not int or not all(type(j) is int and 0 <= start + j < n for j in vec):
-            raise AlgebraError(f"vector index out of range on {n} monomials")
+        vec = _sparse_vector(vec, self.size, start)
         return Form(self, {self.layout[start + j]: c for j, c in vec.items()})
 
     def zero_form(self) -> Form:
         return Form(self, {})
 
     def basis_form(self, pq: BlockKey, idx: int) -> Form:
-        return form_from_coordinates(self, pq, {idx: GAUSS_ONE})
+        """The idx-th basis monomial of block pq, as a form."""
+        basis = _block(self, pq)
+        _sparse_vector({0: GAUSS_ONE}, len(basis), idx)  # refuses what is not an index into it
+        return Form(self, {basis[idx]: GAUSS_ONE})
 
     def generator_form(self, g: int) -> Form:
         self.generator_name(g)  # refuses what is not a generator index
@@ -630,9 +634,12 @@ class BigradedAlgebra:
         return f"a{g - self.m + 1}~"
 
     def monomial_name(self, mono: Mono) -> str:
-        if not mono:
-            return "1"
-        return "^".join(self.generator_name(g) for g in mono)
+        """The name of a basis monomial (a key of ``position``), "1" for ()."""
+        try:
+            self.position[mono]
+        except (KeyError, TypeError):  # TypeError: an unhashable mono
+            raise AlgebraError(f"no monomial {quote(mono)} in this algebra") from None
+        return "^".join(self.generator_name(g) for g in mono) or "1"
 
     def format_form(self, form: Form) -> str:
         if _operand(self, form, Form).is_zero():
@@ -651,13 +658,17 @@ class BigradedAlgebra:
         return " + ".join(parts)
 
 
-@functools.lru_cache(maxsize=None, typed=True)
 def build(model: LieModel) -> BigradedAlgebra:
     """Construct (and cache) the bigraded calculus of a validated model.
-    This is the only module-level cache: every other derived result lives
-    on the algebra, in ``alg.memo`` or a cached property, so
-    ``build.cache_clear()`` frees all of a model's work."""
-    return BigradedAlgebra(model)
+    The model gate runs ahead of the cache, which would otherwise hash the
+    argument first.  This is the only module-level cache: every other
+    derived result lives on the algebra, in ``alg.memo`` or a cached
+    property, so ``build.cache_clear()`` frees all of a model's work."""
+    return _build(_model(model))
+
+
+_build = functools.lru_cache(maxsize=None)(BigradedAlgebra)
+build.cache_info, build.cache_clear = _build.cache_info, _build.cache_clear
 
 
 def betti(model: LieModel) -> tuple:
@@ -682,7 +693,7 @@ def _betti(alg: BigradedAlgebra) -> tuple:
 def _basis(algebra: BigradedAlgebra, pq: BlockKey) -> Optional[tuple]:
     """The basis monomials of block pq, None when it is out of range."""
     if not (isinstance(pq, tuple) and len(pq) == 2 and all(type(x) is int for x in pq)):
-        raise AlgebraError(f"block {quote(pq)} is not a pair of ints")
+        raise AlgebraError(f"bidegree {quote(pq)} is not a pair of ints")
     return algebra.blocks.get(pq)
 
 
@@ -698,9 +709,7 @@ def form_from_coordinates(algebra: BigradedAlgebra, pq: BlockKey, vec: Mapping) 
     """Form with the sparse coordinate vector ``vec`` {index: coefficient} on
     block ``pq``, indices in the order of ``algebra.blocks[pq]``."""
     basis = _block(_operand(None, algebra, BigradedAlgebra), pq)
-    if any(type(j) is not int or not 0 <= j < len(basis) for j in vec):
-        raise AlgebraError(f"coordinate index out of range on block {pq}")
-    return Form(algebra, {basis[j]: c for j, c in vec.items()})
+    return Form(algebra, {basis[j]: c for j, c in _sparse_vector(vec, len(basis)).items()})
 
 
 # ---------------------------------------------------------------------------

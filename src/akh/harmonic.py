@@ -82,6 +82,7 @@ from .forms import (
     I_POWERS,
     BigradedAlgebra,
     Form,
+    _basis,
     _betti,
     betti,
     build,
@@ -128,7 +129,7 @@ WHICH_CHOICES = ("d", "mu_bar", "dbar", "partial", "mu", "dbar+mu", "partial+mu_
 
 
 def _check_block(alg: BigradedAlgebra, p: int, q: int) -> None:
-    if not (type(p) is int and type(q) is int and 0 <= p <= alg.m and 0 <= q <= alg.m):
+    if _basis(alg, (p, q)) is None:
         raise HarmonicError(f"bidegree ({quote(p)},{quote(q)}) out of range for m={alg.m}")
 
 
@@ -531,8 +532,7 @@ def _one_form_flags(alg: BigradedAlgebra) -> dict:
 def holomorphic_forms(model: LieModel, p: int) -> HolomorphicReport:
     """Metric-free holomorphic p-forms with the obstruction flags."""
     alg = build(model)
-    if not (type(p) is int and 0 <= p <= alg.m):
-        raise HarmonicError(f"p={quote(p)} out of range 0..{alg.m}")
+    _check_block(alg, p, 0)
     vecs = _holomorphic_vectors(alg, p)
     basis = tuple(form_from_coordinates(alg, (p, 0), v) for v in vecs)
     matches = None
@@ -669,7 +669,7 @@ def _ak_nonexistence(alg: BigradedAlgebra) -> AkNonexistenceReport:
          for alpha in (form_from_coordinates(alg, (1, 0), a) for a in hol)]
     # T1: closed candidates whose wedges are all dbar-exact.  Membership in
     # the image is cut out by the kernel of the transpose.
-    image = alg.dbar.block((2, 0), DBAR_SHIFT) if m > 1 else ExactMatrix.zeros(0, 0)
+    image = alg.dbar.block((2, 0), DBAR_SHIFT) if m > 1 else ExactMatrix._zeros(0, 0)
     cokernel = ExactMatrix._from_rows(kernel(image.transpose()), len(block21))
     t1_basis = kernel(_real_rows(vstack([closed] + [cokernel @ x for x in X])))
     if len(t1_basis) < dim_w:

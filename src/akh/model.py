@@ -97,8 +97,8 @@ class LieModel(_LieModelFields):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        raw = _LieModelFields(*args, **kwargs)
+    def __new__(cls, name, dim, brackets, J, coframe=None):
+        raw = _LieModelFields(name, dim, brackets, J, coframe)
         if not isinstance(raw.name, str):
             raise ModelError(f"model name must be a str, got {quote(raw.name)}")
         if type(raw.dim) is not int:  # a bool is not a dimension
@@ -242,8 +242,8 @@ def validate(model: LieModel) -> StructureReport:
     without it, and this report is all akh says of such a model."""
     n = _model(model).dim
     table, jm = _bracket_table(model), ExactMatrix(model.J)
-    acs_ok = (jm @ jm) == (ExactMatrix.identity(n) * -1)
-    compatible_ok = (jm.transpose() @ jm) == ExactMatrix.identity(n)
+    acs_ok = (jm @ jm) == (ExactMatrix._identity(n) * -1)
+    compatible_ok = (jm.transpose() @ jm) == ExactMatrix._identity(n)
     jacobi_ok, witness = _jacobi_check(table, n)
     integrable = _integrable(table, jm)
     almost_kahler = bool(
@@ -283,7 +283,7 @@ def _coframe(model: LieModel) -> tuple:
     """The coframe: m Hermitian-orthogonal +i eigenvectors of the dual
     structure.  J is orthogonal, so two such rows have zero bilinear
     product and a row is orthogonal to every conjugate row as well."""
-    J, i = ExactMatrix(model.J), ExactMatrix.identity(model.dim) * GAUSS_I
+    J, i = ExactMatrix(model.J), ExactMatrix._identity(model.dim) * GAUSS_I
     shifted = J.transpose() - i  # J^T acts on coframe coordinates
     if (rows := model.coframe) is not None:
         if any(shifted.apply(dict(enumerate(row))) for row in rows):
@@ -405,13 +405,10 @@ CATALOG_NAMES = tuple(sorted(_CATALOG))
 
 def catalog(name: str) -> LieModel:
     """Built-in study models by name; see CATALOG_NAMES."""
-    try:
-        builder = _CATALOG[name]
-    except KeyError:
+    if name not in CATALOG_NAMES:  # a tuple compares, so an unhashable name is refused too
         raise ModelError(
-            f"unknown catalog model {quote(name)}; available: {', '.join(CATALOG_NAMES)}"
-        ) from None
-    return builder()
+            f"unknown catalog model {quote(name)}; available: {', '.join(CATALOG_NAMES)}")
+    return _CATALOG[name]()
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,11 @@ mu_bar-harmonic forms instead.
 adjoints, the reference for the d-harmonic space, which ``akh`` takes as
 the kernel of d and d* alone.
 
+``dense_rref`` is Gauss-Jordan on every entry that takes each pivot from
+the topmost row holding it, and ``dense_kernel`` reads its kernel off it:
+the reference for ``akh.exact.rref`` and ``kernel``, which take the
+sparsest row and must still return the same, unique, reduced form.
+
 ``sort_with_sign`` sorts a sequence of generators by counting inversions,
 the reference for the shuffle sign of ``akh.forms.merge_wedge``.
 """
@@ -51,6 +56,46 @@ def sparse(vec: Sequence) -> dict:
 def dense(vec: Mapping, n: int) -> tuple:
     """The dense length-n vector of a sparse one."""
     return tuple(vec.get(j, GAUSS_ZERO) for j in range(n))
+
+
+def zeros(rows: int, cols: int) -> ExactMatrix:
+    return ExactMatrix([[0] * cols] * rows, cols=cols)
+
+
+def identity(n: int) -> ExactMatrix:
+    return ExactMatrix([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
+
+
+def dense_rref(rows, ncols):
+    """Gauss-Jordan on every entry: leftmost pivot column, topmost row."""
+    work = [list(row) for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        below = [i for i in range(r, len(work)) if work[i][c]]
+        if not below:
+            continue
+        work[r], work[below[0]] = work[below[0]], work[r]
+        inv = GAUSS_ONE / work[r][c]
+        work[r] = [a * inv for a in work[r]]
+        for i in range(len(work)):
+            if i != r:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+    return work, tuple(pivots)
+
+
+def dense_kernel(rows, ncols):
+    work, pivots = dense_rref(rows, ncols)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [GAUSS_ZERO] * ncols
+        v[f] = GAUSS_ONE
+        for r, c in enumerate(pivots):
+            v[c] = -work[r][f]
+        basis.append(tuple(v))
+    return basis
 
 
 def solve(mat: ExactMatrix, rhs: Sequence):
@@ -98,7 +143,7 @@ def inverse(mat: ExactMatrix) -> ExactMatrix:
     if mat.rows != mat.cols:
         raise ExactError("inverse of a non-square matrix")
     n = mat.rows
-    R, pivots = rref(hstack([mat, ExactMatrix.identity(n)]))
+    R, pivots = rref(hstack([mat, identity(n)]))
     if len(pivots) < n or pivots[:n] != tuple(range(n)):
         raise ExactError("matrix is singular")
     return R.submatrix(range(n), range(n, 2 * n))

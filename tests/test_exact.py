@@ -22,8 +22,8 @@ from akh.exact import (
     rref,
     vstack,
 )
-from linalg_reference import (dense, dense_hermitian_signature, evaluate, hstack, in_span, inverse,
-                              solve, sparse)
+from linalg_reference import (dense, dense_hermitian_signature, dense_kernel, dense_rref, evaluate,
+                              hstack, identity, in_span, inverse, solve, sparse, zeros)
 
 rationals = st.fractions(min_value=-12, max_value=12, max_denominator=7)
 scalars = st.builds(GaussScalar, rationals, rationals)
@@ -218,7 +218,7 @@ def test_real_scalars_compare_and_hash_as_their_rationals(q, r):
 
 
 def test_kernel_spec_examples():
-    zero3 = ExactMatrix.zeros(3, 3)
+    zero3 = zeros(3, 3)
     assert kernel(zero3) == [{0: GAUSS_ONE}, {1: GAUSS_ONE}, {2: GAUSS_ONE}]
     m = ExactMatrix([[GAUSS_ONE, GAUSS_I], [GAUSS_ZERO, GAUSS_ZERO]])
     assert kernel(m) == [{0: -GAUSS_I, 1: GAUSS_ONE}]
@@ -240,7 +240,7 @@ def test_solve_basics():
 
 def test_inverse_and_rank():
     m = ExactMatrix([[1, 1], [0, 2]])
-    assert inverse(m) @ m == ExactMatrix.identity(2)
+    assert inverse(m) @ m == identity(2)
     assert rank(m) == 2
     with pytest.raises(ExactError):
         inverse(ExactMatrix([[1, 1], [1, 1]]))
@@ -373,7 +373,7 @@ def test_signature_rejects_bad_input():
 def test_hermitian_signature_positive_definite():
     # A^H A + I is positive definite for any A
     a = ExactMatrix([[GAUSS_I, gs(2)], [gs(1, 1), GAUSS_ZERO]])
-    h = a.conj_transpose() @ a + ExactMatrix.identity(2)
+    h = a.conj_transpose() @ a + identity(2)
     assert h == h.conj_transpose()
     assert hermitian_signature(h) == (2, 0, 0)
 
@@ -428,13 +428,22 @@ def sparse_rows_and_order(draw):
 @given(sparse_rows_and_order())
 @example(([], 3, []))
 @example(([[], []], 0, [1, 0]))
+# the topmost holder of a column is denser than a lower one, so the pivot
+# comes from a lower row, which must be normalized and moved up
+@example(([[1, 2, 3], [2, 0, 0]], 3, [0, 1]))
+@example(([[0, 1, 1, 1], [5, 1, 0, 7], [0, 3, 0, 0], [2, 0, 0, 0]], 4, [3, 2, 1, 0]))
+@example(([[gs(1, 1), 1, 1], [0, 0, 0], [gs(0, 2), 0, 0], [1, 0, 4]], 3, [0, 1, 2, 3]))
 @settings(max_examples=200, deadline=None)
 def test_rref_does_not_depend_on_row_order(case):
     # R and its pivots are unique to the row space, which every comparison
-    # of canonical kernel bases as subspaces relies on
+    # of canonical kernel bases as subspaces relies on; whichever row rref
+    # takes a pivot from, R is that of Gauss-Jordan on the topmost row
     rows, cols, order = case
-    assert rref(ExactMatrix([rows[i] for i in order], cols=cols)) == \
-        rref(ExactMatrix(rows, cols=cols))
+    m = ExactMatrix(rows, cols=cols)
+    work, pivots = dense_rref(m.data, cols)
+    assert rref(m) == (ExactMatrix(work, cols=cols), pivots)
+    assert kernel(m) == [sparse(v) for v in dense_kernel(m.data, cols)]
+    assert rref(ExactMatrix([rows[i] for i in order], cols=cols)) == rref(m)
 
 
 def test_stack_shape_errors():
@@ -451,38 +460,6 @@ def test_stack_shape_errors():
 def dense_matmul(a, b, ncols):
     return [[sum((a[i][k] * b[k][j] for k in range(len(b))), GAUSS_ZERO)
              for j in range(ncols)] for i in range(len(a))]
-
-
-def dense_rref(rows, ncols):
-    """Gauss-Jordan on every entry: leftmost pivot column, topmost row."""
-    work = [list(row) for row in rows]
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        below = [i for i in range(r, len(work)) if work[i][c]]
-        if not below:
-            continue
-        work[r], work[below[0]] = work[below[0]], work[r]
-        inv = GAUSS_ONE / work[r][c]
-        work[r] = [a * inv for a in work[r]]
-        for i in range(len(work)):
-            if i != r:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-    return work, tuple(pivots)
-
-
-def dense_kernel(rows, ncols):
-    work, pivots = dense_rref(rows, ncols)
-    basis = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        v = [GAUSS_ZERO] * ncols
-        v[f] = GAUSS_ONE
-        for r, c in enumerate(pivots):
-            v[c] = -work[r][f]
-        basis.append(tuple(v))
-    return basis
 
 
 # mostly zeros, like the bidegree blocks of d
@@ -542,7 +519,7 @@ def test_sparse_rref_and_kernel_match_dense(m):
 @settings(max_examples=60, deadline=None)
 def test_sparse_inverse_matches_dense(m, k):
     n = m.rows
-    eye = ExactMatrix.identity(n)
+    eye = identity(n)
     m = m + eye * k  # a diagonal shift makes invertible draws common
     work, pivots = dense_rref([list(r) + list(e) for r, e in zip(m.data, eye.data)],
                               2 * n)

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from akh import model as akh_model
-from akh.exact import (GAUSS_I, GAUSS_ONE, GAUSS_ZERO, AkhError, ExactMatrix, GaussScalar,
-                       ParamPoly, hermitian_signature, kernel, rank, rref, vstack)
+from akh.exact import (GAUSS_I, GAUSS_ONE, GAUSS_ZERO, AkhError, ExactError, ExactMatrix,
+                       GaussScalar, ParamPoly, hermitian_signature, kernel, rank, rref, vstack)
 from akh.forms import (
     AlgebraError,
     BigradedAlgebra,
@@ -28,8 +28,8 @@ from akh.harmonic import (_holomorphic_vectors, ak_nonexistence_report, betti, e
 from akh.model import (CATALOG_NAMES, LieModel, catalog, load_model, model_to_json, save_model,
                        validate)
 from akh.operators import _adjoint, verify_identities
-from linalg_reference import (form_from_real, inverse, real_coordinates, real_expansion,
-                              real_harmonic_basis, sort_with_sign, sparse)
+from linalg_reference import (form_from_real, identity, inverse, real_coordinates, real_expansion,
+                              real_harmonic_basis, sort_with_sign, sparse, zeros)
 from test_ladder_golden import PRODUCTS, make_ladder
 
 
@@ -214,8 +214,7 @@ def test_block_zero_shapes():
     assert absent.is_zero()
     zero = BlockOperator.zero(alg)
     assert zero.shifts == () and zero.parity == 0
-    assert zero.block((1, 1), (0, 0)) == ExactMatrix.zeros(alg.dim_block((1, 1)),
-                                                           alg.dim_block((1, 1)))
+    assert zero.block((1, 1), (0, 0)) == zeros(alg.dim_block((1, 1)), alg.dim_block((1, 1)))
 
 
 def _nonzero_rows(mat):
@@ -315,6 +314,21 @@ def _gram(alg):
                                   alg.size)
 
 
+
+def test_coefficient_and_monomial_name_refuse_a_non_basis_monomial():
+    # a basis monomial is a sorted tuple of distinct generator indices below
+    # 2m, a key of alg.position; anything else was once read as a zero
+    # coefficient or named as if it were one
+    alg = build(catalog("kodaira_thurston"))
+    w = alg.fundamental_form
+    assert w.terms == {(0, 2): 2 * GAUSS_I, (1, 3): 2 * GAUSS_I}
+    assert w.coefficient((0, 2)) == 2 * GAUSS_I and w.coefficient((0, 1)) == 0
+    assert alg.monomial_name((0, 2)) == "a1^a1~" and alg.monomial_name(()) == "1"
+    for mono in ((2, 0), (0, 9), (0, 0), (True, 2), [0, 2], "a1", 0):
+        for read in (w.coefficient, alg.monomial_name):
+            with pytest.raises(AlgebraError):
+                read(mono)
+
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_gram_positive_definite(name):
     alg = build(catalog(name))
@@ -362,6 +376,12 @@ def test_star_maps_block_to_dual_block():
                 assert set(sf.bidegrees()) <= {target}
 
 
+def times(form, c):
+    """``form`` with every coefficient multiplied by ``c``, which may be a
+    ParamPoly: ``Form.scale`` takes a scalar only."""
+    return Form(form.algebra, {mono: c * x for mono, x in form.terms.items()})
+
+
 @pytest.mark.parametrize("name", ("kodaira_thurston", "h5_J", "torus6"))
 def test_form_power_is_the_iterated_wedge(name):
     # for omega, for a ParamPoly family s*omega + t*(a (1,1) monomial) and for
@@ -370,8 +390,8 @@ def test_form_power_is_the_iterated_wedge(name):
     alg = build(catalog(name))
     names = ("s", "t")
     omega = alg.fundamental_form
-    family = (omega.scale(ParamPoly.variable(names, "s"))
-              + alg.basis_form((1, 1), 0).scale(ParamPoly.variable(names, "t")))
+    s, t = (ParamPoly.variable(names, name) for name in names)
+    family = times(omega, s) + times(alg.basis_form((1, 1), 0), t)
     zero = alg.zero_form()
     one = Form(alg, {(): GAUSS_ONE})
     for form in (omega, family, zero):
@@ -542,9 +562,10 @@ def test_form_unknown_monomial_rejected():
     for mono in ((5, 5), (1, 0), (0, 0), (2,)):
         with pytest.raises(AlgebraError):
             Form(alg, {mono: GAUSS_ONE})
-    with pytest.raises(AlgebraError):
+    # an index off the block is refused by the sparse vector check of exact
+    with pytest.raises(ExactError):
         form_from_coordinates(alg, (1, 0), {0: GAUSS_ONE, 1: GAUSS_ONE})
-    with pytest.raises(AlgebraError):
+    with pytest.raises(ExactError):
         form_from_coordinates(alg, (1, 0), {-1: GAUSS_ONE})
     with pytest.raises(AlgebraError):
         form_from_coordinates(alg, (5, 5), {0: GAUSS_ONE})
@@ -556,7 +577,7 @@ def _mixed_forms(alg):
     full = alg.form_from_vector(sparse([gs(j % 5 - 2, j % 3) for j in range(alg.size)]))
     thin = alg.form_from_vector({j: gs(1, -j) for j in range(0, alg.size, 3)})
     return (full, thin, alg.fundamental_form + alg.generator_form(0).conj(),
-            full.scale(t), thin.scale(t * t) - alg.volume_form.scale(t))
+            times(full, t), times(thin, t * t) - times(alg.volume_form, t))
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
@@ -621,8 +642,8 @@ def test_wedge_is_associative_with_the_shuffle_sign():
         expected = shuffled(ma, mb, mc)
         assert a.wedge(b).wedge(c) == a.wedge(b.wedge(c)) == expected
         if not expected.is_zero():
-            at = a.scale(t)
-            assert at.wedge(b).wedge(c) == at.wedge(b.wedge(c)) == expected.scale(t)
+            at = times(a, t)
+            assert at.wedge(b).wedge(c) == at.wedge(b.wedge(c)) == times(expected, t)
 
 
 def test_form_json_round_trip():
@@ -820,7 +841,7 @@ def _cayley(n, entries):
     A = [[0] * n for _ in range(n)]
     for (i, j), a in entries.items():
         A[i][j], A[j][i] = a, -a
-    I, A = ExactMatrix.identity(n), ExactMatrix(A)
+    I, A = identity(n), ExactMatrix(A)
     R = (I - A) @ inverse(I + A)
     return [[R[i, j].re for j in range(n)] for i in range(n)]
 
@@ -1054,7 +1075,7 @@ def test_fundamental_form_is_g_of_j_under_conjugation(model):
 def test_plus_i_eigenvectors_reduce_to_the_rows_of_j_plus_i(J):
     # J^2 = -1 makes the +i eigenspace of J^T the row space of J + i, and
     # the reduced row echelon form of a subspace is unique
-    n, i = J.rows, ExactMatrix.identity(J.rows) * GAUSS_I
+    n, i = J.rows, identity(J.rows) * GAUSS_I
     eigen = kernel(J.transpose() - i)
     reduced, pivots = rref(J + i)
     assert len(pivots) == len(eigen) == n // 2

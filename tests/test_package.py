@@ -1,5 +1,6 @@
 import ast
 import inspect
+import json
 import os
 import re
 import subprocess
@@ -12,8 +13,8 @@ import pytest
 
 import akh
 from akh.cli import CliInputError
-from akh.exact import AkhError, ExactError, GaussScalar
-from akh.forms import AlgebraError, build
+from akh.exact import AkhError, ExactError, ExactMatrix, GaussScalar
+from akh.forms import AlgebraError, BigradedAlgebra, BlockOperator, Form, build
 from akh.harmonic import (
     HarmonicError,
     ell_diamond,
@@ -29,8 +30,10 @@ from akh.model import (
     LieModel,
     ModelError,
     catalog,
+    load_model,
     model_from_json,
     model_to_json,
+    save_model,
     validate,
 )
 from akh.operators import verify_identities
@@ -139,59 +142,105 @@ def test_lie_model_normalizes_and_checks_at_construction():
         model._replace(dim=4)
 
 
-@pytest.mark.parametrize("not_a_model", (None, "x", ("a", 4, (), ()),
-                                         tuple(catalog("kodaira_thurston"))))
-def test_every_entry_point_taking_a_model_refuses_anything_else(not_a_model, tmp_path):
-    # the other parameters are filled by name with values a model accepts,
-    # so the refusal can only come from the model; the model equal to the
-    # plain tuple is built first, so build's cache cannot answer for it
-    build(catalog("kodaira_thurston"))
-    values = {"p": 0, "q": 0, "which": "d", "path": tmp_path / "m.json"}
-    walked = []
-    for name in akh.__all__:
-        fn = getattr(akh, name)
-        if inspect.isclass(fn) or not callable(fn):
-            continue
-        first, *rest = inspect.signature(fn).parameters
-        if first != "model":
-            continue
-        walked.append(name)
-        with pytest.raises(AkhError) as info:
-            fn(not_a_model, *(values[p] for p in rest))
-        message = str(info.value)
-        assert "\n" not in message and len(message) <= 200, (name, message[:300])
-    assert {"build", "validate", "model_to_json", "save_model", "hodge_index"} <= set(walked)
-    assert not (tmp_path / "m.json").exists()
+# one value an entry point accepts for each parameter name akh uses; the
+# walk fails on a name missing here, so a new parameter must be added
+def _valid_arguments(model, path):
+    alg = build(model)
+    return {
+        "model": model, "name": model.name, "path": path, "data": {}, "dim": model.dim,
+        "brackets": model.brackets, "J": model.J, "coframe": None,
+        "algebra": alg, "form": alg.fundamental_form, "terms": {},
+        "op": alg.d, "a": alg.d, "b": alg.d, "matrix": alg.d.matrix,
+        "mat": ExactMatrix([[1, 0], [0, 1]]), "vec": {0: 1}, "start": 0,
+        "pq": (1, 0), "shift": (0, 1), "p": 0, "q": 0, "which": "d",
+        "k": 1, "k_src": 1, "k_tgt": 2, "g": 0, "idx": 0, "mono": (0, 2), "c": 2,
+    }
 
 
-@pytest.mark.parametrize("not_an_operand", (None, 5, "x"))
-def test_every_entry_point_taking_an_algebra_form_or_operator_refuses_anything_else(
-        not_an_operand):
-    # the twin of the model walk, over every akh function and every public
-    # method of an algebra, a form and an operator: one parameter naming an
-    # algebra, a form or an operator at a time gets ``not_an_operand``, the
-    # others values they accept
-    alg = build(catalog("kodaira_thurston"))
-    values = {"algebra": alg, "form": alg.fundamental_form, "op": alg.d, "a": alg.d, "b": alg.d,
-              "pq": (1, 0), "vec": {}, "data": {}}
-    entry_points = [getattr(akh, name) for name in akh.__all__
-                    if inspect.isfunction(getattr(akh, name))]
-    for owner in (alg, alg.fundamental_form, alg.d):
-        entry_points += [method for name in dir(owner) if not name.startswith("_")
-                         and inspect.ismethod(method := getattr(owner, name))]
+NOT_ARGUMENTS = (None, 5, "x", [1], 1.5, True, object(), {"a": 1}, (), -1, 10**6)
+
+
+def _public_surface(alg) -> list:
+    """Every function in ``akh.__all__``, the constructors of the model and
+    the three operand classes, and every public method of an algebra, a
+    form, an operator, an ``ExactMatrix`` and a ``GaussScalar``."""
+    surface = [getattr(akh, name) for name in akh.__all__
+               if inspect.isfunction(getattr(akh, name))]
+    surface += [LieModel, BigradedAlgebra, Form, BlockOperator]
+    for owner in (alg, alg.fundamental_form, alg.d, alg.d.matrix, GaussScalar(1, 2)):
+        surface += [method for name in dir(owner) if not name.startswith("_")
+                    and inspect.isroutine(method := getattr(owner, name))]
+    return surface
+
+
+HOT_ACCESSORS = {"ExactMatrix.row_items", "ExactMatrix.submatrix"}
+
+
+def _walk(entry_points, valid, not_arguments) -> list:
+    """Call each entry point once per parameter and value in
+    ``not_arguments``, that value in that parameter and ``valid[name]`` in
+    every other (``other`` is the instance the method belongs to); return
+    the (entry point, parameter) pairs walked.  Each call must return or
+    raise one AkhError line of at most 200 characters."""
     walked = []
     for fn in entry_points:
         params = inspect.signature(fn).parameters
-        for operand in params.keys() & {"algebra", "form", "op", "a", "b", "other"}:
-            walked.append(fn.__name__)
-            args = {name: not_an_operand if name == operand else values[name] for name in params}
-            with pytest.raises(AkhError) as info:
-                fn(**args)
-            message = str(info.value)
-            assert "\n" not in message and len(message) <= 200, (fn.__name__, message[:300])
-    assert {"form_from_coordinates", "form_from_json", "form_to_json", "star_conjugate",
-            "laplacian", "graded_commutator", "coordinates", "format_form", "zero", "apply",
-            "compose", "wedge"} <= set(walked)
+        unknown = sorted(params.keys() - valid.keys() - {"other"})
+        assert not unknown, f"{fn.__qualname__}: no valid value for {unknown}"
+        for param in params:
+            walked.append((fn.__qualname__, param))
+            for bad in not_arguments:
+                args = {name: bad if name == param else fn.__self__ if name == "other"
+                        else valid[name] for name in params}
+                try:
+                    fn(**args)
+                except AkhError as exc:
+                    message = str(exc)
+                    assert "\n" not in message and len(message) <= 200, \
+                        (fn.__qualname__, param, message[:300])
+                except OSError:  # see the walk's test for this one exception
+                    assert (fn.__name__, param) == ("load_model", "path"), fn.__qualname__
+    return walked
+
+
+def test_every_public_entry_point_returns_or_refuses_in_one_line(tmp_path, monkeypatch):
+    """The walk of the whole public surface, with every value of
+    NOT_ARGUMENTS and a plain tuple equal to a model that build has cached,
+    so that the cache cannot answer for a non-model.
+
+    Excluded: ``ExactMatrix.row_items`` and ``submatrix`` (HOT_ACCESSORS).
+    Every operator loop runs them per row or per block, with ints and ranges
+    akh computes through the gated ``block_range`` and ``degree_range``, so
+    a check there would be paid in every loop; Python's own IndexError,
+    TypeError or AttributeError is their answer to a bad index.
+
+    Allowed besides an AkhError: the OSError of ``open()`` from
+    ``load_model`` of a str, bytes or os.PathLike that names no file that
+    opens ("x" here).  The path is well formed and the file system answers
+    for it, errno and file name intact; the CLI reports an OSError as it
+    does an AkhError, as one ``error:`` line with exit code 1.  A path of
+    any other type is a ModelError.
+    """
+    monkeypatch.chdir(tmp_path)  # save_model writes "x" to the working directory
+    model, path = catalog("kodaira_thurston"), tmp_path / "m.json"
+    save_model(model, path)
+    alg = build(model)
+    surface = [fn for fn in _public_surface(alg) if fn.__qualname__ not in HOT_ACCESSORS]
+    assert len(surface) == len(_public_surface(alg)) - len(HOT_ACCESSORS)
+    walked = _walk(surface, _valid_arguments(model, path), NOT_ARGUMENTS + (tuple(model),))
+    assert {("build", "model"), ("catalog", "name"), ("load_model", "path"),
+            ("BlockOperator.block", "shift"), ("Form.coefficient", "mono"),
+            ("Form.scale", "c"), ("ExactMatrix.apply", "vec"), ("Form", "terms"),
+            ("BigradedAlgebra.basis_form", "idx"), ("Form.inner", "other")} <= set(walked)
+    assert load_model(path) == model  # no refused save_model touched the file
+
+
+def test_the_walk_fails_on_a_parameter_it_has_no_value_for():
+    def entry_point(model, unheard_of):
+        return model
+
+    with pytest.raises(AssertionError, match="unheard_of"):
+        _walk([entry_point], {"model": None}, NOT_ARGUMENTS)
 
 
 def test_every_error_is_an_akh_error_and_a_value_error():
@@ -202,7 +251,7 @@ def test_every_error_is_an_akh_error_and_a_value_error():
 
 
 # ---------------------------------------------------------------------------
-# the public-API walk-through script
+# the scripts
 
 
 def test_worked_examples_script_runs_clean():
@@ -215,6 +264,17 @@ def test_worked_examples_script_runs_clean():
     for name in CATALOG_NAMES:
         assert f"\n{name}\n" in proc.stdout
     assert proc.stdout.splitlines()[-1].startswith("total ")
+
+
+def test_cross_python_script_matches_every_pin_on_this_interpreter():
+    # the script runs the pinned requests of bench/expected.json under each
+    # interpreter it is given; run here on this one, so it cannot go stale
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "cross_python.py"), sys.executable],
+        capture_output=True, text=True, timeout=600)
+    pins = len(json.loads((ROOT / "bench" / "expected.json").read_text(encoding="utf-8")))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.endswith(f": {pins} of {pins} match\n"), proc.stdout
 
 
 # ---------------------------------------------------------------------------
