@@ -235,6 +235,62 @@ def test_every_public_entry_point_returns_or_refuses_in_one_line(tmp_path, monke
     assert load_model(path) == model  # no refused save_model touched the file
 
 
+@pytest.mark.parametrize("not_a_model", (None, "x", ("a", 4, (), ()),
+                                         tuple(catalog("kodaira_thurston"))))
+def test_every_entry_point_taking_a_model_refuses_anything_else(not_a_model, tmp_path):
+    # stricter than the walk, which lets a call return: a non-model in the
+    # model parameter must be refused; the other parameters get values a
+    # model accepts, and the model equal to the plain tuple is built first,
+    # so build's cache cannot answer for it
+    values = _valid_arguments(catalog("kodaira_thurston"), tmp_path / "m.json")
+    walked = []
+    for name in akh.__all__:
+        fn = getattr(akh, name)
+        if inspect.isclass(fn) or not callable(fn):
+            continue
+        first, *rest = inspect.signature(fn).parameters
+        if first != "model":
+            continue
+        walked.append(name)
+        with pytest.raises(AkhError) as info:
+            fn(not_a_model, *(values[p] for p in rest))
+        message = str(info.value)
+        assert "\n" not in message and len(message) <= 200, (name, message[:300])
+    assert {"build", "validate", "model_to_json", "save_model", "hodge_index"} <= set(walked)
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("not_an_operand", (None, 5, "x"))
+def test_every_entry_point_taking_an_algebra_form_or_operator_refuses_anything_else(
+        not_an_operand, tmp_path):
+    # the twin of the model test, over every akh function and every public
+    # method of an algebra, a form and an operator: one parameter naming an
+    # algebra, a form or an operator at a time gets ``not_an_operand`` and
+    # must be refused, the others get values they accept
+    model = catalog("kodaira_thurston")
+    alg = build(model)
+    values = _valid_arguments(model, tmp_path / "m.json")
+    entry_points = [getattr(akh, name) for name in akh.__all__
+                    if inspect.isfunction(getattr(akh, name))]
+    for owner in (alg, alg.fundamental_form, alg.d):
+        entry_points += [method for name in dir(owner) if not name.startswith("_")
+                         and inspect.ismethod(method := getattr(owner, name))]
+    walked = []
+    for fn in entry_points:
+        params = inspect.signature(fn).parameters
+        for operand in params.keys() & {"algebra", "form", "op", "a", "b", "other"}:
+            walked.append(fn.__name__)
+            args = {name: not_an_operand if name == operand else fn.__self__
+                    if name == "other" else values[name] for name in params}
+            with pytest.raises(AkhError) as info:
+                fn(**args)
+            message = str(info.value)
+            assert "\n" not in message and len(message) <= 200, (fn.__name__, message[:300])
+    assert {"form_from_coordinates", "form_from_json", "form_to_json", "star_conjugate",
+            "laplacian", "graded_commutator", "coordinates", "format_form", "zero", "apply",
+            "compose", "wedge"} <= set(walked)
+
+
 def test_the_walk_fails_on_a_parameter_it_has_no_value_for():
     def entry_point(model, unheard_of):
         return model
